@@ -28,13 +28,9 @@ from .network import (
     percolation_radius,
 )
 from .protocols import (
-    AlohaSchedule,
-    GossipSchedule,
     SpreadConfig,
     SpreadReport,
     account_bits,
-    aloha_step,
-    gossip_step,
     measure_spreading,
 )
 from .simulator import (

@@ -358,10 +358,7 @@ def cmd_spreading_time(args) -> int:
             radius = network.connectivity_radius(
                 n, settings.get("radius_c") or network.DEFAULT_CONNECTIVITY_C
             )
-            while True:
-                topo = network.build_rgg(n, radius, rng)
-                if len(network.giant_component(topo).giant_set) == n:
-                    break
+            topo = network.build_connected_rgg(n, radius, rng)
         else:
             raise ValueError("spreading-time supports complete and rgg-connected networks")
         cfg = SpreadConfig(

@@ -16,6 +16,12 @@ from scipy.spatial import cKDTree
 # the giant component above 0.8 N at N = 2000 in >= 90% of seeds.
 DEFAULT_CONNECTIVITY_C = 2.0
 DEFAULT_PERCOLATION_C = 1.35
+_RGG_CONNECT_ATTEMPTS = 100
+
+
+class DisconnectedGraphError(ValueError):
+    """No connected graph could be drawn: a configuration error (the radius
+    is too small for the node count), not a crash."""
 
 
 @dataclass
@@ -179,6 +185,19 @@ def giant_component(t: Topology) -> ComponentReport:
     giant_label = max(sizes, key=lambda lab: (sizes[lab], -lab))
     giant = frozenset(int(u) for u in np.flatnonzero(labels == giant_label))
     return ComponentReport(labels, giant, 1.0 - len(giant) / n)
+
+
+def build_connected_rgg(n_nodes: int, radius: float, rng: np.random.Generator) -> Topology:
+    """Redraw RGGs until one is connected, giving up after a fixed number of
+    draws with DisconnectedGraphError instead of looping forever."""
+    for _ in range(_RGG_CONNECT_ATTEMPTS):
+        topo = build_rgg(n_nodes, radius, rng)
+        if len(giant_component(topo).giant_set) == n_nodes:
+            return topo
+    raise DisconnectedGraphError(
+        f"no connected RGG in {_RGG_CONNECT_ATTEMPTS} attempts at N={n_nodes} "
+        f"(radius {radius:.4g}); raise the radius constant"
+    )
 
 
 def induced_subgraph(t: Topology, nodes) -> tuple[Topology, np.ndarray]:

@@ -1,49 +1,28 @@
-"""Information-spreading protocols: gossip with a discrete rate-N clock,
-slotted Aloha with a single-transmitter collision rule, spreading-time
-measurement over per-node heard-sets, and transmission-bit accounting."""
+"""Information-spreading protocols: gossip with a discrete rate-N clock and
+slotted Aloha with a single-transmitter collision rule, run over per-node
+heard-sets; spreading-time measurement and transmission-bit accounting.
+
+Spreading carries no sketch state.  A node's min-sketch is the elementwise
+min of the initial sketches in its heard-set, so callers read sketches off
+the heard-sets that run_spreading returns.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .network import Topology
-from .sketch_core import QuantConfig, merge_min
+from .sketch_core import QuantConfig
 
 GOSSIP = "gossip"
 ALOHA = "aloha"
 PROTOCOLS = (GOSSIP, ALOHA)
 
-EXCHANGE = "exchange"  # both endpoints merge, per the bidirectional gossip model
-PUSH = "push"  # sensitivity variant: only the contacted neighbor merges
-
-
-@dataclass
-class GossipSchedule:
-    """Discrete realization of the rate-N Poisson clock: each tick activates
-    one uniform node and one uniform neighbor of it."""
-
-    rng: np.random.Generator
-    ticks: int = 0
-
-    def clock_time(self, n_nodes: int) -> float:
-        return self.ticks / n_nodes
-
-
-@dataclass
-class AlohaSchedule:
-    """Slotted Aloha: every node transmits independently with probability p_n
-    in every slot."""
-
-    rng: np.random.Generator
-    p_n: float
-    slots: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.p_n < 1.0):
-            raise ValueError("p_n must lie in (0, 1)")
+EXCHANGE = "exchange"  # both endpoints hear each other, per the bidirectional gossip model
+PUSH = "push"  # sensitivity variant: only the contacted neighbor hears
 
 
 @dataclass(frozen=True)
@@ -85,37 +64,9 @@ def default_p_n(n_nodes: int, percolating: bool = False) -> float:
     return 1.0 / math.log(max(n_nodes, 3))
 
 
-@dataclass
-class StepEvents:
-    """What one protocol step did: transmissions (for bit accounting) and
-    directed deliveries (for state merging)."""
-
-    senders: list[int] = field(default_factory=list)
-    deliveries: list[tuple[int, int]] = field(default_factory=list)
-    skipped: bool = False
-
-    def receivers_of(self, sender: int) -> tuple[int, ...]:
-        return tuple(dst for src, dst in self.deliveries if src == sender)
-
-
-def _gossip_events(topo: Topology, sched: GossipSchedule, mode: str) -> StepEvents:
-    sched.ticks += 1
-    n = topo.n_nodes
-    u = int(sched.rng.integers(n))
-    nbrs = topo.adjacency[u]
-    if len(nbrs) == 0:
-        # isolated node: possible only when gossip is run on a percolating
-        # topology without restricting to the giant component first
-        return StepEvents(skipped=True)
-    v = int(nbrs[int(sched.rng.integers(len(nbrs)))])
-    if mode == EXCHANGE:
-        return StepEvents(senders=[u, v], deliveries=[(u, v), (v, u)])
-    return StepEvents(senders=[u], deliveries=[(u, v)])
-
-
 class _GossipPicker:
-    """Buffered (node, neighbor) picks for the spreading driver's hot loop;
-    same distribution as _gossip_events, drawn in blocks."""
+    """Buffered (node, neighbor) picks for the spreading driver's hot loop:
+    a uniform node and a uniform neighbor of it, drawn in blocks."""
 
     _BLOCK = 4096
 
@@ -143,92 +94,24 @@ class _GossipPicker:
         return u, int(nbrs[int(frac * len(nbrs))])
 
 
-def _aloha_events(
-    topo: Topology, sched: AlohaSchedule, transmit_mask: np.ndarray | None = None
-) -> StepEvents:
-    sched.slots += 1
-    n = topo.n_nodes
-    if transmit_mask is None:
-        transmit_mask = sched.rng.random(n) < sched.p_n
-    tx = np.asarray(transmit_mask, dtype=bool)
-    senders = [int(u) for u in np.flatnonzero(tx)]
-    if not senders:
-        return StepEvents()
+def _aloha_events(topo: Topology, tx: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """One Aloha slot under the transmit mask tx: (sender ids, deliveries).
+
+    A node receives a broadcast iff it is silent and has exactly one
+    transmitting neighbor; everything else collides.  A delivery is a
+    (sender, receiver) pair, and each receiver appears at most once.
+    """
+    tx = np.asarray(tx, dtype=bool)
+    senders = np.flatnonzero(tx)
+    if senders.size == 0:
+        return senders, []
     adj = topo.as_csr()
     counts = adj.dot(tx.astype(np.int64))
     receivers = np.flatnonzero(~tx & (counts == 1))
     # for a receiver with exactly one transmitting neighbor, a matvec against
     # (node id + 1) weights recovers that neighbor's id directly
-    tagged = adj.dot(np.where(tx, np.arange(n, dtype=np.int64) + 1, 0))
-    deliveries = [(int(tagged[v]) - 1, int(v)) for v in receivers]
-    return StepEvents(senders=senders, deliveries=deliveries)
-
-
-def apply_deliveries(states: list, deliveries, merge=merge_min) -> None:
-    """Fold each delivery (src, dst) into the receiver's state.
-
-    Within a step the merge-semilattice makes the application order
-    irrelevant; deliveries from one step may be applied in any permutation.
-    """
-    for src, dst in deliveries:
-        states[dst] = merge(states[src], states[dst])
-
-
-def gossip_step(
-    states: list, topo: Topology, sched: GossipSchedule, merge=merge_min, mode: str = EXCHANGE
-) -> StepEvents:
-    """One gossip tick: a uniform node exchanges state with a uniform neighbor
-    (both endpoints end up with the merge), or push-only under mode="push"."""
-    events = _gossip_events(topo, sched, mode)
-    apply_deliveries(states, events.deliveries, merge)
-    return events
-
-
-def aloha_step(
-    states: list,
-    topo: Topology,
-    sched: AlohaSchedule,
-    merge=merge_min,
-    transmit_mask: np.ndarray | None = None,
-) -> StepEvents:
-    """One Aloha slot.  A node receives a broadcast iff it is silent and has
-    exactly one transmitting neighbor; everything else collides.
-    transmit_mask overrides the coin flips, for deterministic replay."""
-    events = _aloha_events(topo, sched, transmit_mask)
-    apply_deliveries(states, events.deliveries, merge)
-    return events
-
-
-class ArrayState:
-    """Per-node sketch state as rows of one numpy array; receiving merges the
-    sender's row into the receiver's by elementwise minimum."""
-
-    def __init__(self, arr: np.ndarray):
-        self.arr = arr
-
-    def receive(self, src: int, dst: int) -> None:
-        np.minimum(self.arr[dst], self.arr[src], out=self.arr[dst])
-
-    def receive_many(self, srcs: list[int], dsts: list[int]) -> None:
-        # one step's deliveries have unique receivers, so a gathered minimum
-        # against the pre-step sender rows is exactly the sequential result
-        self.arr[dsts] = np.minimum(self.arr[dsts], self.arr[srcs])
-
-
-class ListState:
-    """Per-node state as a list of mergeable objects (e.g. SketchVector)."""
-
-    def __init__(self, states: list, merge=merge_min):
-        self.states = states
-        self.merge = merge
-
-    def receive(self, src: int, dst: int) -> None:
-        self.states[dst] = self.merge(self.states[src], self.states[dst])
-
-    def receive_many(self, srcs: list[int], dsts: list[int]) -> None:
-        snapshot = {s: self.states[s] for s in srcs}
-        for src, dst in zip(srcs, dsts):
-            self.states[dst] = self.merge(snapshot[src], self.states[dst])
+    tagged = adj.dot(np.where(tx, np.arange(topo.n_nodes, dtype=np.int64) + 1, 0))
+    return senders, list(zip((tagged[receivers] - 1).tolist(), receivers.tolist()))
 
 
 @dataclass
@@ -241,7 +124,6 @@ class SpreadReport:
     coverage_curve: list[int]
     completed: bool
     skipped_ticks: int = 0
-    heard_sets: list[int] | None = None
 
 
 def run_spreading(
@@ -249,30 +131,30 @@ def run_spreading(
     protocol: str,
     cfg: SpreadConfig,
     rng: np.random.Generator,
-    state=None,
     message_bits: int = 0,
     p_n: float | None = None,
-    collect_log: bool = False,
     record_curve: bool = True,
-    keep_heard_sets: bool = False,
-):
+) -> tuple[SpreadReport, list[int]]:
     """Run a protocol until every node has heard every other node (or the step
-    cap).  Heard-sets S_u are tracked as bitmasks; the optional state object
-    receives every delivery so sketch contents evolve in lockstep with them.
+    cap).  Heard-sets S_u are tracked as bitmasks: bit w of S_u is set once
+    node u has heard, directly or by relay, from node w.
 
-    Returns (SpreadReport, log); log is a list of (step, sender, receivers)
-    when collect_log is set, else None.
+    Returns (SpreadReport, heard_sets).  A node's min-sketch is the min over
+    the initial sketches of its heard-set, so the heard-sets are all a caller
+    needs to read any node's sketch, complete or cut short by the cap.
     """
     n = topo.n_nodes
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     max_steps = cfg.max_steps if cfg.max_steps is not None else default_max_steps(protocol, n)
     gossip = protocol == GOSSIP
+    exchange = cfg.exchange_mode == EXCHANGE
     if gossip:
         picker = _GossipPicker(topo, rng)
-        sched = GossipSchedule(rng)
     else:
-        sched = AlohaSchedule(rng, default_p_n(n) if p_n is None else p_n)
+        p_n = default_p_n(n) if p_n is None else p_n
+        if not (0.0 < p_n < 1.0):
+            raise ValueError("p_n must lie in (0, 1)")
 
     heard = [1 << u for u in range(n)]
     sizes = np.ones(n, dtype=np.int64)
@@ -282,54 +164,34 @@ def run_spreading(
     messages = 0
     skipped = 0
     curve: list[int] = []
-    log: list[tuple[int, int, tuple[int, ...]]] | None = [] if collect_log else None
     completed = n == 1
 
     while not completed and steps < max_steps:
         steps += 1
         if gossip:
-            sched.ticks += 1
             u, v = picker.pick()
             if v < 0:
                 skipped += 1
-                deliveries: list[tuple[int, int]] = []
-                senders: list[int] = []
-            elif cfg.exchange_mode == EXCHANGE:
-                senders = [u, v]
-                deliveries = [(u, v), (v, u)]
+                deliveries = ()
+            elif exchange:
+                deliveries = ((u, v), (v, u))
             else:
-                senders = [u]
-                deliveries = [(u, v)]
+                deliveries = ((u, v),)
+            messages += len(deliveries)  # one message per sender
         else:
-            events = _aloha_events(topo, sched)
-            senders = events.senders
-            deliveries = events.deliveries
-        messages += len(senders)
-        # Sketch state is the min over the heard-set's initial vectors, so a
-        # delivery that grows no heard-set cannot change any sketch: merge
-        # state only for growing deliveries, batched per step.  Sender rows
-        # within a step are pre-step values either way (unique receivers).
-        grew_src: list[int] = []
-        grew_dst: list[int] = []
+            senders, deliveries = _aloha_events(topo, rng.random(n) < p_n)
+            messages += senders.size
+        # a step's receivers are distinct and never send in the same step
+        # (Aloha), or merge the same union (gossip exchange), so applying the
+        # deliveries in order is exact
         for src, dst in deliveries:
             merged = heard[dst] | heard[src]
             if merged != heard[dst]:
                 heard[dst] = merged
-                sizes[dst] = merged.bit_count()
                 if merged == full:
                     n_full += 1
-                grew_src.append(src)
-                grew_dst.append(dst)
-        if state is not None and grew_dst:
-            if len(grew_dst) <= 2:
-                for src, dst in zip(grew_src, grew_dst):
-                    state.receive(src, dst)
-            else:
-                state.receive_many(grew_src, grew_dst)
-        if log is not None:
-            for sender in senders:
-                receivers = tuple(d for s, d in deliveries if s == sender)
-                log.append((steps, sender, receivers))
+                if record_curve:
+                    sizes[dst] = merged.bit_count()
         if record_curve:
             curve.append(int(sizes.min()))
         completed = n_full == n
@@ -341,9 +203,14 @@ def run_spreading(
         coverage_curve=curve,
         completed=completed,
         skipped_ticks=skipped,
-        heard_sets=heard if keep_heard_sets else None,
     )
-    return report, log
+    return report, heard
+
+
+def heard_ids(heard_set: int, n_nodes: int) -> np.ndarray:
+    """Node ids in a heard-set bitmask, ascending."""
+    raw = np.frombuffer(heard_set.to_bytes((n_nodes + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")[:n_nodes])
 
 
 def empirical_quantile(values, q: float) -> float:
@@ -388,9 +255,7 @@ def measure_spreading(
     steps: list[int] = []
     completed = 0
     for _ in range(trials):
-        report, _ = run_spreading(
-            topo, protocol, cfg, rng, p_n=p_n, record_curve=False
-        )
+        report, _ = run_spreading(topo, protocol, cfg, rng, p_n=p_n, record_curve=False)
         if report.completed:
             completed += 1
             steps.append(report.steps_to_full)
@@ -407,16 +272,7 @@ def measure_spreading(
     )
 
 
-def account_bits(log, quant: QuantConfig, r1: int, r2: int, channels: int) -> int:
-    """Total bits for a message count (or message log): each message carries
+def account_bits(messages: int, quant: QuantConfig, r1: int, r2: int, channels: int) -> int:
+    """Total bits for a message count: each message carries
     channels * r1 * r2 entries of quant_bits + 1 bits."""
-    messages = log if isinstance(log, int) else len(log)
     return messages * channels * r1 * r2 * quant.bits_per_entry
-
-
-def write_message_log_csv(log, path, message_bits: int) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,sender,receivers,bits\n")
-        for step, sender, receivers in log:
-            recv = "|".join(str(r) for r in receivers)
-            fh.write(f"{step},{sender},{recv},{message_bits}\n")

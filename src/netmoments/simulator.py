@@ -1,6 +1,7 @@
-"""Experiment orchestration: data assignment, sketch initialization, spreading
-to full dissemination, sequential bucket phases for higher moments,
-percolation experiments, and (epsilon, delta) accounting across trials."""
+"""Experiment orchestration: data assignment, spreading to full
+dissemination, sketches read off node 0's heard-set, sequential bucket phases
+for higher moments, percolation experiments, and (epsilon, delta) accounting
+across trials."""
 
 from __future__ import annotations
 
@@ -13,14 +14,13 @@ import numpy as np
 from . import estimators, network, protocols, sketch_core
 from .estimators import Dataset, ErrorBudget, EstimatorState, exact_fk
 from .network import Topology
-from .protocols import ArrayState, SpreadConfig, run_spreading
+from .protocols import SpreadConfig, heard_ids, run_spreading
 from .sketch_core import QuantConfig, SharedRandomness, SketchVector, truncated_exp_levels
 
 NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
 DATA_KINDS = ("pointmass", "uniform", "zipf", "file")
 
 DEFAULT_S1 = 5
-_RGG_CONNECT_ATTEMPTS = 100
 _GIANT_MIN_FRACTION = 0.5
 
 # Budget-solver calibration.  The worst-case theory constants (Chebyshev 2
@@ -72,7 +72,9 @@ class DataModel:
 
     def spec_string(self) -> str:
         if self.kind == "zipf":
-            return f"zipf:{self.theta:g}"
+            # short form where it is exact; repr keeps every other theta exact
+            short = f"{self.theta:g}"
+            return f"zipf:{short if float(short) == self.theta else repr(self.theta)}"
         if self.kind == "file":
             return f"file:{self.path}"
         return self.kind
@@ -446,13 +448,7 @@ def _build_topology(cfg: ExperimentConfig, rng: np.random.Generator):
         return topo, np.arange(n), 0.0
     if cfg.network == "rgg-connected":
         radius = network.connectivity_radius(n, cfg.radius_c)
-        for _ in range(_RGG_CONNECT_ATTEMPTS):
-            topo = network.build_rgg(n, radius, rng)
-            if len(network.giant_component(topo).giant_set) == n:
-                return topo, np.arange(n), 0.0
-        raise RuntimeError(
-            f"no connected RGG in {_RGG_CONNECT_ATTEMPTS} attempts at N={n}"
-        )
+        return network.build_connected_rgg(n, radius, rng), np.arange(n), 0.0
     # rgg-percolating
     radius = network.percolation_radius(n, cfg.radius_c)
     topo = network.build_rgg(n, radius, rng)
@@ -465,56 +461,50 @@ def _build_topology(cfg: ExperimentConfig, rng: np.random.Generator):
     return sub, orig_ids, report.alpha
 
 
-def _sign_initial_levels(
+def _sign_sketch(
     values: np.ndarray,
     alphabet_size: int,
     rand: SharedRandomness,
     quant: QuantConfig,
     node_seeds,
+    members: np.ndarray,
 ) -> np.ndarray:
-    """Per-node (r1, r2) level grids: unit-rate draws where the sign map says
-    +1, the infinity sentinel where it says -1."""
-    tbl = sketch_core.sign_table(rand, alphabet_size)
-    n = values.size
-    out = np.empty((n, rand.r1, rand.r2), dtype=np.int32)
-    for u in range(n):
+    """The (r1, r2) sign-population sketch a node holds once it has heard from
+    `members`: the min over their initial grids, each unit-rate draws where
+    the sign map says +1 and the infinity sentinel where it says -1.  A
+    node's draws depend only on its own seed, so they are regenerated here
+    after spreading and never stored per node."""
+    rates_by_value = (sketch_core.sign_table(rand, alphabet_size).T > 0).astype(float)
+    acc = np.full((rand.r1, rand.r2), quant.infinity_level, dtype=quant.level_dtype)
+    for u in members:
         rng_u = np.random.default_rng(node_seeds[u])
-        rates = (tbl[:, values[u] - 1] > 0).astype(float)
-        out[u] = truncated_exp_levels(rates, rand.r2, quant, rng_u)
-    return out
+        levels = truncated_exp_levels(rates_by_value[values[u] - 1], rand.r2, quant, rng_u)
+        np.minimum(acc, levels, out=acc)
+    return acc
 
 
-def _root_initial_levels(
+def _root_sketch(
     values: np.ndarray,
     alphabet_size: int,
     rand: SharedRandomness,
     quant: QuantConfig,
-    participants: np.ndarray,
     node_seeds,
+    members: np.ndarray,
 ) -> np.ndarray:
-    """Per-node (3, r1, r2) grids for one bucket phase: real channel at rate
-    Re(root)+1, imaginary at Im(root)+1, population at rate 1; nodes outside
-    the bucket stay all-infinite."""
+    """The (3, r1, r2) sketch of one bucket phase over the participating
+    `members`: real channel at rate Re(root)+1, imaginary at Im(root)+1,
+    population at rate 1; nodes outside the bucket are all-infinite and are
+    left out of `members`."""
     tbl = sketch_core.root_table(rand, alphabet_size)
-    n = values.size
-    out = np.full((n, 3, rand.r1, rand.r2), quant.infinity_level, dtype=np.int32)
-    for u in np.flatnonzero(participants):
+    acc = np.full((3 * rand.r1, rand.r2), quant.infinity_level, dtype=quant.level_dtype)
+    for u in members:
         rng_u = np.random.default_rng(node_seeds[u])
         roots = tbl[:, values[u] - 1]
         rates = np.concatenate(
             [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(rand.r1)]
         )
-        out[u] = truncated_exp_levels(rates, rand.r2, quant, rng_u).reshape(
-            3, rand.r1, rand.r2
-        )
-    return out
-
-
-def _check_node_agreement(levels: np.ndarray, rng: np.random.Generator) -> None:
-    n = levels.shape[0]
-    for u in rng.choice(n, size=min(3, n), replace=False):
-        if not np.array_equal(levels[0], levels[u]):
-            raise RuntimeError("converged nodes disagree on sketch state")
+        np.minimum(acc, truncated_exp_levels(rates, rand.r2, quant, rng_u), out=acc)
+    return acc.reshape(3, rand.r1, rand.r2)
 
 
 def run_f2_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
@@ -534,23 +524,25 @@ def run_f2_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     part_values = dataset.values[orig_ids]
     n_part = part_values.size
 
-    levels = _sign_initial_levels(
-        part_values, cfg.alphabet_size, rand, cfg.quant, nodes_ss.spawn(n_part)
-    )
-    sched_rng = np.random.default_rng(sched_ss)
-    report, _ = run_spreading(
+    report, heard = run_spreading(
         topo,
         cfg.protocol,
         cfg.spread,
-        sched_rng,
-        state=ArrayState(levels.reshape(n_part, -1)),
+        np.random.default_rng(sched_ss),
         message_bits=cfg.message_bits,
         p_n=cfg.p_n,
         record_curve=False,
     )
-    if report.completed:
-        _check_node_agreement(levels, sched_rng)
-    final = SketchVector(levels[0], "sign-population", cfg.quant)
+    # node 0's sketch: over every participant once the spread has completed
+    levels = _sign_sketch(
+        part_values,
+        cfg.alphabet_size,
+        rand,
+        cfg.quant,
+        nodes_ss.spawn(n_part),
+        heard_ids(heard[0], n_part),
+    )
+    final = SketchVector(levels, "sign-population", cfg.quant)
     estimate = estimators.estimate_f2(final, n_part, cfg.budget)
     exact_scaled = exact_fk(dataset, 2) / float(cfg.n_nodes) ** 2
     abs_error = abs(estimate - exact_scaled)
@@ -604,7 +596,7 @@ def run_bucket_phase(
 ):
     """One sequential phase of the higher-moment pipeline: the nodes the
     bucket map assigns to this bucket seed three channels, everyone spreads,
-    and the per-map harmonic estimates are read off the converged state.
+    and the per-map harmonic estimates are read off node 0's sketch.
 
     Returns (real_row, imag_row, pop_row, SpreadReport), each row of length r1.
     """
@@ -612,23 +604,24 @@ def run_bucket_phase(
     children = phase_ss.spawn(n + 1)
     tbl = sketch_core.bucket_table(rand, cfg.alphabet_size)
     participants = tbl[bucket_map_index - 1, dataset.values - 1] == bucket
-    levels = _root_initial_levels(
-        dataset.values, cfg.alphabet_size, rand, cfg.quant, participants, children[1:]
-    )
-    sched_rng = np.random.default_rng(children[0])
-    report, _ = run_spreading(
+    report, heard = run_spreading(
         topo,
         cfg.protocol,
         cfg.spread,
-        sched_rng,
-        state=ArrayState(levels.reshape(n, -1)),
+        np.random.default_rng(children[0]),
         message_bits=cfg.message_bits,
         p_n=cfg.p_n,
         record_curve=False,
     )
-    if report.completed:
-        _check_node_agreement(levels, sched_rng)
-    final = levels[0]
+    members = heard_ids(heard[0], n)
+    final = _root_sketch(
+        dataset.values,
+        cfg.alphabet_size,
+        rand,
+        cfg.quant,
+        children[1:],
+        members[participants[members]],
+    )
     rows = []
     for channel in range(3):
         dequant = cfg.quant.dequantize(final[channel])

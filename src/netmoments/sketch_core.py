@@ -1,10 +1,13 @@
-"""Shared-randomness maps, truncated/quantized exponential draws, and mergeable min-sketch state.
+"""Shared-randomness maps, truncated/quantized exponential draws, and min-sketch state.
 
 Every node derives the same map values from a common master seed (keyed
 hashing), so "shared global randomness" costs no per-node storage.  Sketch
 entries are exponential variables truncated by resampling and uniformly
-quantized to integer levels; the all-ones level acts as the infinity
-sentinel, so elementwise integer minimum is the merge operation.
+quantized to integer levels; the level 2^quant_bits, one above every finite
+level, is the infinity sentinel, so elementwise integer minimum is the merge
+operation.  Because that merge is a semilattice, the sketch a node holds
+after spreading is the min over the initial sketches of its heard-set, and
+the simulator computes it as one min-reduce instead of merging per message.
 """
 
 from __future__ import annotations
@@ -162,8 +165,8 @@ class QuantConfig:
     def __post_init__(self):
         if not (self.truncation_L > 0):
             raise ValueError("truncation_L must be positive")
-        if self.quant_bits < 1:
-            raise ValueError("quant_bits must be >= 1")
+        if not (1 <= self.quant_bits <= 62):
+            raise ValueError("quant_bits must lie in [1, 62] (the sentinel must fit int64)")
         if not (0.0 < self.target_mu < 1.0):
             raise ValueError("target_mu must lie in (0, 1)")
 
@@ -184,6 +187,11 @@ class QuantConfig:
     @property
     def infinity_level(self) -> int:
         return 1 << self.quant_bits
+
+    @property
+    def level_dtype(self) -> type:
+        """Narrowest integer type holding the sentinel 2^quant_bits."""
+        return np.int32 if self.quant_bits <= 30 else np.int64
 
     @property
     def bits_per_entry(self) -> int:
@@ -247,21 +255,23 @@ def truncated_exp_levels(
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be nonnegative")
-    out = np.full((rates.size, r2), quant.infinity_level, dtype=np.int32)
+    out = np.full((rates.size, r2), quant.infinity_level, dtype=quant.level_dtype)
     pos = rates > 0
     n_pos = int(pos.sum())
     if n_pos == 0:
         return out
     scales = 1.0 / rates[pos]
-    z = rng.exponential(1.0, size=(n_pos, r2)) * scales[:, None]
+    # in place, but the same values as Exp(1) draws times the scale
+    z = rng.standard_exponential(size=(n_pos, r2))
+    z *= scales[:, None]
     over = z > quant.truncation_L
     while over.any():
         rows = np.broadcast_to(scales[:, None], z.shape)[over]
-        z[over] = rng.exponential(1.0, size=rows.size) * rows
+        z[over] = rng.standard_exponential(size=rows.size) * rows
         over = z > quant.truncation_L
-    levels = np.minimum(
-        (z / quant.cell_width).astype(np.int32), quant.infinity_level - 1
-    )
+    z /= quant.cell_width
+    levels = z.astype(quant.level_dtype)
+    np.minimum(levels, quant.infinity_level - 1, out=levels)
     out[pos] = levels
     return out
 
@@ -284,7 +294,7 @@ class SketchVector:
     @classmethod
     def all_infinite(cls, r1: int, r2: int, channel_tag: str, quant: QuantConfig) -> "SketchVector":
         return cls(
-            np.full((r1, r2), quant.infinity_level, dtype=np.int32), channel_tag, quant
+            np.full((r1, r2), quant.infinity_level, dtype=quant.level_dtype), channel_tag, quant
         )
 
     @property

@@ -108,3 +108,17 @@ def harmonic_violation_rate(
         if abs(inv_z - n_plus) > eps2 * n_plus:
             violations += 1
     return violations / trials
+
+
+def aloha_deliveries(adjacency, transmitting) -> set[tuple[int, int]]:
+    """(sender, receiver) pairs of one Aloha slot by the receive rule read
+    literally: a node receives iff it is silent and exactly one of its
+    neighbours transmits."""
+    out = set()
+    for v, nbrs in enumerate(adjacency):
+        if transmitting[v]:
+            continue
+        heard = [int(u) for u in nbrs if transmitting[int(u)]]
+        if len(heard) == 1:
+            out.add((heard[0], v))
+    return out

@@ -1,0 +1,231 @@
+"""End-to-end tests of the `netmoments run` pipeline through `cli.main`.
+
+The golden digests pin `report.json` byte for byte: they were recorded from
+the release that kept an N-row sketch array and merged rows on every
+delivery, so they also show that reading each sketch off a heard-set gives
+the same reports, including runs cut short by --max-steps.
+"""
+
+import contextlib
+import hashlib
+import json
+import signal
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netmoments import cli
+from netmoments.estimators import ErrorBudget
+from netmoments.protocols import EXCHANGE, PUSH, SpreadConfig
+from netmoments.simulator import DataModel, ExperimentConfig
+from netmoments.sketch_core import QuantConfig
+
+
+def _run(tmp_path, name, argv):
+    out = tmp_path / name
+    code = cli.main(["run", *argv, "--out", str(out), "--format", "json"])
+    return code, out
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError instead of hanging (main thread, POSIX)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+_BUDGET = ["--r1", "8", "--r2", "64"]
+_K3 = ["--k", "3", "--s1", "2", "--nodes", "150", "--alphabet", "9", "--r1", "4", "--r2", "32"]
+
+# name -> (argv, exit code, sha256 of report.json)
+GOLDEN = {
+    "complete-gossip-k2": (
+        ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
+         "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "11"],
+        0,
+        "35f9ac98acedff4928652c793b3b8851523201dc082da541c795ebb7a7b9efee",
+    ),
+    "complete-gossip-push-k2": (
+        ["--nodes", "200", "--alphabet", "12", "--network", "complete", "--protocol", "gossip",
+         "--exchange-mode", "push", "--data", "uniform", "--r1", "8", "--r2", "32",
+         "--trials", "2", "--seed", "12"],
+        0,
+        "97a4cdb63bd11c6d2d1086323b7d37eecf928dcd9afac4d504e344c0ac2ed32f",
+    ),
+    "rgg-connected-aloha-k2": (
+        ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
+         "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "13"],
+        0,
+        "70bce2fadfc7ef81c6b4f811bcf1275e31ed4bc62e5514e4549c92fc1458ed54",
+    ),
+    "rgg-percolating-gossip-k2": (
+        ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "gossip",
+         "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "14"],
+        0,
+        "ae8b26625c761566ea975ad26a7d3ab9d92baa7e70a434a4a3373c0c400880ae",
+    ),
+    "rgg-connected-gossip-k3": (
+        [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
+         "--seed", "15"],
+        0,
+        "a342f2d2b673894ad3aacf276e23fd98a74913489e269f4ae94fda9bb1645764",
+    ),
+    "rgg-connected-aloha-k4": (
+        ["--nodes", "100", "--alphabet", "8", "--k", "4", "--s1", "1", "--buckets", "2",
+         "--network", "rgg-connected", "--protocol", "aloha", "--data", "pointmass",
+         "--r1", "4", "--r2", "16", "--seed", "16"],
+        0,
+        "f9c32b0d1cd07efc3fc37b80525d29006f7c1b4bee22b308dce67c7ea76cbe45",
+    ),
+    "rgg-connected-gossip-k3-cut": (
+        [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
+         "--max-steps", "300", "--seed", "19"],
+        4,
+        "fc70c4887d69ae212505b94536fb940314caf0ee8086ce9675b86a19cd778ca2",
+    ),
+    "complete-gossip-cut": (
+        ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
+         "--data", "zipf:1.2", *_BUDGET, "--max-steps", "600", "--seed", "17"],
+        4,
+        "8103096480af15ef4b0df75483ea6e631248922d6469b380fe70690b7cdea892",
+    ),
+    "rgg-connected-aloha-cut": (
+        ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
+         "--data", "zipf:1.2", *_BUDGET, "--max-steps", "20", "--seed", "18"],
+        4,
+        "7f74a889393e5c8617bf495fbbd22bda35dface069449c9b5ae1f6940f684618",
+    ),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_report_digest(self, tmp_path, capsys, name):
+        argv, want_code, want_digest = GOLDEN[name]
+        code, out = _run(tmp_path, name, argv)
+        assert code == want_code
+        body = (out / "report.json").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == want_digest
+
+
+class TestInvariance:
+    """A completed spread leaves node 0 with the min over every initial
+    sketch, so the estimate cannot depend on the network or the protocol."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_estimate_same_on_every_network(self, tmp_path, capsys, k):
+        estimates = set()
+        for net, proto in (
+            ("complete", "gossip"),
+            ("rgg-connected", "gossip"),
+            ("rgg-connected", "aloha"),
+        ):
+            argv = ["--nodes", "80", "--alphabet", "8", "--k", str(k), "--network", net,
+                    "--protocol", proto, "--r1", "8", "--r2", "16", "--seed", "1210"]
+            code, out = _run(tmp_path, f"{net}-{proto}", argv)
+            assert code == 0
+            (trial,) = json.loads((out / "report.json").read_text())["trials"]
+            assert trial["completed"]
+            estimates.add(trial["estimate_scaled"])
+        assert len(estimates) == 1
+
+
+_SMALL = ["--nodes", "120", "--alphabet", "10", "--r1", "4", "--r2", "16", "--trials", "3",
+          "--seed", "7"]
+
+
+class TestReproducibility:
+    def test_jobs_do_not_change_report(self, tmp_path, capsys):
+        _, one = _run(tmp_path, "jobs1", [*_SMALL, "--jobs", "1"])
+        _, two = _run(tmp_path, "jobs2", [*_SMALL, "--jobs", "2"])
+        assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
+
+    def test_rerun_from_effective_cfg(self, tmp_path, capsys):
+        _, first = _run(tmp_path, "first", [*_SMALL, "--network", "rgg-connected"])
+        _, again = _run(tmp_path, "again", ["--config", str(first / "effective.cfg")])
+        assert (first / "report.json").read_bytes() == (again / "report.json").read_bytes()
+
+
+class TestExitCodes:
+    def test_infeasible_budget(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",
+                                         "--epsilon", "0.001", "--delta", "0.001"])
+        assert code == cli.EXIT_INFEASIBLE
+
+    def test_run_without_connected_rgg_is_config_error(self, tmp_path, capsys):
+        argv = ["--nodes", "200", "--alphabet", "10", "--network", "rgg-connected",
+                "--radius-c", "0.05", "--r1", "2", "--r2", "4", "--seed", "3"]
+        with _deadline(60):
+            code, _ = _run(tmp_path, "sparse", argv)
+        assert code == cli.EXIT_CONFIG
+        assert "connected" in capsys.readouterr().err
+
+    def test_spreading_time_without_connected_rgg_is_config_error(self, capsys):
+        argv = ["spreading-time", "--nodes", "500", "--network", "rgg-connected",
+                "--radius-c", "0.05", "--seed", "3"]
+        with _deadline(60):
+            code = cli.main(argv)
+        assert code == cli.EXIT_CONFIG
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def experiment_configs(draw):
+    n = draw(st.integers(3, 10**6))
+    k = draw(st.integers(2, 5))
+    network = draw(st.sampled_from(
+        ["complete", "rgg-connected", "graph:edges.txt"]
+        + (["rgg-percolating"] if k == 2 else [])
+    ))
+    data = draw(st.one_of(
+        st.sampled_from([DataModel("pointmass"), DataModel("uniform"),
+                         DataModel("file", path="data.txt")]),
+        st.floats(1e-3, 10.0, **_finite).map(lambda t: DataModel("zipf", theta=t)),
+    ))
+    positive = st.floats(1e-6, 1.0, **_finite)
+    unit = st.floats(1e-6, 1.0, exclude_max=True, **_finite)
+    return ExperimentConfig(
+        n_nodes=n,
+        alphabet_size=draw(st.integers(1, n - 1)),
+        k=k,
+        data=data,
+        budget=ErrorBudget(eps1=draw(positive), eps2=draw(positive), mu=draw(positive),
+                           r1=draw(st.integers(1, 1024)), r2=draw(st.integers(1, 1024)),
+                           beta=draw(unit)),
+        quant=QuantConfig(truncation_L=draw(st.floats(1e-3, 100.0, **_finite)),
+                          quant_bits=draw(st.integers(1, 62)), target_mu=draw(unit)),
+        network=network,
+        protocol=draw(st.sampled_from(["gossip", "aloha"])),
+        num_buckets=draw(st.integers(1, 50)),
+        s1=draw(st.integers(1, 9)),
+        trials=draw(st.integers(1, 100)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        epsilon=draw(unit),
+        delta=draw(unit),
+        radius_c=draw(st.none() | st.floats(0.1, 10.0, **_finite)),
+        p_n=draw(st.none() | unit),
+        spread=SpreadConfig(beta=draw(unit), max_steps=draw(st.none() | st.integers(1, 10**9)),
+                            exchange_mode=draw(st.sampled_from([EXCHANGE, PUSH]))),
+    )
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(experiment_configs())
+    def test_to_dict_from_dict(self, cfg):
+        d = cfg.to_dict()
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(d)))
+        assert again == cfg
+        assert again.to_dict() == d

@@ -162,6 +162,33 @@ class TestQuantizedDraws:
         assert q.cell_width <= 0.1 / 500
 
 
+class TestLevelDtype:
+    @pytest.mark.parametrize("bits, dtype", [(30, np.int32), (31, np.int64), (32, np.int64)])
+    def test_sentinel_fits_level_arrays(self, bits, dtype):
+        q = QuantConfig(truncation_L=20.0, quant_bits=bits)
+        assert q.level_dtype is dtype
+        levels = truncated_exp_levels(np.array([0.0, 1.0, 2.0]), 64, q, np.random.default_rng(bits))
+        assert levels.dtype == dtype
+        assert (levels[0] == q.infinity_level).all() and q.infinity_level == 1 << bits
+        assert levels[1:].max() < q.infinity_level
+        z = q.dequantize(levels[1:])
+        assert np.all((z > 0) & (z < q.truncation_L))
+        sketch = SketchVector.all_infinite(2, 3, "sign-population", q)
+        assert sketch.levels.dtype == dtype and (sketch.levels == 1 << bits).all()
+
+    def test_solver_budget_above_30_bits_draws(self):
+        from netmoments.simulator import solve_budget
+
+        _, q = solve_budget(0.1, 0.1, 150000)
+        assert q.quant_bits == 31
+        levels = truncated_exp_levels(np.array([0.0, 1.0]), 8, q, np.random.default_rng(0))
+        assert levels[0, 0] == 1 << 31 and levels[1].max() < 1 << 31
+
+    def test_sentinel_beyond_int64_rejected(self):
+        with pytest.raises(ValueError):
+            QuantConfig(truncation_L=1.0, quant_bits=63)
+
+
 def _random_vector(rng, q, r1=3, r2=5, tag="sign-population"):
     levels = rng.integers(0, q.infinity_level + 1, size=(r1, r2)).astype(np.int32)
     return SketchVector(levels, tag, q)

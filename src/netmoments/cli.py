@@ -348,6 +348,7 @@ def cmd_spreading_time(args) -> int:
     trials = settings["trials"]
     beta = settings["beta"]
     keys = ("nodes", "network", "protocol", "p_n", "radius_c", "trials", "beta", "seed", "out")
+    simulator.check_network_protocol(settings["network"], settings["protocol"])
     _echo_config(settings, keys)
     rows = []
     for idx, n in enumerate(sizes):

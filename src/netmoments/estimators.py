@@ -91,7 +91,7 @@ def ams_reference_f2(d: Dataset, rand: SharedRandomness) -> float:
     return float(np.mean((2.0 * nplus - n) ** 2))
 
 
-def estimate_f2(final: SketchVector, n_nodes: int, budget: "ErrorBudget | None" = None) -> float:
+def estimate_f2(final: SketchVector, n_nodes: int) -> float:
     """Scaled second-moment estimate from a fully converged sketch vector."""
     nplus = np.array(
         [harmonic_estimate(final.row_values(i)) for i in range(1, final.r1 + 1)]
@@ -138,9 +138,7 @@ class EstimatorState:
         return bool(self.recorded.all())
 
 
-def estimate_fk(
-    state: EstimatorState, n_nodes: int, k: int, budget: "ErrorBudget | None" = None
-) -> float:
+def estimate_fk(state: EstimatorState, n_nodes: int, k: int) -> float:
     """Scaled k-th moment estimate (k >= 3) from completed bucket phases.
 
     Per (map p, bucket map t): sum over buckets of Re{S^k}, where S is the

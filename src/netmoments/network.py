@@ -11,9 +11,10 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 # Radius-rule constants.  The scaling laws fix only the shape; these constants
-# were calibrated by Monte Carlo (see scripts/calibrate_radii.py):
-# c = 2 makes N = 1000 instances connected in >= 95% of seeds, c = 1.35 keeps
-# the giant component above 0.8 N at N = 2000 in >= 90% of seeds.
+# were calibrated by Monte Carlo runs not yet reproduced in this repository
+# (ROADMAP item 1), which found that c = 2 makes N = 1000 instances connected
+# in >= 95% of seeds and c = 1.35 keeps the giant component above 0.8 N at
+# N = 2000 in >= 90% of seeds.
 DEFAULT_CONNECTIVITY_C = 2.0
 DEFAULT_PERCOLATION_C = 1.35
 _RGG_CONNECT_ATTEMPTS = 100
@@ -82,7 +83,8 @@ class Topology:
             for u, nbrs in enumerate(self.adjacency):
                 rows.extend([u] * len(nbrs))
                 cols.extend(map(int, nbrs))
-            data = np.ones(len(rows), dtype=np.int32)
+            # uint64, the type of the packed Aloha tags, so no product upcasts
+            data = np.ones(len(rows), dtype=np.uint64)
             self._csr = csr_matrix(
                 (data, (rows, cols)), shape=(self.n_nodes, self.n_nodes)
             )

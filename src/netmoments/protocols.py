@@ -105,13 +105,16 @@ def _aloha_events(topo: Topology, tx: np.ndarray) -> tuple[np.ndarray, list[tupl
     senders = np.flatnonzero(tx)
     if senders.size == 0:
         return senders, []
-    adj = topo.as_csr()
-    counts = adj.dot(tx.astype(np.int64))
-    receivers = np.flatnonzero(~tx & (counts == 1))
-    # for a receiver with exactly one transmitting neighbor, a matvec against
-    # (node id + 1) weights recovers that neighbor's id directly
-    tagged = adj.dot(np.where(tx, np.arange(topo.n_nodes, dtype=np.int64) + 1, 0))
-    return senders, list(zip((tagged[receivers] - 1).tolist(), receivers.tolist()))
+    # one matvec against (id + 1) << 32 | 1 per transmitter: the low 32 bits
+    # count a node's transmitting neighbors and, when that count is 1, the
+    # high bits hold that neighbor's id + 1 (uint64 wraparound only ever
+    # touches the high bits)
+    tags = np.zeros(topo.n_nodes, dtype=np.uint64)
+    tags[senders] = ((senders.astype(np.uint64) + 1) << 32) | 1
+    packed = topo.as_csr().dot(tags)
+    receivers = np.flatnonzero(~tx & ((packed & 0xFFFFFFFF) == 1))
+    heard_from = (packed[receivers] >> 32) - 1
+    return senders, list(zip(heard_from.tolist(), receivers.tolist()))
 
 
 @dataclass

@@ -15,7 +15,7 @@ from . import estimators, network, protocols, sketch_core
 from .estimators import Dataset, ErrorBudget, EstimatorState, exact_fk
 from .network import Topology
 from .protocols import SpreadConfig, heard_ids, run_spreading
-from .sketch_core import QuantConfig, SharedRandomness, SketchVector, truncated_exp_levels
+from .sketch_core import QuantConfig, SharedRandomness, SketchVector, min_truncated_exp_levels
 
 NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
 DATA_KINDS = ("pointmass", "uniform", "zipf", "file")
@@ -27,7 +27,8 @@ _GIANT_MIN_FRACTION = 0.5
 # for the map term, Chernoff 12 for the replica term) demand r1*r2 in the
 # billions at desk-scale (eps, delta); these Monte-Carlo-calibrated constants
 # keep the same 1/eps^2 and log(1/delta) shapes while matching observed
-# estimator concentration (see scripts/moment_experiments.py).
+# estimator concentration.  The calibration runs are not yet reproduced in
+# this repository (ROADMAP item 1).
 CAL_MAP_TERM = 2.0 / 256.0
 CAL_EXP_TERM = 12.0 / 2.0**14
 
@@ -174,12 +175,12 @@ def solve_budget(
     return budget, quant
 
 
-def calibrated_delta(budget: ErrorBudget) -> float:
-    """Failure bound of the calibrated split at this budget; the solver
-    guarantees this is at most the requested delta."""
-    term_map = CAL_MAP_TERM / (budget.r1 * budget.eps1**2)
-    term_exp = 2.0 * math.exp(-budget.eps2**2 * budget.r2 / CAL_EXP_TERM)
-    return term_map + term_exp
+def check_network_protocol(network_kind: str, protocol: str) -> None:
+    """Reject Aloha on the complete graph: a slot delivers only when exactly
+    one of all N nodes transmits, about (N/ln N) e^(-N/ln N) of the slots at
+    the default p_n, so the spread cannot finish."""
+    if network_kind == "complete" and protocol == protocols.ALOHA:
+        raise ValueError("aloha needs a spatial network; the complete graph supports gossip only")
 
 
 @dataclass
@@ -222,6 +223,7 @@ class ExperimentConfig:
             raise ValueError("graph network needs a path")
         if self.protocol not in protocols.PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        check_network_protocol(self.network, self.protocol)
         if self.k >= 3:
             if self.num_buckets < 1 or self.s1 < 1:
                 raise ValueError("k >= 3 needs num_buckets and s1")
@@ -461,6 +463,27 @@ def _build_topology(cfg: ExperimentConfig, rng: np.random.Generator):
     return sub, orig_ids, report.alpha
 
 
+def _heard_sketch(
+    rates_by_value: np.ndarray,
+    values: np.ndarray,
+    r2: int,
+    quant: QuantConfig,
+    node_seeds,
+    members: np.ndarray,
+) -> np.ndarray:
+    """The sketch a node holds once it has heard from `members`: the min over
+    their initial grids, where a node holding value v draws one row of r2
+    levels per entry of rates_by_value[v - 1].  A node's draws depend only on
+    its own seed, so they are regenerated here after spreading, never stored
+    per node; members holding the same value share one kernel call."""
+    acc = np.full((rates_by_value.shape[1], r2), quant.infinity_level, dtype=quant.level_dtype)
+    member_values = values[members]
+    for v in np.unique(member_values):
+        rngs = (np.random.default_rng(node_seeds[u]) for u in members[member_values == v])
+        np.minimum(acc, min_truncated_exp_levels(rates_by_value[v - 1], r2, quant, rngs), out=acc)
+    return acc
+
+
 def _sign_sketch(
     values: np.ndarray,
     alphabet_size: int,
@@ -469,18 +492,10 @@ def _sign_sketch(
     node_seeds,
     members: np.ndarray,
 ) -> np.ndarray:
-    """The (r1, r2) sign-population sketch a node holds once it has heard from
-    `members`: the min over their initial grids, each unit-rate draws where
-    the sign map says +1 and the infinity sentinel where it says -1.  A
-    node's draws depend only on its own seed, so they are regenerated here
-    after spreading and never stored per node."""
+    """The (r1, r2) sign-population sketch over `members`: unit-rate draws
+    where the sign map says +1 and the infinity sentinel where it says -1."""
     rates_by_value = (sketch_core.sign_table(rand, alphabet_size).T > 0).astype(float)
-    acc = np.full((rand.r1, rand.r2), quant.infinity_level, dtype=quant.level_dtype)
-    for u in members:
-        rng_u = np.random.default_rng(node_seeds[u])
-        levels = truncated_exp_levels(rates_by_value[values[u] - 1], rand.r2, quant, rng_u)
-        np.minimum(acc, levels, out=acc)
-    return acc
+    return _heard_sketch(rates_by_value, values, rand.r2, quant, node_seeds, members)
 
 
 def _root_sketch(
@@ -495,15 +510,11 @@ def _root_sketch(
     `members`: real channel at rate Re(root)+1, imaginary at Im(root)+1,
     population at rate 1; nodes outside the bucket are all-infinite and are
     left out of `members`."""
-    tbl = sketch_core.root_table(rand, alphabet_size)
-    acc = np.full((3 * rand.r1, rand.r2), quant.infinity_level, dtype=quant.level_dtype)
-    for u in members:
-        rng_u = np.random.default_rng(node_seeds[u])
-        roots = tbl[:, values[u] - 1]
-        rates = np.concatenate(
-            [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(rand.r1)]
-        )
-        np.minimum(acc, truncated_exp_levels(rates, rand.r2, quant, rng_u), out=acc)
+    roots = sketch_core.root_table(rand, alphabet_size).T
+    rates_by_value = np.concatenate(
+        [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(roots.shape)], axis=1
+    )
+    acc = _heard_sketch(rates_by_value, values, rand.r2, quant, node_seeds, members)
     return acc.reshape(3, rand.r1, rand.r2)
 
 
@@ -543,7 +554,7 @@ def run_f2_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         heard_ids(heard[0], n_part),
     )
     final = SketchVector(levels, "sign-population", cfg.quant)
-    estimate = estimators.estimate_f2(final, n_part, cfg.budget)
+    estimate = estimators.estimate_f2(final, n_part)
     exact_scaled = exact_fk(dataset, 2) / float(cfg.n_nodes) ** 2
     abs_error = abs(estimate - exact_scaled)
 
@@ -665,7 +676,7 @@ def run_fk_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
             total_bits += report.bits_sent
             all_completed = all_completed and report.completed
 
-    estimate = estimators.estimate_fk(state, cfg.n_nodes, cfg.k, cfg.budget)
+    estimate = estimators.estimate_fk(state, cfg.n_nodes, cfg.k)
     exact_scaled = exact_fk(dataset, cfg.k) / float(cfg.n_nodes) ** cfg.k
     abs_error = abs(estimate - exact_scaled)
     return TrialResult(

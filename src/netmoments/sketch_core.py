@@ -252,27 +252,46 @@ def truncated_exp_levels(
     rates: np.ndarray, r2: int, quant: QuantConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized draw_truncated_exp: one row of r2 levels per rate entry."""
+    return min_truncated_exp_levels(rates, r2, quant, (rng,))
+
+
+def min_truncated_exp_levels(rates: np.ndarray, r2: int, quant: QuantConfig, rngs) -> np.ndarray:
+    """Elementwise min of truncated_exp_levels(rates, r2, quant, rng) over the
+    generators in rngs, drawn once per generator and quantized once.
+
+    Each generator draws r2 Exp(rate) values per positive rate and redraws,
+    in row-major order, only the entries still above L.  The raw
+    values are min-reduced in float before quantizing, which gives the same
+    levels because quantizing is monotone.  Zero-rate rows, and every row
+    when rngs is empty, hold the infinity sentinel.
+    """
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be nonnegative")
-    out = np.full((rates.size, r2), quant.infinity_level, dtype=quant.level_dtype)
     pos = rates > 0
-    n_pos = int(pos.sum())
-    if n_pos == 0:
-        return out
     scales = 1.0 / rates[pos]
-    # in place, but the same values as Exp(1) draws times the scale
-    z = rng.standard_exponential(size=(n_pos, r2))
-    z *= scales[:, None]
-    over = z > quant.truncation_L
-    while over.any():
-        rows = np.broadcast_to(scales[:, None], z.shape)[over]
-        z[over] = rng.standard_exponential(size=rows.size) * rows
-        over = z > quant.truncation_L
-    z /= quant.cell_width
-    levels = z.astype(quant.level_dtype)
-    np.minimum(levels, quant.infinity_level - 1, out=levels)
-    out[pos] = levels
+    acc = z = None
+    for rng in rngs:
+        # in place, but the same values as Exp(1) draws times the scale
+        z = rng.standard_exponential(size=(scales.size, r2), out=z)
+        z *= scales[:, None]
+        over = np.flatnonzero(z > quant.truncation_L)
+        while over.size:
+            redraw = rng.standard_exponential(size=over.size)
+            redraw *= scales[over // r2]
+            np.put(z, over, redraw)
+            over = over[redraw > quant.truncation_L]
+        if acc is None:
+            acc, z = z, None
+        else:
+            np.minimum(acc, z, out=acc)
+    z = None  # the draw buffer is freed before the level arrays exist
+    out = np.full((rates.size, r2), quant.infinity_level, dtype=quant.level_dtype)
+    if acc is not None:
+        acc /= quant.cell_width
+        levels = acc.astype(quant.level_dtype)
+        np.minimum(levels, quant.infinity_level - 1, out=levels)
+        out[pos] = levels
     return out
 
 

@@ -108,12 +108,45 @@ GOLDEN = {
 }
 
 
+# name -> (argv, sha256 of report.json) on the 150-node graph of _write_graph,
+# given by a relative path so that the path inside report.json is fixed
+GRAPH_GOLDEN = {
+    "graph-gossip-k2": (
+        ["--nodes", "150", "--alphabet", "12", "--protocol", "gossip", "--data", "zipf:1.2",
+         *_BUDGET, "--trials", "2", "--seed", "20"],
+        "06e7d4ae54b0f8fcc4d806e59c579e9502fce6e5f96348bef8f828b119747285",
+    ),
+    "graph-aloha-k3": (
+        [*_K3, "--protocol", "aloha", "--data", "zipf:1.2", "--seed", "21"],
+        "7c428f2a0480b0ecb06f2dbd1774ddef54c0212cc5a7d2d448f093853d5155e5",
+    ),
+}
+
+
+def _write_graph(path, n=150):
+    """A connected irregular graph: a cycle plus the chords u -- 7u + 3 (mod n)."""
+    edges = {tuple(sorted((u, (u + 1) % n))) for u in range(n)}
+    edges |= {tuple(sorted((u, (7 * u + 3) % n))) for u in range(n) if (7 * u + 3) % n != u}
+    lines = [f"{n} -", *(f"{u} {v}" for u, v in sorted(edges))]
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestGoldenReports:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_report_digest(self, tmp_path, capsys, name):
         argv, want_code, want_digest = GOLDEN[name]
         code, out = _run(tmp_path, name, argv)
         assert code == want_code
+        body = (out / "report.json").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == want_digest
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_GOLDEN))
+    def test_graph_report_digest(self, tmp_path, monkeypatch, capsys, name):
+        argv, want_digest = GRAPH_GOLDEN[name]
+        monkeypatch.chdir(tmp_path)
+        _write_graph(tmp_path / "edges.txt")
+        code, out = _run(tmp_path, name, [*argv, "--network", "graph:edges.txt"])
+        assert code == 0
         body = (out / "report.json").read_bytes()
         assert hashlib.sha256(body).hexdigest() == want_digest
 
@@ -177,6 +210,23 @@ class TestExitCodes:
             code = cli.main(argv)
         assert code == cli.EXIT_CONFIG
 
+    def test_run_aloha_on_complete_is_config_error(self, tmp_path, capsys):
+        argv = ["--nodes", "120", "--alphabet", "8", "--k", "4", "--s1", "1", "--buckets", "2",
+                "--network", "complete", "--protocol", "aloha", "--data", "pointmass",
+                "--r1", "4", "--r2", "16", "--seed", "16"]
+        with _deadline(60):
+            code, _ = _run(tmp_path, "complete-aloha", argv)
+        assert code == cli.EXIT_CONFIG
+        assert "aloha" in capsys.readouterr().err
+
+    def test_spreading_time_aloha_on_complete_is_config_error(self, capsys):
+        argv = ["spreading-time", "--nodes", "120", "--network", "complete", "--protocol", "aloha",
+                "--seed", "16"]
+        with _deadline(60):
+            code = cli.main(argv)
+        assert code == cli.EXIT_CONFIG
+        assert "aloha" in capsys.readouterr().err
+
 
 _finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -207,7 +257,9 @@ def experiment_configs(draw):
         quant=QuantConfig(truncation_L=draw(st.floats(1e-3, 100.0, **_finite)),
                           quant_bits=draw(st.integers(1, 62)), target_mu=draw(unit)),
         network=network,
-        protocol=draw(st.sampled_from(["gossip", "aloha"])),
+        protocol=draw(st.sampled_from(
+            ["gossip"] + (["aloha"] if network != "complete" else [])
+        )),
         num_buckets=draw(st.integers(1, 50)),
         s1=draw(st.integers(1, 9)),
         trials=draw(st.integers(1, 100)),

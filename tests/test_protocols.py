@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from netmoments.network import build_rgg, complete_topology, cycle_topology, from_edges
 from netmoments.protocols import (
@@ -11,6 +12,7 @@ from netmoments.protocols import (
     PUSH,
     SpreadConfig,
     _aloha_events,
+    _GossipPicker,
     heard_ids,
     run_spreading,
 )
@@ -42,6 +44,43 @@ class TestAlohaRule:
             assert senders.tolist() == np.flatnonzero(tx).tolist()
             assert len(set(d for _, d in deliveries)) == len(deliveries)
             assert set(deliveries) == aloha_deliveries(topo.adjacency, tx)
+
+    def test_star_with_40_leaves_matches_brute_force(self):
+        # 2^41 masks are too many: every mask of at most two transmitters,
+        # everyone transmitting, and 2000 seeded masks of mixed density
+        n = 41
+        topo = from_edges(n, [(0, v) for v in range(1, n)])
+        masks = []
+        for pair in itertools.chain([()], itertools.combinations_with_replacement(range(n), 2)):
+            tx = np.zeros(n, dtype=bool)
+            tx[list(pair)] = True
+            masks.append(tx)
+        masks.append(np.ones(n, dtype=bool))
+        rng = np.random.default_rng(41)
+        masks.extend(rng.random(n) < rng.random() for _ in range(2000))
+        for tx in masks:
+            senders, deliveries = _aloha_events(topo, tx)
+            assert senders.tolist() == np.flatnonzero(tx).tolist()
+            assert len(set(d for _, d in deliveries)) == len(deliveries)
+            assert set(deliveries) == aloha_deliveries(topo.adjacency, tx)
+
+
+class TestGossipPicker:
+    def test_pairs_uniform_chi_square(self):
+        # irregular degrees 3, 1, 2, 3, 2, 1 and one isolated node (pick -1):
+        # a pair (u, v) has probability 1 / (N deg u)
+        edges = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]
+        topo = from_edges(7, edges)
+        pairs = [(u, int(v)) for u in range(7) for v in topo.adjacency[u]] + [(6, -1)]
+        expected = np.array([1.0 / (7 * max(topo.degree(u), 1)) for u, _ in pairs])
+        picker = _GossipPicker(topo, np.random.default_rng(2012))
+        draws = 40_000
+        tally = dict.fromkeys(pairs, 0)
+        for _ in range(draws):
+            tally[picker.pick()] += 1
+        observed = np.array([tally[p] for p in pairs])
+        assert observed.sum() == draws
+        assert stats.chisquare(observed, expected * draws).pvalue > 1e-3
 
 
 class TestRunSpreading:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from netmoments.sketch_core import (
     draw_truncated_exp,
     harmonic_estimate,
     merge_min,
+    min_truncated_exp_levels,
     root_map_eval,
     sign_map_eval,
     truncated_exp_levels,
@@ -192,6 +194,50 @@ class TestLevelDtype:
 def _random_vector(rng, q, r1=3, r2=5, tag="sign-population"):
     levels = rng.integers(0, q.infinity_level + 1, size=(r1, r2)).astype(np.int32)
     return SketchVector(levels, tag, q)
+
+
+class TestGroupedKernel:
+    # sha256 of the levels recorded from the kernel that resampled by
+    # rescanning the whole array; at L = 3 the rates 0.05 and 0.134 redraw
+    # most entries several times
+    PINNED = {
+        19: "83b9e5bdf221d2dcc59c3ad0e9f6180c13e471fc0cdcee497c1c8f36f3d156d4",
+        31: "650a861e574675f97884cf347c15c93158160237a12a505362031a055e965fad",
+    }
+
+    @pytest.mark.parametrize("bits, dtype", [(19, np.int32), (31, np.int64)])
+    def test_heavy_resampling_digest(self, bits, dtype):
+        quant = QuantConfig(truncation_L=3.0, quant_bits=bits)
+        levels = truncated_exp_levels(
+            [0.0, 0.05, 0.134, 1.0], 64, quant, np.random.default_rng(2012)
+        )
+        assert levels.dtype == dtype and levels.shape == (4, 64)
+        assert hashlib.sha256(levels.tobytes()).hexdigest() == self.PINNED[bits]
+
+    @pytest.mark.parametrize("bits", [8, 19, 25, 31, 33])
+    @pytest.mark.parametrize("n_rngs", [1, 2, 3, 4, 5])
+    def test_equals_min_of_single_generator_draws(self, bits, n_rngs):
+        rng = np.random.default_rng(100 * bits + n_rngs)
+        for _ in range(8):
+            rates = rng.uniform(0.05, 2.0, size=int(rng.integers(1, 7)))
+            rates[rng.random(rates.size) < 0.3] = 0.0
+            quant = QuantConfig(truncation_L=float(rng.uniform(1.0, 12.0)), quant_bits=bits)
+            r2 = int(rng.integers(1, 40))
+            seeds = rng.integers(2**63, size=n_rngs)
+            got = min_truncated_exp_levels(
+                rates, r2, quant, (np.random.default_rng(s) for s in seeds)
+            )
+            singles = [
+                truncated_exp_levels(rates, r2, quant, np.random.default_rng(s)) for s in seeds
+            ]
+            assert got.dtype == quant.level_dtype
+            assert all(lv.dtype == quant.level_dtype for lv in singles)
+            np.testing.assert_array_equal(got, np.minimum.reduce(singles))
+
+    def test_no_generators_is_all_infinite(self):
+        quant = QuantConfig(truncation_L=4.0, quant_bits=12)
+        levels = min_truncated_exp_levels([0.5, 1.0], 8, quant, iter(()))
+        assert (levels == quant.infinity_level).all() and levels.shape == (2, 8)
 
 
 class TestMergeMin:

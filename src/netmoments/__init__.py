@@ -46,16 +46,10 @@ from .simulator import (
     solve_budget,
 )
 from .sketch_core import (
-    BottomKState,
     QuantConfig,
-    QuantizedExp,
-    RootOfUnity,
     SharedRandomness,
     SketchVector,
-    bottom_k_estimate,
-    bottom_k_merge,
     bucket_map_eval,
-    draw_truncated_exp,
     harmonic_estimate,
     merge_min,
     root_map_eval,

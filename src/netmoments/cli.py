@@ -367,9 +367,13 @@ def cmd_spreading_time(args) -> int:
             max_steps=settings.get("max_steps"),
             exchange_mode=settings["exchange_mode"],
         )
-        m = measure_spreading(
-            topo, settings["protocol"], cfg, trials, rng, p_n=settings.get("p_n")
-        )
+        try:
+            m = measure_spreading(
+                topo, settings["protocol"], cfg, trials, rng, p_n=settings.get("p_n")
+            )
+        except RuntimeError as exc:  # no trial finished within the step cap
+            print(f"N={n}: {exc}", file=sys.stderr)
+            return EXIT_NONCONVERGED
         median = empirical_quantile(m.steps, 0.5)
         mean = float(np.mean(m.steps))
         rows.append((n, m.quantile_steps, median, mean, m.completed_trials))

@@ -4,7 +4,7 @@ geometric graphs in the connectivity and percolation regimes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -27,43 +27,60 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass
 class Topology:
-    """Undirected graph as sorted neighbor arrays, optionally with node
-    positions in the unit square and the transmission radius that induced the
-    edges."""
+    """Undirected graph in CSR form, optionally with node positions in the
+    unit square and the transmission radius that induced the edges.
 
-    adjacency: list[np.ndarray]
+    The neighbours of node u are indices[indptr[u]:indptr[u + 1]], ascending,
+    and every edge is stored in the rows of both endpoints.  Everything else
+    (degrees, the edge list, scipy matrices) is derived from these arrays.
+    """
+
+    indptr: np.ndarray  # int64, n_nodes + 1 offsets
+    indices: np.ndarray  # int32, each row ascending
     positions: np.ndarray | None = None
     radius: float | None = None
-    _csr: csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return len(self.indices) // 2
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
 
-    def edges(self):
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield u, int(v)
+    def neighbors(self, u: int) -> np.ndarray:
+        return self.indices[self.indptr[u] : self.indptr[u + 1]]
+
+    def _rows(self) -> np.ndarray:
+        """The owning node of each entry of indices."""
+        return np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+
+    def edges(self) -> np.ndarray:
+        """(E, 2) array of the pairs u < v, in row-major order."""
+        rows = self._rows()
+        upper = rows < self.indices
+        return np.column_stack((rows[upper], self.indices[upper]))
 
     def validate(self) -> None:
-        """Exhaustive structural check: no self-loops, symmetric adjacency,
-        and (when positions are present) edge iff distance <= radius."""
+        """Exhaustive structural check: well-formed ascending rows, no
+        self-loops, symmetric adjacency, and (when positions are present)
+        edge iff distance <= radius."""
         n = self.n_nodes
-        neighbor_sets = [set(map(int, a)) for a in self.adjacency]
-        for u, s in enumerate(neighbor_sets):
-            if u in s:
-                raise ValueError(f"self-loop at node {u}")
-            for v in s:
-                if u not in neighbor_sets[v]:
-                    raise ValueError(f"asymmetric edge ({u}, {v})")
+        rows, cols = self._rows(), self.indices.astype(np.int64)
+        if self.indptr[0] != 0 or len(rows) != len(cols):
+            raise ValueError("indptr does not delimit indices")
+        if np.any((cols < 0) | (cols >= n)):
+            raise ValueError("neighbour id out of range")
+        keys = rows * n + cols
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("rows are not strictly ascending")
+        if np.any(rows == cols):
+            raise ValueError(f"self-loop at node {rows[rows == cols][0]}")
+        if not np.array_equal(keys, np.sort(cols * n + rows)):
+            raise ValueError("asymmetric adjacency")
         if self.positions is not None:
             if self.radius is None:
                 raise ValueError("positions given without a radius")
@@ -72,23 +89,23 @@ class Topology:
             want = dist <= self.radius
             np.fill_diagonal(want, False)
             have = np.zeros((n, n), dtype=bool)
-            for u, s in enumerate(neighbor_sets):
-                have[u, list(s)] = True
+            have[rows, cols] = True
             if not np.array_equal(want, have):
                 raise ValueError("adjacency disagrees with the distance rule")
 
     def as_csr(self) -> csr_matrix:
-        if self._csr is None:
-            rows, cols = [], []
-            for u, nbrs in enumerate(self.adjacency):
-                rows.extend([u] * len(nbrs))
-                cols.extend(map(int, nbrs))
-            # uint64, the type of the packed Aloha tags, so no product upcasts
-            data = np.ones(len(rows), dtype=np.uint64)
-            self._csr = csr_matrix(
-                (data, (rows, cols)), shape=(self.n_nodes, self.n_nodes)
-            )
-        return self._csr
+        """A fresh scipy matrix of ones over the adjacency, built on each call.
+        Its data is uint64, the type of the packed Aloha tags, so no product
+        upcasts."""
+        data = np.ones(len(self.indices), dtype=np.uint64)
+        return csr_matrix((data, self.indices, self.indptr), shape=(self.n_nodes,) * 2)
+
+
+def _from_sorted_rows(n_nodes: int, rows, cols, positions=None, radius=None) -> Topology:
+    """Topology from entries already in row-major order, each row ascending."""
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
+    return Topology(indptr, np.asarray(cols, dtype=np.int32), positions, radius)
 
 
 def from_edges(
@@ -97,23 +114,29 @@ def from_edges(
     positions: np.ndarray | None = None,
     radius: float | None = None,
 ) -> Topology:
-    neighbor_sets: list[set[int]] = [set() for _ in range(n_nodes)]
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    adjacency = [np.array(sorted(s), dtype=np.int64) for s in neighbor_sets]
-    return Topology(adjacency, positions=positions, radius=radius)
+    """Topology from (u, v) pairs in any orientation; duplicates collapse."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = (u == v) | (u < 0) | (u >= n_nodes) | (v < 0) | (v >= n_nodes)
+    if bad.any():
+        u0, v0 = pairs[np.argmax(bad)].tolist()
+        raise ValueError(
+            f"self-loop at node {u0}" if u0 == v0 else f"edge ({u0}, {v0}) out of range"
+        )
+    # both orientations as row-major keys; sorting orders rows and their
+    # entries at once, and equal neighbours are duplicates
+    keys = np.sort(np.concatenate((u * n_nodes + v, v * n_nodes + u)))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return _from_sorted_rows(n_nodes, keys // n_nodes, keys % n_nodes, positions, radius)
 
 
 def complete_topology(n_nodes: int) -> Topology:
-    all_ids = np.arange(n_nodes, dtype=np.int64)
-    adjacency = [np.delete(all_ids, u) for u in range(n_nodes)]
-    return Topology(adjacency)
+    ids = np.arange(n_nodes, dtype=np.int32)
+    indices = np.empty(n_nodes * (n_nodes - 1), dtype=np.int32)
+    for u, row in enumerate(indices.reshape(n_nodes, n_nodes - 1)):
+        row[:u] = ids[:u]
+        row[u:] = ids[u + 1 :]
+    return Topology(np.arange(n_nodes + 1, dtype=np.int64) * (n_nodes - 1), indices)
 
 
 def cycle_topology(n_nodes: int) -> Topology:
@@ -151,42 +174,29 @@ class ComponentReport:
     """Connected-component labeling with the giant component singled out."""
 
     component_ids: np.ndarray
-    giant_set: frozenset[int]
+    giant: np.ndarray  # ascending node ids
     alpha: float
 
 
 def giant_component(t: Topology) -> ComponentReport:
-    """Union-find labeling; each node is labeled by the smallest id in its
-    component, and the giant is the largest component (smallest-id tiebreak,
-    which the smallest-member labels give for free)."""
-    n = t.n_nodes
-    parent = np.arange(n)
+    """Min-label propagation with pointer jumping: each node is labeled by the
+    smallest id in its component, and the giant is the largest component
+    (smallest-id tiebreak, which the smallest-member labels give for free).
 
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for u, v in t.edges():
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    roots = np.array([find(u) for u in range(n)])
-    labels = np.empty(n, dtype=np.int64)
-    smallest: dict[int, int] = {}
-    for u in range(n):
-        smallest.setdefault(int(roots[u]), u)
-    for u in range(n):
-        labels[u] = smallest[int(roots[u])]
-    sizes: dict[int, int] = {}
-    for lab in labels:
-        sizes[int(lab)] = sizes.get(int(lab), 0) + 1
-    giant_label = max(sizes, key=lambda lab: (sizes[lab], -lab))
-    giant = frozenset(int(u) for u in np.flatnonzero(labels == giant_label))
-    return ComponentReport(labels, giant, 1.0 - len(giant) / n)
+    Labels only decrease and stay inside their component.  Each round hooks
+    the label of every edge end onto the smaller label across the edge, then
+    jumps every label to its own label's label until that changes nothing;
+    the loop stops once both ends of every edge share a label.
+    """
+    u, v = t.edges().T
+    labels = np.arange(t.n_nodes)
+    while not np.array_equal(lu := labels[u], lv := labels[v]):
+        np.minimum.at(labels, lu, lv)
+        np.minimum.at(labels, lv, lu)
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+    giant = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    return ComponentReport(labels, giant, 1.0 - len(giant) / t.n_nodes)
 
 
 def build_connected_rgg(n_nodes: int, radius: float, rng: np.random.Generator) -> Topology:
@@ -194,7 +204,7 @@ def build_connected_rgg(n_nodes: int, radius: float, rng: np.random.Generator) -
     draws with DisconnectedGraphError instead of looping forever."""
     for _ in range(_RGG_CONNECT_ATTEMPTS):
         topo = build_rgg(n_nodes, radius, rng)
-        if len(giant_component(topo).giant_set) == n_nodes:
+        if len(giant_component(topo).giant) == n_nodes:
             return topo
     raise DisconnectedGraphError(
         f"no connected RGG in {_RGG_CONNECT_ATTEMPTS} attempts at N={n_nodes} "
@@ -203,18 +213,17 @@ def build_connected_rgg(n_nodes: int, radius: float, rng: np.random.Generator) -
 
 
 def induced_subgraph(t: Topology, nodes) -> tuple[Topology, np.ndarray]:
-    """Subgraph on the given node set, relabeled 0..len-1; returns the new
-    topology and the original ids in new-id order."""
-    keep = np.array(sorted(int(u) for u in nodes), dtype=np.int64)
-    index = {int(old): new for new, old in enumerate(keep)}
-    edges = [
-        (index[u], index[int(v)])
-        for u in keep
-        for v in t.adjacency[u]
-        if int(v) in index and u < int(v)
-    ]
+    """Subgraph on the given node ids (any order, no repeats), relabeled
+    0..len-1; returns the new topology and the original ids in new-id order."""
+    keep = np.sort(np.asarray(nodes, dtype=np.int64))
+    new_id = np.full(t.n_nodes, -1, dtype=np.int64)
+    new_id[keep] = np.arange(len(keep))
+    # relabeling is increasing on the kept ids, so rows stay ascending
+    rows, cols = new_id[t._rows()], new_id[t.indices]
+    inside = (rows >= 0) & (cols >= 0)
     positions = t.positions[keep] if t.positions is not None else None
-    return from_edges(len(keep), edges, positions=positions, radius=t.radius), keep
+    sub = _from_sorted_rows(len(keep), rows[inside], cols[inside], positions, t.radius)
+    return sub, keep
 
 
 _EXHAUSTIVE_CUT_LIMIT = 20
@@ -234,7 +243,7 @@ def conductance_small(t: Topology) -> float:
         )
     if n < 2:
         raise ValueError("conductance needs at least 2 nodes")
-    masks = [int(sum(1 << int(v) for v in nbrs)) for nbrs in t.adjacency]
+    masks = [sum(1 << v for v in t.neighbors(u).tolist()) for u in range(n)]
     degs = [t.degree(u) for u in range(n)]
     total_vol = sum(degs)
     if total_vol == 0:
@@ -271,8 +280,9 @@ def write_edge_list(t: Topology, path) -> None:
     with open(path, "w") as fh:
         radius = "-" if t.radius is None else f"{t.radius:.9g}"
         fh.write(f"{t.n_nodes} {radius}\n")
-        for u, v in t.edges():
-            fh.write(f"{u} {v}\n")
+        # one str() per column, not a Python list per edge row
+        us, vs = (map(str, col.tolist()) for col in t.edges().T)
+        fh.writelines(f"{u} {v}\n" for u, v in zip(us, vs))
 
 
 def read_edge_list(path) -> Topology:

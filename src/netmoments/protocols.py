@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .network import Topology
 from .sketch_core import QuantConfig
@@ -76,26 +77,29 @@ class _GossipPicker:
         self.pos = self._BLOCK
 
     def _refill(self) -> None:
-        n = self.topo.n_nodes
-        self.nodes = self.rng.integers(n, size=self._BLOCK)
-        self.fracs = self.rng.random(self._BLOCK)
+        indptr, indices = self.topo.indptr, self.topo.indices
+        nodes = self.rng.integers(self.topo.n_nodes, size=self._BLOCK)
+        fracs = self.rng.random(self._BLOCK)
+        start = indptr[nodes]
+        deg = indptr[nodes + 1] - start
+        nbrs = np.full(self._BLOCK, -1, dtype=np.int64)
+        has = deg > 0
+        nbrs[has] = indices[start[has] + (fracs[has] * deg[has]).astype(np.int64)]
+        self.nodes, self.nbrs = nodes.tolist(), nbrs.tolist()
         self.pos = 0
 
     def pick(self) -> tuple[int, int]:
         """Returns (node, neighbor); neighbor is -1 for an isolated node."""
         if self.pos >= self._BLOCK:
             self._refill()
-        u = int(self.nodes[self.pos])
-        frac = self.fracs[self.pos]
+        pos = self.pos
         self.pos += 1
-        nbrs = self.topo.adjacency[u]
-        if len(nbrs) == 0:
-            return u, -1
-        return u, int(nbrs[int(frac * len(nbrs))])
+        return self.nodes[pos], self.nbrs[pos]
 
 
-def _aloha_events(topo: Topology, tx: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """One Aloha slot under the transmit mask tx: (sender ids, deliveries).
+def _aloha_events(adj: csr_matrix, tx: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """One Aloha slot under the transmit mask tx, over the uint64 adjacency
+    matrix adj (Topology.as_csr): (sender ids, deliveries).
 
     A node receives a broadcast iff it is silent and has exactly one
     transmitting neighbor; everything else collides.  A delivery is a
@@ -109,9 +113,9 @@ def _aloha_events(topo: Topology, tx: np.ndarray) -> tuple[np.ndarray, list[tupl
     # count a node's transmitting neighbors and, when that count is 1, the
     # high bits hold that neighbor's id + 1 (uint64 wraparound only ever
     # touches the high bits)
-    tags = np.zeros(topo.n_nodes, dtype=np.uint64)
+    tags = np.zeros(adj.shape[0], dtype=np.uint64)
     tags[senders] = ((senders.astype(np.uint64) + 1) << 32) | 1
-    packed = topo.as_csr().dot(tags)
+    packed = adj.dot(tags)
     receivers = np.flatnonzero(~tx & ((packed & 0xFFFFFFFF) == 1))
     heard_from = (packed[receivers] >> 32) - 1
     return senders, list(zip(heard_from.tolist(), receivers.tolist()))
@@ -158,6 +162,7 @@ def run_spreading(
         p_n = default_p_n(n) if p_n is None else p_n
         if not (0.0 < p_n < 1.0):
             raise ValueError("p_n must lie in (0, 1)")
+        adj = topo.as_csr()
 
     heard = [1 << u for u in range(n)]
     sizes = np.ones(n, dtype=np.int64)
@@ -182,7 +187,7 @@ def run_spreading(
                 deliveries = ((u, v),)
             messages += len(deliveries)  # one message per sender
         else:
-            senders, deliveries = _aloha_events(topo, rng.random(n) < p_n)
+            senders, deliveries = _aloha_events(adj, rng.random(n) < p_n)
             messages += senders.size
         # a step's receivers are distinct and never send in the same step
         # (Aloha), or merge the same union (gossip exchange), so applying the

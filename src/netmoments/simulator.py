@@ -445,7 +445,7 @@ def _build_topology(cfg: ExperimentConfig, rng: np.random.Generator):
             raise ValueError(
                 f"graph file has {topo.n_nodes} nodes, config wants {n}"
             )
-        if len(network.giant_component(topo).giant_set) != n:
+        if len(network.giant_component(topo).giant) != n:
             raise ValueError("graph file is not connected")
         return topo, np.arange(n), 0.0
     if cfg.network == "rgg-connected":
@@ -455,11 +455,11 @@ def _build_topology(cfg: ExperimentConfig, rng: np.random.Generator):
     radius = network.percolation_radius(n, cfg.radius_c)
     topo = network.build_rgg(n, radius, rng)
     report = network.giant_component(topo)
-    if len(report.giant_set) < _GIANT_MIN_FRACTION * n:
+    if len(report.giant) < _GIANT_MIN_FRACTION * n:
         raise TrialRejected(
-            f"giant component holds {len(report.giant_set)}/{n} nodes"
+            f"giant component holds {len(report.giant)}/{n} nodes"
         )
-    sub, orig_ids = network.induced_subgraph(topo, report.giant_set)
+    sub, orig_ids = network.induced_subgraph(topo, report.giant)
     return sub, orig_ids, report.alpha
 
 

@@ -12,9 +12,8 @@ the simulator computes it as one min-reduce instead of merging per message.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
 
@@ -78,17 +77,8 @@ def sign_map_eval(rand: SharedRandomness, map_index: int, value: int) -> int:
     return 1 if _map_draw(rand, _PHI_DOMAIN, map_index, value) % 2 == 0 else -1
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    re: float
-    im: float
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
 @lru_cache(maxsize=64)
-def _roots_table(k: int) -> tuple[RootOfUnity, ...]:
+def _roots_table(k: int) -> tuple[complex, ...]:
     # Snap near-zero / near-unit coordinates so that e.g. the k-even root -1
     # yields an exactly-zero rate (alpha + 1 == 0) downstream.
     roots = []
@@ -103,11 +93,11 @@ def _roots_table(k: int) -> tuple[RootOfUnity, ...]:
             im = 0.0
         elif abs(abs(im) - 1.0) < _SNAP_EPS:
             im = math.copysign(1.0, im)
-        roots.append(RootOfUnity(re, im))
+        roots.append(complex(re, im))
     return tuple(roots)
 
 
-def root_map_eval(rand: SharedRandomness, map_index: int, value: int) -> RootOfUnity:
+def root_map_eval(rand: SharedRandomness, map_index: int, value: int) -> complex:
     """Evaluate the map_index-th roots-of-unity map: a uniform k-th root of unity."""
     _check_index(map_index, rand.r1, "map_index")
     ell = _map_draw(rand, _PHI_DOMAIN, map_index, value) % rand.k
@@ -137,7 +127,7 @@ def root_table(rand: SharedRandomness, alphabet_size: int) -> np.ndarray:
     tbl = np.empty((rand.r1, alphabet_size), dtype=np.complex128)
     for i in range(1, rand.r1 + 1):
         for v in range(1, alphabet_size + 1):
-            tbl[i - 1, v - 1] = root_map_eval(rand, i, v).as_complex()
+            tbl[i - 1, v - 1] = root_map_eval(rand, i, v)
     tbl.setflags(write=False)
     return tbl
 
@@ -209,49 +199,12 @@ class QuantConfig:
         return np.where(arr >= self.infinity_level, np.inf, out)
 
 
-@dataclass(frozen=True)
-class QuantizedExp:
-    """One quantized exponential entry: a cell level, or the infinity sentinel."""
-
-    level: int
-    quant: QuantConfig
-
-    def __post_init__(self):
-        if not (0 <= self.level <= self.quant.infinity_level):
-            raise ValueError("level out of quantizer range")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.level == self.quant.infinity_level
-
-    @property
-    def value(self) -> float:
-        if self.is_infinite:
-            return math.inf
-        return (self.level + 0.5) * self.quant.cell_width
-
-
-def draw_truncated_exp(rate: float, quant: QuantConfig, rng: np.random.Generator) -> QuantizedExp:
-    """Draw Exp(rate) conditioned on being <= L (by resampling), then quantize.
-
-    A zero rate encodes "this node contributes nothing" and yields the
-    infinity sentinel directly.
-    """
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    if rate == 0:
-        return QuantizedExp(quant.infinity_level, quant)
-    scale = 1.0 / rate
-    z = rng.exponential(scale)
-    while z > quant.truncation_L:
-        z = rng.exponential(scale)
-    return QuantizedExp(quant.quantize(z), quant)
-
-
 def truncated_exp_levels(
     rates: np.ndarray, r2: int, quant: QuantConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized draw_truncated_exp: one row of r2 levels per rate entry."""
+    """One row of r2 levels per rate entry: Exp(rate) draws conditioned on
+    being <= L (by resampling), then quantized.  A zero rate encodes "this
+    node contributes nothing" and yields the infinity sentinel directly."""
     return min_truncated_exp_levels(rates, r2, quant, (rng,))
 
 
@@ -365,66 +318,3 @@ def harmonic_estimate(row) -> float:
     if total <= 0.0:
         return math.inf
     return arr.size / total
-
-
-@dataclass
-class BottomKState:
-    """Per outer map, the r2 smallest finite exponential values seen so far."""
-
-    r2: int
-    rows: list[list[float]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.r2 < 1:
-            raise ValueError("r2 must be >= 1")
-        for row in self.rows:
-            if len(row) > self.r2 or sorted(row) != list(row):
-                raise ValueError("rows must be sorted and hold at most r2 values")
-
-    @classmethod
-    def from_single_draws(cls, draws: list[float], r2: int) -> "BottomKState":
-        """Node-local state: one draw per outer map, infinities dropped."""
-        return cls(r2, [[z] if math.isfinite(z) else [] for z in draws])
-
-    @property
-    def r1(self) -> int:
-        return len(self.rows)
-
-
-def bottom_k_merge(a: BottomKState, b: BottomKState) -> BottomKState:
-    """Keep the r2 smallest values per map across both states.
-
-    Values are merged as sets: equal values collapse, so re-merging a state
-    already heard is a no-op and the operation is a true semilattice
-    (commutative, associative, idempotent).  Distinct nodes colliding on a
-    value has probability zero in the continuous model.
-    """
-    if a.r1 != b.r1 or a.r2 != b.r2:
-        raise ShapeMismatchError("bottom-k states must share r1 and r2")
-    merged = []
-    for ra, rb in zip(a.rows, b.rows):
-        row: list[float] = []
-        for v in heapq.merge(ra, rb):
-            if not row or v != row[-1]:
-                row.append(v)
-                if len(row) == a.r2:
-                    break
-        merged.append(row)
-    return BottomKState(a.r2, merged)
-
-
-def bottom_k_estimate(state: BottomKState, map_index: int) -> float:
-    """Population estimate from the r2 retained minima of one map.
-
-    With fewer than r2 finite values the whole population has been seen, so
-    the count itself is exact.  Otherwise the estimate is
-    (r2 - 1) / (1 - exp(-v)) with v the largest retained value: mapping
-    exponentials through 1 - exp(-v) gives uniform order statistics, for
-    which this is the classical unbiased population estimator.
-    """
-    _check_index(map_index, state.r1, "map_index")
-    row = state.rows[map_index - 1]
-    if len(row) < state.r2:
-        return float(len(row))
-    v = row[-1]
-    return (state.r2 - 1) / -math.expm1(-v)

@@ -40,6 +40,16 @@ def exhaustive_root_expectation(counts, k: int) -> float:
     return total / num
 
 
+def neighbor_lists(n: int, edges) -> list[list[int]]:
+    """Ascending neighbour lists of an undirected edge list, built with one
+    Python set per node: either orientation, duplicates collapse."""
+    sets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        sets[int(u)].add(int(v))
+        sets[int(v)].add(int(u))
+    return [sorted(s) for s in sets]
+
+
 def bfs_components(n: int, adjacency) -> np.ndarray:
     """Component labels by plain BFS with an explicit queue."""
     labels = np.full(n, -1, dtype=np.int64)
@@ -81,12 +91,6 @@ def brute_force_min_f2_after_removal(counts, removals: int) -> int:
     if best[0] is None:
         raise ValueError("cannot remove more nodes than exist")
     return best[0]
-
-
-def sorted_smallest(values, k: int) -> list[float]:
-    """The k smallest finite values, by full sorting."""
-    finite = sorted(v for v in values if math.isfinite(v))
-    return finite[:k]
 
 
 def min_exponential_samples(rates, n_samples: int, rng: np.random.Generator) -> np.ndarray:

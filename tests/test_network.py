@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from netmoments.network import (
     write_positions,
 )
 
-from oracles import bfs_components
+from oracles import bfs_components, neighbor_lists
 
 
 class TestRadii:
@@ -52,7 +53,7 @@ class TestRadii:
         connected = 0
         for seed in range(100):
             topo = build_rgg(n, radius, np.random.default_rng(seed))
-            if len(giant_component(topo).giant_set) == n:
+            if len(giant_component(topo).giant) == n:
                 connected += 1
         assert connected >= 95
 
@@ -63,7 +64,7 @@ class TestRadii:
         hits = 0
         for seed in range(40):
             topo = build_rgg(n, radius, np.random.default_rng(seed))
-            if len(giant_component(topo).giant_set) >= 0.8 * n:
+            if len(giant_component(topo).giant) >= 0.8 * n:
                 hits += 1
         assert hits >= 36
 
@@ -81,7 +82,7 @@ class TestRgg:
         a = build_rgg(50, 0.2, np.random.default_rng(5))
         b = build_rgg(50, 0.2, np.random.default_rng(5))
         assert np.array_equal(a.positions, b.positions)
-        assert list(a.edges()) == list(b.edges())
+        assert np.array_equal(a.edges(), b.edges())
 
     def test_structure_validates(self):
         for seed in range(10):
@@ -130,24 +131,77 @@ class TestTopology:
         topo = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         sub, orig = induced_subgraph(topo, [1, 2, 3])
         assert list(orig) == [1, 2, 3]
-        assert sorted(sub.edges()) == [(0, 1), (1, 2)]
+        assert sub.edges().tolist() == [[0, 1], [1, 2]]
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count and an edge list with duplicates and both orientations."""
+    n = draw(st.integers(2, 30))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, max_size=80))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=20)) if edges else []
+    edges += [(v, u) if draw(st.booleans()) else (u, v) for u, v in repeats]
+    return n, draw(st.permutations(edges))
+
+
+class TestCsrAgainstOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=edge_lists(), data=st.data())
+    def test_from_edges_matches_neighbor_lists(self, case, data):
+        n, edges = case
+        want = neighbor_lists(n, edges)
+        topo = from_edges(n, edges)
+        assert topo.indptr.dtype == np.int64 and topo.indices.dtype == np.int32
+        assert [topo.neighbors(u).tolist() for u in range(n)] == want
+        assert [topo.degree(u) for u in range(n)] == [len(row) for row in want]
+        topo.validate()  # ascending rows, no self-loops, symmetric
+        # edges() lists each pair once, u < v, in row-major order
+        pairs = topo.edges()
+        assert pairs.shape == (topo.num_edges, 2)
+        assert pairs.tolist() == [[u, v] for u in range(n) for v in want[u] if u < v]
+        again = from_edges(n, pairs)
+        assert np.array_equal(again.indptr, topo.indptr)
+        assert np.array_equal(again.indices, topo.indices)
+        # components from the raw edge list, not from the topology under test
+        labels = giant_component(topo).component_ids
+        assert np.array_equal(labels, bfs_components(n, want))
+        # induced subgraph on a random node subset given in random order
+        nodes = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        sub, keep = induced_subgraph(topo, nodes)
+        assert keep.tolist() == sorted(nodes)
+        index = {old: new for new, old in enumerate(keep.tolist())}
+        inside = [(index[u], index[v]) for u, v in edges if u in index and v in index]
+        assert sub.n_nodes == len(keep)
+        assert [sub.neighbors(u).tolist() for u in range(sub.n_nodes)] == neighbor_lists(
+            len(keep), inside
+        )
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_complete_topology_matches_oracle(self, n):
+        topo = complete_topology(n)
+        topo.validate()
+        want = neighbor_lists(n, itertools.combinations(range(n), 2))
+        assert [topo.neighbors(u).tolist() for u in range(n)] == want
+        assert topo.num_edges == n * (n - 1) // 2
+        assert topo.indices.dtype == np.int32
 
 
 class TestGiantComponent:
     def test_two_components(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]
         report = giant_component(from_edges(8, edges))
-        assert report.giant_set == frozenset({0, 1, 2, 3, 4})
+        assert report.giant.tolist() == [0, 1, 2, 3, 4]
         assert report.alpha == pytest.approx(3 / 8)
 
     def test_connected_alpha_zero(self):
         report = giant_component(cycle_topology(9))
         assert report.alpha == 0.0
-        assert len(report.giant_set) == 9
+        assert len(report.giant) == 9
 
     def test_tie_broken_by_smallest_id(self):
         report = giant_component(from_edges(4, [(0, 1), (2, 3)]))
-        assert report.giant_set == frozenset({0, 1})
+        assert report.giant.tolist() == [0, 1]
 
     def test_labels_are_equivalence_classes(self):
         rng = np.random.default_rng(8)
@@ -174,9 +228,20 @@ class TestGiantComponent:
             ]
             topo = from_edges(n, edges)
             mine = giant_component(topo).component_ids
-            oracle = bfs_components(n, topo.adjacency)
+            oracle = bfs_components(n, neighbor_lists(n, edges))
             # same partition: labels agree because both use smallest member
             assert np.array_equal(mine, oracle)
+
+    def test_shuffled_path_needs_many_rounds(self):
+        # two long paths over shuffled ids: labels must travel hundreds of
+        # hops between ids that are far apart in value
+        n = 2000
+        perm = np.random.default_rng(12).permutation(n)
+        edges = [(perm[i], perm[i + 1]) for i in range(n - 1) if i != 1299]
+        report = giant_component(from_edges(n, edges))
+        assert np.array_equal(report.component_ids, bfs_components(n, neighbor_lists(n, edges)))
+        assert report.giant.tolist() == sorted(perm[:1300].tolist())
+        assert report.alpha == pytest.approx(700 / n)
 
 
 class TestConductance:
@@ -208,7 +273,7 @@ class TestSerialization:
         loaded = read_edge_list(path)
         assert loaded.n_nodes == 30
         assert loaded.radius == pytest.approx(0.3)
-        assert sorted(loaded.edges()) == sorted(topo.edges())
+        assert loaded.edges().tolist() == topo.edges().tolist()
 
     def test_edge_list_no_radius(self, tmp_path):
         topo = complete_topology(4)

@@ -190,6 +190,29 @@ class TestReproducibility:
 
 
 class TestExitCodes:
+    def test_tiny_run_exits_zero(self, tmp_path, capsys):
+        code, out = _run(tmp_path, "tiny", ["--nodes", "40", "--alphabet", "5",
+                                            "--r1", "2", "--r2", "8", "--seed", "2"])
+        assert code == cli.EXIT_OK
+        assert json.loads((out / "report.json").read_text())
+
+    def test_spreading_time_writes_csv(self, tmp_path, capsys):
+        out = tmp_path / "spread"
+        code = cli.main(["spreading-time", "--nodes", "20,30", "--trials", "3", "--seed", "1",
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        lines = (out / "spreading_time.csv").read_text().splitlines()
+        assert lines[0] == "n_nodes,quantile_steps,median_steps,mean_steps,completed_trials"
+        assert [line.split(",")[0] for line in lines[1:]] == ["20", "30"]
+        assert all(line.endswith(",3") for line in lines[1:])
+
+    def test_spreading_time_without_finished_trial_is_nonconverged(self, capsys):
+        argv = ["spreading-time", "--nodes", "60", "--max-steps", "5", "--trials", "3",
+                "--seed", "1"]
+        code = cli.main(argv)
+        assert code == cli.EXIT_NONCONVERGED
+        assert "no trial completed" in capsys.readouterr().err
+
     def test_infeasible_budget(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",
                                          "--epsilon", "0.001", "--delta", "0.001"])

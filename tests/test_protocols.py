@@ -33,6 +33,10 @@ def _graphs():
     }
 
 
+def _neighbors(topo):
+    return [topo.neighbors(u) for u in range(topo.n_nodes)]
+
+
 class TestAlohaRule:
     @pytest.mark.parametrize("name", sorted(_graphs()))
     def test_every_transmit_mask_matches_brute_force(self, name):
@@ -40,10 +44,10 @@ class TestAlohaRule:
         n = topo.n_nodes
         for mask in range(1 << n):
             tx = np.array([(mask >> u) & 1 for u in range(n)], dtype=bool)
-            senders, deliveries = _aloha_events(topo, tx)
+            senders, deliveries = _aloha_events(topo.as_csr(), tx)
             assert senders.tolist() == np.flatnonzero(tx).tolist()
             assert len(set(d for _, d in deliveries)) == len(deliveries)
-            assert set(deliveries) == aloha_deliveries(topo.adjacency, tx)
+            assert set(deliveries) == aloha_deliveries(_neighbors(topo), tx)
 
     def test_star_with_40_leaves_matches_brute_force(self):
         # 2^41 masks are too many: every mask of at most two transmitters,
@@ -59,10 +63,10 @@ class TestAlohaRule:
         rng = np.random.default_rng(41)
         masks.extend(rng.random(n) < rng.random() for _ in range(2000))
         for tx in masks:
-            senders, deliveries = _aloha_events(topo, tx)
+            senders, deliveries = _aloha_events(topo.as_csr(), tx)
             assert senders.tolist() == np.flatnonzero(tx).tolist()
             assert len(set(d for _, d in deliveries)) == len(deliveries)
-            assert set(deliveries) == aloha_deliveries(topo.adjacency, tx)
+            assert set(deliveries) == aloha_deliveries(_neighbors(topo), tx)
 
 
 class TestGossipPicker:
@@ -71,7 +75,7 @@ class TestGossipPicker:
         # a pair (u, v) has probability 1 / (N deg u)
         edges = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]
         topo = from_edges(7, edges)
-        pairs = [(u, int(v)) for u in range(7) for v in topo.adjacency[u]] + [(6, -1)]
+        pairs = [(u, int(v)) for u in range(7) for v in topo.neighbors(u)] + [(6, -1)]
         expected = np.array([1.0 / (7 * max(topo.degree(u), 1)) for u, _ in pairs])
         picker = _GossipPicker(topo, np.random.default_rng(2012))
         draws = 40_000

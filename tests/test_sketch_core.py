@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from netmoments.sketch_core import (
-    BottomKState,
     QuantConfig,
     ShapeMismatchError,
     SharedRandomness,
     SketchVector,
-    bottom_k_estimate,
-    bottom_k_merge,
     bucket_map_eval,
-    draw_truncated_exp,
     harmonic_estimate,
     merge_min,
     min_truncated_exp_levels,
@@ -25,7 +21,7 @@ from netmoments.sketch_core import (
     truncated_exp_levels,
 )
 
-from oracles import min_exponential_samples, sorted_smallest
+from oracles import min_exponential_samples
 
 
 RAND = SharedRandomness(master_seed=1234, r1=8, r2=16, k=3, num_buckets=8, s1=4)
@@ -58,13 +54,13 @@ class TestMaps:
         for i in range(1, 5):
             for v in range(1, 300):
                 root = root_map_eval(rand, i, v)
-                assert (root.re, root.im) in ((1.0, 0.0), (-1.0, 0.0))
-                assert root.re == sign_map_eval(rand, i, v)
+                assert (root.real, root.imag) in ((1.0, 0.0), (-1.0, 0.0))
+                assert root.real == sign_map_eval(rand, i, v)
 
     def test_k4_roots_exact(self):
         rand = SharedRandomness(5, r1=1, r2=1, k=4)
         seen = {
-            (root_map_eval(rand, 1, v).re, root_map_eval(rand, 1, v).im)
+            (root_map_eval(rand, 1, v).real, root_map_eval(rand, 1, v).imag)
             for v in range(1, 200)
         }
         assert seen == {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)}
@@ -72,7 +68,7 @@ class TestMaps:
     def test_roots_on_unit_circle(self):
         for v in range(1, 100):
             r = root_map_eval(RAND, 3, v)
-            assert abs(r.re**2 + r.im**2 - 1.0) < 1e-12
+            assert abs(r.real**2 + r.imag**2 - 1.0) < 1e-12
 
     def test_k3_root_frequencies(self):
         rand = SharedRandomness(11, r1=1, r2=1, k=3)
@@ -80,7 +76,7 @@ class TestMaps:
         freq: dict[tuple[float, float], int] = {}
         for v in range(1, m + 1):
             r = root_map_eval(rand, 1, v)
-            key = (round(r.re, 9), round(r.im, 9))
+            key = (round(r.real, 9), round(r.imag, 9))
             freq[key] = freq.get(key, 0) + 1
         assert len(freq) == 3
         for count in freq.values():
@@ -111,13 +107,14 @@ class TestMaps:
 class TestQuantizedDraws:
     def test_zero_rate_is_sentinel(self):
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        d = draw_truncated_exp(0.0, q, np.random.default_rng(0))
-        assert d.is_infinite and d.level == q.infinity_level
+        levels = truncated_exp_levels(np.array([0.0]), 4, q, np.random.default_rng(0))
+        assert (levels == q.infinity_level).all()
+        assert np.isinf(q.dequantize(levels)).all()
 
     def test_negative_rate_rejected(self):
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
         with pytest.raises(ValueError):
-            draw_truncated_exp(-1.0, q, np.random.default_rng(0))
+            truncated_exp_levels(np.array([-1.0]), 4, q, np.random.default_rng(0))
 
     def test_midpoint_rule(self):
         # L = 8 with 3 bits gives unit cells; a raw sample of 2.3 lands in
@@ -125,12 +122,12 @@ class TestQuantizedDraws:
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
 
         class StubRng:
-            def exponential(self, scale):
-                return 2.3
+            def standard_exponential(self, size, out=None):
+                return np.full(size, 2.3)
 
-        d = draw_truncated_exp(1.0, q, StubRng())
-        assert d.level == 2
-        assert d.value == 2.5
+        levels = truncated_exp_levels(np.array([1.0]), 1, q, StubRng())
+        assert levels.tolist() == [[2]]
+        assert q.dequantize(levels).tolist() == [[2.5]]
 
     def test_truncation_is_resampling(self):
         # analytic identity behind the default rule: P(Exp(1) > 2 ln N) = N^-2
@@ -330,74 +327,6 @@ class TestMinExponentialLaw:
         stat = stats.kstest(samples, stats.expon(scale=1 / 6.5).cdf).statistic
         critical_1pct = 1.628 / math.sqrt(samples.size)
         assert stat < critical_1pct
-
-
-class TestBottomK:
-    def test_merge_direct(self):
-        a = BottomKState(2, [[0.1, 0.5]])
-        b = BottomKState(2, [[0.2, 0.9]])
-        assert bottom_k_merge(a, b).rows == [[0.1, 0.2]]
-
-    def test_merge_with_empty(self):
-        a = BottomKState(3, [[0.4, 0.6]])
-        empty = BottomKState(3, [[]])
-        assert bottom_k_merge(a, empty).rows == a.rows
-
-    def test_merge_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            bottom_k_merge(BottomKState(2, [[0.1]]), BottomKState(3, [[0.1]]))
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10**6), order=st.permutations(range(4)))
-    def test_merge_order_free(self, seed, order):
-        rng = np.random.default_rng(seed)
-        states = [
-            BottomKState.from_single_draws(list(rng.exponential(1.0, size=3)), 4)
-            for _ in range(4)
-        ]
-        forward = states[0]
-        for s in states[1:]:
-            forward = bottom_k_merge(forward, s)
-        shuffled = states[order[0]]
-        for idx in order[1:]:
-            shuffled = bottom_k_merge(shuffled, states[idx])
-        assert forward.rows == shuffled.rows
-
-    def test_merge_idempotent(self):
-        a = BottomKState(2, [[0.3, 0.7], [0.1, 0.2]])
-        assert bottom_k_merge(a, a).rows == a.rows
-
-    def test_full_network_merge_equals_sort_oracle(self):
-        rng = np.random.default_rng(5)
-        n, r1, r2 = 200, 3, 16
-        draws = rng.exponential(1.0, size=(n, r1))
-        draws[rng.random((n, r1)) < 0.3] = math.inf  # sign -1 contributes nothing
-        states = [BottomKState.from_single_draws(list(draws[u]), r2) for u in range(n)]
-        merged = states[0]
-        for s in states[1:]:
-            merged = bottom_k_merge(merged, s)
-        for i in range(r1):
-            assert merged.rows[i] == sorted_smallest(draws[:, i], r2)
-
-    def test_small_population_exact_count(self):
-        state = BottomKState.from_single_draws([0.5], 8)
-        merged = bottom_k_merge(state, BottomKState.from_single_draws([0.2], 8))
-        merged = bottom_k_merge(merged, BottomKState.from_single_draws([0.9], 8))
-        assert bottom_k_estimate(merged, 1) == 3.0
-
-    def test_estimate_formula(self):
-        state = BottomKState(2, [[0.1, 0.2]])
-        assert bottom_k_estimate(state, 1) == pytest.approx(1.0 / -math.expm1(-0.2))
-
-    def test_estimate_unbiased_monte_carlo(self):
-        # the reason for the (r2-1)/(1 - e^-v) form: mean within 2% of the
-        # population across 10^4 trials at N_+ = 1000, r2 = 256
-        rng = np.random.default_rng(77)
-        n_plus, r2, trials = 1000, 256, 10_000
-        draws = rng.exponential(1.0, size=(trials, n_plus))
-        v = np.partition(draws, r2 - 1, axis=1)[:, r2 - 1]
-        estimates = (r2 - 1) / -np.expm1(-v)
-        assert abs(estimates.mean() - n_plus) / n_plus <= 0.02
 
 
 class TestWireWidth:

@@ -8,14 +8,12 @@ claim at desk scale.
 from .estimators import (
     Dataset,
     ErrorBudget,
-    EstimatorState,
     Histogram,
     ams_reference_f2,
     estimate_f2,
     estimate_fk,
     exact_fk,
     exact_nplus,
-    percolation_bound_check,
 )
 from .network import (
     ComponentReport,
@@ -23,14 +21,12 @@ from .network import (
     build_rgg,
     complete_topology,
     connectivity_radius,
-    conductance_small,
     giant_component,
     percolation_radius,
 )
 from .protocols import (
     SpreadConfig,
     SpreadReport,
-    account_bits,
     measure_spreading,
 )
 from .simulator import (
@@ -42,16 +38,13 @@ from .simulator import (
     run_experiment,
     run_f2_trial,
     run_fk_trial,
-    run_percolation_experiment,
     solve_budget,
 )
 from .sketch_core import (
     QuantConfig,
     SharedRandomness,
-    SketchVector,
     bucket_map_eval,
     harmonic_estimate,
-    merge_min,
     root_map_eval,
     sign_map_eval,
 )

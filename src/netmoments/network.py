@@ -4,6 +4,7 @@ geometric graphs in the connectivity and percolation regimes."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,10 +12,9 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 # Radius-rule constants.  The scaling laws fix only the shape; these constants
-# were calibrated by Monte Carlo runs not yet reproduced in this repository
-# (ROADMAP item 1), which found that c = 2 makes N = 1000 instances connected
-# in >= 95% of seeds and c = 1.35 keeps the giant component above 0.8 N at
-# N = 2000 in >= 90% of seeds.
+# are Monte Carlo calibrated: c = 2 makes N = 1000 instances connected in
+# >= 95% of seeds and c = 1.35 keeps the giant component above 0.8 N at
+# N = 2000 in >= 90% of seeds (reproduced by tests/test_network.py::TestRadii).
 DEFAULT_CONNECTIVITY_C = 2.0
 DEFAULT_PERCOLATION_C = 1.35
 _RGG_CONNECT_ATTEMPTS = 100
@@ -226,55 +226,6 @@ def induced_subgraph(t: Topology, nodes) -> tuple[Topology, np.ndarray]:
     return sub, keep
 
 
-_EXHAUSTIVE_CUT_LIMIT = 20
-
-
-def conductance_small(t: Topology) -> float:
-    """Conductance of the natural random walk by exhaustive cut enumeration.
-
-    Phi = min over nonempty proper subsets S of
-    (edges across the cut) / min(vol(S), vol(complement)).  Exponential in N,
-    so restricted to N <= 20; measure spreading time instead beyond that.
-    """
-    n = t.n_nodes
-    if n > _EXHAUSTIVE_CUT_LIMIT:
-        raise ValueError(
-            f"exhaustive conductance is limited to N <= {_EXHAUSTIVE_CUT_LIMIT}"
-        )
-    if n < 2:
-        raise ValueError("conductance needs at least 2 nodes")
-    masks = [sum(1 << v for v in t.neighbors(u).tolist()) for u in range(n)]
-    degs = [t.degree(u) for u in range(n)]
-    total_vol = sum(degs)
-    if total_vol == 0:
-        return 0.0
-    best = math.inf
-    full = (1 << n) - 1
-    # Fixing node 0 inside S halves the enumeration (Phi is complement-symmetric).
-    for subset in range(0, 1 << (n - 1)):
-        s = (subset << 1) | 1
-        if s == full:
-            continue
-        comp = full & ~s
-        cut = 0
-        vol_s = 0
-        rest = s
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            cut += (masks[u] & comp).bit_count()
-            vol_s += degs[u]
-        denom = min(vol_s, total_vol - vol_s)
-        if denom == 0:
-            if cut == 0:
-                return 0.0
-            continue
-        best = min(best, cut / denom)
-        if best == 0.0:
-            return 0.0
-    return best
-
-
 def write_edge_list(t: Topology, path) -> None:
     """Header "N radius" (radius '-' when absent), then one "u v" line per edge."""
     with open(path, "w") as fh:
@@ -286,26 +237,48 @@ def write_edge_list(t: Topology, path) -> None:
 
 
 def read_edge_list(path) -> Topology:
+    """Inverse of write_edge_list; blank lines are skipped.  The edge lines
+    are parsed in one vectorised pass, and only a malformed file is rescanned
+    line by line, to name its first bad line."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed header, want 'N radius'")
         n = int(header[0])
         radius = None if header[1] == "-" else float(header[1])
-        edges = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: malformed edge line")
-            edges.append((int(parts[0]), int(parts[1])))
+        body_start = fh.tell()
+        try:
+            edges = _load_id_pairs(fh)
+        except ValueError:
+            edges = None
+        if edges is None or (edges.size and edges.shape[1] != 2):
+            fh.seek(body_start)
+            raise _first_malformed_line(path, fh)
     return from_edges(n, edges, radius=radius)
 
 
-def write_positions(t: Topology, path) -> None:
-    if t.positions is None:
-        raise ValueError("topology has no positions")
-    with open(path, "w") as fh:
-        for u, (x, y) in enumerate(t.positions):
-            fh.write(f"{u} {x:.9g} {y:.9g}\n")
+def _load_id_pairs(lines) -> np.ndarray:
+    """np.loadtxt of whitespace-separated int64 ids, one row per line.  The
+    numpy releases before 2 only warn (DeprecationWarning) when they parse a
+    float token such as '2.7' as an integer and cast it; the error filter makes
+    them raise ValueError on it, as later numpy does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        # a file with no edge lines is an edgeless graph
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+
+
+def _first_malformed_line(path, lines) -> ValueError:
+    """The error naming the first edge line that _load_id_pairs, line by line,
+    cannot read as two int64 ids."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            ok = _load_id_pairs([line]).shape == (1, 2)
+        except ValueError:
+            ok = False
+        if not ok:
+            return ValueError(f"{path}:{lineno}: malformed edge line, want 'u v'")
+    return ValueError(f"{path}: malformed edge list")

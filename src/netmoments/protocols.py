@@ -1,6 +1,6 @@
 """Information-spreading protocols: gossip with a discrete rate-N clock and
 slotted Aloha with a single-transmitter collision rule, run over per-node
-heard-sets; spreading-time measurement and transmission-bit accounting.
+heard-sets, and spreading-time measurement.
 
 Spreading carries no sketch state.  A node's min-sketch is the elementwise
 min of the initial sketches in its heard-set, so callers read sketches off
@@ -16,7 +16,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .network import Topology
-from .sketch_core import QuantConfig
 
 GOSSIP = "gossip"
 ALOHA = "aloha"
@@ -42,9 +41,12 @@ class SpreadConfig:
 
 
 def default_max_steps(protocol: str, n_nodes: int) -> int:
-    """Safety caps sized from the spreading-time scaling laws.
+    """Safety caps on the spreading loop.
 
-    Gossip completes in ~1.6 N ln N ticks empirically, so 50 N ln N is ample.
+    For gossip, 50 N ln N is a bare cap, not a scaling law: on the complete
+    graph gossip completes in about 1.6 N ln N ticks, but on rgg-connected
+    graphs steps / (N ln N) was 3.7, 5.1 and 7.1 at N = 10^4, 3*10^4 and
+    10^5 and still rising, so the cap will bind once N is large enough.
     For Aloha with the default p_n = 1/ln N the constant-50 version of the
     cap is below observed completion times, so the constant here is 500.
     """
@@ -128,9 +130,7 @@ class SpreadReport:
     steps_to_full: int
     messages_sent: int
     bits_sent: int
-    coverage_curve: list[int]
     completed: bool
-    skipped_ticks: int = 0
 
 
 def run_spreading(
@@ -140,7 +140,6 @@ def run_spreading(
     rng: np.random.Generator,
     message_bits: int = 0,
     p_n: float | None = None,
-    record_curve: bool = True,
 ) -> tuple[SpreadReport, list[int]]:
     """Run a protocol until every node has heard every other node (or the step
     cap).  Heard-sets S_u are tracked as bitmasks: bit w of S_u is set once
@@ -165,13 +164,10 @@ def run_spreading(
         adj = topo.as_csr()
 
     heard = [1 << u for u in range(n)]
-    sizes = np.ones(n, dtype=np.int64)
     full = (1 << n) - 1
     n_full = 1 if n == 1 else 0
     steps = 0
     messages = 0
-    skipped = 0
-    curve: list[int] = []
     completed = n == 1
 
     while not completed and steps < max_steps:
@@ -179,7 +175,6 @@ def run_spreading(
         if gossip:
             u, v = picker.pick()
             if v < 0:
-                skipped += 1
                 deliveries = ()
             elif exchange:
                 deliveries = ((u, v), (v, u))
@@ -198,19 +193,13 @@ def run_spreading(
                 heard[dst] = merged
                 if merged == full:
                     n_full += 1
-                if record_curve:
-                    sizes[dst] = merged.bit_count()
-        if record_curve:
-            curve.append(int(sizes.min()))
         completed = n_full == n
 
     report = SpreadReport(
         steps_to_full=steps,
         messages_sent=messages,
         bits_sent=messages * message_bits,
-        coverage_curve=curve,
         completed=completed,
-        skipped_ticks=skipped,
     )
     return report, heard
 
@@ -240,10 +229,6 @@ class SpreadingMeasurement:
     completed_trials: int
     trials: int
 
-    @property
-    def truncated(self) -> bool:
-        return self.completed_trials < self.trials
-
 
 def measure_spreading(
     topo: Topology,
@@ -255,15 +240,15 @@ def measure_spreading(
 ) -> SpreadingMeasurement:
     """Empirical (1 - beta)-quantile of steps to full dissemination.
 
-    Trials that hit the step cap are excluded from the quantile; the
-    measurement flags itself truncated in that case.
+    Trials that hit the step cap are excluded from the quantile and counted
+    only in trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     steps: list[int] = []
     completed = 0
     for _ in range(trials):
-        report, _ = run_spreading(topo, protocol, cfg, rng, p_n=p_n, record_curve=False)
+        report, _ = run_spreading(topo, protocol, cfg, rng, p_n=p_n)
         if report.completed:
             completed += 1
             steps.append(report.steps_to_full)
@@ -278,9 +263,3 @@ def measure_spreading(
         completed_trials=completed,
         trials=trials,
     )
-
-
-def account_bits(messages: int, quant: QuantConfig, r1: int, r2: int, channels: int) -> int:
-    """Total bits for a message count: each message carries
-    channels * r1 * r2 entries of quant_bits + 1 bits."""
-    return messages * channels * r1 * r2 * quant.bits_per_entry

@@ -1,10 +1,11 @@
 """Experiment orchestration: data assignment, spreading to full
 dissemination, sketches read off node 0's heard-set, sequential bucket phases
-for higher moments, percolation experiments, and (epsilon, delta) accounting
+for higher moments, percolation trials, and (epsilon, delta) accounting
 across trials."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -12,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimators, network, protocols, sketch_core
-from .estimators import Dataset, ErrorBudget, EstimatorState, exact_fk
+from .estimators import Dataset, ErrorBudget, exact_fk
 from .network import Topology
 from .protocols import SpreadConfig, heard_ids, run_spreading
-from .sketch_core import QuantConfig, SharedRandomness, SketchVector, min_truncated_exp_levels
+from .sketch_core import QuantConfig, SharedRandomness, min_truncated_exp_levels
 
 NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
 DATA_KINDS = ("pointmass", "uniform", "zipf", "file")
@@ -28,7 +29,7 @@ _GIANT_MIN_FRACTION = 0.5
 # billions at desk-scale (eps, delta); these Monte-Carlo-calibrated constants
 # keep the same 1/eps^2 and log(1/delta) shapes while matching observed
 # estimator concentration.  The calibration runs are not yet reproduced in
-# this repository (ROADMAP item 1).
+# this repository (ROADMAP item 3).
 CAL_MAP_TERM = 2.0 / 256.0
 CAL_EXP_TERM = 12.0 / 2.0**14
 
@@ -250,9 +251,8 @@ class ExperimentConfig:
 
     @property
     def message_bits(self) -> int:
-        return protocols.account_bits(
-            1, self.quant, self.budget.r1, self.budget.r2, self.channels
-        )
+        """Bits per message: channels * r1 * r2 entries of quant_bits + 1 bits."""
+        return self.channels * self.budget.r1 * self.budget.r2 * self.quant.bits_per_entry
 
     def to_dict(self) -> dict:
         return {
@@ -542,7 +542,6 @@ def run_f2_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         np.random.default_rng(sched_ss),
         message_bits=cfg.message_bits,
         p_n=cfg.p_n,
-        record_curve=False,
     )
     # node 0's sketch: over every participant once the spread has completed
     levels = _sign_sketch(
@@ -553,8 +552,7 @@ def run_f2_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         nodes_ss.spawn(n_part),
         heard_ids(heard[0], n_part),
     )
-    final = SketchVector(levels, "sign-population", cfg.quant)
-    estimate = estimators.estimate_f2(final, n_part)
+    estimate = estimators.estimate_f2(levels, cfg.quant, n_part)
     exact_scaled = exact_fk(dataset, 2) / float(cfg.n_nodes) ** 2
     abs_error = abs(estimate - exact_scaled)
 
@@ -609,7 +607,8 @@ def run_bucket_phase(
     bucket map assigns to this bucket seed three channels, everyone spreads,
     and the per-map harmonic estimates are read off node 0's sketch.
 
-    Returns (real_row, imag_row, pop_row, SpreadReport), each row of length r1.
+    Returns ((3, r1) harmonic estimates of the real, imaginary and
+    population channels, SpreadReport).
     """
     n = dataset.n_nodes
     children = phase_ss.spawn(n + 1)
@@ -622,7 +621,6 @@ def run_bucket_phase(
         np.random.default_rng(children[0]),
         message_bits=cfg.message_bits,
         p_n=cfg.p_n,
-        record_curve=False,
     )
     members = heard_ids(heard[0], n)
     final = _root_sketch(
@@ -633,13 +631,7 @@ def run_bucket_phase(
         children[1:],
         members[participants[members]],
     )
-    rows = []
-    for channel in range(3):
-        dequant = cfg.quant.dequantize(final[channel])
-        rows.append(
-            np.array([sketch_core.harmonic_estimate(dequant[i]) for i in range(rand.r1)])
-        )
-    return rows[0], rows[1], rows[2], report
+    return sketch_core.harmonic_estimate(final, cfg.quant), report
 
 
 def run_fk_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
@@ -659,24 +651,16 @@ def run_fk_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     )
     topo, _, _ = _build_topology(cfg, np.random.default_rng(topo_ss))
 
-    state = EstimatorState(r1=rand.r1, k=cfg.k, num_buckets=cfg.num_buckets, s1=cfg.s1)
-    phase_seeds = phase_root.spawn(cfg.s1 * cfg.num_buckets)
-    total_steps = 0
-    total_bits = 0
-    all_completed = True
-    idx = 0
-    for t in range(1, cfg.s1 + 1):
-        for b in range(1, cfg.num_buckets + 1):
-            real_row, imag_row, pop_row, report = run_bucket_phase(
-                cfg, dataset, rand, topo, t, b, phase_seeds[idx]
-            )
-            idx += 1
-            state.record_phase(t, b, real_row, imag_row, pop_row)
-            total_steps += report.steps_to_full
-            total_bits += report.bits_sent
-            all_completed = all_completed and report.completed
+    phase_ids = itertools.product(range(1, cfg.s1 + 1), range(1, cfg.num_buckets + 1))
+    results = [
+        run_bucket_phase(cfg, dataset, rand, topo, t, b, phase_ss)
+        for (t, b), phase_ss in zip(phase_ids, phase_root.spawn(cfg.phases))
+    ]
+    phases = np.array([est for est, _ in results]).reshape(cfg.s1, cfg.num_buckets, 3, rand.r1)
+    reports = [report for _, report in results]
+    all_completed = all(report.completed for report in reports)
 
-    estimate = estimators.estimate_fk(state, cfg.n_nodes, cfg.k)
+    estimate = estimators.estimate_fk(phases, cfg.n_nodes, cfg.k)
     exact_scaled = exact_fk(dataset, cfg.k) / float(cfg.n_nodes) ** cfg.k
     abs_error = abs(estimate - exact_scaled)
     return TrialResult(
@@ -684,8 +668,8 @@ def run_fk_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         exact_scaled=exact_scaled,
         estimate_scaled=estimate,
         abs_error=abs_error,
-        steps=total_steps,
-        bits=total_bits,
+        steps=sum(report.steps_to_full for report in reports),
+        bits=sum(report.bits_sent for report in reports),
         message_bits=cfg.message_bits,
         phases=cfg.phases,
         completed=all_completed,
@@ -737,13 +721,3 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     return ExperimentReport(
         config=cfg.to_dict(), kind=kind, results=results, rejected_trials=rejected
     )
-
-
-def run_percolation_experiment(cfg: ExperimentConfig, trials: int | None = None) -> ExperimentReport:
-    """Percolating-RGG second-moment experiment: per-trial accuracy against
-    the giant component's own moment plus the reported corollary statistic."""
-    if cfg.network != "rgg-percolating" or cfg.k != 2:
-        raise ValueError("percolation experiments need network=rgg-percolating and k=2")
-    if trials is not None and trials != cfg.trials:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "trials": trials})
-    return run_experiment(cfg)

@@ -1,13 +1,14 @@
-"""Shared-randomness maps, truncated/quantized exponential draws, and min-sketch state.
+"""Shared-randomness maps and truncated, quantized exponential draws.
 
 Every node derives the same map values from a common master seed (keyed
 hashing), so "shared global randomness" costs no per-node storage.  Sketch
 entries are exponential variables truncated by resampling and uniformly
 quantized to integer levels; the level 2^quant_bits, one above every finite
-level, is the infinity sentinel, so elementwise integer minimum is the merge
-operation.  Because that merge is a semilattice, the sketch a node holds
-after spreading is the min over the initial sketches of its heard-set, and
-the simulator computes it as one min-reduce instead of merging per message.
+level, is the infinity sentinel.  A sketch is a plain integer level array:
+the sketch a node holds after spreading is the elementwise min over the
+initial sketches of its heard-set, which the simulator computes as one
+min-reduce, and harmonic_estimate reads population estimates off its last
+axis.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ _PHI_DOMAIN = b"phi"  # sign maps and roots-of-unity maps share one draw per (in
 _CHI_DOMAIN = b"chi"  # bucket maps
 
 _SNAP_EPS = 1e-15
-
-
-class ShapeMismatchError(ValueError):
-    """Merging sketch state with incompatible dimensions, channel, or quantizer."""
 
 
 @dataclass(frozen=True)
@@ -188,9 +185,15 @@ class QuantConfig:
         # finite levels plus the sentinel need one extra bit on the wire
         return self.quant_bits + 1
 
-    def quantize(self, value: float) -> int:
-        """Floor a raw value in [0, L] to its cell index."""
-        return min(int(value / self.cell_width), self.infinity_level - 1)
+    def quantize(self, raw) -> np.ndarray:
+        """Cell indices of raw values in [0, L], as level_dtype: the floor of
+        raw / cell_width, clamped below the sentinel so that L itself (or a
+        value that rounds up to it) stays finite.  Works elementwise."""
+        levels = np.empty(np.shape(raw), dtype=self.level_dtype)
+        # cast in buffered chunks: no float temporary the size of raw
+        np.divide(raw, self.cell_width, out=levels, casting="unsafe")
+        np.minimum(levels, self.infinity_level - 1, out=levels)
+        return levels
 
     def dequantize(self, levels):
         """Cell midpoints; the sentinel level maps to +inf.  Works elementwise."""
@@ -241,80 +244,17 @@ def min_truncated_exp_levels(rates: np.ndarray, r2: int, quant: QuantConfig, rng
     z = None  # the draw buffer is freed before the level arrays exist
     out = np.full((rates.size, r2), quant.infinity_level, dtype=quant.level_dtype)
     if acc is not None:
-        acc /= quant.cell_width
-        levels = acc.astype(quant.level_dtype)
-        np.minimum(levels, quant.infinity_level - 1, out=levels)
-        out[pos] = levels
+        out[pos] = quant.quantize(acc)
     return out
 
 
-@dataclass
-class SketchVector:
-    """An (r1, r2) grid of quantized-exponential levels for one logical channel."""
+def harmonic_estimate(levels, quant: QuantConfig) -> np.ndarray:
+    """Population estimates r2 / sum(row) over the last axis of a level
+    array, one per replica row of r2 dequantized values.
 
-    levels: np.ndarray
-    channel_tag: str
-    quant: QuantConfig
-
-    def __post_init__(self):
-        self.levels = np.asarray(self.levels)
-        if self.levels.ndim != 2:
-            raise ShapeMismatchError("levels must be a 2-d (r1, r2) grid")
-        if not np.issubdtype(self.levels.dtype, np.integer):
-            raise ShapeMismatchError("levels must be integer cell indices")
-
-    @classmethod
-    def all_infinite(cls, r1: int, r2: int, channel_tag: str, quant: QuantConfig) -> "SketchVector":
-        return cls(
-            np.full((r1, r2), quant.infinity_level, dtype=quant.level_dtype), channel_tag, quant
-        )
-
-    @property
-    def r1(self) -> int:
-        return self.levels.shape[0]
-
-    @property
-    def r2(self) -> int:
-        return self.levels.shape[1]
-
-    @property
-    def wire_bits(self) -> int:
-        return self.levels.size * self.quant.bits_per_entry
-
-    def row_values(self, map_index: int) -> np.ndarray:
-        """Dequantized replica row for one outer map (1-indexed)."""
-        _check_index(map_index, self.r1, "map_index")
-        return self.quant.dequantize(self.levels[map_index - 1])
-
-    def copy(self) -> "SketchVector":
-        return SketchVector(self.levels.copy(), self.channel_tag, self.quant)
-
-
-def merge_min(a: SketchVector, b: SketchVector) -> SketchVector:
-    """Elementwise minimum.  The sentinel is the top level, so it absorbs."""
-    if a.levels.shape != b.levels.shape:
-        raise ShapeMismatchError(
-            f"cannot merge grids of shapes {a.levels.shape} and {b.levels.shape}"
-        )
-    if a.channel_tag != b.channel_tag:
-        raise ShapeMismatchError(
-            f"cannot merge channels {a.channel_tag!r} and {b.channel_tag!r}"
-        )
-    if a.quant != b.quant:
-        raise ShapeMismatchError("cannot merge grids with different quantizers")
-    return SketchVector(np.minimum(a.levels, b.levels), a.channel_tag, a.quant)
-
-
-def harmonic_estimate(row) -> float:
-    """Population estimate r2 / sum(row) from one replica row of dequantized values.
-
-    Any infinity in the row (in particular an all-infinite row, meaning no
-    node contributed) drives the sum to infinity and the estimate to 0.
+    Any sentinel in a row (in particular an all-infinite row, meaning no
+    node contributed) drives its sum to infinity and its estimate to 0.
     """
-    arr = np.asarray(row, dtype=float)
-    total = float(arr.sum())
-    if not math.isfinite(total):
-        return 0.0
-    if total <= 0.0:
-        return math.inf
-    return arr.size / total
+    values = quant.dequantize(levels)
+    with np.errstate(divide="ignore"):
+        return values.shape[-1] / values.sum(axis=-1)

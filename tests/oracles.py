@@ -68,36 +68,24 @@ def bfs_components(n: int, adjacency) -> np.ndarray:
     return labels
 
 
-def brute_force_min_f2_after_removal(counts, removals: int) -> int:
-    """Minimum residual second moment over ALL ways to remove `removals`
-    nodes, enumerated as count-decrement multisets."""
-    counts = tuple(int(c) for c in counts if c > 0)
-
-    best = [None]
-
-    def recurse(idx: int, left: int, current: list[int]):
-        if idx == len(counts):
-            if left == 0:
-                f2 = sum(c * c for c in current)
-                if best[0] is None or f2 < best[0]:
-                    best[0] = f2
-            return
-        for take in range(0, min(counts[idx], left) + 1):
-            current.append(counts[idx] - take)
-            recurse(idx + 1, left - take, current)
-            current.pop()
-
-    recurse(0, removals, [])
-    if best[0] is None:
-        raise ValueError("cannot remove more nodes than exist")
-    return best[0]
-
-
 def min_exponential_samples(rates, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Direct simulation of min_i Exp(rate_i), untruncated."""
     rates = np.asarray(rates, dtype=float)
     draws = rng.exponential(1.0, size=(n_samples, rates.size)) / rates
     return draws.min(axis=1)
+
+
+def harmonic_estimate(row) -> float:
+    """Population estimate r2 / sum(row) from one replica row of dequantized
+    values, one Python float at a time: 0 when the row holds an infinity,
+    infinity when it sums to 0."""
+    arr = np.asarray(row, dtype=float)
+    total = float(arr.sum())
+    if not math.isfinite(total):
+        return 0.0
+    if total <= 0.0:
+        return math.inf
+    return arr.size / total
 
 
 def harmonic_violation_rate(

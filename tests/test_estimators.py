@@ -6,7 +6,6 @@ import pytest
 from netmoments.estimators import (
     Dataset,
     ErrorBudget,
-    EstimatorState,
     Histogram,
     ams_reference_f2,
     estimate_f2,
@@ -15,20 +14,13 @@ from netmoments.estimators import (
     exact_nplus,
     f2_from_nplus,
     oracle_record,
-    percolation_bound_check,
 )
-from netmoments.sketch_core import (
-    QuantConfig,
-    SharedRandomness,
-    SketchVector,
-    harmonic_estimate,
-    sign_map_eval,
-)
+from netmoments.sketch_core import QuantConfig, SharedRandomness, sign_map_eval
 
 from oracles import (
-    brute_force_min_f2_after_removal,
     exhaustive_root_expectation,
     exhaustive_sign_expectation,
+    harmonic_estimate,
     harmonic_violation_rate,
 )
 
@@ -132,17 +124,13 @@ class TestRootExpectationIdentity:
                 assert abs(mean - exact_fk(d, k)) <= 1e-9
 
 
-def _state_from_exact_channels(counts, roots, k):
-    """EstimatorState for one bucket holding everything, with the harmonic
-    channels replaced by their exact targets."""
+def _phases_from_exact_channels(counts, roots):
+    """(s1, B, 3, r1) phase estimates for one bucket holding everything, with
+    the harmonic channels replaced by their exact targets."""
     counts = np.asarray(counts, dtype=float)
-    state = EstimatorState(r1=1, k=k, num_buckets=1, s1=1)
     n = counts.sum()
     s = complex((roots.real * counts).sum(), (roots.imag * counts).sum())
-    state.record_phase(
-        1, 1, np.array([s.real + n]), np.array([s.imag + n]), np.array([n])
-    )
-    return state
+    return np.array([s.real + n, s.imag + n, n]).reshape(1, 1, 3, 1)
 
 
 class TestEstimateFk:
@@ -162,8 +150,8 @@ class TestEstimateFk:
             assignments = 0
             for assign in itertools.product(range(k), repeat=d.alphabet_size):
                 w = roots[list(assign)]
-                state = _state_from_exact_channels(counts, w, k)
-                total += estimate_fk(state, n, k) * n**k
+                phases = _phases_from_exact_channels(counts, w)
+                total += estimate_fk(phases, n, k) * n**k
                 assignments += 1
             assert abs(total / assignments - exact_fk(d, k)) <= 1e-9
 
@@ -172,31 +160,17 @@ class TestEstimateFk:
         n, k = 12, 4
         for ell in range(k):
             w = np.exp(2j * np.pi * np.array([ell]) / k)
-            state = _state_from_exact_channels([n], w, k)
-            assert estimate_fk(state, n, k) == pytest.approx(1.0)
+            phases = _phases_from_exact_channels([n], w)
+            assert estimate_fk(phases, n, k) == pytest.approx(1.0)
 
     def test_empty_bucket_contributes_zero(self):
-        state = EstimatorState(r1=2, k=3, num_buckets=2, s1=1)
-        state.record_phase(1, 1, np.full(2, 13.0), np.full(2, 10.0), np.full(2, 10.0))
-        state.record_phase(1, 2, np.zeros(2), np.zeros(2), np.zeros(2))
-        assert estimate_fk(state, 10, 3) == pytest.approx(27.0 / 1000.0)
+        phases = np.zeros((1, 2, 3, 2))
+        phases[0, 0] = np.array([13.0, 10.0, 10.0])[:, None]
+        assert estimate_fk(phases, 10, 3) == pytest.approx(27.0 / 1000.0)
 
     def test_k2_rejected(self):
-        state = EstimatorState(r1=1, k=2, num_buckets=1, s1=1)
         with pytest.raises(ValueError):
-            estimate_fk(state, 4, 2)
-
-    def test_incomplete_state_rejected(self):
-        state = EstimatorState(r1=1, k=3, num_buckets=2, s1=1)
-        state.record_phase(1, 1, np.ones(1), np.ones(1), np.ones(1))
-        with pytest.raises(ValueError):
-            estimate_fk(state, 4, 3)
-
-    def test_double_record_rejected(self):
-        state = EstimatorState(r1=1, k=3, num_buckets=1, s1=1)
-        state.record_phase(1, 1, np.ones(1), np.ones(1), np.ones(1))
-        with pytest.raises(ValueError):
-            state.record_phase(1, 1, np.ones(1), np.ones(1), np.ones(1))
+            estimate_fk(np.zeros((1, 1, 3, 1)), 4, 2)
 
 
 class TestEstimateF2:
@@ -213,15 +187,14 @@ class TestEstimateF2:
         q = QuantConfig(truncation_L=4.0, quant_bits=6)
         rng = np.random.default_rng(12)
         levels = rng.integers(0, q.infinity_level, size=(3, 5)).astype(np.int32)
-        vec = SketchVector(levels, "sign-population", q)
         n = 40
-        rows = np.array([harmonic_estimate(vec.row_values(i)) for i in range(1, 4)])
-        assert estimate_f2(vec, n) == pytest.approx(f2_from_nplus(rows, n))
+        rows = np.array([harmonic_estimate(q.dequantize(row)) for row in levels])
+        assert estimate_f2(levels, q, n) == pytest.approx(f2_from_nplus(rows, n))
 
     def test_all_infinite_gives_one(self):
         q = QuantConfig(truncation_L=4.0, quant_bits=4)
-        vec = SketchVector.all_infinite(4, 8, "sign-population", q)
-        assert estimate_f2(vec, 25) == pytest.approx(1.0)
+        levels = np.full((4, 8), q.infinity_level, dtype=q.level_dtype)
+        assert estimate_f2(levels, q, 25) == pytest.approx(1.0)
 
 
 class TestConcentration:
@@ -236,19 +209,6 @@ class TestConcentration:
 class TestErrorBudget:
     BUDGET = ErrorBudget(eps1=0.05, eps2=0.003125, mu=0.003125, r1=64, r2=512, beta=0.01)
 
-    def test_derived_epsilons(self):
-        b = self.BUDGET
-        assert b.epsilon_unquantized == pytest.approx(
-            b.eps1 + 4 * b.eps2 * (3 + b.eps2)
-        )
-        assert b.epsilon_quantized == pytest.approx(b.eps1 + 8 * b.mu * (3 + 2 * b.mu))
-
-    def test_probabilities_clamped(self):
-        b = self.BUDGET
-        assert 0.0 <= b.p1 <= 1.0
-        assert 0.0 <= b.p2 <= 1.0
-        assert 0.0 <= b.success_bound() <= 1.0
-
     def test_doubling_r1_halves_map_term(self):
         b = self.BUDGET
         doubled = ErrorBudget(
@@ -258,60 +218,11 @@ class TestErrorBudget:
             0.5 * (2.0 / (b.r1 * b.eps1**2))
         )
 
-    def test_certified_delta_formula(self):
-        b = self.BUDGET
-        x = math.exp(-b.mu**2 * b.r2 / 6.0)
-        want = min(1.0, x + (2.0 / (b.r1 * b.eps1**2)) * (1.0 - x))
-        assert b.certified_delta() == pytest.approx(want)
-
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             ErrorBudget(eps1=0.0, eps2=0.1, mu=0.1, r1=1, r2=1, beta=0.5)
         with pytest.raises(ValueError):
             ErrorBudget(eps1=0.1, eps2=0.1, mu=0.1, r1=1, r2=1, beta=1.5)
-
-
-class TestPercolationBound:
-    def test_pointmass_direct(self):
-        d = Dataset([7] * 100, 9)
-        f2_alpha, ok = percolation_bound_check(d, 0.1)
-        assert f2_alpha == 8100.0
-        assert ok
-        assert 8100.0 <= 100**2 * 100 - 0.01 * 100**2  # slack per the bound
-
-    def test_alpha_zero_degenerates_to_equality(self):
-        d = Dataset([1, 1, 2, 3], 3)
-        f2_alpha, ok = percolation_bound_check(d, 0.0)
-        assert f2_alpha == exact_fk(d, 2)
-        assert ok
-
-    def test_brute_force_removals(self):
-        # the implemented most-frequent removal is never better than the true
-        # minimum over all removal multisets, and both respect the bound
-        # whenever the top frequency is at least alpha N
-        rng = np.random.default_rng(23)
-        checked_bound = 0
-        for _ in range(40):
-            d = random_dataset(rng, n_max=12, m_max=4, n_min=4)
-            n = d.n_nodes
-            counts = Histogram.from_dataset(d).counts
-            top = max(int(c) for c in counts)
-            f2 = exact_fk(d, 2)
-            for removals in range(0, n // 2 + 1):
-                alpha = removals / n
-                f2_alpha, ok = percolation_bound_check(d, alpha)
-                oracle_min = brute_force_min_f2_after_removal(counts, removals)
-                assert oracle_min <= f2_alpha + 1e-9
-                assert ok
-                if top >= alpha * n:
-                    checked_bound += 1
-                    assert oracle_min <= f2 - alpha**2 * n**2 + 1e-9
-                    assert f2_alpha <= f2 - alpha**2 * n**2 + 1e-9
-        assert checked_bound > 50
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            percolation_bound_check(Dataset([1, 2], 2), 1.0)
 
 
 class TestOracleRecord:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from netmoments.network import (
     Topology,
     build_rgg,
     complete_topology,
-    conductance_small,
     connectivity_radius,
     cycle_topology,
     from_edges,
@@ -20,7 +21,6 @@ from netmoments.network import (
     percolation_radius,
     read_edge_list,
     write_edge_list,
-    write_positions,
 )
 
 from oracles import bfs_components, neighbor_lists
@@ -244,27 +244,6 @@ class TestGiantComponent:
         assert report.alpha == pytest.approx(700 / n)
 
 
-class TestConductance:
-    def test_single_edge(self):
-        assert conductance_small(from_edges(2, [(0, 1)])) == pytest.approx(1.0)
-
-    def test_k4_vs_c4(self):
-        k4 = complete_topology(4)
-        c4 = cycle_topology(4)
-        phi_k4 = conductance_small(k4)
-        phi_c4 = conductance_small(c4)
-        assert phi_k4 == pytest.approx(2 / 3)
-        assert phi_c4 == pytest.approx(1 / 2)
-        assert phi_k4 > phi_c4
-
-    def test_disconnected_zero(self):
-        assert conductance_small(from_edges(4, [(0, 1), (2, 3)])) == 0.0
-
-    def test_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            conductance_small(complete_topology(21))
-
-
 class TestSerialization:
     def test_edge_list_round_trip(self, tmp_path):
         topo = build_rgg(30, 0.3, np.random.default_rng(4))
@@ -282,18 +261,63 @@ class TestSerialization:
         assert path.read_text().splitlines()[0] == "4 -"
         assert read_edge_list(path).radius is None
 
-    def test_positions_file(self, tmp_path):
-        topo = build_rgg(5, 0.5, np.random.default_rng(1))
-        path = tmp_path / "pos.txt"
-        write_positions(topo, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 5
-        u, x, y = lines[2].split()
-        assert int(u) == 2
-        assert float(x) == pytest.approx(topo.positions[2, 0], abs=1e-9)
-
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("nonsense\n")
         with pytest.raises(ValueError):
+            read_edge_list(path)
+
+    def test_edgeless_file(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("3 -\n\n")
+        topo = read_edge_list(path)
+        assert topo.n_nodes == 3 and topo.num_edges == 0
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("4 -\n0 1\n\n  \n2 3\n1 2\n")
+        assert read_edge_list(path).edges().tolist() == [[0, 1], [1, 2], [2, 3]]
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["1 2 3", "1", "1 x", "1 2.0", "1 2.7", "1 1e3", "99999999999999999999 1", "1_0 2"],
+        ids=["three-tokens", "one-token", "word", "float", "fraction", "exponent",
+             "beyond-int64", "underscore"],
+    )
+    # the warning filters of a plain run, not the suite-wide error filter
+    @pytest.mark.filterwarnings("default")
+    def test_malformed_edge_line_names_its_line(self, tmp_path, bad_line):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"4 -\n0 1\n\n{bad_line}\n2 3\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: malformed edge line"):
+            read_edge_list(path)
+
+    @pytest.mark.filterwarnings("default")
+    def test_float_token_refused_where_numpy_only_warns(self, tmp_path, monkeypatch):
+        """numpy before 2 parses '2.7' as the int 2 and only emits a
+        DeprecationWarning, which it turns into ValueError under an error
+        filter; read_edge_list must refuse the line there too."""
+        real_loadtxt = np.loadtxt
+
+        def warning_loadtxt(lines, **kwargs):
+            lines = list(lines)
+            if any("." in line for line in lines):
+                try:
+                    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                                  DeprecationWarning)
+                except DeprecationWarning as exc:
+                    raise ValueError("could not convert string to int64") from exc
+                lines = [line.replace(".7", "") for line in lines]
+            return real_loadtxt(lines, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "edges.txt"
+        path.write_text("4 -\n0 1\n1 2.7\n2 3\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: malformed edge line"):
+            read_edge_list(path)
+
+    def test_only_one_token_lines(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("4 -\n0\n1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed edge line"):
             read_edge_list(path)

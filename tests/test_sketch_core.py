@@ -7,20 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from netmoments.estimators import ErrorBudget
+from netmoments.simulator import DataModel, ExperimentConfig, _heard_sketch
 from netmoments.sketch_core import (
     QuantConfig,
-    ShapeMismatchError,
     SharedRandomness,
-    SketchVector,
     bucket_map_eval,
     harmonic_estimate,
-    merge_min,
     min_truncated_exp_levels,
     root_map_eval,
     sign_map_eval,
     truncated_exp_levels,
 )
 
+import oracles
 from oracles import min_exponential_samples
 
 
@@ -172,8 +172,8 @@ class TestLevelDtype:
         assert levels[1:].max() < q.infinity_level
         z = q.dequantize(levels[1:])
         assert np.all((z > 0) & (z < q.truncation_L))
-        sketch = SketchVector.all_infinite(2, 3, "sign-population", q)
-        assert sketch.levels.dtype == dtype and (sketch.levels == 1 << bits).all()
+        empty = min_truncated_exp_levels([1.0, 2.0], 3, q, iter(()))
+        assert empty.dtype == dtype and (empty == 1 << bits).all()
 
     def test_solver_budget_above_30_bits_draws(self):
         from netmoments.simulator import solve_budget
@@ -186,11 +186,6 @@ class TestLevelDtype:
     def test_sentinel_beyond_int64_rejected(self):
         with pytest.raises(ValueError):
             QuantConfig(truncation_L=1.0, quant_bits=63)
-
-
-def _random_vector(rng, q, r1=3, r2=5, tag="sign-population"):
-    levels = rng.integers(0, q.infinity_level + 1, size=(r1, r2)).astype(np.int32)
-    return SketchVector(levels, tag, q)
 
 
 class TestGroupedKernel:
@@ -238,73 +233,92 @@ class TestGroupedKernel:
 
 
 class TestMergeMin:
-    Q = QuantConfig(truncation_L=4.0, quant_bits=4)
+    """The sketch a node holds is the elementwise min over the initial
+    sketches of its heard-set, read off in one min-reduce.  Reading it off
+    a union of heard-sets must therefore obey the laws of merging sketches
+    by elementwise min: idempotent, with the all-infinite sketch as
+    identity, and free of order and grouping."""
+
+    Q = QuantConfig(truncation_L=4.0, quant_bits=12)
+    N, M, R2 = 12, 4, 6
+
+    def _setup(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(1, self.M + 1, size=self.N)
+        rates = rng.uniform(0.2, 2.0, size=(self.M, 3))
+        rates[rng.random(rates.shape) < 0.3] = 0.0
+        seeds = np.random.SeedSequence(seed).spawn(self.N)
+        return rng, lambda members: _heard_sketch(
+            rates, values, self.R2, self.Q, seeds, np.asarray(members, dtype=np.int64)
+        )
 
     def test_idempotent(self):
-        a = _random_vector(np.random.default_rng(0), self.Q)
-        assert np.array_equal(merge_min(a, a).levels, a.levels)
+        _, heard = self._setup(0)
+        members = [1, 4, 5, 9]
+        assert np.array_equal(heard(members + members), heard(members))
 
     def test_identity_element(self):
-        a = _random_vector(np.random.default_rng(1), self.Q)
-        inf = SketchVector.all_infinite(a.r1, a.r2, a.channel_tag, self.Q)
-        assert np.array_equal(merge_min(a, inf).levels, a.levels)
-
-    def test_shape_mismatch(self):
-        a = _random_vector(np.random.default_rng(2), self.Q, r1=2)
-        b = _random_vector(np.random.default_rng(3), self.Q, r1=3)
-        with pytest.raises(ShapeMismatchError):
-            merge_min(a, b)
-
-    def test_channel_mismatch(self):
-        a = _random_vector(np.random.default_rng(2), self.Q, tag="real")
-        b = _random_vector(np.random.default_rng(3), self.Q, tag="imag")
-        with pytest.raises(ShapeMismatchError):
-            merge_min(a, b)
+        _, heard = self._setup(1)
+        empty = heard([])
+        assert (empty == self.Q.infinity_level).all() and empty.shape == (3, self.R2)
+        full = heard(range(self.N))
+        assert np.array_equal(np.minimum(full, empty), full)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**6), order=st.permutations(range(5)))
+    @given(seed=st.integers(0, 10**6), order=st.permutations(range(12)))
     def test_merge_order_free(self, seed, order):
-        rng = np.random.default_rng(seed)
-        vecs = [_random_vector(rng, self.Q) for _ in range(5)]
-        left = vecs[0]
-        for v in vecs[1:]:
-            left = merge_min(left, v)
-        shuffled = vecs[order[0]]
-        for idx in order[1:]:
-            shuffled = merge_min(vecs[idx], shuffled)
-        assert np.array_equal(left.levels, shuffled.levels)
+        _, heard = self._setup(seed)
+        assert np.array_equal(heard(order), heard(range(self.N)))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_merge_grouping_free(self, seed):
-        rng = np.random.default_rng(seed)
-        vecs = [_random_vector(rng, self.Q) for _ in range(4)]
-        chain = merge_min(merge_min(merge_min(vecs[0], vecs[1]), vecs[2]), vecs[3])
-        tree = merge_min(merge_min(vecs[0], vecs[1]), merge_min(vecs[2], vecs[3]))
-        assert np.array_equal(chain.levels, tree.levels)
+        rng, heard = self._setup(seed)
+        side = rng.random(self.N) < 0.5
+        a, b = np.flatnonzero(side), np.flatnonzero(~side)
+        assert np.array_equal(heard(range(self.N)), np.minimum(heard(a), heard(b)))
 
 
 class TestHarmonic:
+    Q = QuantConfig(truncation_L=8.0, quant_bits=3)  # unit cells
+
     def test_direct_formula(self):
-        assert harmonic_estimate([0.5, 0.5, 0.5, 0.5]) == 2.0
+        assert harmonic_estimate(np.zeros(4, dtype=np.int32), self.Q) == 2.0
 
     def test_all_infinite_is_zero(self):
-        assert harmonic_estimate([math.inf] * 8) == 0.0
+        assert harmonic_estimate(np.full(8, self.Q.infinity_level), self.Q) == 0.0
 
     def test_partial_infinite_is_zero(self):
-        assert harmonic_estimate([0.5, math.inf]) == 0.0
+        assert harmonic_estimate(np.array([0, self.Q.infinity_level]), self.Q) == 0.0
+
+    @pytest.mark.parametrize("bits", [8, 19, 31, 33])
+    @pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 11)])
+    def test_matches_scalar_oracle(self, bits, shape):
+        # each row reduced one Python float at a time, bit for bit
+        q = QuantConfig(truncation_L=11.0, quant_bits=bits)
+        rng = np.random.default_rng(bits * 100 + len(shape))
+        for _ in range(20):
+            levels = rng.integers(0, q.infinity_level, size=shape).astype(q.level_dtype)
+            rows = levels.reshape(-1, shape[-1])
+            rows[rng.random(rows.shape) < 0.05] = q.infinity_level  # sentinel entries
+            rows[rng.random(rows.shape[0]) < 0.2] = q.infinity_level  # all-sentinel rows
+            got = np.asarray(harmonic_estimate(levels, q))
+            want = np.array([oracles.harmonic_estimate(q.dequantize(row)) for row in rows])
+            assert got.shape == shape[:-1]
+            np.testing.assert_array_equal(got.view(np.uint64), want.reshape(got.shape).view(np.uint64))
 
     def test_monte_carlo_accuracy(self):
         # minima over a 100-strong population, 512 replicas: within 10% of
         # the truth in at least 95% of trials
         rng = np.random.default_rng(7)
         n_plus, r2, trials = 100, 512, 400
-        hits = 0
-        for _ in range(trials):
-            mins = rng.exponential(1.0, size=(r2, n_plus)).min(axis=1)
-            if abs(harmonic_estimate(mins) - n_plus) <= 0.1 * n_plus:
-                hits += 1
-        assert hits / trials >= 0.95
+        q = QuantConfig.for_population(1000)
+        mins = np.array(
+            [rng.exponential(1.0, size=(r2, n_plus)).min(axis=1) for _ in range(trials)]
+        )
+        estimates = harmonic_estimate(q.quantize(mins), q)
+        assert estimates.shape == (trials,)
+        assert np.mean(np.abs(estimates - n_plus) <= 0.1 * n_plus) >= 0.95
 
     def test_quantized_vs_unquantized_relative_error(self):
         # quantization under the default resolution rule shifts the harmonic
@@ -314,10 +328,32 @@ class TestHarmonic:
             rng = np.random.default_rng(seed)
             raw = rng.exponential(1.0 / n_plus, size=256)
             raw = np.minimum(raw, q.truncation_L - 1e-12)
-            quantized = q.dequantize(np.array([q.quantize(z) for z in raw]))
-            a = harmonic_estimate(raw)
-            b = harmonic_estimate(quantized)
+            a = oracles.harmonic_estimate(raw)
+            b = harmonic_estimate(q.quantize(raw), q)
             assert abs(a - b) / a <= mu
+
+
+class TestQuantize:
+    @pytest.mark.parametrize("bits, dtype", [(3, np.int32), (30, np.int32), (31, np.int64)])
+    def test_cell_edges(self, bits, dtype):
+        q = QuantConfig(truncation_L=8.0, quant_bits=bits)
+        cells = np.array([0, 1, 2, 5, q.infinity_level - 1])
+        edges = cells * q.cell_width  # exact: the cell width is a power of two
+        levels = q.quantize(edges)
+        assert levels.dtype == dtype
+        np.testing.assert_array_equal(levels, cells)
+        inside = q.quantize(np.nextafter(edges[1:], 0.0))
+        np.testing.assert_array_equal(inside, cells[1:] - 1)
+
+    @pytest.mark.parametrize("bits", [8, 19, 31, 33])
+    def test_just_below_L_clamps_to_top_cell(self, bits):
+        q = QuantConfig.for_population(1000)
+        q = QuantConfig(truncation_L=q.truncation_L, quant_bits=bits)
+        top = q.infinity_level - 1
+        near = np.array([q.truncation_L, np.nextafter(q.truncation_L, 0.0)])
+        levels = q.quantize(near)
+        assert levels.dtype == q.level_dtype
+        np.testing.assert_array_equal(levels, [top, top])
 
 
 class TestMinExponentialLaw:
@@ -331,6 +367,14 @@ class TestMinExponentialLaw:
 
 class TestWireWidth:
     def test_sketch_message_bits(self):
-        q = QuantConfig(truncation_L=8.0, quant_bits=4)
-        vec = SketchVector.all_infinite(2, 3, "sign-population", q)
-        assert vec.wire_bits == 2 * 3 * 5
+        # a message carries channels * r1 * r2 entries of quant_bits + 1 bits:
+        # one sign channel for k = 2, real/imaginary/population for k >= 3
+        budget = ErrorBudget(eps1=0.1, eps2=0.1, mu=0.1, r1=2, r2=3, beta=0.1)
+        quant = QuantConfig(truncation_L=8.0, quant_bits=4)
+        for k, channels in ((2, 1), (3, 3)):
+            cfg = ExperimentConfig(
+                n_nodes=10, alphabet_size=4, k=k, data=DataModel("uniform"),
+                budget=budget, quant=quant, num_buckets=2,
+            )
+            assert cfg.channels == channels
+            assert cfg.message_bits == channels * 2 * 3 * (4 + 1)

@@ -19,7 +19,6 @@ from .network import (
     ComponentReport,
     Topology,
     build_rgg,
-    complete_topology,
     connectivity_radius,
     giant_component,
     percolation_radius,

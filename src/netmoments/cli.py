@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
 from __future__ import annotations
 
 import argparse
-import os
 import secrets
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import network, protocols, simulator
-from .estimators import Dataset, ErrorBudget, exact_fk, Histogram, oracle_record
+from .estimators import ErrorBudget, exact_fk, Histogram, oracle_record
 from .protocols import SpreadConfig, empirical_quantile, measure_spreading
 from .simulator import (
     CapacityError,
@@ -354,7 +353,7 @@ def cmd_spreading_time(args) -> int:
     for idx, n in enumerate(sizes):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], idx)))
         if settings["network"] == "complete":
-            topo = network.complete_topology(n)
+            topo = n  # run_spreading takes the complete graph as its node count
         elif settings["network"] == "rgg-connected":
             radius = network.connectivity_radius(
                 n, settings.get("radius_c") or network.DEFAULT_CONNECTIVITY_C

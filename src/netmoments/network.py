@@ -1,5 +1,8 @@
-"""Topology construction and analysis: complete graphs, edge lists, and random
-geometric graphs in the connectivity and percolation regimes."""
+"""Topology construction and analysis: edge lists and random geometric graphs
+in the connectivity and percolation regimes.
+
+The complete graph has no Topology: the protocols take it as its node count
+N, since its N (N - 1) adjacency entries would need 40 GB at N = 10^5."""
 
 from __future__ import annotations
 
@@ -128,15 +131,6 @@ def from_edges(
     keys = np.sort(np.concatenate((u * n_nodes + v, v * n_nodes + u)))
     keys = keys[np.diff(keys, prepend=-1) != 0]
     return _from_sorted_rows(n_nodes, keys // n_nodes, keys % n_nodes, positions, radius)
-
-
-def complete_topology(n_nodes: int) -> Topology:
-    ids = np.arange(n_nodes, dtype=np.int32)
-    indices = np.empty(n_nodes * (n_nodes - 1), dtype=np.int32)
-    for u, row in enumerate(indices.reshape(n_nodes, n_nodes - 1)):
-        row[:u] = ids[:u]
-        row[u:] = ids[u + 1 :]
-    return Topology(np.arange(n_nodes + 1, dtype=np.int64) * (n_nodes - 1), indices)
 
 
 def cycle_topology(n_nodes: int) -> Topology:

@@ -2,6 +2,11 @@
 slotted Aloha with a single-transmitter collision rule, run over per-node
 heard-sets, and spreading-time measurement.
 
+A network is a Topology, or the complete graph K_N given as its node count N,
+an int.  K_N is never stored: row u of its adjacency is 0..u-1, u+1..N-1, so
+the gossip picker finds a neighbour by arithmetic, and Aloha, which would
+need the whole adjacency, rejects it.
+
 Spreading carries no sketch state.  A node's min-sketch is the elementwise
 min of the initial sketches in its heard-set, so callers read sketches off
 the heard-sets that run_spreading returns.
@@ -67,26 +72,37 @@ def default_p_n(n_nodes: int, percolating: bool = False) -> float:
     return 1.0 / math.log(max(n_nodes, 3))
 
 
+def _n_nodes(topo: Topology | int) -> int:
+    return topo if isinstance(topo, int) else topo.n_nodes
+
+
 class _GossipPicker:
     """Buffered (node, neighbor) picks for the spreading driver's hot loop:
     a uniform node and a uniform neighbor of it, drawn in blocks."""
 
     _BLOCK = 4096
 
-    def __init__(self, topo: Topology, rng: np.random.Generator):
+    def __init__(self, topo: Topology | int, rng: np.random.Generator):
         self.topo = topo
         self.rng = rng
         self.pos = self._BLOCK
 
     def _refill(self) -> None:
-        indptr, indices = self.topo.indptr, self.topo.indices
-        nodes = self.rng.integers(self.topo.n_nodes, size=self._BLOCK)
+        n = _n_nodes(self.topo)
+        nodes = self.rng.integers(n, size=self._BLOCK)
         fracs = self.rng.random(self._BLOCK)
-        start = indptr[nodes]
-        deg = indptr[nodes + 1] - start
         nbrs = np.full(self._BLOCK, -1, dtype=np.int64)
-        has = deg > 0
-        nbrs[has] = indices[start[has] + (fracs[has] * deg[has]).astype(np.int64)]
+        if isinstance(self.topo, int):
+            # entry j = floor(frac (N - 1)) of row u of K_N is j + (j >= u)
+            if n > 1:
+                j = (fracs * (n - 1)).astype(np.int64)
+                nbrs = j + (j >= nodes)
+        else:
+            indptr, indices = self.topo.indptr, self.topo.indices
+            start = indptr[nodes]
+            deg = indptr[nodes + 1] - start
+            has = deg > 0
+            nbrs[has] = indices[start[has] + (fracs[has] * deg[has]).astype(np.int64)]
         self.nodes, self.nbrs = nodes.tolist(), nbrs.tolist()
         self.pos = 0
 
@@ -134,7 +150,7 @@ class SpreadReport:
 
 
 def run_spreading(
-    topo: Topology,
+    topo: Topology | int,
     protocol: str,
     cfg: SpreadConfig,
     rng: np.random.Generator,
@@ -145,11 +161,14 @@ def run_spreading(
     cap).  Heard-sets S_u are tracked as bitmasks: bit w of S_u is set once
     node u has heard, directly or by relay, from node w.
 
+    topo is a Topology, or the node count N of the complete graph, which
+    only gossip accepts.
+
     Returns (SpreadReport, heard_sets).  A node's min-sketch is the min over
     the initial sketches of its heard-set, so the heard-sets are all a caller
     needs to read any node's sketch, complete or cut short by the cap.
     """
-    n = topo.n_nodes
+    n = _n_nodes(topo)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     max_steps = cfg.max_steps if cfg.max_steps is not None else default_max_steps(protocol, n)
@@ -161,6 +180,8 @@ def run_spreading(
         p_n = default_p_n(n) if p_n is None else p_n
         if not (0.0 < p_n < 1.0):
             raise ValueError("p_n must lie in (0, 1)")
+        if isinstance(topo, int):
+            raise ValueError("aloha needs a Topology, not the complete graph's node count")
         adj = topo.as_csr()
 
     heard = [1 << u for u in range(n)]
@@ -231,7 +252,7 @@ class SpreadingMeasurement:
 
 
 def measure_spreading(
-    topo: Topology,
+    topo: Topology | int,
     protocol: str,
     cfg: SpreadConfig,
     trials: int,
@@ -253,9 +274,8 @@ def measure_spreading(
             completed += 1
             steps.append(report.steps_to_full)
     if not steps:
-        raise RuntimeError(
-            f"no trial completed within the step cap ({cfg.max_steps})"
-        )
+        cap = cfg.max_steps or default_max_steps(protocol, _n_nodes(topo))
+        raise RuntimeError(f"no trial completed within the step cap ({cap})")
     return SpreadingMeasurement(
         quantile_steps=empirical_quantile(steps, 1.0 - cfg.beta),
         beta=cfg.beta,

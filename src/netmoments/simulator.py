@@ -435,10 +435,11 @@ class TrialRejected(RuntimeError):
 
 
 def _build_topology(cfg: ExperimentConfig, rng: np.random.Generator):
-    """Returns (topology-to-run-on, original node ids of participants, alpha)."""
+    """Returns (topology-to-run-on, original node ids of participants, alpha).
+    The complete graph is never built: it is run on as its node count N."""
     n = cfg.n_nodes
     if cfg.network == "complete":
-        return network.complete_topology(n), np.arange(n), 0.0
+        return n, np.arange(n), 0.0
     if cfg.network == "graph":
         topo = network.read_edge_list(cfg.graph_path)
         if topo.n_nodes != n:
@@ -598,7 +599,7 @@ def run_bucket_phase(
     cfg: ExperimentConfig,
     dataset: Dataset,
     rand: SharedRandomness,
-    topo: Topology,
+    topo: Topology | int,
     bucket_map_index: int,
     bucket: int,
     phase_ss: np.random.SeedSequence,

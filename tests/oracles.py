@@ -13,6 +13,8 @@ from collections import deque
 
 import numpy as np
 
+from netmoments.network import Topology
+
 
 def exhaustive_sign_expectation(counts) -> tuple[float, float]:
     """Mean and variance of (2 N_+ - N)^2 over all 2^M sign assignments."""
@@ -48,6 +50,17 @@ def neighbor_lists(n: int, edges) -> list[list[int]]:
         sets[int(u)].add(int(v))
         sets[int(v)].add(int(u))
     return [sorted(s) for s in sets]
+
+
+def complete_topology(n_nodes: int) -> Topology:
+    """K_N as an explicit CSR, row u holding 0..u-1, u+1..N-1: the oracle for
+    the protocols' arithmetic neighbour of the complete graph given as N."""
+    ids = np.arange(n_nodes, dtype=np.int32)
+    indices = np.empty(n_nodes * (n_nodes - 1), dtype=np.int32)
+    for u, row in enumerate(indices.reshape(n_nodes, n_nodes - 1)):
+        row[:u] = ids[:u]
+        row[u:] = ids[u + 1 :]
+    return Topology(np.arange(n_nodes + 1, dtype=np.int64) * (n_nodes - 1), indices)
 
 
 def bfs_components(n: int, adjacency) -> np.ndarray:

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from netmoments.network import (
     DEFAULT_CONNECTIVITY_C,
-    Topology,
     build_rgg,
-    complete_topology,
     connectivity_radius,
     cycle_topology,
     from_edges,
@@ -23,7 +21,7 @@ from netmoments.network import (
     write_edge_list,
 )
 
-from oracles import bfs_components, neighbor_lists
+from oracles import bfs_components, complete_topology, neighbor_lists
 
 
 class TestRadii:

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import json
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from netmoments import cli
 from netmoments.estimators import ErrorBudget
-from netmoments.protocols import EXCHANGE, PUSH, SpreadConfig
+from netmoments.protocols import ALOHA, EXCHANGE, PUSH, SpreadConfig, default_max_steps
 from netmoments.simulator import DataModel, ExperimentConfig
 from netmoments.sketch_core import QuantConfig
 
@@ -151,6 +152,40 @@ class TestGoldenReports:
         assert hashlib.sha256(body).hexdigest() == want_digest
 
 
+# network -> sha256 of spreading_time.csv for --nodes 20,300 --trials 3 --seed 1,
+# recorded from the release that stored the complete graph as a CSR
+SPREADING_CSV = {
+    "complete": "442e047cf26fbfb16b46c48ea165de03f8fc9d6eb2c651f231d54ba42605766c",
+    "rgg-connected": "a0f5e44615f609237bf62a499a93bc31a5891fd820b6f940605e8cd438e61c44",
+}
+
+
+class TestSpreadingTime:
+    @pytest.mark.parametrize("net", sorted(SPREADING_CSV))
+    def test_csv_digest(self, tmp_path, capsys, net):
+        out = tmp_path / net
+        code = cli.main(["spreading-time", "--nodes", "20,300", "--network", net,
+                         "--trials", "3", "--seed", "1", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        body = (out / "spreading_time.csv").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == SPREADING_CSV[net]
+
+
+class TestMemory:
+    def test_complete_gossip_keeps_no_adjacency(self, tmp_path, capsys):
+        # an explicit K_2000 CSR alone takes 16 MB
+        argv = ["--nodes", "2000", "--alphabet", "20", "--network", "complete",
+                "--protocol", "gossip", "--r1", "2", "--r2", "8", "--seed", "5"]
+        tracemalloc.start()
+        try:
+            code, _ = _run(tmp_path, "k2000", argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        assert peak < 4 * 2**20
+
+
 class TestInvariance:
     """A completed spread leaves node 0 with the min over every initial
     sketch, so the estimate cannot depend on the network or the protocol."""
@@ -212,6 +247,13 @@ class TestExitCodes:
         code = cli.main(argv)
         assert code == cli.EXIT_NONCONVERGED
         assert "no trial completed" in capsys.readouterr().err
+
+    def test_nonconverged_message_names_default_cap(self, capsys):
+        argv = ["spreading-time", "--nodes", "40", "--network", "rgg-connected",
+                "--protocol", "aloha", "--p-n", "0.98", "--trials", "1", "--seed", "1"]
+        assert cli.main(argv) == cli.EXIT_NONCONVERGED
+        cap = default_max_steps(ALOHA, 40)
+        assert f"no trial completed within the step cap ({cap})" in capsys.readouterr().err
 
     def test_infeasible_budget(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",

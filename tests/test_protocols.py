@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netmoments.network import build_rgg, complete_topology, cycle_topology, from_edges
+from netmoments.network import build_rgg, cycle_topology, from_edges
 from netmoments.protocols import (
     ALOHA,
     EXCHANGE,
@@ -17,7 +17,7 @@ from netmoments.protocols import (
     run_spreading,
 )
 
-from oracles import aloha_deliveries
+from oracles import aloha_deliveries, complete_topology
 
 
 def _graphs():
@@ -69,6 +69,17 @@ class TestAlohaRule:
             assert set(deliveries) == aloha_deliveries(_neighbors(topo), tx)
 
 
+def _pick_pvalue(topo, pairs, expected, draws=40_000):
+    """Chi-square p-value of the picker's (node, neighbor) counts."""
+    picker = _GossipPicker(topo, np.random.default_rng(2012))
+    tally = dict.fromkeys(pairs, 0)
+    for _ in range(draws):
+        tally[picker.pick()] += 1
+    observed = np.array([tally[p] for p in pairs])
+    assert observed.sum() == draws
+    return stats.chisquare(observed, np.asarray(expected) * draws).pvalue
+
+
 class TestGossipPicker:
     def test_pairs_uniform_chi_square(self):
         # irregular degrees 3, 1, 2, 3, 2, 1 and one isolated node (pick -1):
@@ -76,15 +87,19 @@ class TestGossipPicker:
         edges = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]
         topo = from_edges(7, edges)
         pairs = [(u, int(v)) for u in range(7) for v in topo.neighbors(u)] + [(6, -1)]
-        expected = np.array([1.0 / (7 * max(topo.degree(u), 1)) for u, _ in pairs])
-        picker = _GossipPicker(topo, np.random.default_rng(2012))
-        draws = 40_000
-        tally = dict.fromkeys(pairs, 0)
-        for _ in range(draws):
-            tally[picker.pick()] += 1
-        observed = np.array([tally[p] for p in pairs])
-        assert observed.sum() == draws
-        assert stats.chisquare(observed, expected * draws).pvalue > 1e-3
+        expected = [1.0 / (7 * max(topo.degree(u), 1)) for u, _ in pairs]
+        assert _pick_pvalue(topo, pairs, expected) > 1e-3
+        # K_7 given as its node count: every ordered pair u != v has 1 / (N (N - 1))
+        pairs = list(itertools.permutations(range(7), 2))
+        assert _pick_pvalue(7, pairs, [1.0 / 42] * 42) > 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
+    def test_complete_node_count_matches_csr_oracle(self, n):
+        # pick for pick, across three refills and part of a fourth
+        draws = 3 * _GossipPicker._BLOCK + 100
+        implicit = _GossipPicker(n, np.random.default_rng(n))
+        oracle = _GossipPicker(complete_topology(n), np.random.default_rng(n))
+        assert [implicit.pick() for _ in range(draws)] == [oracle.pick() for _ in range(draws)]
 
 
 class TestRunSpreading:
@@ -119,6 +134,23 @@ class TestRunSpreading:
         for a, b in zip(heard_short, heard_long):
             assert a & b == a
         assert all((h >> u) & 1 for u, h in enumerate(heard_short))
+
+    @pytest.mark.parametrize(
+        "mode, max_steps", [(EXCHANGE, None), (PUSH, None), (EXCHANGE, 5000)]
+    )
+    def test_complete_node_count_matches_csr_oracle(self, mode, max_steps):
+        # N = 1000 takes about 11 000 ticks: several picker refills
+        cfg = SpreadConfig(exchange_mode=mode, max_steps=max_steps)
+        got = run_spreading(1000, GOSSIP, cfg, np.random.default_rng(6), message_bits=3)
+        want = run_spreading(
+            complete_topology(1000), GOSSIP, cfg, np.random.default_rng(6), message_bits=3
+        )
+        assert got[0] == want[0] and got[0].completed == (max_steps is None)
+        assert got[1] == want[1]
+
+    def test_aloha_rejects_complete_node_count(self):
+        with pytest.raises(ValueError, match="aloha"):
+            run_spreading(30, ALOHA, SpreadConfig(), np.random.default_rng(0))
 
     def test_invalid_p_n_rejected(self):
         with pytest.raises(ValueError):

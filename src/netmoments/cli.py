@@ -174,7 +174,7 @@ _RUN_KEYS = (
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
     n = int(settings["nodes"])
-    m = settings["alphabet"]
+    m = settings.get("alphabet")
     if m is None:
         raise ValueError("--alphabet is required")
     k = settings["k"]
@@ -241,7 +241,7 @@ def _write_report(report, out_dir: Path, fmt: str) -> None:
 def cmd_gen_data(args) -> int:
     settings = _resolve(args)
     n = int(settings["nodes"])
-    m = settings["alphabet"]
+    m = settings.get("alphabet")
     if m is None or settings.get("out") is None:
         raise ValueError("gen-data needs --alphabet and --out")
     if m >= n:

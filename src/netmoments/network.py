@@ -98,9 +98,9 @@ class Topology:
 
     def as_csr(self) -> csr_matrix:
         """A fresh scipy matrix of ones over the adjacency, built on each call.
-        Its data is uint64, the type of the packed Aloha tags, so no product
-        upcasts."""
-        data = np.ones(len(self.indices), dtype=np.uint64)
+        Its data is float64, the type of the Aloha tag blocks it multiplies,
+        so no product upcasts."""
+        data = np.ones(len(self.indices), dtype=np.float64)
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n_nodes,) * 2)
 
 

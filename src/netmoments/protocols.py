@@ -7,6 +7,12 @@ an int.  K_N is never stored: row u of its adjacency is 0..u-1, u+1..N-1, so
 the gossip picker finds a neighbour by arithmetic, and Aloha, which would
 need the whole adjacency, rejects it.
 
+Aloha runs in blocks of slots: one draw gives a block's transmit masks, one
+sparse product of the adjacency with the block's sender tags gives every
+slot's receivers and senders, and deliveries into nodes already full are
+dropped, since they change nothing.  The spread, and where it leaves the
+generator, are those of one mask and one product per slot.
+
 Spreading carries no sketch state.  A node's min-sketch is the elementwise
 min of the initial sketches in its heard-set, so callers read sketches off
 the heard-sets that run_spreading returns.
@@ -115,28 +121,34 @@ class _GossipPicker:
         return self.nodes[pos], self.nbrs[pos]
 
 
-def _aloha_events(adj: csr_matrix, tx: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """One Aloha slot under the transmit mask tx, over the uint64 adjacency
-    matrix adj (Topology.as_csr): (sender ids, deliveries).
+_ALOHA_BLOCK = 32  # Aloha slots per mask draw and per sparse product
+
+# an Aloha tag is _TAG_BASE + id + 1: a node's sum over its transmitting
+# neighbours is 0 with none, that neighbour's tag, in (_TAG_BASE, 2 _TAG_BASE),
+# with one, and more than 2 _TAG_BASE with two or more
+_TAG_BASE = float(1 << 26)
+
+
+def _aloha_block(
+    adj: csr_matrix, tx: np.ndarray, skip: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deliveries of the Aloha slots whose transmit masks are the rows of the
+    (b, n) boolean array tx, over the float64 adjacency matrix adj
+    (Topology.as_csr), as arrays (slot, sender, receiver): in slot order,
+    receivers ascending within a slot, and none into a node marked in skip.
 
     A node receives a broadcast iff it is silent and has exactly one
-    transmitting neighbor; everything else collides.  A delivery is a
-    (sender, receiver) pair, and each receiver appears at most once.
+    transmitting neighbor; everything else collides.
     """
-    tx = np.asarray(tx, dtype=bool)
-    senders = np.flatnonzero(tx)
-    if senders.size == 0:
-        return senders, []
-    # one matvec against (id + 1) << 32 | 1 per transmitter: the low 32 bits
-    # count a node's transmitting neighbors and, when that count is 1, the
-    # high bits hold that neighbor's id + 1 (uint64 wraparound only ever
-    # touches the high bits)
-    tags = np.zeros(adj.shape[0], dtype=np.uint64)
-    tags[senders] = ((senders.astype(np.uint64) + 1) << 32) | 1
-    packed = adj.dot(tags)
-    receivers = np.flatnonzero(~tx & ((packed & 0xFFFFFFFF) == 1))
-    heard_from = (packed[receivers] >> 32) - 1
-    return senders, list(zip(heard_from.tolist(), receivers.tolist()))
+    tags = _TAG_BASE + 1.0 + np.arange(tx.shape[1], dtype=np.float64)
+    # one product for all b slots.  Tags are integers below 2^27 and a sum
+    # has at most n of them, so for n <= 2^26 every partial sum is an integer
+    # below 2^53 and the float64 arithmetic is exact; the heard-sets of 2^26
+    # nodes would take 2^49 bytes.
+    sums = (adj @ np.where(tx, tags, 0.0).T.copy()).T
+    slot, receiver = np.nonzero((sums > 0.0) & (sums < 2 * _TAG_BASE) & ~tx & ~skip)
+    sender = (sums[slot, receiver] - (_TAG_BASE + 1.0)).astype(np.int64)
+    return slot, sender, receiver
 
 
 @dataclass
@@ -147,6 +159,94 @@ class SpreadReport:
     messages_sent: int
     bits_sent: int
     completed: bool
+
+
+def _spread_gossip(
+    topo: Topology | int,
+    exchange: bool,
+    rng: np.random.Generator,
+    max_steps: int,
+    heard: list[int],
+) -> tuple[int, int, bool]:
+    """Gossip ticks until every heard-set is full or max_steps ticks have run,
+    updating heard in place: (steps, messages, completed)."""
+    n = len(heard)
+    picker = _GossipPicker(topo, rng)
+    full = (1 << n) - 1
+    n_full = 1 if n == 1 else 0
+    steps = 0
+    messages = 0
+    completed = n == 1
+
+    while not completed and steps < max_steps:
+        steps += 1
+        u, v = picker.pick()
+        if v < 0:
+            deliveries = ()
+        elif exchange:
+            deliveries = ((u, v), (v, u))
+        else:
+            deliveries = ((u, v),)
+        messages += len(deliveries)  # one message per sender
+        # an exchange's two deliveries merge the same union, so applying them
+        # in order is exact
+        for src, dst in deliveries:
+            merged = heard[dst] | heard[src]
+            if merged != heard[dst]:
+                heard[dst] = merged
+                if merged == full:
+                    n_full += 1
+        completed = n_full == n
+    return steps, messages, completed
+
+
+def _spread_aloha(
+    topo: Topology, p_n: float, rng: np.random.Generator, max_steps: int, heard: list[int]
+) -> tuple[int, int, bool]:
+    """Aloha slots until every heard-set is full or max_steps slots have run,
+    updating heard in place: (steps, messages, completed).
+
+    Slots run in blocks of up to _ALOHA_BLOCK.  A block's masks come from one
+    draw, which reads the stream that one rng.random(n) per slot reads; a
+    spread that completes inside a block rewinds the generator and redraws
+    only the slots it used, so the generator ends where a slot-by-slot loop
+    would leave it.
+    """
+    n = len(heard)
+    adj = topo.as_csr()
+    full = (1 << n) - 1
+    is_full = np.zeros(n, dtype=bool)
+    n_full = 0
+    steps = 0
+    messages = 0
+    completed = n <= 1
+
+    while not completed and steps < max_steps:
+        b = min(_ALOHA_BLOCK, max_steps - steps)
+        state = rng.bit_generator.state
+        tx = rng.random((b, n)) < p_n
+        slots, senders, receivers = _aloha_block(adj, tx, is_full)
+        used = b
+        # a slot's receivers are distinct and never send in that slot, and a
+        # delivery into a node that is full changes nothing, so applying the
+        # deliveries in slot order is exact
+        for slot, src, dst in zip(slots.tolist(), senders.tolist(), receivers.tolist()):
+            merged = heard[dst] | heard[src]
+            if merged != heard[dst]:
+                heard[dst] = merged
+                if merged == full:
+                    is_full[dst] = True
+                    n_full += 1
+                    if n_full == n:
+                        completed = True
+                        used = slot + 1
+                        break
+        steps += used
+        messages += int(np.count_nonzero(tx[:used]))
+        if used < b:
+            rng.bit_generator.state = state
+            rng.random((used, n))
+    return steps, messages, completed
 
 
 def run_spreading(
@@ -172,49 +272,18 @@ def run_spreading(
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     max_steps = cfg.max_steps if cfg.max_steps is not None else default_max_steps(protocol, n)
-    gossip = protocol == GOSSIP
-    exchange = cfg.exchange_mode == EXCHANGE
-    if gossip:
-        picker = _GossipPicker(topo, rng)
-    else:
+    if protocol == ALOHA:
         p_n = default_p_n(n) if p_n is None else p_n
         if not (0.0 < p_n < 1.0):
             raise ValueError("p_n must lie in (0, 1)")
         if isinstance(topo, int):
             raise ValueError("aloha needs a Topology, not the complete graph's node count")
-        adj = topo.as_csr()
-
     heard = [1 << u for u in range(n)]
-    full = (1 << n) - 1
-    n_full = 1 if n == 1 else 0
-    steps = 0
-    messages = 0
-    completed = n == 1
-
-    while not completed and steps < max_steps:
-        steps += 1
-        if gossip:
-            u, v = picker.pick()
-            if v < 0:
-                deliveries = ()
-            elif exchange:
-                deliveries = ((u, v), (v, u))
-            else:
-                deliveries = ((u, v),)
-            messages += len(deliveries)  # one message per sender
-        else:
-            senders, deliveries = _aloha_events(adj, rng.random(n) < p_n)
-            messages += senders.size
-        # a step's receivers are distinct and never send in the same step
-        # (Aloha), or merge the same union (gossip exchange), so applying the
-        # deliveries in order is exact
-        for src, dst in deliveries:
-            merged = heard[dst] | heard[src]
-            if merged != heard[dst]:
-                heard[dst] = merged
-                if merged == full:
-                    n_full += 1
-        completed = n_full == n
+    if protocol == GOSSIP:
+        exchange = cfg.exchange_mode == EXCHANGE
+        steps, messages, completed = _spread_gossip(topo, exchange, rng, max_steps, heard)
+    else:
+        steps, messages, completed = _spread_aloha(topo, p_n, rng, max_steps, heard)
 
     report = SpreadReport(
         steps_to_full=steps,

@@ -12,8 +12,10 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from netmoments.network import Topology
+from netmoments.protocols import SpreadReport
 
 
 def exhaustive_sign_expectation(counts) -> tuple[float, float]:
@@ -127,3 +129,46 @@ def aloha_deliveries(adjacency, transmitting) -> set[tuple[int, int]]:
         if len(heard) == 1:
             out.add((heard[0], v))
     return out
+
+
+def aloha_slot_events(adj: csr_matrix, tx: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """One Aloha slot under the transmit mask tx, over a uint64 adjacency
+    matrix: (sender ids, deliveries), each receiver at most once."""
+    tx = np.asarray(tx, dtype=bool)
+    senders = np.flatnonzero(tx)
+    if senders.size == 0:
+        return senders, []
+    # one matvec against (id + 1) << 32 | 1 per transmitter: the low 32 bits
+    # count a node's transmitting neighbors and, when that count is 1, the
+    # high bits hold that neighbor's id + 1 (uint64 wraparound only ever
+    # touches the high bits)
+    tags = np.zeros(adj.shape[0], dtype=np.uint64)
+    tags[senders] = ((senders.astype(np.uint64) + 1) << 32) | 1
+    packed = adj.dot(tags)
+    receivers = np.flatnonzero(~tx & ((packed & 0xFFFFFFFF) == 1))
+    heard_from = (packed[receivers] >> 32) - 1
+    return senders, list(zip(heard_from.tolist(), receivers.tolist()))
+
+
+def aloha_spread(
+    topo: Topology, p_n: float, max_steps: int, rng: np.random.Generator, message_bits: int = 0
+) -> tuple[SpreadReport, list[int]]:
+    """Slotted Aloha one slot at a time: one rng.random(n) mask and one packed
+    uint64 matvec per slot, every delivery applied.  The oracle for the
+    block-of-slots loop of run_spreading."""
+    n = topo.n_nodes
+    data = np.ones(len(topo.indices), dtype=np.uint64)
+    adj = csr_matrix((data, topo.indices, topo.indptr), shape=(n, n))
+    heard = [1 << u for u in range(n)]
+    full = (1 << n) - 1
+    steps = messages = 0
+    completed = n == 1
+    while not completed and steps < max_steps:
+        steps += 1
+        senders, deliveries = aloha_slot_events(adj, rng.random(n) < p_n)
+        messages += senders.size
+        for src, dst in deliveries:
+            heard[dst] |= heard[src]
+        completed = all(h == full for h in heard)
+    report = SpreadReport(steps, messages, messages * message_bits, completed)
+    return report, heard

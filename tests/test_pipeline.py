@@ -170,6 +170,19 @@ class TestSpreadingTime:
         body = (out / "spreading_time.csv").read_bytes()
         assert hashlib.sha256(body).hexdigest() == SPREADING_CSV[net]
 
+    def test_aloha_csv_digest(self, tmp_path, capsys):
+        # recorded from the release that drew one Aloha mask per slot; the
+        # three trials share one generator, so a block of slots drawn past a
+        # trial's end must be given back
+        out = tmp_path / "aloha"
+        code = cli.main(["spreading-time", "--nodes", "20,300", "--network", "rgg-connected",
+                         "--protocol", "aloha", "--trials", "3", "--seed", "1",
+                         "--out", str(out)])
+        assert code == cli.EXIT_OK
+        body = (out / "spreading_time.csv").read_bytes()
+        want = "832617742e1224cf6aa22f4a5ce1cd05b32e2519da218f6e76769deb44f1d036"
+        assert hashlib.sha256(body).hexdigest() == want
+
 
 class TestMemory:
     def test_complete_gossip_keeps_no_adjacency(self, tmp_path, capsys):
@@ -254,6 +267,16 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_NONCONVERGED
         cap = default_max_steps(ALOHA, 40)
         assert f"no trial completed within the step cap ({cap})" in capsys.readouterr().err
+
+    def test_run_without_alphabet_is_config_error(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, "no-alphabet", ["--nodes", "40", "--seed", "2"])
+        assert code == cli.EXIT_CONFIG
+        assert "--alphabet" in capsys.readouterr().err
+
+    def test_gen_data_without_alphabet_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["gen-data", "--nodes", "40", "--out", str(tmp_path / "data.txt")])
+        assert code == cli.EXIT_CONFIG
+        assert "--alphabet" in capsys.readouterr().err
 
     def test_infeasible_budget(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",

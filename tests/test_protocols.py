@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netmoments.network import build_rgg, cycle_topology, from_edges
+from netmoments.network import build_connected_rgg, build_rgg, cycle_topology, from_edges
 from netmoments.protocols import (
+    _ALOHA_BLOCK,
     ALOHA,
     EXCHANGE,
     GOSSIP,
     PUSH,
     SpreadConfig,
-    _aloha_events,
+    _aloha_block,
     _GossipPicker,
+    default_max_steps,
+    default_p_n,
     heard_ids,
     run_spreading,
 )
 
-from oracles import aloha_deliveries, complete_topology
+from oracles import aloha_deliveries, aloha_spread, complete_topology
 
 
 def _graphs():
@@ -37,17 +40,33 @@ def _neighbors(topo):
     return [topo.neighbors(u) for u in range(topo.n_nodes)]
 
 
+def _block_rows(topo, masks, skip=None):
+    """The deliveries of _aloha_block over blocks of _ALOHA_BLOCK masks, one
+    list per mask, after checking the slot-major, receiver-ascending order."""
+    n = topo.n_nodes
+    skip = np.zeros(n, dtype=bool) if skip is None else skip
+    adj = topo.as_csr()
+    rows = []
+    for at in range(0, len(masks), _ALOHA_BLOCK):
+        tx = np.array(masks[at : at + _ALOHA_BLOCK], dtype=bool).reshape(-1, n)
+        slot, sender, receiver = _aloha_block(adj, tx, skip)
+        keys = slot * n + receiver
+        assert np.all(np.diff(keys) > 0)
+        block = [[] for _ in tx]
+        for s, u, v in zip(slot.tolist(), sender.tolist(), receiver.tolist()):
+            block[s].append((u, v))
+        rows.extend(block)
+    return rows
+
+
 class TestAlohaRule:
     @pytest.mark.parametrize("name", sorted(_graphs()))
     def test_every_transmit_mask_matches_brute_force(self, name):
         topo = _graphs()[name]
         n = topo.n_nodes
-        for mask in range(1 << n):
-            tx = np.array([(mask >> u) & 1 for u in range(n)], dtype=bool)
-            senders, deliveries = _aloha_events(topo.as_csr(), tx)
-            assert senders.tolist() == np.flatnonzero(tx).tolist()
-            assert len(set(d for _, d in deliveries)) == len(deliveries)
-            assert set(deliveries) == aloha_deliveries(_neighbors(topo), tx)
+        masks = [[(mask >> u) & 1 for u in range(n)] for mask in range(1 << n)]
+        for tx, row in zip(masks, _block_rows(topo, masks)):
+            assert set(row) == aloha_deliveries(_neighbors(topo), tx)
 
     def test_star_with_40_leaves_matches_brute_force(self):
         # 2^41 masks are too many: every mask of at most two transmitters,
@@ -62,11 +81,19 @@ class TestAlohaRule:
         masks.append(np.ones(n, dtype=bool))
         rng = np.random.default_rng(41)
         masks.extend(rng.random(n) < rng.random() for _ in range(2000))
-        for tx in masks:
-            senders, deliveries = _aloha_events(topo.as_csr(), tx)
-            assert senders.tolist() == np.flatnonzero(tx).tolist()
-            assert len(set(d for _, d in deliveries)) == len(deliveries)
-            assert set(deliveries) == aloha_deliveries(_neighbors(topo), tx)
+        for tx, row in zip(masks, _block_rows(topo, masks)):
+            assert set(row) == aloha_deliveries(_neighbors(topo), tx)
+
+    @pytest.mark.parametrize("name", sorted(_graphs()))
+    def test_no_delivery_into_node_marked_full(self, name):
+        topo = _graphs()[name]
+        n = topo.n_nodes
+        rng = np.random.default_rng(len(name))
+        masks = [rng.random(n) < 0.4 for _ in range(3 * _ALOHA_BLOCK)]
+        is_full = rng.random(n) < 0.5
+        for tx, row in zip(masks, _block_rows(topo, masks, is_full)):
+            want = {(u, v) for u, v in aloha_deliveries(_neighbors(topo), tx) if not is_full[v]}
+            assert set(row) == want
 
 
 def _pick_pvalue(topo, pairs, expected, draws=40_000):
@@ -147,6 +174,25 @@ class TestRunSpreading:
         )
         assert got[0] == want[0] and got[0].completed == (max_steps is None)
         assert got[1] == want[1]
+
+    @pytest.mark.parametrize("max_steps", [1, 31, 32, 33, 100, None])
+    @pytest.mark.parametrize("name", ["cycle12", "star9", "rgg60"])
+    def test_aloha_matches_slot_by_slot_oracle(self, name, max_steps):
+        topo = {
+            "cycle12": cycle_topology(12),
+            "star9": from_edges(9, [(0, v) for v in range(1, 9)]),
+            "rgg60": build_connected_rgg(60, 0.25, np.random.default_rng(60)),
+        }[name]
+        n = topo.n_nodes
+        cap = default_max_steps(ALOHA, n) if max_steps is None else max_steps
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        # two spreads on one generator, as measure_spreading runs its trials
+        for _ in range(2):
+            got = run_spreading(topo, ALOHA, SpreadConfig(max_steps=max_steps), got_rng,
+                                message_bits=5)
+            want = aloha_spread(topo, default_p_n(n), cap, want_rng, message_bits=5)
+            assert got == want
+        assert got_rng.random() == want_rng.random()
 
     def test_aloha_rejects_complete_node_count(self):
         with pytest.raises(ValueError, match="aloha"):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import network, protocols, simulator
-from .estimators import ErrorBudget, exact_fk, Histogram, oracle_record
+from .estimators import exact_fk, Histogram, oracle_record
 from .protocols import SpreadConfig, empirical_quantile, measure_spreading
 from .simulator import (
     CapacityError,
@@ -179,27 +179,13 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         raise ValueError("--alphabet is required")
     k = settings["k"]
     epsilon, delta = settings["epsilon"], settings["delta"]
-    if settings.get("r1") and settings.get("r2"):
-        mu = epsilon / 32.0
-        budget = ErrorBudget(
-            eps1=epsilon / 2.0,
-            eps2=epsilon / 32.0,
-            mu=mu,
-            r1=settings["r1"],
-            r2=settings["r2"],
-            beta=min(0.05, delta / 2.0),
-        )
-        quant = QuantConfig.for_population(n, mu)
-    elif settings.get("r1") or settings.get("r2"):
-        raise ValueError("give both --r1 and --r2, or neither")
-    else:
-        budget, quant = solve_budget(epsilon, delta, n)
-    if settings.get("quant_bits") or settings.get("trunc_l"):
-        quant = QuantConfig(
-            truncation_L=settings.get("trunc_l") or quant.truncation_L,
-            quant_bits=settings.get("quant_bits") or quant.quant_bits,
-            target_mu=quant.target_mu,
-        )
+    budget, quant = solve_budget(epsilon, delta, n, r1=settings.get("r1"), r2=settings.get("r2"))
+    trunc_l, quant_bits = settings.get("trunc_l"), settings.get("quant_bits")
+    quant = QuantConfig(
+        truncation_L=quant.truncation_L if trunc_l is None else trunc_l,
+        quant_bits=quant.quant_bits if quant_bits is None else quant_bits,
+        target_mu=quant.target_mu,
+    )
     buckets = settings["buckets"]
     num_buckets = (
         default_num_buckets(m, k) if buckets == "auto" else int(buckets)
@@ -355,8 +341,9 @@ def cmd_spreading_time(args) -> int:
         if settings["network"] == "complete":
             topo = n  # run_spreading takes the complete graph as its node count
         elif settings["network"] == "rgg-connected":
+            radius_c = settings.get("radius_c")
             radius = network.connectivity_radius(
-                n, settings.get("radius_c") or network.DEFAULT_CONNECTIVITY_C
+                n, network.DEFAULT_CONNECTIVITY_C if radius_c is None else radius_c
             )
             topo = network.build_connected_rgg(n, radius, rng)
         else:

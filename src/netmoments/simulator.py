@@ -151,24 +151,30 @@ def solve_budget(
     n_nodes: int,
     target_mu: float | None = None,
     max_cells: int = 1 << 23,
+    r1: int | None = None,
+    r2: int | None = None,
 ) -> tuple[ErrorBudget, QuantConfig]:
     """Pick (r1, r2) powers of two meeting the calibrated failure split, plus
     the matching truncation/quantization config.
 
     eps is split as eps1 = eps/2 for the map term and eps2 = eps/32 for the
-    replica term; each term gets half of delta.  Budgets beyond max_cells
-    sketch cells raise CapacityError instead of returning something unrunnable.
+    replica term; each term gets half of delta.  Given r1 and r2 are taken
+    as they are; solved budgets beyond max_cells sketch cells raise
+    CapacityError instead of returning something unrunnable.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
+    if (r1 is None) != (r2 is None):
+        raise ValueError("give both r1 and r2, or neither")
     eps1 = eps / 2.0
     eps2 = eps / 32.0
     mu = eps2 if target_mu is None else target_mu
     delta_half = delta / 2.0
-    r1 = _next_pow2(CAL_MAP_TERM / (delta_half * eps1**2))
-    r2 = _next_pow2(CAL_EXP_TERM * math.log(2.0 / delta_half) / eps2**2)
-    if r1 * r2 > max_cells:
-        raise CapacityError(r1 * r2, max_cells)
+    if r1 is None:
+        r1 = _next_pow2(CAL_MAP_TERM / (delta_half * eps1**2))
+        r2 = _next_pow2(CAL_EXP_TERM * math.log(2.0 / delta_half) / eps2**2)
+        if r1 * r2 > max_cells:
+            raise CapacityError(r1 * r2, max_cells)
     budget = ErrorBudget(
         eps1=eps1, eps2=eps2, mu=mu, r1=r1, r2=r2, beta=min(0.05, delta / 2.0)
     )
@@ -427,7 +433,7 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 
 def _trial_seeds(cfg: ExperimentConfig, trial_index: int) -> list[np.random.SeedSequence]:
     root = np.random.SeedSequence(entropy=(cfg.master_seed, trial_index))
-    return root.spawn(5)  # data, maps, topology, scheduling, node draws
+    return root.spawn(5)  # data, maps, topology, scheduling, sketch draws
 
 
 class TrialRejected(RuntimeError):
@@ -469,19 +475,20 @@ def _heard_sketch(
     values: np.ndarray,
     r2: int,
     quant: QuantConfig,
-    node_seeds,
+    value_seeds,
     members: np.ndarray,
 ) -> np.ndarray:
     """The sketch a node holds once it has heard from `members`: the min over
     their initial grids, where a node holding value v draws one row of r2
-    levels per entry of rates_by_value[v - 1].  A node's draws depend only on
-    its own seed, so they are regenerated here after spreading, never stored
-    per node; members holding the same value share one kernel call."""
+    levels per entry of rates_by_value[v - 1].  That min depends only on how
+    many members hold each value, so it is drawn once per value present,
+    from value_seeds[v - 1], as the closed-form min of that many draws."""
     acc = np.full((rates_by_value.shape[1], r2), quant.infinity_level, dtype=quant.level_dtype)
-    member_values = values[members]
-    for v in np.unique(member_values):
-        rngs = (np.random.default_rng(node_seeds[u]) for u in members[member_values == v])
-        np.minimum(acc, min_truncated_exp_levels(rates_by_value[v - 1], r2, quant, rngs), out=acc)
+    counts = np.bincount(values[members] - 1, minlength=len(rates_by_value))
+    for v in np.flatnonzero(counts):
+        rng = np.random.default_rng(value_seeds[v])
+        levels = min_truncated_exp_levels(rates_by_value[v], counts[v], r2, quant, rng)
+        np.minimum(acc, levels, out=acc)
     return acc
 
 
@@ -490,13 +497,13 @@ def _sign_sketch(
     alphabet_size: int,
     rand: SharedRandomness,
     quant: QuantConfig,
-    node_seeds,
+    value_seeds,
     members: np.ndarray,
 ) -> np.ndarray:
     """The (r1, r2) sign-population sketch over `members`: unit-rate draws
     where the sign map says +1 and the infinity sentinel where it says -1."""
     rates_by_value = (sketch_core.sign_table(rand, alphabet_size).T > 0).astype(float)
-    return _heard_sketch(rates_by_value, values, rand.r2, quant, node_seeds, members)
+    return _heard_sketch(rates_by_value, values, rand.r2, quant, value_seeds, members)
 
 
 def _root_sketch(
@@ -504,7 +511,7 @@ def _root_sketch(
     alphabet_size: int,
     rand: SharedRandomness,
     quant: QuantConfig,
-    node_seeds,
+    value_seeds,
     members: np.ndarray,
 ) -> np.ndarray:
     """The (3, r1, r2) sketch of one bucket phase over the participating
@@ -515,7 +522,7 @@ def _root_sketch(
     rates_by_value = np.concatenate(
         [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(roots.shape)], axis=1
     )
-    acc = _heard_sketch(rates_by_value, values, rand.r2, quant, node_seeds, members)
+    acc = _heard_sketch(rates_by_value, values, rand.r2, quant, value_seeds, members)
     return acc.reshape(3, rand.r1, rand.r2)
 
 
@@ -527,7 +534,7 @@ def run_f2_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     """
     if cfg.k != 2:
         raise ValueError("run_f2_trial requires k = 2")
-    data_ss, maps_ss, topo_ss, sched_ss, nodes_ss = _trial_seeds(cfg, trial_index)
+    data_ss, maps_ss, topo_ss, sched_ss, draws_ss = _trial_seeds(cfg, trial_index)
     dataset = cfg.data.generate(cfg.n_nodes, cfg.alphabet_size, np.random.default_rng(data_ss))
     rand = SharedRandomness(
         _seed_int(maps_ss), r1=cfg.budget.r1, r2=cfg.budget.r2, k=2
@@ -550,7 +557,7 @@ def run_f2_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         cfg.alphabet_size,
         rand,
         cfg.quant,
-        nodes_ss.spawn(n_part),
+        draws_ss.spawn(cfg.alphabet_size),
         heard_ids(heard[0], n_part),
     )
     estimate = estimators.estimate_f2(levels, cfg.quant, n_part)
@@ -612,7 +619,7 @@ def run_bucket_phase(
     population channels, SpreadReport).
     """
     n = dataset.n_nodes
-    children = phase_ss.spawn(n + 1)
+    children = phase_ss.spawn(cfg.alphabet_size + 1)  # scheduling, then one per value
     tbl = sketch_core.bucket_table(rand, cfg.alphabet_size)
     participants = tbl[bucket_map_index - 1, dataset.values - 1] == bucket
     report, heard = run_spreading(

@@ -2,13 +2,14 @@
 
 Every node derives the same map values from a common master seed (keyed
 hashing), so "shared global randomness" costs no per-node storage.  Sketch
-entries are exponential variables truncated by resampling and uniformly
+entries are exponential variables truncated to [0, L] and uniformly
 quantized to integer levels; the level 2^quant_bits, one above every finite
-level, is the infinity sentinel.  A sketch is a plain integer level array:
-the sketch a node holds after spreading is the elementwise min over the
-initial sketches of its heard-set, which the simulator computes as one
-min-reduce, and harmonic_estimate reads population estimates off its last
-axis.
+level, is the infinity sentinel.  A sketch is a plain integer level array.
+The sketch a node holds after spreading is the elementwise min over the
+initial sketches of its heard-set, and the min of c iid truncated Exp(rate)
+draws has a closed-form inverse CDF, so min_truncated_exp_levels draws it
+directly from the count of members per value.  harmonic_estimate reads
+population estimates off the last axis of a sketch.
 """
 
 from __future__ import annotations
@@ -202,49 +203,38 @@ class QuantConfig:
         return np.where(arr >= self.infinity_level, np.inf, out)
 
 
-def truncated_exp_levels(
-    rates: np.ndarray, r2: int, quant: QuantConfig, rng: np.random.Generator
+def min_truncated_exp_levels(
+    rates: np.ndarray, count: int, r2: int, quant: QuantConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """One row of r2 levels per rate entry: Exp(rate) draws conditioned on
-    being <= L (by resampling), then quantized.  A zero rate encodes "this
-    node contributes nothing" and yields the infinity sentinel directly."""
-    return min_truncated_exp_levels(rates, r2, quant, (rng,))
+    """One row of r2 levels per rate entry: the min of `count` iid Exp(rate)
+    draws truncated to [0, L], drawn in one step and quantized once.
 
-
-def min_truncated_exp_levels(rates: np.ndarray, r2: int, quant: QuantConfig, rngs) -> np.ndarray:
-    """Elementwise min of truncated_exp_levels(rates, r2, quant, rng) over the
-    generators in rngs, drawn once per generator and quantized once.
-
-    Each generator draws r2 Exp(rate) values per positive rate and redraws,
-    in row-major order, only the entries still above L.  The raw
-    values are min-reduced in float before quantizing, which gives the same
-    levels because quantizing is monotone.  Zero-rate rows, and every row
-    when rngs is empty, hold the infinity sentinel.
+    The min of c such draws has the inverse CDF
+    x = -ln(e^(-rate L) + (1 - e^(-rate L)) u^(1/c)) / rate, for u uniform on
+    (0, 1]; it is evaluated in one float buffer, one uniform per positive
+    entry and replica, in the cancellation-free form
+    -log1p(expm1(-rate L) * -expm1(ln(u) / c)) / rate.  A zero rate encodes
+    "no member contributes" and yields the infinity sentinel directly.
     """
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be nonnegative")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     pos = rates > 0
-    scales = 1.0 / rates[pos]
-    acc = z = None
-    for rng in rngs:
-        # in place, but the same values as Exp(1) draws times the scale
-        z = rng.standard_exponential(size=(scales.size, r2), out=z)
-        z *= scales[:, None]
-        over = np.flatnonzero(z > quant.truncation_L)
-        while over.size:
-            redraw = rng.standard_exponential(size=over.size)
-            redraw *= scales[over // r2]
-            np.put(z, over, redraw)
-            over = over[redraw > quant.truncation_L]
-        if acc is None:
-            acc, z = z, None
-        else:
-            np.minimum(acc, z, out=acc)
-    z = None  # the draw buffer is freed before the level arrays exist
+    lam = rates[pos][:, None]
+    x = rng.random((lam.size, r2))
+    np.subtract(1.0, x, out=x)  # u in (0, 1], so ln(u) is finite
+    np.log(x, out=x)
+    x /= count
+    np.expm1(x, out=x)
+    x *= -np.expm1(-lam * quant.truncation_L)
+    np.log1p(x, out=x)
+    x /= -lam
+    levels = quant.quantize(x)
+    del x  # the float buffer is freed before the sentinel-filled array exists
     out = np.full((rates.size, r2), quant.infinity_level, dtype=quant.level_dtype)
-    if acc is not None:
-        out[pos] = quant.quantize(acc)
+    out[pos] = levels
     return out
 
 

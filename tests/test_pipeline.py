@@ -1,12 +1,18 @@
 """End-to-end tests of the `netmoments run` pipeline through `cli.main`.
 
-The golden digests pin `report.json` byte for byte: they were recorded from
-the release that kept an N-row sketch array and merged rows on every
-delivery, so they also show that reading each sketch off a heard-set gives
-the same reports, including runs cut short by --max-steps.
+The golden digests pin `report.json` byte for byte.  Each config has two:
+- the sha256 of the whole report, re-recorded once when sketches began to
+  be drawn per value as the closed-form min of its members' draws, which
+  changed the random stream the estimates come from;
+- the sha256 of the report without its estimate-derived keys, recorded
+  before that change.  It still matches, so the change moved only the
+  estimates.  That stripped content goes back further, to the release that
+  kept an N-row sketch array and merged rows on every delivery, including
+  runs cut short by --max-steps.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import signal
@@ -19,8 +25,29 @@ from hypothesis import strategies as st
 from netmoments import cli
 from netmoments.estimators import ErrorBudget
 from netmoments.protocols import ALOHA, EXCHANGE, PUSH, SpreadConfig, default_max_steps
-from netmoments.simulator import DataModel, ExperimentConfig
+from netmoments.simulator import CapacityError, DataModel, ExperimentConfig, solve_budget
 from netmoments.sketch_core import QuantConfig
+
+
+# report keys that the sketch draws feed: every other key must survive a
+# change of the draw stream unchanged
+_TRIAL_ESTIMATE_KEYS = ("estimate_scaled", "abs_error", "success", "eq4_error", "eq4_ok",
+                        "corollary_stat", "corollary_ok")
+_AGGREGATE_ESTIMATE_KEYS = ("mean_abs_error", "max_abs_error")
+
+
+def _stripped_digest(body: bytes) -> str:
+    """sha256 of report.json with every estimate-derived key removed,
+    re-serialised the way the report itself is."""
+    report = json.loads(body)
+    del report["empirical_success_rate"]
+    for key in _AGGREGATE_ESTIMATE_KEYS:
+        del report["aggregates"][key]
+    for trial in report["trials"]:
+        for key in _TRIAL_ESTIMATE_KEYS:
+            trial.pop(key, None)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _run(tmp_path, name, argv):
@@ -48,78 +75,91 @@ def _deadline(seconds):
 _BUDGET = ["--r1", "8", "--r2", "64"]
 _K3 = ["--k", "3", "--s1", "2", "--nodes", "150", "--alphabet", "9", "--r1", "4", "--r2", "32"]
 
-# name -> (argv, exit code, sha256 of report.json)
+# name -> (argv, exit code, sha256 of report.json, sha256 of report.json
+# without its estimate-derived keys)
 GOLDEN = {
     "complete-gossip-k2": (
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "11"],
         0,
-        "35f9ac98acedff4928652c793b3b8851523201dc082da541c795ebb7a7b9efee",
+        "59e0f580a39cf554a3edf622cee760e3ffd3b86a7e3c97e753d65b611dfedfe8",
+        "43201f9721ac9a1bc53d6b83a0247fe1636459236b017d60a07ab1f5e796baac",
     ),
     "complete-gossip-push-k2": (
         ["--nodes", "200", "--alphabet", "12", "--network", "complete", "--protocol", "gossip",
          "--exchange-mode", "push", "--data", "uniform", "--r1", "8", "--r2", "32",
          "--trials", "2", "--seed", "12"],
         0,
-        "97a4cdb63bd11c6d2d1086323b7d37eecf928dcd9afac4d504e344c0ac2ed32f",
+        "0c7e61bb6dbf8986eac40371c419173df8e794c1924dfa7038c9b68d696f0925",
+        "7a4a15d87889fc2401e52ae630c9f3bfc1f605ee9119948ce08ce994b0d25cd7",
     ),
     "rgg-connected-aloha-k2": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "13"],
         0,
-        "70bce2fadfc7ef81c6b4f811bcf1275e31ed4bc62e5514e4549c92fc1458ed54",
+        "6a22d4b5a1303368633eb1729688721ee40406b6c4b24fc9c16b2fe365caa795",
+        "78204327b25824f541c6f9d11fdc1bfdeeb38d5c217ae89a9bbbeb13a7996075",
     ),
     "rgg-percolating-gossip-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "gossip",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "14"],
         0,
-        "ae8b26625c761566ea975ad26a7d3ab9d92baa7e70a434a4a3373c0c400880ae",
+        "80ec33f3c504e578a8dc09d56f09e3b5863b455f30ce2faa1aa50848d2d54b4a",
+        "ebf9c40ecf67562f3ac4a841a2d2a4ac310781262cc45e870628eb7761369eaa",
     ),
     "rgg-connected-gossip-k3": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--seed", "15"],
         0,
-        "a342f2d2b673894ad3aacf276e23fd98a74913489e269f4ae94fda9bb1645764",
+        "08a3b4f7e0ae38e7dc9d888edc28f97228581ba4236ef6c7d536f5c5e984b271",
+        "ee4f332a09638c4c224b01c60dcff400337a5297abca560b5e5167e34ee29e8f",
     ),
     "rgg-connected-aloha-k4": (
         ["--nodes", "100", "--alphabet", "8", "--k", "4", "--s1", "1", "--buckets", "2",
          "--network", "rgg-connected", "--protocol", "aloha", "--data", "pointmass",
          "--r1", "4", "--r2", "16", "--seed", "16"],
         0,
-        "f9c32b0d1cd07efc3fc37b80525d29006f7c1b4bee22b308dce67c7ea76cbe45",
+        "ffaf329cf35da159e0b5d3a6b354ecb118ea753e33101d7473b82414f28a79bd",
+        "3d557ab4554fe1ffa0db8aebc4a608ef982e89baf0060d8f83f1cee7119bf0fb",
     ),
     "rgg-connected-gossip-k3-cut": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--max-steps", "300", "--seed", "19"],
         4,
-        "fc70c4887d69ae212505b94536fb940314caf0ee8086ce9675b86a19cd778ca2",
+        "ea82e69bca95bf29b6ed0dbc6a864f797c33aa0b6e62263b352fab4c494b772d",
+        "8deb0eed78c01746b1a000029d2e5e3e144127502ad8a7042b5bb23dd72f2693",
     ),
     "complete-gossip-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "600", "--seed", "17"],
         4,
-        "8103096480af15ef4b0df75483ea6e631248922d6469b380fe70690b7cdea892",
+        "aff5a05b96f210081290a262f4a91b9350a0cf685645b198c0d347d0d60cc18f",
+        "7c9e243d1d9ca5e468d8b744d0930d5774d3dcddcad8cc02191d6a50aaeda7f4",
     ),
     "rgg-connected-aloha-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "20", "--seed", "18"],
         4,
-        "7f74a889393e5c8617bf495fbbd22bda35dface069449c9b5ae1f6940f684618",
+        "a82d8d51aa4811fd36cfdfc147e029f1eb19f67d1a53cebb6a363b1ac72ede8f",
+        "9fac8a6cc65ecee1ddfaad46a5b620a03a841bcaf8587cad2d3d0016dad5bddd",
     ),
 }
 
 
-# name -> (argv, sha256 of report.json) on the 150-node graph of _write_graph,
+# name -> (argv, sha256 of report.json, sha256 without estimate-derived keys)
+# on the 150-node graph of _write_graph,
 # given by a relative path so that the path inside report.json is fixed
 GRAPH_GOLDEN = {
     "graph-gossip-k2": (
         ["--nodes", "150", "--alphabet", "12", "--protocol", "gossip", "--data", "zipf:1.2",
          *_BUDGET, "--trials", "2", "--seed", "20"],
-        "06e7d4ae54b0f8fcc4d806e59c579e9502fce6e5f96348bef8f828b119747285",
+        "8fc8dd0be971bc4e130190910a9bc02def87c11885093063aa9bc2356692f8f0",
+        "ce3e1d443908f9cfa1a7597ce6e522fbf2e523bdbd2d1eb3e6cb321174767fa8",
     ),
     "graph-aloha-k3": (
         [*_K3, "--protocol", "aloha", "--data", "zipf:1.2", "--seed", "21"],
-        "7c428f2a0480b0ecb06f2dbd1774ddef54c0212cc5a7d2d448f093853d5155e5",
+        "a0109ebf50970943251d480d535e5a98cc60f8f6a9bc44dbf4e15d245141b2e7",
+        "cfb6c2659bcfd8ab6e6ddb43dcc7a436b06f94fd65c0f1f25fb43bdad93cae10",
     ),
 }
 
@@ -135,20 +175,22 @@ def _write_graph(path, n=150):
 class TestGoldenReports:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_report_digest(self, tmp_path, capsys, name):
-        argv, want_code, want_digest = GOLDEN[name]
+        argv, want_code, want_digest, want_stripped = GOLDEN[name]
         code, out = _run(tmp_path, name, argv)
         assert code == want_code
         body = (out / "report.json").read_bytes()
+        assert _stripped_digest(body) == want_stripped
         assert hashlib.sha256(body).hexdigest() == want_digest
 
     @pytest.mark.parametrize("name", sorted(GRAPH_GOLDEN))
     def test_graph_report_digest(self, tmp_path, monkeypatch, capsys, name):
-        argv, want_digest = GRAPH_GOLDEN[name]
+        argv, want_digest, want_stripped = GRAPH_GOLDEN[name]
         monkeypatch.chdir(tmp_path)
         _write_graph(tmp_path / "edges.txt")
         code, out = _run(tmp_path, name, [*argv, "--network", "graph:edges.txt"])
         assert code == 0
         body = (out / "report.json").read_bytes()
+        assert _stripped_digest(body) == want_stripped
         assert hashlib.sha256(body).hexdigest() == want_digest
 
 
@@ -278,6 +320,26 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "--alphabet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--r1", "0", "--r2", "0"], ["--r1", "0", "--r2", "8"], ["--r1", "8"],
+         ["--quant-bits", "0"], ["--trunc-L", "0"]],
+    )
+    def test_zero_override_is_config_error(self, tmp_path, capsys, flags):
+        # a zero must reach the validators, not fall back to the solver's value
+        code, _ = _run(tmp_path, "zero", ["--nodes", "60", "--alphabet", "5", "--seed", "1",
+                                          *flags])
+        assert code == cli.EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    def test_spreading_time_zero_radius_is_config_error(self, capsys):
+        argv = ["spreading-time", "--nodes", "60", "--network", "rgg-connected",
+                "--radius-c", "0", "--seed", "1"]
+        with _deadline(60):
+            code = cli.main(argv)
+        assert code == cli.EXIT_CONFIG
+        assert "c > 0" in capsys.readouterr().err
+
     def test_infeasible_budget(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",
                                          "--epsilon", "0.001", "--delta", "0.001"])
@@ -314,6 +376,25 @@ class TestExitCodes:
             code = cli.main(argv)
         assert code == cli.EXIT_CONFIG
         assert "aloha" in capsys.readouterr().err
+
+
+class TestSolveBudget:
+    def test_given_sizes_keep_the_split(self):
+        solved, quant = solve_budget(0.1, 0.1, 300)
+        given, given_quant = solve_budget(0.1, 0.1, 300, r1=8, r2=64)
+        assert given == dataclasses.replace(solved, r1=8, r2=64)
+        assert given_quant == quant
+
+    def test_given_sizes_skip_the_cell_cap(self):
+        with pytest.raises(CapacityError):
+            solve_budget(0.001, 0.001, 300)
+        budget, _ = solve_budget(0.001, 0.001, 300, r1=2, r2=4)
+        assert (budget.r1, budget.r2) == (2, 4)
+
+    @pytest.mark.parametrize("sizes", [dict(r1=8), dict(r2=8)])
+    def test_one_size_alone_rejected(self, sizes):
+        with pytest.raises(ValueError, match="both"):
+            solve_budget(0.1, 0.1, 300, **sizes)
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)

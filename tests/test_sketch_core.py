@@ -16,8 +16,9 @@ from netmoments.sketch_core import (
     harmonic_estimate,
     min_truncated_exp_levels,
     root_map_eval,
+    root_table,
     sign_map_eval,
-    truncated_exp_levels,
+    sign_table,
 )
 
 import oracles
@@ -104,30 +105,58 @@ class TestMaps:
             bucket_map_eval(RAND, RAND.s1 + 1, 1)
 
 
+class StubRng:
+    """A generator whose random() returns one fixed value everywhere."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
 class TestQuantizedDraws:
     def test_zero_rate_is_sentinel(self):
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        levels = truncated_exp_levels(np.array([0.0]), 4, q, np.random.default_rng(0))
+        levels = min_truncated_exp_levels(np.array([0.0]), 1, 4, q, np.random.default_rng(0))
         assert (levels == q.infinity_level).all()
         assert np.isinf(q.dequantize(levels)).all()
 
     def test_negative_rate_rejected(self):
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
         with pytest.raises(ValueError):
-            truncated_exp_levels(np.array([-1.0]), 4, q, np.random.default_rng(0))
+            min_truncated_exp_levels(np.array([-1.0]), 1, 4, q, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        q = QuantConfig(truncation_L=8.0, quant_bits=3)
+        with pytest.raises(ValueError):
+            min_truncated_exp_levels(np.array([1.0]), count, 4, q, np.random.default_rng(0))
 
     def test_midpoint_rule(self):
         # L = 8 with 3 bits gives unit cells; a raw sample of 2.3 lands in
-        # cell 2 and dequantizes to the midpoint 2.5
+        # cell 2 and dequantizes to the midpoint 2.5.  For one draw at rate 1
+        # the inverse CDF gives 2.3 at u = (e^-2.3 - e^-8) / (1 - e^-8)
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
-
-        class StubRng:
-            def standard_exponential(self, size, out=None):
-                return np.full(size, 2.3)
-
-        levels = truncated_exp_levels(np.array([1.0]), 1, q, StubRng())
+        u = (math.exp(-2.3) - math.exp(-8.0)) / (1.0 - math.exp(-8.0))
+        levels = min_truncated_exp_levels(np.array([1.0]), 1, 1, q, StubRng(1.0 - u))
         assert levels.tolist() == [[2]]
         assert q.dequantize(levels).tolist() == [[2.5]]
+
+    @pytest.mark.parametrize("draw", [0.0, np.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("count", [1, 9, 4000])
+    @pytest.mark.parametrize("bits", [8, 31])
+    def test_extreme_uniforms_give_finite_levels(self, draw, count, bits):
+        # u = 1 - draw is 1 or 2^-53; rate * L spans a tiny product up to one
+        # where e^(-rate L) rounds to 0, and no step may warn
+        for L in (1e-3, 3.0, 60.0):
+            q = QuantConfig(truncation_L=L, quant_bits=bits)
+            rates = np.array([0.05, 1.0, 2.0, 40.0])
+            levels = min_truncated_exp_levels(rates, count, 5, q, StubRng(draw))
+            assert levels.dtype == q.level_dtype
+            assert (levels >= 0).all() and (levels < q.infinity_level).all()
+            if draw == 0.0:
+                assert (levels == 0).all()
 
     def test_truncation_is_resampling(self):
         # analytic identity behind the default rule: P(Exp(1) > 2 ln N) = N^-2
@@ -143,7 +172,7 @@ class TestQuantizedDraws:
         n = 1024
         q = QuantConfig.for_population(n)
         rng = np.random.default_rng(9)
-        levels = truncated_exp_levels(np.ones(100), 10_000, q, rng)
+        levels = min_truncated_exp_levels(np.ones(100), 1, 10_000, q, rng)
         mean = float(q.dequantize(levels).mean())
         L = q.truncation_L
         target = (1.0 - (L + 1.0) * math.exp(-L)) / (1.0 - math.exp(-L))
@@ -152,7 +181,7 @@ class TestQuantizedDraws:
     def test_level_never_reaches_sentinel_for_positive_rate(self):
         q = QuantConfig(truncation_L=1.0, quant_bits=2)
         rng = np.random.default_rng(3)
-        levels = truncated_exp_levels(np.full(4, 0.05), 500, q, rng)
+        levels = min_truncated_exp_levels(np.full(4, 0.05), 1, 500, q, rng)
         assert levels.max() < q.infinity_level
 
     def test_default_rule_cell_width(self):
@@ -166,21 +195,20 @@ class TestLevelDtype:
     def test_sentinel_fits_level_arrays(self, bits, dtype):
         q = QuantConfig(truncation_L=20.0, quant_bits=bits)
         assert q.level_dtype is dtype
-        levels = truncated_exp_levels(np.array([0.0, 1.0, 2.0]), 64, q, np.random.default_rng(bits))
+        rates = np.array([0.0, 1.0, 2.0])
+        levels = min_truncated_exp_levels(rates, 3, 64, q, np.random.default_rng(bits))
         assert levels.dtype == dtype
         assert (levels[0] == q.infinity_level).all() and q.infinity_level == 1 << bits
         assert levels[1:].max() < q.infinity_level
         z = q.dequantize(levels[1:])
         assert np.all((z > 0) & (z < q.truncation_L))
-        empty = min_truncated_exp_levels([1.0, 2.0], 3, q, iter(()))
-        assert empty.dtype == dtype and (empty == 1 << bits).all()
 
     def test_solver_budget_above_30_bits_draws(self):
         from netmoments.simulator import solve_budget
 
         _, q = solve_budget(0.1, 0.1, 150000)
         assert q.quant_bits == 31
-        levels = truncated_exp_levels(np.array([0.0, 1.0]), 8, q, np.random.default_rng(0))
+        levels = min_truncated_exp_levels(np.array([0.0, 1.0]), 1, 8, q, np.random.default_rng(0))
         assert levels[0, 0] == 1 << 31 and levels[1].max() < 1 << 31
 
     def test_sentinel_beyond_int64_rejected(self):
@@ -188,7 +216,44 @@ class TestLevelDtype:
             QuantConfig(truncation_L=1.0, quant_bits=63)
 
 
+# truncation lengths per member count: at L = 3 the rate 0.05 redraws most
+# oracle entries many times, which 4000 oracle generators cannot afford
+_KS_LENGTHS = {1: (3.0, 13.8), 2: (3.0, 13.8), 9: (3.0, 13.8), 4000: (40.0,)}
+
+
+class TestClosedFormKernel:
+    """The closed-form min of `count` truncated draws has the law of the
+    min over `count` generators that each truncate by resampling."""
+
+    RATES = (0.05, 0.134, 0.7, 1.0, 2.0)
+
+    @pytest.mark.parametrize("bits", [8, 19, 31, 33])
+    @pytest.mark.parametrize("count", sorted(_KS_LENGTHS))
+    def test_ks_against_resampling_oracle(self, bits, count):
+        rows, r2 = 8, 50  # 400 oracle samples per rate
+        rates = np.repeat([0.0, *self.RATES], rows)
+        for L in _KS_LENGTHS[count]:
+            quant = QuantConfig(truncation_L=L, quant_bits=bits)
+            seeds = np.random.SeedSequence((bits, count)).spawn(count + 1)
+            rng = np.random.default_rng(seeds[0])
+            got = min_truncated_exp_levels(rates, count, 5 * r2, quant, rng)
+            want = oracles.resampled_min_levels(
+                rates, r2, quant, (np.random.default_rng(s) for s in seeds[1:])
+            )
+            assert got.dtype == want.dtype == quant.level_dtype
+            assert (got[:rows] == quant.infinity_level).all()
+            assert (want[:rows] == quant.infinity_level).all()
+            assert got[rows:].max() < quant.infinity_level
+            for i in range(1, len(self.RATES) + 1):
+                block = slice(i * rows, (i + 1) * rows)
+                p = stats.ks_2samp(got[block].ravel(), want[block].ravel()).pvalue
+                assert p > 1e-3, (L, self.RATES[i - 1], p)
+
+
 class TestGroupedKernel:
+    """The resampling oracle: one generator's draws are pinned, and a group
+    of generators gives the elementwise min of their single draws."""
+
     # sha256 of the levels recorded from the kernel that resampled by
     # rescanning the whole array; at L = 3 the rates 0.05 and 0.134 redraw
     # most entries several times
@@ -200,8 +265,8 @@ class TestGroupedKernel:
     @pytest.mark.parametrize("bits, dtype", [(19, np.int32), (31, np.int64)])
     def test_heavy_resampling_digest(self, bits, dtype):
         quant = QuantConfig(truncation_L=3.0, quant_bits=bits)
-        levels = truncated_exp_levels(
-            [0.0, 0.05, 0.134, 1.0], 64, quant, np.random.default_rng(2012)
+        levels = oracles.resampled_min_levels(
+            [0.0, 0.05, 0.134, 1.0], 64, quant, [np.random.default_rng(2012)]
         )
         assert levels.dtype == dtype and levels.shape == (4, 64)
         assert hashlib.sha256(levels.tobytes()).hexdigest() == self.PINNED[bits]
@@ -216,11 +281,12 @@ class TestGroupedKernel:
             quant = QuantConfig(truncation_L=float(rng.uniform(1.0, 12.0)), quant_bits=bits)
             r2 = int(rng.integers(1, 40))
             seeds = rng.integers(2**63, size=n_rngs)
-            got = min_truncated_exp_levels(
+            got = oracles.resampled_min_levels(
                 rates, r2, quant, (np.random.default_rng(s) for s in seeds)
             )
             singles = [
-                truncated_exp_levels(rates, r2, quant, np.random.default_rng(s)) for s in seeds
+                oracles.resampled_min_levels(rates, r2, quant, [np.random.default_rng(s)])
+                for s in seeds
             ]
             assert got.dtype == quant.level_dtype
             assert all(lv.dtype == quant.level_dtype for lv in singles)
@@ -228,16 +294,18 @@ class TestGroupedKernel:
 
     def test_no_generators_is_all_infinite(self):
         quant = QuantConfig(truncation_L=4.0, quant_bits=12)
-        levels = min_truncated_exp_levels([0.5, 1.0], 8, quant, iter(()))
+        levels = oracles.resampled_min_levels([0.5, 1.0], 8, quant, iter(()))
         assert (levels == quant.infinity_level).all() and levels.shape == (2, 8)
 
 
 class TestMergeMin:
     """The sketch a node holds is the elementwise min over the initial
-    sketches of its heard-set, read off in one min-reduce.  Reading it off
-    a union of heard-sets must therefore obey the laws of merging sketches
-    by elementwise min: idempotent, with the all-infinite sketch as
-    identity, and free of order and grouping."""
+    sketches of its heard-set, drawn from the count of members per value
+    with one generator per value.  So it is free of member order, has the
+    empty heard-set (the all-infinite sketch) as identity, and the sketch of
+    a union of two member sets that share no value is the min of theirs.
+    Repeating members, or splitting a value's members between two halves,
+    changes the counts, so those laws hold only in distribution."""
 
     Q = QuantConfig(truncation_L=4.0, quant_bits=12)
     N, M, R2 = 12, 4, 6
@@ -247,36 +315,85 @@ class TestMergeMin:
         values = rng.integers(1, self.M + 1, size=self.N)
         rates = rng.uniform(0.2, 2.0, size=(self.M, 3))
         rates[rng.random(rates.shape) < 0.3] = 0.0
-        seeds = np.random.SeedSequence(seed).spawn(self.N)
-        return rng, lambda members: _heard_sketch(
+        seeds = np.random.SeedSequence(seed).spawn(self.M)
+        return rng, values, lambda members: _heard_sketch(
             rates, values, self.R2, self.Q, seeds, np.asarray(members, dtype=np.int64)
         )
 
-    def test_idempotent(self):
-        _, heard = self._setup(0)
-        members = [1, 4, 5, 9]
-        assert np.array_equal(heard(members + members), heard(members))
-
     def test_identity_element(self):
-        _, heard = self._setup(1)
+        _, _, heard = self._setup(1)
         empty = heard([])
         assert (empty == self.Q.infinity_level).all() and empty.shape == (3, self.R2)
+        assert empty.dtype == self.Q.level_dtype
         full = heard(range(self.N))
         assert np.array_equal(np.minimum(full, empty), full)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), order=st.permutations(range(12)))
     def test_merge_order_free(self, seed, order):
-        _, heard = self._setup(seed)
+        _, _, heard = self._setup(seed)
         assert np.array_equal(heard(order), heard(range(self.N)))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
-    def test_merge_grouping_free(self, seed):
-        rng, heard = self._setup(seed)
-        side = rng.random(self.N) < 0.5
-        a, b = np.flatnonzero(side), np.flatnonzero(~side)
+    def test_union_of_value_disjoint_sets(self, seed):
+        rng, values, heard = self._setup(seed)
+        side = rng.random(self.M + 1) < 0.5  # split the values, not the members
+        a = np.flatnonzero(side[values])
+        b = np.flatnonzero(~side[values])
         assert np.array_equal(heard(range(self.N)), np.minimum(heard(a), heard(b)))
+
+    def test_depends_only_on_counts_per_value(self):
+        _, values, heard = self._setup(3)
+        for v in np.unique(values):
+            holders = np.flatnonzero(values == v)
+            others = np.flatnonzero(values != v)
+            if holders.size < 2:
+                continue
+            # the same number of members per value, different members
+            one = np.concatenate([holders[:1], others])
+            two = np.concatenate([holders[1:2], others])
+            assert np.array_equal(heard(one), heard(two))
+
+
+@pytest.mark.slow
+class TestHeardSketchAgainstOracle:
+    """Harmonic estimates read off _heard_sketch, one generator per value,
+    against the node-by-node resampling oracle, over 300 seeds."""
+
+    N, M, SEEDS = 60, 6, 300
+
+    def _compare(self, rates_by_value, r2):
+        quant = QuantConfig.for_population(self.N)
+        rng = np.random.default_rng(1210)
+        values = rng.integers(1, self.M + 1, size=self.N)
+        members = np.flatnonzero(rng.random(self.N) < 0.8)
+        got, want = [], []
+        for seed in range(self.SEEDS):
+            value_seeds = np.random.SeedSequence((seed, 0)).spawn(self.M)
+            node_seeds = np.random.SeedSequence((seed, 1)).spawn(self.N)
+            got.append(harmonic_estimate(
+                _heard_sketch(rates_by_value, values, r2, quant, value_seeds, members), quant
+            ))
+            want.append(harmonic_estimate(
+                oracles.heard_sketch(rates_by_value, values, r2, quant, node_seeds, members), quant
+            ))
+        got, want = np.ravel(got), np.ravel(want)
+        se = math.sqrt((got.var() + want.var()) / got.size)
+        assert abs(got.mean() - want.mean()) < 4 * se
+        assert stats.ks_2samp(got, want).pvalue > 1e-3
+
+    def test_k2_sign_table(self):
+        rand = SharedRandomness(5, r1=4, r2=16, k=2)
+        self._compare((sign_table(rand, self.M).T > 0).astype(float), rand.r2)
+
+    def test_k3_root_table(self):
+        rand = SharedRandomness(6, r1=4, r2=16, k=3)
+        roots = root_table(rand, self.M).T
+        rates = np.concatenate(
+            [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(roots.shape)], axis=1
+        )
+        self._compare(rates, rand.r2)
 
 
 class TestHarmonic:

@@ -482,9 +482,12 @@ def _heard_sketch(
     their initial grids, where a node holding value v draws one row of r2
     levels per entry of rates_by_value[v - 1].  That min depends only on how
     many members hold each value, so it is drawn once per value present,
-    from value_seeds[v - 1], as the closed-form min of that many draws."""
+    from value_seeds[v - 1], as the closed-form min of that many draws.
+    `members` is read as a set: a node listed twice is counted once."""
     acc = np.full((rates_by_value.shape[1], r2), quant.infinity_level, dtype=quant.level_dtype)
-    counts = np.bincount(values[members] - 1, minlength=len(rates_by_value))
+    heard = np.zeros(values.size, dtype=bool)
+    heard[members] = True
+    counts = np.bincount(values[heard] - 1, minlength=len(rates_by_value))
     for v in np.flatnonzero(counts):
         rng = np.random.default_rng(value_seeds[v])
         levels = min_truncated_exp_levels(rates_by_value[v], counts[v], r2, quant, rng)

@@ -301,11 +301,12 @@ class TestGroupedKernel:
 class TestMergeMin:
     """The sketch a node holds is the elementwise min over the initial
     sketches of its heard-set, drawn from the count of members per value
-    with one generator per value.  So it is free of member order, has the
-    empty heard-set (the all-infinite sketch) as identity, and the sketch of
-    a union of two member sets that share no value is the min of theirs.
-    Repeating members, or splitting a value's members between two halves,
-    changes the counts, so those laws hold only in distribution."""
+    with one generator per value.  So it is idempotent in its members (the
+    heard-set is a set), free of member order, has the empty heard-set (the
+    all-infinite sketch) as identity, and merging by elementwise min over
+    member sets that share no value is free of grouping.  Splitting one
+    value's members between two sets changes the counts, so the law for
+    such a split holds only in distribution."""
 
     Q = QuantConfig(truncation_L=4.0, quant_bits=12)
     N, M, R2 = 12, 4, 6
@@ -319,6 +320,12 @@ class TestMergeMin:
         return rng, values, lambda members: _heard_sketch(
             rates, values, self.R2, self.Q, seeds, np.asarray(members, dtype=np.int64)
         )
+
+    def test_idempotent(self):
+        _, _, heard = self._setup(0)
+        members = [1, 4, 5, 9]
+        assert np.array_equal(heard(members + members), heard(members))
+        assert np.array_equal(heard(members + [4, 1]), heard(members))
 
     def test_identity_element(self):
         _, _, heard = self._setup(1)
@@ -336,12 +343,14 @@ class TestMergeMin:
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
-    def test_union_of_value_disjoint_sets(self, seed):
+    def test_merge_grouping_free(self, seed):
         rng, values, heard = self._setup(seed)
-        side = rng.random(self.M + 1) < 0.5  # split the values, not the members
-        a = np.flatnonzero(side[values])
-        b = np.flatnonzero(~side[values])
-        assert np.array_equal(heard(range(self.N)), np.minimum(heard(a), heard(b)))
+        side = rng.integers(3, size=self.M + 1)  # split the values, not the members
+        a, b, c = (np.flatnonzero(side[values] == s) for s in range(3))
+        full = heard(range(self.N))
+        assert np.array_equal(full, np.minimum(heard(a), heard(np.concatenate([b, c]))))
+        assert np.array_equal(full, np.minimum(heard(np.concatenate([a, b])), heard(c)))
+        assert np.array_equal(full, np.minimum(np.minimum(heard(a), heard(b)), heard(c)))
 
     def test_depends_only_on_counts_per_value(self):
         _, values, heard = self._setup(3)

@@ -177,6 +177,8 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     m = settings.get("alphabet")
     if m is None:
         raise ValueError("--alphabet is required")
+    if settings["jobs"] < 1:
+        raise ValueError(f"--jobs must be >= 1, got {settings['jobs']}")
     k = settings["k"]
     epsilon, delta = settings["epsilon"], settings["delta"]
     budget, quant = solve_budget(epsilon, delta, n, r1=settings.get("r1"), r2=settings.get("r2"))

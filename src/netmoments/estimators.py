@@ -5,6 +5,7 @@ estimates."""
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,20 @@ def estimate_f2(levels: np.ndarray, quant: QuantConfig, n_nodes: int) -> float:
     return f2_from_nplus(harmonic_estimate(levels, quant), n_nodes)
 
 
+def median(values) -> float:
+    """np.median of a 1-D sample, bit for bit, from one sort: the middle
+    value, or the mean of the two middle ones, and nan when any value is nan.
+    np.median imports numpy.ma on its first call, which would land inside a
+    timed run."""
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    mid = len(ordered) // 2
+    if len(ordered) == 0 or np.isnan(ordered[-1]):
+        return math.nan
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def estimate_fk(phases: np.ndarray, n_nodes: int, k: int) -> float:
     """Scaled k-th moment estimate (k >= 3) from completed bucket phases.
 
@@ -114,7 +129,7 @@ def estimate_fk(phases: np.ndarray, n_nodes: int, k: int) -> float:
     s_hat = (real - pop) + 1j * (imag - pop)
     per_t_p = np.real(s_hat**k).sum(axis=1)  # (s1, r1)
     per_t = per_t_p.mean(axis=1)
-    return float(np.median(per_t)) / float(n_nodes) ** k
+    return median(per_t) / float(n_nodes) ** k
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,14 @@
 in the connectivity and percolation regimes.
 
 The complete graph has no Topology: the protocols take it as its node count
-N, since its N (N - 1) adjacency entries would need 40 GB at N = 10^5."""
+N, since its N (N - 1) adjacency entries would need 40 GB at N = 10^5.
+
+An RGG's pairs come from a cell grid over the unit square: cells of side at
+least the radius, so a pair within range lies in one cell or two adjacent
+ones, and at most about N cells, so a tiny radius costs no more than N
+empty cells.  A pair is an edge iff dx*dx + dy*dy <= r*r, the test a k-d
+tree's pair query makes, so the graph does not depend on how pairs are
+found."""
 
 from __future__ import annotations
 
@@ -11,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.spatial import cKDTree
 
 # Radius-rule constants.  The scaling laws fix only the shape; these constants
 # are Monte Carlo calibrated: c = 2 makes N = 1000 instances connected in
@@ -35,7 +40,7 @@ class Topology:
 
     The neighbours of node u are indices[indptr[u]:indptr[u + 1]], ascending,
     and every edge is stored in the rows of both endpoints.  Everything else
-    (degrees, the edge list, scipy matrices) is derived from these arrays.
+    (degrees, the edge list) is derived from these arrays.
     """
 
     indptr: np.ndarray  # int64, n_nodes + 1 offsets
@@ -96,13 +101,6 @@ class Topology:
             if not np.array_equal(want, have):
                 raise ValueError("adjacency disagrees with the distance rule")
 
-    def as_csr(self) -> csr_matrix:
-        """A fresh scipy matrix of ones over the adjacency, built on each call.
-        Its data is float64, the type of the Aloha tag blocks it multiplies,
-        so no product upcasts."""
-        data = np.ones(len(self.indices), dtype=np.float64)
-        return csr_matrix((data, self.indices, self.indptr), shape=(self.n_nodes,) * 2)
-
 
 def _from_sorted_rows(n_nodes: int, rows, cols, positions=None, radius=None) -> Topology:
     """Topology from entries already in row-major order, each row ascending."""
@@ -159,8 +157,50 @@ def build_rgg(n_nodes: int, radius: float, rng: np.random.Generator) -> Topology
     if not (0.0 < radius <= math.sqrt(2.0)):
         raise ValueError("radius must lie in (0, sqrt(2)]")
     positions = rng.random((n_nodes, 2))
-    pairs = cKDTree(positions).query_pairs(radius, output_type="ndarray")
-    return from_edges(n_nodes, pairs, positions=positions, radius=radius)
+    return from_edges(n_nodes, _grid_pairs(positions, radius), positions=positions, radius=radius)
+
+
+# a cell's half stencil: itself and the four neighbours that follow it, so
+# each pair of adjacent cells is compared once
+_HALF_STENCIL = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _grid_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
+    """(E, 2) array of the pairs at distance <= radius among points in the
+    unit square, each pair once, in no particular order."""
+    n = len(positions)
+    # g cells a side: side 1/g exceeds the radius by a margin that float
+    # rounding of x*g cannot eat, and g*g stays near n
+    g = max(1, min(int(1.0 / (radius * (1.0 + 1e-9))), math.isqrt(n) + 1))
+    cx, cy = (np.minimum((positions * g).astype(np.int64), g - 1)).T
+    order = np.argsort(cx * g + cy, kind="stable")
+    cx, cy, xs, ys = cx[order], cy[order], positions[order, 0], positions[order, 1]
+    counts = np.bincount(cx * g + cy, minlength=g * g)
+    starts = np.cumsum(counts) - counts
+    r2 = radius * radius
+    ids = np.arange(n)
+    found = []
+    for ox, oy in _HALF_STENCIL:
+        nx, ny = cx + ox, cy + oy
+        inside = (nx < g) & (ny >= 0) & (ny < g)
+        cell = np.where(inside, nx * g + ny, 0)
+        lo = starts[cell]
+        hi = np.where(inside, lo + counts[cell], lo)
+        if ox == oy == 0:
+            lo = ids + 1  # the points after this one in its own cell
+        # point i meets the points j in lo[i]..hi[i] - 1, one row per pair
+        reps = np.maximum(hi - lo, 0)
+        j = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - lo, reps)
+        dx = np.repeat(xs, reps)
+        dx -= xs[j]
+        dx *= dx
+        dy = np.repeat(ys, reps)
+        dy -= ys[j]
+        dy *= dy
+        dx += dy
+        near = dx <= r2
+        found.append(np.column_stack((order[np.repeat(ids, reps)[near]], order[j[near]])))
+    return np.concatenate(found)
 
 
 @dataclass

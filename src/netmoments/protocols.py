@@ -7,11 +7,13 @@ an int.  K_N is never stored: row u of its adjacency is 0..u-1, u+1..N-1, so
 the gossip picker finds a neighbour by arithmetic, and Aloha, which would
 need the whole adjacency, rejects it.
 
-Aloha runs in blocks of slots: one draw gives a block's transmit masks, one
-sparse product of the adjacency with the block's sender tags gives every
-slot's receivers and senders, and deliveries into nodes already full are
-dropped, since they change nothing.  The spread, and where it leaves the
-generator, are those of one mask and one product per slot.
+Aloha runs in blocks of up to 32 slots: one draw gives a block's transmit
+masks, packed into one uint32 word per node with bit s for slot s.  Bitwise
+ORs and ANDs over each node's neighbour words give the slots in which
+exactly one neighbour transmits, and a scan of the receiver's row names that
+neighbour.  Deliveries into nodes already full are dropped, since they
+change nothing.  The spread, and where it leaves the generator, are those
+of one mask per slot.
 
 Spreading carries no sketch state.  A node's min-sketch is the elementwise
 min of the initial sketches in its heard-set, so callers read sketches off
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .network import Topology
 
@@ -121,33 +122,85 @@ class _GossipPicker:
         return self.nodes[pos], self.nbrs[pos]
 
 
-_ALOHA_BLOCK = 32  # Aloha slots per mask draw and per sparse product
+_ALOHA_BLOCK = 32  # Aloha slots per mask draw: one bit of a node's uint32 word each
 
-# an Aloha tag is _TAG_BASE + id + 1: a node's sum over its transmitting
-# neighbours is 0 with none, that neighbour's tag, in (_TAG_BASE, 2 _TAG_BASE),
-# with one, and more than 2 _TAG_BASE with two or more
-_TAG_BASE = float(1 << 26)
+
+def _degree_classes(topo: Topology) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The nodes with neighbours, grouped by degree rounded up to a power of
+    two w: per class, its nodes ascending and a (w, nodes) table whose column
+    j lists the neighbours of the class's node j, padded with the id n of a
+    sentinel that never transmits."""
+    n = topo.n_nodes
+    deg = np.diff(topo.indptr)
+    # class c holds the degrees in (2^(c - 1), 2^c]; isolated nodes have none
+    has = deg > 0
+    cls = np.full(n, -1, dtype=np.int64)
+    cls[has] = np.ceil(np.log2(deg[has]))
+    classes = []
+    for c in np.flatnonzero(np.bincount(cls[has])).tolist():
+        rows = np.flatnonzero(cls == c)
+        w = 1 << c
+        d = deg[rows]
+        col = np.repeat(np.arange(len(rows)), d)
+        at = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
+        table = np.full((w, len(rows)), n, dtype=np.intp)
+        table[at, col] = topo.indices[np.repeat(topo.indptr[rows], d) + at]
+        classes.append((rows, table))
+    return classes
 
 
 def _aloha_block(
-    adj: csr_matrix, tx: np.ndarray, skip: np.ndarray
+    topo: Topology,
+    classes: list[tuple[np.ndarray, np.ndarray]],
+    tx: np.ndarray,
+    skip: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deliveries of the Aloha slots whose transmit masks are the rows of the
-    (b, n) boolean array tx, over the float64 adjacency matrix adj
-    (Topology.as_csr), as arrays (slot, sender, receiver): in slot order,
-    receivers ascending within a slot, and none into a node marked in skip.
+    (b, n) boolean array tx, b <= 32, over topo and its _degree_classes, as
+    arrays (slot, sender, receiver): in slot order, receivers ascending
+    within a slot, and none into a node marked in skip.
 
     A node receives a broadcast iff it is silent and has exactly one
     transmitting neighbor; everything else collides.
     """
-    tags = _TAG_BASE + 1.0 + np.arange(tx.shape[1], dtype=np.float64)
-    # one product for all b slots.  Tags are integers below 2^27 and a sum
-    # has at most n of them, so for n <= 2^26 every partial sum is an integer
-    # below 2^53 and the float64 arithmetic is exact; the heard-sets of 2^26
-    # nodes would take 2^49 bytes.
-    sums = (adj @ np.where(tx, tags, 0.0).T.copy()).T
-    slot, receiver = np.nonzero((sums > 0.0) & (sums < 2 * _TAG_BASE) & ~tx & ~skip)
-    sender = (sums[slot, receiver] - (_TAG_BASE + 1.0)).astype(np.int64)
+    n = topo.n_nodes
+    # bit s of words[u] says whether u transmits in slot s; words[n] = 0
+    packed = np.zeros((n + 1, 4), dtype=np.uint8)
+    packed[:n, : (len(tx) + 7) // 8] = np.packbits(
+        np.ascontiguousarray(tx.T), axis=1, bitorder="little"
+    )
+    words = packed.view("<u4").ravel()
+    # bit s of single[v]: exactly one neighbour of v transmits in slot s.
+    # Per class, a pairwise tree over the neighbour words keeps the bits set
+    # at least once and at least twice.
+    single = np.zeros(n, dtype=np.uint32)
+    for rows, table in classes:
+        once, twice = words.take(table), None
+        while len(once) > 1:
+            half = len(once) // 2
+            lo, hi = once[:half], once[half:]
+            both = lo & hi
+            if twice is not None:
+                both |= twice[:half]
+                both |= twice[half:]
+            lo |= hi
+            once, twice = lo, both
+        single[rows] = once[0] if twice is None else once[0] & ~twice[0]
+    single &= ~words[:n]
+    single[skip] = 0
+    # the set bits in slot-major order: transposed, row s of bits is slot s
+    hit_rows = np.flatnonzero(single)
+    bits = np.unpackbits(single[hit_rows].astype("<u4").view(np.uint8), bitorder="little")
+    slot, at = np.divmod(np.flatnonzero(bits.reshape(-1, 32).T), len(hit_rows))
+    receiver = hit_rows[at]
+    # each receiver's sender: the one neighbour whose word has the slot's bit,
+    # found by one scan over the receivers' rows
+    start = topo.indptr[receiver]
+    deg = topo.indptr[receiver + 1] - start
+    entry = np.arange(deg.sum()) + np.repeat(start - (np.cumsum(deg) - deg), deg)
+    nbrs = topo.indices.take(entry)
+    slot_bit = np.repeat(np.left_shift(np.uint32(1), slot.astype(np.uint32)), deg)
+    sender = nbrs[(words.take(nbrs) & slot_bit) != 0]
     return slot, sender, receiver
 
 
@@ -213,7 +266,7 @@ def _spread_aloha(
     would leave it.
     """
     n = len(heard)
-    adj = topo.as_csr()
+    classes = _degree_classes(topo)
     full = (1 << n) - 1
     is_full = np.zeros(n, dtype=bool)
     n_full = 0
@@ -225,7 +278,7 @@ def _spread_aloha(
         b = min(_ALOHA_BLOCK, max_steps - steps)
         state = rng.bit_generator.state
         tx = rng.random((b, n)) < p_n
-        slots, senders, receivers = _aloha_block(adj, tx, is_full)
+        slots, senders, receivers = _aloha_block(topo, classes, tx, is_full)
         used = b
         # a slot's receivers are distinct and never send in that slot, and a
         # delivery into a node that is full changes nothing, so applying the

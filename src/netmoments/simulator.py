@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # numpy loads it on first use; load it with the package
 
 from . import estimators, network, protocols, sketch_core
 from .estimators import Dataset, ErrorBudget, exact_fk
@@ -394,7 +395,7 @@ class ExperimentReport:
             "trials_rejected": len(self.rejected_trials),
             "non_converged": self.non_converged,
             "total_bits": int(sum(r.bits for r in self.results)),
-            "median_steps": float(np.median(steps)) if steps else 0.0,
+            "median_steps": estimators.median(steps) if steps else 0.0,
             "mean_steps": float(np.mean(steps)) if steps else 0.0,
             "mean_abs_error": float(np.mean(errors)) if errors else 0.0,
             "max_abs_error": float(np.max(errors)) if errors else 0.0,

@@ -13,6 +13,7 @@ from collections import deque
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.spatial import cKDTree
 
 from netmoments.network import Topology
 from netmoments.protocols import SpreadReport
@@ -63,6 +64,14 @@ def complete_topology(n_nodes: int) -> Topology:
         row[:u] = ids[:u]
         row[u:] = ids[u + 1 :]
     return Topology(np.arange(n_nodes + 1, dtype=np.int64) * (n_nodes - 1), indices)
+
+
+def kdtree_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
+    """(E, 2) array of the pairs u < v at distance <= radius, in row-major
+    order, from scipy's k-d tree pair query: the oracle for the cell grid
+    of network.build_rgg."""
+    pairs = cKDTree(positions).query_pairs(radius, output_type="ndarray")
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 def bfs_components(n: int, adjacency) -> np.ndarray:
@@ -173,6 +182,12 @@ def aloha_deliveries(adjacency, transmitting) -> set[tuple[int, int]]:
     return out
 
 
+def uint64_adjacency(topo: Topology) -> csr_matrix:
+    """The adjacency of topo as a scipy matrix of uint64 ones."""
+    data = np.ones(len(topo.indices), dtype=np.uint64)
+    return csr_matrix((data, topo.indices, topo.indptr), shape=(topo.n_nodes,) * 2)
+
+
 def aloha_slot_events(adj: csr_matrix, tx: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """One Aloha slot under the transmit mask tx, over a uint64 adjacency
     matrix: (sender ids, deliveries), each receiver at most once."""
@@ -199,8 +214,7 @@ def aloha_spread(
     uint64 matvec per slot, every delivery applied.  The oracle for the
     block-of-slots loop of run_spreading."""
     n = topo.n_nodes
-    data = np.ones(len(topo.indices), dtype=np.uint64)
-    adj = csr_matrix((data, topo.indices, topo.indptr), shape=(n, n))
+    adj = uint64_adjacency(topo)
     heard = [1 << u for u in range(n)]
     full = (1 << n) - 1
     steps = messages = 0

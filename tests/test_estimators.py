@@ -13,6 +13,7 @@ from netmoments.estimators import (
     exact_fk,
     exact_nplus,
     f2_from_nplus,
+    median,
     oracle_record,
 )
 from netmoments.sketch_core import QuantConfig, SharedRandomness, sign_map_eval
@@ -240,3 +241,29 @@ class TestOracleRecord:
         d2 = Dataset([1, 2, 3], 4)
         assert d1.digest() == d2.digest()
         assert d1.digest() != Dataset([1, 2, 3], 5).digest()
+
+
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 10, 101])
+    def test_equals_np_median_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        samples = [
+            rng.standard_normal(size),
+            rng.integers(0, 10**6, size),
+            rng.standard_normal(size) * 1e300,
+            np.round(rng.standard_normal(size), 1),  # ties
+        ]
+        if size >= 2:
+            inf = rng.standard_normal(size)
+            inf[: size // 2 + 1] = np.inf
+            samples.append(inf)
+            nan = rng.standard_normal(size)
+            nan[rng.integers(size)] = np.nan
+            samples.append(nan)
+        for sample in samples:
+            got, want = median(sample), float(np.median(sample))
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_accepts_a_list_of_ints(self):
+        assert median([7, 1, 4, 2]) == 3.0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from netmoments.network import (
     DEFAULT_CONNECTIVITY_C,
+    _grid_pairs,
     build_rgg,
     connectivity_radius,
     cycle_topology,
@@ -21,7 +22,23 @@ from netmoments.network import (
     write_edge_list,
 )
 
-from oracles import bfs_components, complete_topology, neighbor_lists
+from oracles import bfs_components, complete_topology, kdtree_pairs, neighbor_lists
+
+
+def _row_major(pairs):
+    """Pairs as u < v rows in row-major order, duplicates kept."""
+    pairs = np.sort(np.asarray(pairs).reshape(-1, 2), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+# (N, radius rule, seeds): the large radii put every pair in one or a few
+# cells, so at N = 5000 they would make 10^7 pairs; they run at N <= 800
+_GRID_CASES = [
+    (n, rule, seeds)
+    for n, seeds in ((2, 30), (80, 30), (150, 20), (800, 6), (5000, 3))
+    for rule in ("connectivity", "percolation", 0.9, 1.2)
+    if n <= 800 or isinstance(rule, str)
+]
 
 
 class TestRadii:
@@ -109,6 +126,34 @@ class TestRgg:
             }
             assert previous <= pairs
             previous = pairs
+
+
+class TestGridPairs:
+    @pytest.mark.parametrize("n, rule, seeds", _GRID_CASES)
+    def test_matches_kdtree(self, n, rule, seeds):
+        radius = {"connectivity": connectivity_radius, "percolation": percolation_radius}.get(
+            rule, lambda _: rule
+        )(n)
+        for seed in range(seeds):
+            topo = build_rgg(n, radius, np.random.default_rng(seed))
+            want = kdtree_pairs(topo.positions, radius)
+            assert np.array_equal(_row_major(_grid_pairs(topo.positions, radius)), want)
+            assert np.array_equal(topo.edges(), want)
+
+    @pytest.mark.parametrize("k", [3, 7, 10, 31])
+    def test_lattice_ties_match_kdtree(self, k):
+        # points on a k x k lattice sit on cell borders and at distances equal
+        # to the radius up to rounding, so the <= test decides every tie
+        ticks = np.arange(k) / k
+        positions = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+        for radius in (1 / k, 2 / k, math.sqrt(2) / k, math.sqrt(5) / k, 0.5):
+            got = _row_major(_grid_pairs(positions, radius))
+            assert np.array_equal(got, kdtree_pairs(positions, radius))
+
+    def test_tiny_radius_grid_is_capped(self):
+        # 1/r cells a side would be 10^18 cells; the cap keeps about N
+        positions = np.random.default_rng(1).random((10_000, 2))
+        assert _grid_pairs(positions, 1e-9).shape == (0, 2)
 
 
 class TestTopology:

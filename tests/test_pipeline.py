@@ -16,12 +16,16 @@ import dataclasses
 import hashlib
 import json
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netmoments
 from netmoments import cli
 from netmoments.estimators import ErrorBudget
 from netmoments.protocols import ALOHA, EXCHANGE, PUSH, SpreadConfig, default_max_steps
@@ -340,6 +344,13 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "c > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_config_error(self, tmp_path, capsys, jobs):
+        code, out = _run(tmp_path, "jobs", [*_SMALL, "--jobs", jobs])
+        assert code == cli.EXIT_CONFIG
+        assert "--jobs" in capsys.readouterr().err
+        assert not (out / "effective.cfg").exists()
+
     def test_infeasible_budget(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",
                                          "--epsilon", "0.001", "--delta", "0.001"])
@@ -376,6 +387,47 @@ class TestExitCodes:
             code = cli.main(argv)
         assert code == cli.EXIT_CONFIG
         assert "aloha" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: import the CLI, then list the modules that
+# each run imports between the entry of run_experiment and the return of
+# cli.main.  Module loading belongs before the run, and scipy not at all.
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import netmoments.cli as cli
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+entry = {}
+run_experiment = cli.run_experiment
+def probe(*args, **kwargs):
+    entry["modules"] = set(sys.modules)
+    return run_experiment(*args, **kwargs)
+cli.run_experiment = probe
+late = {}
+for name, argv in json.loads(sys.argv[2]).items():
+    code = cli.main(argv)
+    late[name] = [code, sorted(set(sys.modules) - entry["modules"])]
+print(json.dumps({"scipy": scipy, "late": late}))
+"""
+
+
+class TestImports:
+    def test_no_scipy_and_no_import_inside_a_run(self, tmp_path):
+        common = ["--nodes", "60", "--alphabet", "5", "--network", "rgg-connected",
+                  "--r1", "2", "--r2", "4", "--seed", "3"]
+        runs = {
+            "k3-gossip": ["run", *common, "--k", "3", "--s1", "1", "--buckets", "2",
+                          "--protocol", "gossip", "--out", str(tmp_path / "gossip")],
+            "k2-aloha": ["run", *common, "--protocol", "aloha", "--out", str(tmp_path / "aloha")],
+        }
+        src = str(Path(netmoments.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, src, json.dumps(runs)],
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["scipy"] == []
+        assert result["late"] == {"k3-gossip": [0, []], "k2-aloha": [0, []]}
 
 
 class TestSolveBudget:

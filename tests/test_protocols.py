@@ -13,6 +13,7 @@ from netmoments.protocols import (
     PUSH,
     SpreadConfig,
     _aloha_block,
+    _degree_classes,
     _GossipPicker,
     default_max_steps,
     default_p_n,
@@ -20,7 +21,13 @@ from netmoments.protocols import (
     run_spreading,
 )
 
-from oracles import aloha_deliveries, aloha_spread, complete_topology
+from oracles import (
+    aloha_deliveries,
+    aloha_slot_events,
+    aloha_spread,
+    complete_topology,
+    uint64_adjacency,
+)
 
 
 def _graphs():
@@ -45,11 +52,11 @@ def _block_rows(topo, masks, skip=None):
     list per mask, after checking the slot-major, receiver-ascending order."""
     n = topo.n_nodes
     skip = np.zeros(n, dtype=bool) if skip is None else skip
-    adj = topo.as_csr()
+    classes = _degree_classes(topo)
     rows = []
     for at in range(0, len(masks), _ALOHA_BLOCK):
         tx = np.array(masks[at : at + _ALOHA_BLOCK], dtype=bool).reshape(-1, n)
-        slot, sender, receiver = _aloha_block(adj, tx, skip)
+        slot, sender, receiver = _aloha_block(topo, classes, tx, skip)
         keys = slot * n + receiver
         assert np.all(np.diff(keys) > 0)
         block = [[] for _ in tx]
@@ -83,6 +90,33 @@ class TestAlohaRule:
         masks.extend(rng.random(n) < rng.random() for _ in range(2000))
         for tx, row in zip(masks, _block_rows(topo, masks)):
             assert set(row) == aloha_deliveries(_neighbors(topo), tx)
+
+    @pytest.mark.parametrize("n_masks", [1, 5, 31, 32, 33, 3 * _ALOHA_BLOCK + 7])
+    def test_mixed_degree_classes_match_brute_force(self, n_masks):
+        # a 40-leaf star (degree 40, class 64, and 40 leaves of degree 1), an
+        # 8-node path (degrees 1 and 2) and an isolated node; n_masks not a
+        # multiple of 32 leaves a last block of b < 32 slots
+        edges = [(0, v) for v in range(1, 41)] + [(u, u + 1) for u in range(41, 48)]
+        topo = from_edges(50, edges)
+        widths = sorted(table.shape[0] for _, table in _degree_classes(topo))
+        assert widths == [1, 2, 64]
+        rng = np.random.default_rng(n_masks)
+        masks = [rng.random(50) < rng.random() for _ in range(n_masks)]
+        is_full = rng.random(50) < 0.2
+        for tx, row in zip(masks, _block_rows(topo, masks, is_full)):
+            want = {(u, v) for u, v in aloha_deliveries(_neighbors(topo), tx) if not is_full[v]}
+            assert set(row) == want
+
+    @pytest.mark.parametrize("n, p", [(300, None), (800, None), (800, 0.3)])
+    def test_rgg_blocks_match_slot_oracle(self, n, p):
+        # connectivity-regime RGGs span several degree classes; the oracle is
+        # one uint64 sparse matvec per slot
+        topo = build_connected_rgg(n, 0.12, np.random.default_rng(n))
+        adj = uint64_adjacency(topo)
+        rng = np.random.default_rng(7)
+        masks = [rng.random(n) < (default_p_n(n) if p is None else p) for _ in range(70)]
+        for tx, row in zip(masks, _block_rows(topo, masks)):
+            assert row == aloha_slot_events(adj, tx)[1]
 
     @pytest.mark.parametrize("name", sorted(_graphs()))
     def test_no_delivery_into_node_marked_full(self, name):

@@ -10,10 +10,10 @@ from .estimators import (
     ErrorBudget,
     Histogram,
     ams_reference_f2,
-    estimate_f2,
     estimate_fk,
     exact_fk,
     exact_nplus,
+    f2_from_nplus,
 )
 from .network import (
     ComponentReport,
@@ -35,8 +35,7 @@ from .simulator import (
     ExperimentReport,
     TrialResult,
     run_experiment,
-    run_f2_trial,
-    run_fk_trial,
+    run_trial,
     solve_budget,
 )
 from .sketch_core import (

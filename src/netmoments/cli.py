@@ -1,8 +1,10 @@
 """Command-line front end: dataset generation, experiment execution, parameter
 sweeps, spreading-time studies, and exact-oracle queries.
 
-Every subcommand echoes its fully resolved configuration; re-running from that
-echo (or from the effective.cfg it writes) reproduces outputs byte for byte.
+Every subcommand echoes its fully resolved configuration, the seed included;
+re-running from that echo reproduces outputs byte for byte.  run, sweep and
+spreading-time also write the echo as effective.cfg into their --out
+directory.
 Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
 4 non-convergence beyond tolerance.
 """
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import network, protocols, simulator
+from . import protocols, simulator
 from .estimators import exact_fk, Histogram, oracle_record
 from .protocols import SpreadConfig, empirical_quantile, measure_spreading
 from .simulator import (
@@ -171,6 +173,10 @@ _RUN_KEYS = (
     "protocol p_n data buckets s1 trials seed jobs format beta max_steps exchange_mode"
 ).split()
 
+_SPREADING_KEYS = (
+    "nodes network protocol p_n radius_c trials beta max_steps exchange_mode seed"
+).split()
+
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
     n = int(settings["nodes"])
@@ -295,30 +301,32 @@ def cmd_sweep(args) -> int:
     values = settings.get("values")
     if not param or not values:
         raise ValueError("sweep needs --param and --values")
-    param = param.replace("-", "_")
+    param = settings["param"] = param.replace("-", "_")
     if param not in _SCHEMA:
         raise ValueError(f"unknown sweep parameter {param!r}")
     out_root = Path(settings.get("out") or "sweep-out")
-    rows = []
+    points = []
     for raw in values.split(","):
         point = dict(settings)
         point[param] = _SCHEMA[param](raw.strip())
-        cfg = _experiment_config(point)
+        points.append((raw.strip(), _experiment_config(point)))
+    out_root.mkdir(parents=True, exist_ok=True)
+    _echo_config(settings, (*_RUN_KEYS, "param", "values"), out_root)
+    rows = []
+    for raw, cfg in points:
         report = run_experiment(cfg, jobs=settings["jobs"])
-        sub = out_root / f"{param}={raw.strip()}"
-        _write_report(report, sub, settings["format"])
+        _write_report(report, out_root / f"{param}={raw}", settings["format"])
         agg = report.aggregates()
         rows.append(
             (
-                raw.strip(),
+                raw,
                 report.empirical_success_rate,
                 agg["mean_abs_error"],
                 agg["median_steps"],
                 agg["total_bits"],
             )
         )
-        print(f"{param}={raw.strip()}: success {report.empirical_success_rate:.3f}")
-    out_root.mkdir(parents=True, exist_ok=True)
+        print(f"{param}={raw}: success {report.empirical_success_rate:.3f}")
     with open(out_root / "summary.csv", "w") as fh:
         fh.write(f"{param},success_rate,mean_abs_error,median_steps,total_bits\n")
         for row in rows:
@@ -333,46 +341,51 @@ def cmd_spreading_time(args) -> int:
         raise ValueError("spreading-time needs --nodes (comma list allowed)")
     sizes = [int(x) for x in str(settings["nodes"]).split(",")]
     trials = settings["trials"]
-    beta = settings["beta"]
-    keys = ("nodes", "network", "protocol", "p_n", "radius_c", "trials", "beta", "seed", "out")
-    simulator.check_network_protocol(settings["network"], settings["protocol"])
-    _echo_config(settings, keys)
+    kind, graph_path = simulator.parse_network(settings["network"])
+    simulator.check_network_protocol(kind, settings["protocol"])
+    if settings.get("radius_c") is None:
+        settings["radius_c"] = simulator.default_radius_c(kind)
+    given_p_n = settings.get("p_n")
+    p_ns = [
+        protocols.default_p_n(n, percolating=kind == "rgg-percolating")
+        if given_p_n is None
+        else given_p_n
+        for n in sizes
+    ]
+    if len(set(p_ns)) == 1:
+        settings["p_n"] = p_ns[0]  # one value for every size, so the echo can pin it
+    cfg = SpreadConfig(
+        beta=settings["beta"],
+        max_steps=settings.get("max_steps"),
+        exchange_mode=settings["exchange_mode"],
+    )
+    out_dir = Path(settings["out"]) if settings.get("out") else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    _echo_config(settings, _SPREADING_KEYS, out_dir)
     rows = []
-    for idx, n in enumerate(sizes):
+    for idx, (n, p_n) in enumerate(zip(sizes, p_ns)):
+        # one generator per size draws the graph, then every trial on it
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], idx)))
-        if settings["network"] == "complete":
-            topo = n  # run_spreading takes the complete graph as its node count
-        elif settings["network"] == "rgg-connected":
-            radius_c = settings.get("radius_c")
-            radius = network.connectivity_radius(
-                n, network.DEFAULT_CONNECTIVITY_C if radius_c is None else radius_c
-            )
-            topo = network.build_connected_rgg(n, radius, rng)
-        else:
-            raise ValueError("spreading-time supports complete and rgg-connected networks")
-        cfg = SpreadConfig(
-            beta=beta,
-            max_steps=settings.get("max_steps"),
-            exchange_mode=settings["exchange_mode"],
-        )
         try:
-            m = measure_spreading(
-                topo, settings["protocol"], cfg, trials, rng, p_n=settings.get("p_n")
-            )
+            topo, ids, _ = simulator.build_topology(kind, n, settings["radius_c"], graph_path, rng)
+        except simulator.TrialRejected as exc:
+            raise ValueError(f"N={n}: {exc}, under half") from None
+        try:
+            m = measure_spreading(topo, settings["protocol"], cfg, trials, rng, p_n=p_n)
         except RuntimeError as exc:  # no trial finished within the step cap
             print(f"N={n}: {exc}", file=sys.stderr)
             return EXIT_NONCONVERGED
         median = empirical_quantile(m.steps, 0.5)
         mean = float(np.mean(m.steps))
         rows.append((n, m.quantile_steps, median, mean, m.completed_trials))
+        giant = f" giant={len(ids)}" if len(ids) != n else ""
         print(
-            f"N={n}: quantile(1-beta)={m.quantile_steps} median={median} "
+            f"N={n}:{giant} quantile(1-beta)={m.quantile_steps} median={median} "
             f"mean={mean:.1f} completed={m.completed_trials}/{trials}"
         )
     header = "n_nodes,quantile_steps,median_steps,mean_steps,completed_trials"
-    if settings.get("out"):
-        out_dir = Path(settings["out"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         with open(out_dir / "spreading_time.csv", "w") as fh:
             fh.write(header + "\n")
             for row in rows:
@@ -436,7 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spreading-time", help="measure empirical spreading time vs N")
     _add_common_flags(p)
-    p.add_argument("--network", type=str, choices=("complete", "rgg-connected"))
+    p.add_argument(
+        "--network",
+        type=str,
+        help="complete | graph:PATH | rgg-connected | rgg-percolating (its giant component)",
+    )
     p.add_argument("--protocol", type=str, choices=protocols.PROTOCOLS)
     p.add_argument("--p-n", dest="p_n", type=float)
     p.add_argument("--radius-c", dest="radius_c", type=float)

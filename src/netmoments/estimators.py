@@ -1,6 +1,6 @@
-"""Exact moment oracles, the reference streaming estimator, and the sketch-based
-estimators that turn converged sketch level arrays into scaled moment
-estimates."""
+"""Exact moment oracles, the reference streaming estimator, and the
+estimators that turn the harmonic population estimates read off converged
+sketches into scaled moment estimates."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch_core import QuantConfig, SharedRandomness, harmonic_estimate, sign_table
+from .sketch_core import SharedRandomness, sign_table
 
 
 @dataclass
@@ -92,12 +92,6 @@ def ams_reference_f2(d: Dataset, rand: SharedRandomness) -> float:
     return float(np.mean((2.0 * nplus - n) ** 2))
 
 
-def estimate_f2(levels: np.ndarray, quant: QuantConfig, n_nodes: int) -> float:
-    """Scaled second-moment estimate from a fully converged (r1, r2) sign
-    sketch: one harmonic population estimate N_+ per outer map."""
-    return f2_from_nplus(harmonic_estimate(levels, quant), n_nodes)
-
-
 def median(values) -> float:
     """np.median of a 1-D sample, bit for bit, from one sort: the middle
     value, or the mean of the two middle ones, and nan when any value is nan.
@@ -124,7 +118,7 @@ def estimate_fk(phases: np.ndarray, n_nodes: int, k: int) -> float:
     bucket maps.
     """
     if k < 3:
-        raise ValueError("estimate_fk handles k >= 3; use estimate_f2 for k = 2")
+        raise ValueError("estimate_fk handles k >= 3; use f2_from_nplus for k = 2")
     real, imag, pop = np.moveaxis(phases, 2, 0)
     s_hat = (real - pop) + 1j * (imag - pop)
     per_t_p = np.real(s_hat**k).sum(axis=1)  # (s1, r1)

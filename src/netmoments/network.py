@@ -56,12 +56,6 @@ class Topology:
     def num_edges(self) -> int:
         return len(self.indices) // 2
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
     def _rows(self) -> np.ndarray:
         """The owning node of each entry of indices."""
         return np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
@@ -71,35 +65,6 @@ class Topology:
         rows = self._rows()
         upper = rows < self.indices
         return np.column_stack((rows[upper], self.indices[upper]))
-
-    def validate(self) -> None:
-        """Exhaustive structural check: well-formed ascending rows, no
-        self-loops, symmetric adjacency, and (when positions are present)
-        edge iff distance <= radius."""
-        n = self.n_nodes
-        rows, cols = self._rows(), self.indices.astype(np.int64)
-        if self.indptr[0] != 0 or len(rows) != len(cols):
-            raise ValueError("indptr does not delimit indices")
-        if np.any((cols < 0) | (cols >= n)):
-            raise ValueError("neighbour id out of range")
-        keys = rows * n + cols
-        if np.any(np.diff(keys) <= 0):
-            raise ValueError("rows are not strictly ascending")
-        if np.any(rows == cols):
-            raise ValueError(f"self-loop at node {rows[rows == cols][0]}")
-        if not np.array_equal(keys, np.sort(cols * n + rows)):
-            raise ValueError("asymmetric adjacency")
-        if self.positions is not None:
-            if self.radius is None:
-                raise ValueError("positions given without a radius")
-            diff = self.positions[:, None, :] - self.positions[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
-            want = dist <= self.radius
-            np.fill_diagonal(want, False)
-            have = np.zeros((n, n), dtype=bool)
-            have[rows, cols] = True
-            if not np.array_equal(want, have):
-                raise ValueError("adjacency disagrees with the distance rule")
 
 
 def _from_sorted_rows(n_nodes: int, rows, cols, positions=None, radius=None) -> Topology:
@@ -129,10 +94,6 @@ def from_edges(
     keys = np.sort(np.concatenate((u * n_nodes + v, v * n_nodes + u)))
     keys = keys[np.diff(keys, prepend=-1) != 0]
     return _from_sorted_rows(n_nodes, keys // n_nodes, keys % n_nodes, positions, radius)
-
-
-def cycle_topology(n_nodes: int) -> Topology:
-    return from_edges(n_nodes, [(u, (u + 1) % n_nodes) for u in range(n_nodes)])
 
 
 def connectivity_radius(n_nodes: int, c: float = DEFAULT_CONNECTIVITY_C) -> float:

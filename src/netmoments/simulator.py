@@ -1,7 +1,14 @@
-"""Experiment orchestration: data assignment, spreading to full
-dissemination, sketches read off node 0's heard-set, sequential bucket phases
-for higher moments, percolation trials, and (epsilon, delta) accounting
-across trials."""
+"""Experiment orchestration: one trial pipeline for every k and every
+network, and (epsilon, delta) accounting across trials.
+
+A trial assigns data, derives the shared maps and builds the network once;
+on a percolating network the trial runs on the giant component, or is
+rejected when the giant holds under half the nodes.  Then it runs its phases
+in sequence: one for k = 2, one per (bucket map, bucket) for k >= 3.  Each
+phase spreads from scratch and reads node 0's sketch off its heard-set, one
+closed-form draw per value present.  The per-phase harmonic estimates give
+F_2 / N^2 from the sign sums, or F_k / N^k from the bucket phases, scaled by
+the participant count."""
 
 from __future__ import annotations
 
@@ -15,9 +22,13 @@ import numpy.random  # numpy loads it on first use; load it with the package
 
 from . import estimators, network, protocols, sketch_core
 from .estimators import Dataset, ErrorBudget, exact_fk
-from .network import Topology
 from .protocols import SpreadConfig, heard_ids, run_spreading
-from .sketch_core import QuantConfig, SharedRandomness, min_truncated_exp_levels
+from .sketch_core import (
+    QuantConfig,
+    SharedRandomness,
+    harmonic_estimate,
+    min_truncated_exp_levels,
+)
 
 NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
 DATA_KINDS = ("pointmass", "uniform", "zipf", "file")
@@ -191,10 +202,35 @@ def check_network_protocol(network_kind: str, protocol: str) -> None:
         raise ValueError("aloha needs a spatial network; the complete graph supports gossip only")
 
 
+def parse_network(spec: str, graph_path: str | None = None) -> tuple[str, str | None]:
+    """(kind, graph path) of complete | rgg-connected | rgg-percolating |
+    graph:PATH; the kind "graph" may also come with its path given apart."""
+    if spec.startswith("graph:"):
+        spec, graph_path = "graph", spec.split(":", 1)[1]
+    if spec not in NETWORK_KINDS + ("graph",):
+        raise ValueError(f"unknown network kind {spec!r}")
+    if spec == "graph" and not graph_path:
+        raise ValueError("graph network needs a path")
+    return spec, graph_path
+
+
+def default_radius_c(network_kind: str) -> float:
+    """The radius-rule constant of the network kind's regime."""
+    if network_kind == "rgg-percolating":
+        return network.DEFAULT_PERCOLATION_C
+    return network.DEFAULT_CONNECTIVITY_C
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a reproducible experiment needs; master_seed plus a trial
-    index determines every random choice in that trial."""
+    index determines every random choice in that trial.
+
+    Every k >= 2 runs on every network kind.  k = 2 is one phase on the sign
+    maps, and num_buckets and s1 do not enter it; k >= 3 runs num_buckets * s1
+    bucket phases.  On rgg-percolating the trials run on the giant component.
+    radius_c and p_n default to the values of the network's regime.
+    """
 
     n_nodes: int
     alphabet_size: int
@@ -222,27 +258,14 @@ class ExperimentConfig:
             raise ValueError("moment order k must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.network.startswith("graph:"):
-            self.graph_path = self.network.split(":", 1)[1]
-            self.network = "graph"
-        if self.network not in NETWORK_KINDS + ("graph",):
-            raise ValueError(f"unknown network kind {self.network!r}")
-        if self.network == "graph" and not self.graph_path:
-            raise ValueError("graph network needs a path")
+        self.network, self.graph_path = parse_network(self.network, self.graph_path)
         if self.protocol not in protocols.PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         check_network_protocol(self.network, self.protocol)
-        if self.k >= 3:
-            if self.num_buckets < 1 or self.s1 < 1:
-                raise ValueError("k >= 3 needs num_buckets and s1")
-            if self.network == "rgg-percolating":
-                raise ValueError("percolating networks support k = 2 only")
+        if self.num_buckets < 1 or self.s1 < 1:
+            raise ValueError("num_buckets and s1 must be >= 1")
         if self.radius_c is None:
-            self.radius_c = (
-                network.DEFAULT_PERCOLATION_C
-                if self.network == "rgg-percolating"
-                else network.DEFAULT_CONNECTIVITY_C
-            )
+            self.radius_c = default_radius_c(self.network)
         if self.p_n is None:
             self.p_n = protocols.default_p_n(
                 self.n_nodes, percolating=self.network == "rgg-percolating"
@@ -434,21 +457,26 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 
 def _trial_seeds(cfg: ExperimentConfig, trial_index: int) -> list[np.random.SeedSequence]:
     root = np.random.SeedSequence(entropy=(cfg.master_seed, trial_index))
-    return root.spawn(5)  # data, maps, topology, scheduling, sketch draws
+    # data, maps, topology, then for k = 2 scheduling and sketch draws; for
+    # k >= 3 the fifth is the root of the phases' seeds and the fourth is unused
+    return root.spawn(5)
 
 
 class TrialRejected(RuntimeError):
     """Percolation trial whose giant component is too small to measure."""
 
 
-def _build_topology(cfg: ExperimentConfig, rng: np.random.Generator):
+def build_topology(
+    kind: str, n: int, radius_c: float, graph_path: str | None, rng: np.random.Generator
+):
     """Returns (topology-to-run-on, original node ids of participants, alpha).
-    The complete graph is never built: it is run on as its node count N."""
-    n = cfg.n_nodes
-    if cfg.network == "complete":
+    The complete graph is never built: it is run on as its node count N.  A
+    percolating network is run on its giant component, and a giant below
+    half of the N nodes raises TrialRejected."""
+    if kind == "complete":
         return n, np.arange(n), 0.0
-    if cfg.network == "graph":
-        topo = network.read_edge_list(cfg.graph_path)
+    if kind == "graph":
+        topo = network.read_edge_list(graph_path)
         if topo.n_nodes != n:
             raise ValueError(
                 f"graph file has {topo.n_nodes} nodes, config wants {n}"
@@ -456,11 +484,11 @@ def _build_topology(cfg: ExperimentConfig, rng: np.random.Generator):
         if len(network.giant_component(topo).giant) != n:
             raise ValueError("graph file is not connected")
         return topo, np.arange(n), 0.0
-    if cfg.network == "rgg-connected":
-        radius = network.connectivity_radius(n, cfg.radius_c)
+    if kind == "rgg-connected":
+        radius = network.connectivity_radius(n, radius_c)
         return network.build_connected_rgg(n, radius, rng), np.arange(n), 0.0
     # rgg-percolating
-    radius = network.percolation_radius(n, cfg.radius_c)
+    radius = network.percolation_radius(n, radius_c)
     topo = network.build_rgg(n, radius, rng)
     report = network.giant_component(topo)
     if len(report.giant) < _GIANT_MIN_FRACTION * n:
@@ -496,185 +524,100 @@ def _heard_sketch(
     return acc
 
 
-def _sign_sketch(
-    values: np.ndarray,
-    alphabet_size: int,
-    rand: SharedRandomness,
-    quant: QuantConfig,
-    value_seeds,
-    members: np.ndarray,
-) -> np.ndarray:
-    """The (r1, r2) sign-population sketch over `members`: unit-rate draws
-    where the sign map says +1 and the infinity sentinel where it says -1."""
-    rates_by_value = (sketch_core.sign_table(rand, alphabet_size).T > 0).astype(float)
-    return _heard_sketch(rates_by_value, values, rand.r2, quant, value_seeds, members)
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult | None:
+    """One end-to-end trial of any k; None means a rejected percolation trial.
 
+    The set-up runs once: data, maps and the network, which on a percolating
+    network is its giant component.  Then the phases run in sequence, each a
+    spread from scratch and a sketch read off node 0's heard-set:
+    - k = 2 is one phase over every participant, on the sign maps;
+    - k >= 3 is s1 * num_buckets bucket phases, phase (t, b) over the
+      participants that bucket map t sends to bucket b, on three channels of
+      the roots-of-unity maps: real at rate Re(root) + 1, imaginary at
+      Im(root) + 1 and population at rate 1.
 
-def _root_sketch(
-    values: np.ndarray,
-    alphabet_size: int,
-    rand: SharedRandomness,
-    quant: QuantConfig,
-    value_seeds,
-    members: np.ndarray,
-) -> np.ndarray:
-    """The (3, r1, r2) sketch of one bucket phase over the participating
-    `members`: real channel at rate Re(root)+1, imaginary at Im(root)+1,
-    population at rate 1; nodes outside the bucket are all-infinite and are
-    left out of `members`."""
-    roots = sketch_core.root_table(rand, alphabet_size).T
-    rates_by_value = np.concatenate(
-        [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(roots.shape)], axis=1
-    )
-    acc = _heard_sketch(rates_by_value, values, rand.r2, quant, value_seeds, members)
-    return acc.reshape(3, rand.r1, rand.r2)
-
-
-def run_f2_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
-    """One end-to-end second-moment trial.
-
-    The exact oracle always uses all N nodes; on a percolating network the
-    estimate is computed by (and scaled for) the giant component only.
+    The estimate is computed by, and scaled for, the participants; the exact
+    oracle always uses all N nodes.
     """
-    if cfg.k != 2:
-        raise ValueError("run_f2_trial requires k = 2")
     data_ss, maps_ss, topo_ss, sched_ss, draws_ss = _trial_seeds(cfg, trial_index)
-    dataset = cfg.data.generate(cfg.n_nodes, cfg.alphabet_size, np.random.default_rng(data_ss))
-    rand = SharedRandomness(
-        _seed_int(maps_ss), r1=cfg.budget.r1, r2=cfg.budget.r2, k=2
-    )
-    topo, orig_ids, alpha = _build_topology(cfg, np.random.default_rng(topo_ss))
-    part_values = dataset.values[orig_ids]
+    m, r1, r2 = cfg.alphabet_size, cfg.budget.r1, cfg.budget.r2
+    dataset = cfg.data.generate(cfg.n_nodes, m, np.random.default_rng(data_ss))
+    try:
+        topo, part_ids, alpha = build_topology(
+            cfg.network, cfg.n_nodes, cfg.radius_c, cfg.graph_path, np.random.default_rng(topo_ss)
+        )
+    except TrialRejected:
+        return None
+    part_values = dataset.values[part_ids]
     n_part = part_values.size
 
-    report, heard = run_spreading(
-        topo,
-        cfg.protocol,
-        cfg.spread,
-        np.random.default_rng(sched_ss),
-        message_bits=cfg.message_bits,
-        p_n=cfg.p_n,
+    rand = SharedRandomness(
+        _seed_int(maps_ss), r1=r1, r2=r2, k=cfg.k, num_buckets=cfg.num_buckets, s1=cfg.s1
     )
-    # node 0's sketch: over every participant once the spread has completed
-    levels = _sign_sketch(
-        part_values,
-        cfg.alphabet_size,
-        rand,
-        cfg.quant,
-        draws_ss.spawn(cfg.alphabet_size),
-        heard_ids(heard[0], n_part),
-    )
-    estimate = estimators.estimate_f2(levels, cfg.quant, n_part)
-    exact_scaled = exact_fk(dataset, 2) / float(cfg.n_nodes) ** 2
+    if cfg.k == 2:
+        rates_by_value = (sketch_core.sign_table(rand, m).T > 0).astype(float)
+        plan = [(1, 1, [sched_ss, *draws_ss.spawn(m)])]
+    else:
+        roots = sketch_core.root_table(rand, m).T
+        rates_by_value = np.concatenate(
+            [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(roots.shape)], axis=1
+        )
+        buckets = sketch_core.bucket_table(rand, m)
+        phase_ids = itertools.product(range(1, cfg.s1 + 1), range(1, cfg.num_buckets + 1))
+        plan = (  # each phase: a scheduling seed, then one seed per value
+            (t, b, phase_ss.spawn(m + 1))
+            for (t, b), phase_ss in zip(phase_ids, draws_ss.spawn(cfg.phases))
+        )
+
+    reports, estimates = [], []
+    for t, b, seeds in plan:
+        report, heard = run_spreading(
+            topo,
+            cfg.protocol,
+            cfg.spread,
+            np.random.default_rng(seeds[0]),
+            message_bits=cfg.message_bits,
+            p_n=cfg.p_n,
+        )
+        members = heard_ids(heard[0], n_part)
+        del heard  # neither the heard-sets nor the sketch outlive their phase
+        if cfg.k > 2:
+            members = members[buckets[t - 1, part_values[members] - 1] == b]
+        sketch = _heard_sketch(rates_by_value, part_values, r2, cfg.quant, seeds[1:], members)
+        estimates.append(harmonic_estimate(sketch.reshape(cfg.channels, r1, r2), cfg.quant))
+        reports.append(report)
+        del sketch
+    completed = all(report.completed for report in reports)
+
+    if cfg.k == 2:
+        estimate = estimators.f2_from_nplus(estimates[0][0], n_part)
+    else:
+        phases = np.array(estimates).reshape(cfg.s1, cfg.num_buckets, 3, r1)
+        estimate = estimators.estimate_fk(phases, n_part, cfg.k)
+    exact = exact_fk(dataset, cfg.k)
+    exact_scaled = exact / float(cfg.n_nodes) ** cfg.k
     abs_error = abs(estimate - exact_scaled)
+    success = completed and abs_error <= cfg.epsilon
 
     extras: dict = {}
-    success = report.completed and abs_error <= cfg.epsilon
     if cfg.network == "rgg-percolating":
-        giant_data = Dataset(part_values, cfg.alphabet_size)
-        f2_alpha = exact_fk(giant_data, 2)
-        f2_all = exact_fk(dataset, 2)
-        eq4_error = abs(estimate - f2_alpha / float(n_part) ** 2)
-        corollary_stat = abs(estimate * n_part**2 - f2_all)
-        corollary_threshold = (
-            cfg.n_nodes**2 * alpha**2 * (1.0 - cfg.epsilon)
-        )
+        # eq. (4): the estimate against the giant's own scaled moment
+        part_scaled = exact_fk(Dataset(part_values, m), cfg.k) / float(n_part) ** cfg.k
+        eq4_error = abs(estimate - part_scaled)
         extras = {
-            "f2_alpha_scaled": f2_alpha / float(n_part) ** 2,
+            f"f{cfg.k}_alpha_scaled": part_scaled,
             "eq4_error": eq4_error,
             "eq4_ok": eq4_error <= cfg.epsilon,
-            "corollary_stat": corollary_stat,
-            "corollary_threshold": corollary_threshold,
-            "corollary_ok": corollary_stat < corollary_threshold,
             "n_participants": n_part,
         }
-        success = report.completed and extras["eq4_ok"]
+        if cfg.k == 2:  # the corollary on the whole network's F_2 is stated for k = 2 only
+            corollary_stat = abs(estimate * n_part**2 - exact)
+            corollary_threshold = cfg.n_nodes**2 * alpha**2 * (1.0 - cfg.epsilon)
+            extras["corollary_stat"] = corollary_stat
+            extras["corollary_threshold"] = corollary_threshold
+            extras["corollary_ok"] = corollary_stat < corollary_threshold
+        success = completed and extras["eq4_ok"]
 
-    return TrialResult(
-        trial_index=trial_index,
-        exact_scaled=exact_scaled,
-        estimate_scaled=estimate,
-        abs_error=abs_error,
-        steps=report.steps_to_full,
-        bits=report.bits_sent,
-        message_bits=cfg.message_bits,
-        phases=1,
-        completed=report.completed,
-        success=success,
-        alpha=alpha,
-        extras=extras,
-    )
-
-
-def run_bucket_phase(
-    cfg: ExperimentConfig,
-    dataset: Dataset,
-    rand: SharedRandomness,
-    topo: Topology | int,
-    bucket_map_index: int,
-    bucket: int,
-    phase_ss: np.random.SeedSequence,
-):
-    """One sequential phase of the higher-moment pipeline: the nodes the
-    bucket map assigns to this bucket seed three channels, everyone spreads,
-    and the per-map harmonic estimates are read off node 0's sketch.
-
-    Returns ((3, r1) harmonic estimates of the real, imaginary and
-    population channels, SpreadReport).
-    """
-    n = dataset.n_nodes
-    children = phase_ss.spawn(cfg.alphabet_size + 1)  # scheduling, then one per value
-    tbl = sketch_core.bucket_table(rand, cfg.alphabet_size)
-    participants = tbl[bucket_map_index - 1, dataset.values - 1] == bucket
-    report, heard = run_spreading(
-        topo,
-        cfg.protocol,
-        cfg.spread,
-        np.random.default_rng(children[0]),
-        message_bits=cfg.message_bits,
-        p_n=cfg.p_n,
-    )
-    members = heard_ids(heard[0], n)
-    final = _root_sketch(
-        dataset.values,
-        cfg.alphabet_size,
-        rand,
-        cfg.quant,
-        children[1:],
-        members[participants[members]],
-    )
-    return sketch_core.harmonic_estimate(final, cfg.quant), report
-
-
-def run_fk_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
-    """One end-to-end k-th moment trial (k >= 3): num_buckets * s1 bucket
-    phases run in sequence with fresh sketch state per phase."""
-    if cfg.k < 3:
-        raise ValueError("run_fk_trial requires k >= 3")
-    data_ss, maps_ss, topo_ss, _, phase_root = _trial_seeds(cfg, trial_index)
-    dataset = cfg.data.generate(cfg.n_nodes, cfg.alphabet_size, np.random.default_rng(data_ss))
-    rand = SharedRandomness(
-        _seed_int(maps_ss),
-        r1=cfg.budget.r1,
-        r2=cfg.budget.r2,
-        k=cfg.k,
-        num_buckets=cfg.num_buckets,
-        s1=cfg.s1,
-    )
-    topo, _, _ = _build_topology(cfg, np.random.default_rng(topo_ss))
-
-    phase_ids = itertools.product(range(1, cfg.s1 + 1), range(1, cfg.num_buckets + 1))
-    results = [
-        run_bucket_phase(cfg, dataset, rand, topo, t, b, phase_ss)
-        for (t, b), phase_ss in zip(phase_ids, phase_root.spawn(cfg.phases))
-    ]
-    phases = np.array([est for est, _ in results]).reshape(cfg.s1, cfg.num_buckets, 3, rand.r1)
-    reports = [report for _, report in results]
-    all_completed = all(report.completed for report in reports)
-
-    estimate = estimators.estimate_fk(phases, cfg.n_nodes, cfg.k)
-    exact_scaled = exact_fk(dataset, cfg.k) / float(cfg.n_nodes) ** cfg.k
-    abs_error = abs(estimate - exact_scaled)
     return TrialResult(
         trial_index=trial_index,
         exact_scaled=exact_scaled,
@@ -684,25 +627,17 @@ def run_fk_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         bits=sum(report.bits_sent for report in reports),
         message_bits=cfg.message_bits,
         phases=cfg.phases,
-        completed=all_completed,
-        success=all_completed and abs_error <= cfg.epsilon,
+        completed=completed,
+        success=success,
+        alpha=alpha,
+        extras=extras,
     )
-
-
-def run_single_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult | None:
-    """Dispatch one trial; None means a rejected percolation trial."""
-    try:
-        if cfg.k == 2:
-            return run_f2_trial(cfg, trial_index)
-        return run_fk_trial(cfg, trial_index)
-    except TrialRejected:
-        return None
 
 
 def _trial_worker(args) -> tuple[int, dict | None]:
     cfg_dict, trial_index = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
-    result = run_single_trial(cfg, trial_index)
+    result = run_trial(cfg, trial_index)
     return trial_index, None if result is None else result.__dict__
 
 
@@ -724,7 +659,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
                     results.append(TrialResult(**rd))
     else:
         for t in range(cfg.trials):
-            result = run_single_trial(cfg, t)
+            result = run_trial(cfg, t)
             if result is None:
                 rejected.append(t)
             else:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from netmoments.network import Topology
+from netmoments.network import Topology, from_edges
 from netmoments.protocols import SpreadReport
 
 
@@ -53,6 +53,49 @@ def neighbor_lists(n: int, edges) -> list[list[int]]:
         sets[int(u)].add(int(v))
         sets[int(v)].add(int(u))
     return [sorted(s) for s in sets]
+
+
+def neighbors(topo: Topology, u: int) -> np.ndarray:
+    """Row u of the CSR: the neighbours of node u, ascending."""
+    return topo.indices[topo.indptr[u] : topo.indptr[u + 1]]
+
+
+def degree(topo: Topology, u: int) -> int:
+    return int(topo.indptr[u + 1] - topo.indptr[u])
+
+
+def validate_topology(topo: Topology) -> None:
+    """Exhaustive structural check: well-formed ascending rows, no
+    self-loops, symmetric adjacency, and (when positions are present)
+    edge iff distance <= radius, checked over all N^2 pairs."""
+    n = topo.n_nodes
+    rows = np.repeat(np.arange(n), np.diff(topo.indptr))
+    cols = topo.indices.astype(np.int64)
+    if topo.indptr[0] != 0 or len(rows) != len(cols):
+        raise ValueError("indptr does not delimit indices")
+    if np.any((cols < 0) | (cols >= n)):
+        raise ValueError("neighbour id out of range")
+    keys = rows * n + cols
+    if np.any(np.diff(keys) <= 0):
+        raise ValueError("rows are not strictly ascending")
+    if np.any(rows == cols):
+        raise ValueError(f"self-loop at node {rows[rows == cols][0]}")
+    if not np.array_equal(keys, np.sort(cols * n + rows)):
+        raise ValueError("asymmetric adjacency")
+    if topo.positions is not None:
+        if topo.radius is None:
+            raise ValueError("positions given without a radius")
+        diff = topo.positions[:, None, :] - topo.positions[None, :, :]
+        want = np.sqrt((diff**2).sum(axis=2)) <= topo.radius
+        np.fill_diagonal(want, False)
+        have = np.zeros((n, n), dtype=bool)
+        have[rows, cols] = True
+        if not np.array_equal(want, have):
+            raise ValueError("adjacency disagrees with the distance rule")
+
+
+def cycle_topology(n_nodes: int) -> Topology:
+    return from_edges(n_nodes, [(u, (u + 1) % n_nodes) for u in range(n_nodes)])
 
 
 def complete_topology(n_nodes: int) -> Topology:

@@ -8,7 +8,6 @@ from netmoments.estimators import (
     ErrorBudget,
     Histogram,
     ams_reference_f2,
-    estimate_f2,
     estimate_fk,
     exact_fk,
     exact_nplus,
@@ -17,6 +16,7 @@ from netmoments.estimators import (
     oracle_record,
 )
 from netmoments.sketch_core import QuantConfig, SharedRandomness, sign_map_eval
+from netmoments.sketch_core import harmonic_estimate as sketch_harmonic_estimate
 
 from oracles import (
     exhaustive_root_expectation,
@@ -190,12 +190,13 @@ class TestEstimateF2:
         levels = rng.integers(0, q.infinity_level, size=(3, 5)).astype(np.int32)
         n = 40
         rows = np.array([harmonic_estimate(q.dequantize(row)) for row in levels])
-        assert estimate_f2(levels, q, n) == pytest.approx(f2_from_nplus(rows, n))
+        nplus = sketch_harmonic_estimate(levels, q)
+        assert f2_from_nplus(nplus, n) == pytest.approx(f2_from_nplus(rows, n))
 
     def test_all_infinite_gives_one(self):
         q = QuantConfig(truncation_L=4.0, quant_bits=4)
         levels = np.full((4, 8), q.infinity_level, dtype=q.level_dtype)
-        assert estimate_f2(levels, q, 25) == pytest.approx(1.0)
+        assert f2_from_nplus(sketch_harmonic_estimate(levels, q), 25) == pytest.approx(1.0)
 
 
 class TestConcentration:

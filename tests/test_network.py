@@ -13,7 +13,6 @@ from netmoments.network import (
     _grid_pairs,
     build_rgg,
     connectivity_radius,
-    cycle_topology,
     from_edges,
     giant_component,
     induced_subgraph,
@@ -22,7 +21,16 @@ from netmoments.network import (
     write_edge_list,
 )
 
-from oracles import bfs_components, complete_topology, kdtree_pairs, neighbor_lists
+from oracles import (
+    bfs_components,
+    complete_topology,
+    cycle_topology,
+    degree,
+    kdtree_pairs,
+    neighbor_lists,
+    neighbors,
+    validate_topology,
+)
 
 
 def _row_major(pairs):
@@ -87,7 +95,7 @@ class TestRadii:
 class TestRgg:
     def test_full_radius_is_complete(self):
         topo = build_rgg(12, math.sqrt(2.0), np.random.default_rng(0))
-        assert all(topo.degree(u) == 11 for u in range(12))
+        assert all(degree(topo, u) == 11 for u in range(12))
 
     def test_tiny_radius_is_empty(self):
         topo = build_rgg(12, 1e-9, np.random.default_rng(0))
@@ -102,7 +110,7 @@ class TestRgg:
     def test_structure_validates(self):
         for seed in range(10):
             topo = build_rgg(40, 0.25, np.random.default_rng(seed))
-            topo.validate()
+            validate_topology(topo)
 
     def test_radius_bounds(self):
         with pytest.raises(ValueError):
@@ -163,12 +171,12 @@ class TestTopology:
 
     def test_complete_graph(self):
         topo = complete_topology(5)
-        topo.validate()
+        validate_topology(topo)
         assert topo.num_edges == 10
 
     def test_cycle(self):
         topo = cycle_topology(6)
-        assert all(topo.degree(u) == 2 for u in range(6))
+        assert all(degree(topo, u) == 2 for u in range(6))
 
     def test_induced_subgraph(self):
         topo = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -196,9 +204,9 @@ class TestCsrAgainstOracle:
         want = neighbor_lists(n, edges)
         topo = from_edges(n, edges)
         assert topo.indptr.dtype == np.int64 and topo.indices.dtype == np.int32
-        assert [topo.neighbors(u).tolist() for u in range(n)] == want
-        assert [topo.degree(u) for u in range(n)] == [len(row) for row in want]
-        topo.validate()  # ascending rows, no self-loops, symmetric
+        assert [neighbors(topo, u).tolist() for u in range(n)] == want
+        assert [degree(topo, u) for u in range(n)] == [len(row) for row in want]
+        validate_topology(topo)  # ascending rows, no self-loops, symmetric
         # edges() lists each pair once, u < v, in row-major order
         pairs = topo.edges()
         assert pairs.shape == (topo.num_edges, 2)
@@ -216,16 +224,16 @@ class TestCsrAgainstOracle:
         index = {old: new for new, old in enumerate(keep.tolist())}
         inside = [(index[u], index[v]) for u, v in edges if u in index and v in index]
         assert sub.n_nodes == len(keep)
-        assert [sub.neighbors(u).tolist() for u in range(sub.n_nodes)] == neighbor_lists(
+        assert [neighbors(sub, u).tolist() for u in range(sub.n_nodes)] == neighbor_lists(
             len(keep), inside
         )
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_complete_topology_matches_oracle(self, n):
         topo = complete_topology(n)
-        topo.validate()
+        validate_topology(topo)
         want = neighbor_lists(n, itertools.combinations(range(n), 2))
-        assert [topo.neighbors(u).tolist() for u in range(n)] == want
+        assert [neighbors(topo, u).tolist() for u in range(n)] == want
         assert topo.num_edges == n * (n - 1) // 2
         assert topo.indices.dtype == np.int32
 

@@ -9,27 +9,56 @@ The golden digests pin `report.json` byte for byte.  Each config has two:
   estimates.  That stripped content goes back further, to the release that
   kept an N-row sketch array and merged rows on every delivery, including
   runs cut short by --max-steps.
+The percolating Aloha config at k = 2 was recorded on the release before the
+k = 2 and k >= 3 trial paths were merged into one.  The percolating configs
+at k = 3 record both digests at once, on the first release that ran them.
 """
 
 import contextlib
 import dataclasses
 import hashlib
 import json
+import re
 import signal
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netmoments
 from netmoments import cli
-from netmoments.estimators import ErrorBudget
-from netmoments.protocols import ALOHA, EXCHANGE, PUSH, SpreadConfig, default_max_steps
-from netmoments.simulator import CapacityError, DataModel, ExperimentConfig, solve_budget
+from netmoments.estimators import Dataset, ErrorBudget
+from netmoments.network import (
+    DEFAULT_PERCOLATION_C,
+    build_rgg,
+    giant_component,
+    induced_subgraph,
+    percolation_radius,
+    read_edge_list,
+    write_edge_list,
+)
+from netmoments.protocols import (
+    ALOHA,
+    EXCHANGE,
+    PUSH,
+    SpreadConfig,
+    default_max_steps,
+    default_p_n,
+    empirical_quantile,
+    measure_spreading,
+)
+from netmoments.simulator import (
+    CapacityError,
+    DataModel,
+    ExperimentConfig,
+    solve_budget,
+    write_dataset_file,
+)
 from netmoments.sketch_core import QuantConfig
 
 
@@ -78,6 +107,9 @@ def _deadline(seconds):
 
 _BUDGET = ["--r1", "8", "--r2", "64"]
 _K3 = ["--k", "3", "--s1", "2", "--nodes", "150", "--alphabet", "9", "--r1", "4", "--r2", "32"]
+_K3_PERCOLATING = ["--k", "3", "--s1", "2", "--nodes", "300", "--alphabet", "9", "--r1", "4",
+                   "--r2", "32", "--network", "rgg-percolating", "--data", "zipf:1.2",
+                   "--trials", "2", "--seed", "23"]
 
 # name -> (argv, exit code, sha256 of report.json, sha256 of report.json
 # without its estimate-derived keys)
@@ -110,6 +142,25 @@ GOLDEN = {
         0,
         "80ec33f3c504e578a8dc09d56f09e3b5863b455f30ce2faa1aa50848d2d54b4a",
         "ebf9c40ecf67562f3ac4a841a2d2a4ac310781262cc45e870628eb7761369eaa",
+    ),
+    "rgg-percolating-aloha-k2": (
+        ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "aloha",
+         "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "22"],
+        0,
+        "13b5cf8a4dff28763ec1f4dc04e1e76e8117e516b6a2b6d6224031ae4a7852f2",
+        "623feff45ea9493a79081fa5a0ee647d8c2aeab9cc06297798b94381c1a875ca",
+    ),
+    "rgg-percolating-gossip-k3": (
+        [*_K3_PERCOLATING, "--protocol", "gossip"],
+        0,
+        "d54566a0495de2bd393510e32c641dd9c87c037fdad40faef14553760886d321",
+        "1d156a60823ad22c9b1f1a021b94ccc5b6ecf11e52e98a774339f1e85fb5e4ad",
+    ),
+    "rgg-percolating-aloha-k3": (
+        [*_K3_PERCOLATING, "--protocol", "aloha"],
+        0,
+        "803a0f2b0ca602eebb540fe00dd7eea11d5ffd965205bd2fff58e10ca675dec8",
+        "e9d2a45f6a00deb985510dd27cae6871d6f3dc209e91bfd6ce679f2affa856a8",
     ),
     "rgg-connected-gossip-k3": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
@@ -230,6 +281,65 @@ class TestSpreadingTime:
         assert hashlib.sha256(body).hexdigest() == want
 
 
+    @pytest.mark.parametrize(
+        "net, protocol",
+        [("rgg-percolating", "gossip"), ("rgg-percolating", "aloha"), ("graph", "aloha")],
+    )
+    def test_runs_on_the_network_run_uses(self, tmp_path, monkeypatch, capsys, net, protocol):
+        # a percolating graph spreads on its giant component at the regime's
+        # p_n, as `run` does; the generator of the size draws the graph first
+        monkeypatch.chdir(tmp_path)
+        _write_graph(tmp_path / "edges.txt")
+        n = 150 if net == "graph" else 400
+        spec = "graph:edges.txt" if net == "graph" else net
+        code = cli.main(["spreading-time", "--nodes", str(n), "--network", spec,
+                         "--protocol", protocol, "--trials", "3", "--seed", "4", "--out", "st"])
+        assert code == cli.EXIT_OK
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(4, 0)))
+        if net == "graph":
+            topo, p_n = read_edge_list("edges.txt"), default_p_n(n)
+        else:
+            whole = build_rgg(n, percolation_radius(n, DEFAULT_PERCOLATION_C), rng)
+            topo, _ = induced_subgraph(whole, giant_component(whole).giant)
+            p_n = default_p_n(n, percolating=True)
+            assert n / 2 <= topo.n_nodes < n
+        m = measure_spreading(topo, protocol, SpreadConfig(), 3, rng, p_n=p_n)
+        want = (n, m.quantile_steps, empirical_quantile(m.steps, 0.5), float(np.mean(m.steps)),
+                m.completed_trials)
+        row = (tmp_path / "st" / "spreading_time.csv").read_text().splitlines()[1]
+        assert row == ",".join(str(x) for x in want)
+
+    def test_small_giant_is_config_error(self, capsys):
+        argv = ["spreading-time", "--nodes", "300", "--network", "rgg-percolating",
+                "--radius-c", "0.6", "--seed", "3"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert re.search(r"giant component holds \d+/300 nodes", capsys.readouterr().err)
+
+    def test_rerun_from_effective_cfg(self, tmp_path, capsys):
+        # push with a cap that binds: the echo must carry both, or the
+        # re-run spreads by exchange without the cap
+        argv = ["spreading-time", "--nodes", "20,60", "--exchange-mode", "push",
+                "--max-steps", "800", "--trials", "3", "--seed", "8"]
+        assert cli.main([*argv, "--out", str(tmp_path / "first")]) == cli.EXIT_OK
+        cfg = (tmp_path / "first" / "effective.cfg").read_text()
+        for line in ("exchange_mode = push", "max_steps = 800", "radius_c = 2.0"):
+            assert line in cfg.splitlines()
+        assert "p_n = " not in cfg  # 1/ln N differs per size
+        again = ["spreading-time", "--config", str(tmp_path / "first" / "effective.cfg"),
+                 "--out", str(tmp_path / "again")]
+        assert cli.main(again) == cli.EXIT_OK
+        first = (tmp_path / "first" / "spreading_time.csv").read_bytes()
+        assert (tmp_path / "again" / "spreading_time.csv").read_bytes() == first
+        assert b",2\n" in first  # the cap cut one trial short
+
+    def test_echo_pins_a_p_n_shared_by_every_size(self, tmp_path, capsys):
+        out = tmp_path / "one"
+        argv = ["spreading-time", "--nodes", "300", "--network", "rgg-connected",
+                "--protocol", "aloha", "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert f"p_n = {default_p_n(300)}" in (out / "effective.cfg").read_text().splitlines()
+
+
 class TestMemory:
     def test_complete_gossip_keeps_no_adjacency(self, tmp_path, capsys):
         # an explicit K_2000 CSR alone takes 16 MB
@@ -267,6 +377,44 @@ class TestInvariance:
         assert len(estimates) == 1
 
 
+class TestGiantInvariance:
+    """A percolating trial runs on its giant component, so its estimate
+    equals that of the same pipeline run on the giant written out as a
+    graph file, with the giant's values as the data file.  The solved
+    quantizer depends on N, so it is pinned along with the budget."""
+
+    @pytest.mark.parametrize("k, protocol", [(2, "gossip"), (3, "gossip"), (3, "aloha")])
+    def test_estimate_equals_run_on_giant(self, tmp_path, capsys, k, protocol):
+        n, m, seed = 300, 9, 23
+        pinned = ["--alphabet", str(m), "--k", str(k), "--s1", "2", "--r1", "4", "--r2", "32",
+                  "--trunc-L", "11", "--quant-bits", "20", "--protocol", protocol,
+                  "--seed", str(seed)]
+        code, out = _run(tmp_path, "percolating", [
+            "--nodes", str(n), "--network", "rgg-percolating", "--data", "zipf:1.2", *pinned,
+        ])
+        assert code == 0
+        (trial,) = json.loads((out / "report.json").read_text())["trials"]
+        # trial 0's generators: data first, then maps, then the topology
+        data_ss, _, topo_ss, _, _ = np.random.SeedSequence(entropy=(seed, 0)).spawn(5)
+        values = DataModel("zipf", theta=1.2).generate(n, m, np.random.default_rng(data_ss)).values
+        whole = build_rgg(n, percolation_radius(n, DEFAULT_PERCOLATION_C),
+                          np.random.default_rng(topo_ss))
+        giant, ids = induced_subgraph(whole, giant_component(whole).giant)
+        write_edge_list(giant, tmp_path / "giant.txt")
+        write_dataset_file(Dataset(values[ids], m), tmp_path / "giant.dat")
+        code, out = _run(tmp_path, "giant", [
+            "--nodes", str(len(ids)), "--network", f"graph:{tmp_path / 'giant.txt'}",
+            "--data", f"file:{tmp_path / 'giant.dat'}", *pinned,
+        ])
+        assert code == 0
+        (on_giant,) = json.loads((out / "report.json").read_text())["trials"]
+        assert trial["completed"] and on_giant["completed"]
+        assert trial["n_participants"] == len(ids) < n
+        assert on_giant["estimate_scaled"] == trial["estimate_scaled"]
+        assert on_giant["exact_scaled"] == trial[f"f{k}_alpha_scaled"]
+        assert on_giant["abs_error"] == trial["eq4_error"]
+
+
 _SMALL = ["--nodes", "120", "--alphabet", "10", "--r1", "4", "--r2", "16", "--trials", "3",
           "--seed", "7"]
 
@@ -281,6 +429,30 @@ class TestReproducibility:
         _, first = _run(tmp_path, "first", [*_SMALL, "--network", "rgg-connected"])
         _, again = _run(tmp_path, "again", ["--config", str(first / "effective.cfg")])
         assert (first / "report.json").read_bytes() == (again / "report.json").read_bytes()
+
+
+class TestSweep:
+    def test_rerun_seedless_sweep_from_effective_cfg(self, tmp_path, capsys):
+        argv = ["sweep", "--param", "nodes", "--values", "60,80", "--alphabet", "5",
+                "--r1", "2", "--r2", "4", "--format", "json"]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli.main([*argv, "--out", str(first)]) == cli.EXIT_OK
+        cfg = (first / "effective.cfg").read_text()
+        (seed,) = re.findall(r"^seed = (\d+)$", cfg, re.M)
+        assert f"seed = {seed}" in capsys.readouterr().out.splitlines()
+        rerun = ["sweep", "--config", str(first / "effective.cfg"), "--out", str(again)]
+        assert cli.main(rerun) == cli.EXIT_OK
+        for point in ("nodes=60", "nodes=80"):
+            body = (first / point / "report.json").read_bytes()
+            assert (again / point / "report.json").read_bytes() == body
+            assert json.loads(body)["config"]["master_seed"] == int(seed)
+
+    def test_bad_point_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--param", "nodes", "--values", "60,4", "--alphabet", "5",
+                "--r1", "2", "--r2", "4", "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -350,6 +522,12 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "--jobs" in capsys.readouterr().err
         assert not (out / "effective.cfg").exists()
+
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_zero_buckets_is_config_error(self, tmp_path, capsys, k):
+        code, _ = _run(tmp_path, "buckets", [*_SMALL, "--k", k, "--buckets", "0"])
+        assert code == cli.EXIT_CONFIG
+        assert "num_buckets" in capsys.readouterr().err
 
     def test_infeasible_budget(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",
@@ -457,8 +635,7 @@ def experiment_configs(draw):
     n = draw(st.integers(3, 10**6))
     k = draw(st.integers(2, 5))
     network = draw(st.sampled_from(
-        ["complete", "rgg-connected", "graph:edges.txt"]
-        + (["rgg-percolating"] if k == 2 else [])
+        ["complete", "rgg-connected", "rgg-percolating", "graph:edges.txt"]
     ))
     data = draw(st.one_of(
         st.sampled_from([DataModel("pointmass"), DataModel("uniform"),

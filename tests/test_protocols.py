@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from netmoments.network import build_connected_rgg, build_rgg, cycle_topology, from_edges
+from netmoments.network import build_connected_rgg, build_rgg, from_edges
 from netmoments.protocols import (
     _ALOHA_BLOCK,
     ALOHA,
@@ -26,6 +26,9 @@ from oracles import (
     aloha_slot_events,
     aloha_spread,
     complete_topology,
+    cycle_topology,
+    degree,
+    neighbors,
     uint64_adjacency,
 )
 
@@ -44,7 +47,7 @@ def _graphs():
 
 
 def _neighbors(topo):
-    return [topo.neighbors(u) for u in range(topo.n_nodes)]
+    return [neighbors(topo, u) for u in range(topo.n_nodes)]
 
 
 def _block_rows(topo, masks, skip=None):
@@ -147,8 +150,8 @@ class TestGossipPicker:
         # a pair (u, v) has probability 1 / (N deg u)
         edges = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]
         topo = from_edges(7, edges)
-        pairs = [(u, int(v)) for u in range(7) for v in topo.neighbors(u)] + [(6, -1)]
-        expected = [1.0 / (7 * max(topo.degree(u), 1)) for u, _ in pairs]
+        pairs = [(u, int(v)) for u in range(7) for v in neighbors(topo, u)] + [(6, -1)]
+        expected = [1.0 / (7 * max(degree(topo, u), 1)) for u, _ in pairs]
         assert _pick_pvalue(topo, pairs, expected) > 1e-3
         # K_7 given as its node count: every ordered pair u != v has 1 / (N (N - 1))
         pairs = list(itertools.permutations(range(7), 2))

@@ -1,6 +1,12 @@
 """Command-line front end: dataset generation, experiment execution, parameter
 sweeps, spreading-time studies, and exact-oracle queries.
 
+Each setting is declared once, in `_SETTINGS`: its type (which coerces flags,
+config-file values and sweep values alike), default, help and choices.  Its
+flag is `--key` with `-` for `_`, except `--trunc-L`.  `_COMMANDS` gives each
+subcommand its handler and the keys it reads and echoes; `build_parser` makes
+the flags from these two tables.  A `--config` file may set any key.
+
 Every subcommand echoes its fully resolved configuration, the seed included;
 re-running from that echo reproduces outputs byte for byte.  run, sweep and
 spreading-time also write the echo as effective.cfg into their --out
@@ -15,6 +21,7 @@ import argparse
 import secrets
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,53 +45,49 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NONCONVERGED = 4
 
-# key -> coercion used for both flags and config-file values
-_SCHEMA = {
-    "nodes": str,  # single int or comma list (spreading-time)
-    "alphabet": int,
-    "k": int,
-    "epsilon": float,
-    "delta": float,
-    "r1": int,
-    "r2": int,
-    "quant_bits": int,
-    "trunc_l": float,
-    "network": str,
-    "radius_c": float,
-    "protocol": str,
-    "p_n": float,
-    "data": str,
-    "buckets": str,
-    "s1": int,
-    "trials": int,
-    "seed": int,
-    "jobs": int,
-    "out": str,
-    "format": str,
-    "beta": float,
-    "max_steps": int,
-    "exchange_mode": str,
-    "param": str,
-    "values": str,
-    "file": str,
-    "json_out": str,
+
+class _Setting(NamedTuple):
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+
+
+_SETTINGS = {
+    "nodes": _Setting(str, None, "node count N (comma list for spreading-time)"),
+    "alphabet": _Setting(int, None, "alphabet size M (must satisfy M < N)"),
+    "k": _Setting(int, 2, "moment order (>= 2)"),
+    "epsilon": _Setting(float, 0.1, "target absolute error on F_k / N^k"),
+    "delta": _Setting(float, 0.1, "target failure probability"),
+    "r1": _Setting(int, None, "outer map count (overrides the solver)"),
+    "r2": _Setting(int, None, "replica count (overrides the solver)"),
+    "quant_bits": _Setting(int, None, "quantizer bits"),
+    "trunc_l": _Setting(float, None, "truncation length L"),
+    "network": _Setting(str, "complete", "complete | graph:PATH | rgg-connected | "
+                        "rgg-percolating (its giant component)"),
+    "radius_c": _Setting(float, None, "radius-rule constant"),
+    "protocol": _Setting(str, protocols.GOSSIP, None, protocols.PROTOCOLS),
+    "p_n": _Setting(float, None, "Aloha transmit probability"),
+    "data": _Setting(str, "zipf:1.2", "pointmass | uniform | zipf:THETA | file:PATH"),
+    "buckets": _Setting(str, "auto", "bucket count B, or 'auto'"),
+    "s1": _Setting(int, simulator.DEFAULT_S1, "bucket map count"),
+    "trials": _Setting(int, 1),
+    "seed": _Setting(int, None, "master seed; random (and printed) if omitted"),
+    "jobs": _Setting(int, 1, "parallel trial workers"),
+    "format": _Setting(str, "both", None, ("json", "csv", "both")),
+    "beta": _Setting(float, 0.1, "spreading failure target"),
+    "max_steps": _Setting(int, None, "spreading step cap"),
+    "exchange_mode": _Setting(str, protocols.EXCHANGE, None, (protocols.EXCHANGE, protocols.PUSH)),
+    "out": _Setting(str, None, "output directory (file for gen-data)"),
+    "param": _Setting(str, None, "setting to sweep, e.g. nodes"),
+    "values": _Setting(str, None, "comma-separated values"),
+    "file": _Setting(str, None, "dataset file"),
+    "json_out": _Setting(str, None, "also write a JSON record"),
 }
 
-_DEFAULTS = {
-    "k": 2,
-    "epsilon": 0.1,
-    "delta": 0.1,
-    "network": "complete",
-    "protocol": "gossip",
-    "data": "zipf:1.2",
-    "buckets": "auto",
-    "s1": simulator.DEFAULT_S1,
-    "trials": 1,
-    "jobs": 1,
-    "format": "both",
-    "beta": 0.1,
-    "exchange_mode": "exchange",
-}
+
+def _flag(key: str) -> str:
+    return "--trunc-L" if key == "trunc_l" else "--" + key.replace("_", "-")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -98,18 +101,18 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _SCHEMA:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _SCHEMA[key](raw.strip())
+            values[key] = _SETTINGS[key].type(raw.strip())
     return values
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    settings = {key: setting.default for key, setting in _SETTINGS.items()}
+    if args.config:
         settings.update(_parse_config_file(args.config))
-    for key in _SCHEMA:
+    for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
@@ -119,63 +122,27 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _echo_config(settings: dict, keys, out_dir: Path | None = None) -> None:
+    """Print the settings named by keys; with out_dir, make it and write them to effective.cfg."""
     lines = [f"{key} = {settings[key]}" for key in keys if settings.get(key) is not None]
     print("# effective-config")
     for line in lines:
         print(line)
     print("# end-config")
     if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "effective.cfg").write_text("\n".join(lines) + "\n")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--nodes", type=str, help="node count N (comma list for spreading-time)")
-    p.add_argument("--alphabet", type=int, help="alphabet size M (must satisfy M < N)")
-    p.add_argument("--seed", type=int, help="master seed; random (and printed) if omitted")
-    p.add_argument("--out", type=str, help="output directory (file for gen-data)")
+def _write_csv(path: Path, header: str, rows) -> None:
+    path.write_text("\n".join([header, *(",".join(str(x) for x in row) for row in rows)]) + "\n")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, help="moment order (>= 2)")
-    p.add_argument("--epsilon", type=float, help="target absolute error on F_k / N^k")
-    p.add_argument("--delta", type=float, help="target failure probability")
-    p.add_argument("--r1", type=int, help="outer map count (overrides the solver)")
-    p.add_argument("--r2", type=int, help="replica count (overrides the solver)")
-    p.add_argument("--quant-bits", dest="quant_bits", type=int, help="quantizer bits")
-    p.add_argument("--trunc-L", dest="trunc_l", type=float, help="truncation length L")
-    p.add_argument(
-        "--network",
-        type=str,
-        help="complete | graph:PATH | rgg-connected | rgg-percolating",
+def _spread_config(settings: dict) -> SpreadConfig:
+    return SpreadConfig(
+        beta=settings["beta"],
+        max_steps=settings.get("max_steps"),
+        exchange_mode=settings["exchange_mode"],
     )
-    p.add_argument("--radius-c", dest="radius_c", type=float, help="radius-rule constant")
-    p.add_argument("--protocol", type=str, choices=protocols.PROTOCOLS)
-    p.add_argument("--p-n", dest="p_n", type=float, help="Aloha transmit probability")
-    p.add_argument("--data", type=str, help="pointmass | uniform | zipf:THETA | file:PATH")
-    p.add_argument("--buckets", type=str, help="bucket count B, or 'auto'")
-    p.add_argument("--s1", type=int, help="bucket map count")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--jobs", type=int, help="parallel trial workers")
-    p.add_argument("--format", type=str, choices=("json", "csv", "both"))
-    p.add_argument("--beta", type=float, help="spreading failure target")
-    p.add_argument("--max-steps", dest="max_steps", type=int, help="spreading step cap")
-    p.add_argument(
-        "--exchange-mode",
-        dest="exchange_mode",
-        type=str,
-        choices=(protocols.EXCHANGE, protocols.PUSH),
-    )
-
-
-_RUN_KEYS = (
-    "nodes alphabet k epsilon delta r1 r2 quant_bits trunc_l network radius_c "
-    "protocol p_n data buckets s1 trials seed jobs format beta max_steps exchange_mode"
-).split()
-
-_SPREADING_KEYS = (
-    "nodes network protocol p_n radius_c trials beta max_steps exchange_mode seed"
-).split()
 
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
@@ -198,11 +165,6 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     num_buckets = (
         default_num_buckets(m, k) if buckets == "auto" else int(buckets)
     )
-    spread = SpreadConfig(
-        beta=settings["beta"],
-        max_steps=settings.get("max_steps"),
-        exchange_mode=settings["exchange_mode"],
-    )
     return ExperimentConfig(
         n_nodes=n,
         alphabet_size=m,
@@ -213,14 +175,15 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         network=settings["network"],
         protocol=settings["protocol"],
         num_buckets=num_buckets,
-        s1=settings["s1"] if k >= 3 else 1,
+        # k = 2 runs one phase, so s1 is 1 there, but a value below 1 still fails
+        s1=settings["s1"] if k >= 3 else min(settings["s1"], 1),
         trials=settings["trials"],
         master_seed=settings["seed"],
         epsilon=epsilon,
         delta=delta,
         radius_c=settings.get("radius_c"),
         p_n=settings.get("p_n"),
-        spread=spread,
+        spread=_spread_config(settings),
     )
 
 
@@ -232,8 +195,7 @@ def _write_report(report, out_dir: Path, fmt: str) -> None:
         (out_dir / "trials.csv").write_text(report.csv_text())
 
 
-def cmd_gen_data(args) -> int:
-    settings = _resolve(args)
+def cmd_gen_data(settings: dict, keys) -> int:
     n = int(settings["nodes"])
     m = settings.get("alphabet")
     if m is None or settings.get("out") is None:
@@ -241,7 +203,7 @@ def cmd_gen_data(args) -> int:
     if m >= n:
         raise ValueError(f"alphabet M={m} must be smaller than N={n}")
     model = DataModel.parse(settings["data"])
-    _echo_config(settings, ("nodes", "alphabet", "data", "seed", "out"))
+    _echo_config(settings, keys)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], 0)))
     dataset = model.generate(n, m, rng)
     write_dataset_file(dataset, settings["out"])
@@ -269,8 +231,7 @@ def _summarize(report, cfg: ExperimentConfig) -> None:
     )
 
 
-def cmd_run(args) -> int:
-    settings = _resolve(args)
+def cmd_run(settings: dict, keys) -> int:
     if settings.get("nodes") is None:
         raise ValueError("run needs --nodes")
     cfg = _experiment_config(settings)
@@ -281,9 +242,7 @@ def cmd_run(args) -> int:
     settings["p_n"] = cfg.p_n
     settings["buckets"] = cfg.num_buckets
     out_dir = Path(settings["out"]) if settings.get("out") else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(settings, _RUN_KEYS, out_dir)
+    _echo_config(settings, keys, out_dir)
     report = run_experiment(cfg, jobs=settings["jobs"])
     if out_dir is not None:
         _write_report(report, out_dir, settings["format"])
@@ -295,23 +254,22 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    settings = _resolve(args)
+def cmd_sweep(settings: dict, keys) -> int:
     param = settings.get("param")
     values = settings.get("values")
     if not param or not values:
         raise ValueError("sweep needs --param and --values")
-    param = settings["param"] = param.replace("-", "_")
-    if param not in _SCHEMA:
-        raise ValueError(f"unknown sweep parameter {param!r}")
+    # a flag's spelling names its key: trunc-L is trunc_l
+    param = settings["param"] = {_flag(key)[2:]: key for key in _RUN_KEYS}.get(param, param)
+    if param not in _RUN_KEYS:
+        raise ValueError(f"unknown sweep parameter {param!r}: not a run setting")
     out_root = Path(settings.get("out") or "sweep-out")
     points = []
     for raw in values.split(","):
         point = dict(settings)
-        point[param] = _SCHEMA[param](raw.strip())
+        point[param] = _SETTINGS[param].type(raw.strip())
         points.append((raw.strip(), _experiment_config(point)))
-    out_root.mkdir(parents=True, exist_ok=True)
-    _echo_config(settings, (*_RUN_KEYS, "param", "values"), out_root)
+    _echo_config(settings, keys, out_root)
     rows = []
     for raw, cfg in points:
         report = run_experiment(cfg, jobs=settings["jobs"])
@@ -327,16 +285,13 @@ def cmd_sweep(args) -> int:
             )
         )
         print(f"{param}={raw}: success {report.empirical_success_rate:.3f}")
-    with open(out_root / "summary.csv", "w") as fh:
-        fh.write(f"{param},success_rate,mean_abs_error,median_steps,total_bits\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+    _write_csv(out_root / "summary.csv",
+               f"{param},success_rate,mean_abs_error,median_steps,total_bits", rows)
     print(f"wrote {out_root / 'summary.csv'}")
     return EXIT_OK
 
 
-def cmd_spreading_time(args) -> int:
-    settings = _resolve(args)
+def cmd_spreading_time(settings: dict, keys) -> int:
     if settings.get("nodes") is None:
         raise ValueError("spreading-time needs --nodes (comma list allowed)")
     sizes = [int(x) for x in str(settings["nodes"]).split(",")]
@@ -354,15 +309,9 @@ def cmd_spreading_time(args) -> int:
     ]
     if len(set(p_ns)) == 1:
         settings["p_n"] = p_ns[0]  # one value for every size, so the echo can pin it
-    cfg = SpreadConfig(
-        beta=settings["beta"],
-        max_steps=settings.get("max_steps"),
-        exchange_mode=settings["exchange_mode"],
-    )
+    cfg = _spread_config(settings)
     out_dir = Path(settings["out"]) if settings.get("out") else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    _echo_config(settings, _SPREADING_KEYS, out_dir)
+    _echo_config(settings, keys, out_dir)
     rows = []
     for idx, (n, p_n) in enumerate(zip(sizes, p_ns)):
         # one generator per size draws the graph, then every trial on it
@@ -384,24 +333,20 @@ def cmd_spreading_time(args) -> int:
             f"N={n}:{giant} quantile(1-beta)={m.quantile_steps} median={median} "
             f"mean={mean:.1f} completed={m.completed_trials}/{trials}"
         )
-    header = "n_nodes,quantile_steps,median_steps,mean_steps,completed_trials"
     if out_dir is not None:
-        with open(out_dir / "spreading_time.csv", "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(str(x) for x in row) + "\n")
+        _write_csv(out_dir / "spreading_time.csv",
+                   "n_nodes,quantile_steps,median_steps,mean_steps,completed_trials", rows)
         print(f"wrote {out_dir / 'spreading_time.csv'}")
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    settings = _resolve(args)
+def cmd_oracle(settings: dict, keys) -> int:
     path = settings.get("file")
     if not path:
         raise ValueError("oracle needs --file DATASET")
     dataset = read_dataset_file(path)
     k = settings["k"]
-    _echo_config(settings, ("file", "k", "json_out"))
+    _echo_config(settings, keys)
     exact = exact_fk(dataset, k)
     n = dataset.n_nodes
     scaled = exact / float(n) ** k if n else 0.0
@@ -422,6 +367,35 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    handler: Callable[[dict, tuple], int]  # called with the resolved settings and keys
+    help: str
+    keys: tuple  # settings read and echoed, in echo order
+    unechoed: tuple = ("out",)  # settings read but not echoed
+
+
+_RUN_KEYS = (
+    "nodes alphabet k epsilon delta r1 r2 quant_bits trunc_l network radius_c "
+    "protocol p_n data buckets s1 trials seed jobs format beta max_steps exchange_mode"
+).split()
+
+_COMMANDS = {
+    "gen-data": _Command(
+        cmd_gen_data, "write a dataset file", ("nodes", "alphabet", "data", "seed", "out"), ()
+    ),
+    "run": _Command(cmd_run, "run a moment-estimation experiment", _RUN_KEYS),
+    "sweep": _Command(
+        cmd_sweep, "run an experiment per value of one parameter", (*_RUN_KEYS, "param", "values")
+    ),
+    "spreading-time": _Command(
+        cmd_spreading_time,
+        "measure empirical spreading time vs N",
+        "nodes network protocol p_n radius_c trials beta max_steps exchange_mode seed".split(),
+    ),
+    "oracle": _Command(cmd_oracle, "exact moments of a dataset file", ("file", "k", "json_out"), ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netmoments",
@@ -429,59 +403,22 @@ def build_parser() -> argparse.ArgumentParser:
         "over gossip and slotted-Aloha networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="write a dataset file")
-    _add_common_flags(p)
-    p.add_argument("--data", type=str, help="pointmass | uniform | zipf:THETA")
-    p.set_defaults(handler=cmd_gen_data)
-
-    p = sub.add_parser("run", help="run a moment-estimation experiment")
-    _add_common_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(handler=cmd_run)
-
-    p = sub.add_parser("sweep", help="run an experiment per value of one parameter")
-    _add_common_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--param", type=str, help="setting to sweep, e.g. nodes")
-    p.add_argument("--values", type=str, help="comma-separated values")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("spreading-time", help="measure empirical spreading time vs N")
-    _add_common_flags(p)
-    p.add_argument(
-        "--network",
-        type=str,
-        help="complete | graph:PATH | rgg-connected | rgg-percolating (its giant component)",
-    )
-    p.add_argument("--protocol", type=str, choices=protocols.PROTOCOLS)
-    p.add_argument("--p-n", dest="p_n", type=float)
-    p.add_argument("--radius-c", dest="radius_c", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument(
-        "--exchange-mode",
-        dest="exchange_mode",
-        type=str,
-        choices=(protocols.EXCHANGE, protocols.PUSH),
-    )
-    p.set_defaults(handler=cmd_spreading_time)
-
-    p = sub.add_parser("oracle", help="exact moments of a dataset file")
-    _add_common_flags(p)
-    p.add_argument("--file", type=str, help="dataset file")
-    p.add_argument("--k", type=int)
-    p.add_argument("--json-out", dest="json_out", type=str, help="also write a JSON record")
-    p.set_defaults(handler=cmd_oracle)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="key = value config file; flags override it")
+        for key in (*command.keys, *command.unechoed):
+            setting = _SETTINGS[key]
+            p.add_argument(
+                _flag(key), dest=key, type=setting.type, help=setting.help, choices=setting.choices
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return args.handler(args)
+        return command.handler(_resolve(args), command.keys)
     except CapacityError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -320,28 +320,6 @@ class ExperimentConfig:
             },
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            n_nodes=d["n_nodes"],
-            alphabet_size=d["alphabet_size"],
-            k=d["k"],
-            data=DataModel.parse(d["data"]),
-            budget=ErrorBudget(**d["budget"]),
-            quant=QuantConfig(**d["quant"]),
-            network=d["network"],
-            protocol=d["protocol"],
-            num_buckets=d["num_buckets"],
-            s1=d["s1"],
-            trials=d["trials"],
-            master_seed=d["master_seed"],
-            epsilon=d["epsilon"],
-            delta=d["delta"],
-            radius_c=d["radius_c"],
-            p_n=d["p_n"],
-            spread=SpreadConfig(**d["spread"]),
-        )
-
 
 @dataclass
 class TrialResult:
@@ -634,37 +612,20 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult | None:
     )
 
 
-def _trial_worker(args) -> tuple[int, dict | None]:
-    cfg_dict, trial_index = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    result = run_trial(cfg, trial_index)
-    return trial_index, None if result is None else result.__dict__
-
-
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run all trials (optionally across processes; trials are independent and
     aggregation is order-free) and assemble the report."""
     kind = "percolation" if cfg.network == "rgg-percolating" else ("f2" if cfg.k == 2 else "fk")
-    results: list[TrialResult] = []
-    rejected: list[int] = []
+    args = ([cfg] * cfg.trials, range(cfg.trials))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payload = [(cfg.to_dict(), t) for t in range(cfg.trials)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for trial_index, rd in pool.map(_trial_worker, payload):
-                if rd is None:
-                    rejected.append(trial_index)
-                else:
-                    results.append(TrialResult(**rd))
+            outcomes = list(pool.map(run_trial, *args))  # in trial order
     else:
-        for t in range(cfg.trials):
-            result = run_trial(cfg, t)
-            if result is None:
-                rejected.append(t)
-            else:
-                results.append(result)
-    results.sort(key=lambda r: r.trial_index)
+        outcomes = list(map(run_trial, *args))
+    results = [result for result in outcomes if result is not None]
+    rejected = [t for t, result in enumerate(outcomes) if result is None]
     return ExperimentReport(
         config=cfg.to_dict(), kind=kind, results=results, rejected_trials=rejected
     )

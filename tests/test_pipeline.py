@@ -14,10 +14,12 @@ k = 2 and k >= 3 trial paths were merged into one.  The percolating configs
 at k = 3 record both digests at once, on the first release that ran them.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
 import json
+import pickle
 import re
 import signal
 import subprocess
@@ -447,6 +449,23 @@ class TestSweep:
             assert (again / point / "report.json").read_bytes() == body
             assert json.loads(body)["config"]["master_seed"] == int(seed)
 
+    @pytest.mark.parametrize("param, values", [("trunc-L", "5,6"), ("out", "x,y")])
+    def test_param_is_a_run_setting_by_its_flag_spelling(self, tmp_path, capsys, param, values):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--param", param, "--values", values, "--nodes", "60", "--alphabet",
+                "5", "--r1", "2", "--r2", "4", "--seed", "1", "--format", "json", "--out", str(out)]
+        code = cli.main(argv)
+        if param == "out":
+            assert code == cli.EXIT_CONFIG
+            assert "unknown sweep parameter 'out'" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == cli.EXIT_OK
+            assert "param = trunc_l" in (out / "effective.cfg").read_text().splitlines()
+            for value in values.split(","):
+                report = json.loads((out / f"trunc_l={value}" / "report.json").read_text())
+                assert report["config"]["quant"]["truncation_L"] == float(value)
+
     def test_bad_point_fails_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "sweep"
         argv = ["sweep", "--param", "nodes", "--values", "60,4", "--alphabet", "5",
@@ -525,9 +544,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("k", ["2", "3"])
     def test_zero_buckets_is_config_error(self, tmp_path, capsys, k):
-        code, _ = _run(tmp_path, "buckets", [*_SMALL, "--k", k, "--buckets", "0"])
-        assert code == cli.EXIT_CONFIG
-        assert "num_buckets" in capsys.readouterr().err
+        # k = 2 runs one phase with s1 = 1, yet a zero given for either still fails
+        for flag in ("--buckets", "--s1"):
+            code, out = _run(tmp_path, flag[2:], [*_SMALL, "--k", k, flag, "0"])
+            assert code == cli.EXIT_CONFIG
+            assert "num_buckets and s1 must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_infeasible_budget(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",
@@ -565,6 +587,76 @@ class TestExitCodes:
             code = cli.main(argv)
         assert code == cli.EXIT_CONFIG
         assert "aloha" in capsys.readouterr().err
+
+
+# Every flag as the parser declares it: option string -> (dest, type, choices).
+# Recorded on the release that declared flags per subcommand by hand; since
+# then only oracle's --nodes/--alphabet/--seed/--out and spreading-time's
+# --alphabet, which those subcommands never read, are gone.
+_FLAGS = {
+    "--config": ("config", None, None),
+    "--nodes": ("nodes", str, None),
+    "--alphabet": ("alphabet", int, None),
+    "--seed": ("seed", int, None),
+    "--out": ("out", str, None),
+    "--k": ("k", int, None),
+    "--epsilon": ("epsilon", float, None),
+    "--delta": ("delta", float, None),
+    "--r1": ("r1", int, None),
+    "--r2": ("r2", int, None),
+    "--quant-bits": ("quant_bits", int, None),
+    "--trunc-L": ("trunc_l", float, None),
+    "--network": ("network", str, None),
+    "--radius-c": ("radius_c", float, None),
+    "--protocol": ("protocol", str, ("gossip", "aloha")),
+    "--p-n": ("p_n", float, None),
+    "--data": ("data", str, None),
+    "--buckets": ("buckets", str, None),
+    "--s1": ("s1", int, None),
+    "--trials": ("trials", int, None),
+    "--jobs": ("jobs", int, None),
+    "--format": ("format", str, ("json", "csv", "both")),
+    "--beta": ("beta", float, None),
+    "--max-steps": ("max_steps", int, None),
+    "--exchange-mode": ("exchange_mode", str, ("exchange", "push")),
+    "--param": ("param", str, None),
+    "--values": ("values", str, None),
+    "--file": ("file", str, None),
+    "--json-out": ("json_out", str, None),
+}
+_RUN_FLAGS = ("--config --nodes --alphabet --seed --out --k --epsilon --delta --r1 --r2 "
+              "--quant-bits --trunc-L --network --radius-c --protocol --p-n --data --buckets "
+              "--s1 --trials --jobs --format --beta --max-steps --exchange-mode").split()
+_SUBCOMMAND_FLAGS = {
+    "gen-data": "--config --nodes --alphabet --seed --out --data".split(),
+    "run": _RUN_FLAGS,
+    "sweep": [*_RUN_FLAGS, "--param", "--values"],
+    "spreading-time": ("--config --nodes --seed --out --network --protocol --p-n --radius-c "
+                       "--trials --beta --max-steps --exchange-mode").split(),
+    "oracle": "--config --file --k --json-out".split(),
+}
+
+
+class TestParserSurface:
+    def test_flags_of_each_subcommand(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {tuple(a.option_strings): (a.dest, a.type, a.choices and tuple(a.choices))
+                   for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()
+        }
+        want = {name: {(flag,): _FLAGS[flag] for flag in flags}
+                for name, flags in _SUBCOMMAND_FLAGS.items()}
+        assert got == want
+
+    @pytest.mark.parametrize("argv", [["oracle", "--nodes", "3"],
+                                      ["spreading-time", "--alphabet", "5"]])
+    def test_flag_the_subcommand_never_reads_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 # Run in a fresh interpreter: import the CLI, then list the modules that
@@ -674,8 +766,7 @@ def experiment_configs(draw):
 class TestConfigRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(experiment_configs())
-    def test_to_dict_from_dict(self, cfg):
-        d = cfg.to_dict()
-        again = ExperimentConfig.from_dict(json.loads(json.dumps(d)))
-        assert again == cfg
-        assert again.to_dict() == d
+    def test_pickles_for_workers_and_dumps_to_json(self, cfg):
+        # --jobs hands each worker the pickled config; report.json holds to_dict()
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        json.dumps(cfg.to_dict())

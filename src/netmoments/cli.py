@@ -1,11 +1,12 @@
 """Command-line front end: dataset generation, experiment execution, parameter
 sweeps, spreading-time studies, and exact-oracle queries.
 
-Each setting is declared once, in `_SETTINGS`: its type (which coerces flags,
-config-file values and sweep values alike), default, help and choices.  Its
-flag is `--key` with `-` for `_`, except `--trunc-L`.  `_COMMANDS` gives each
-subcommand its handler and the keys it reads and echoes; `build_parser` makes
-the flags from these two tables.  A `--config` file may set any key.
+Each setting is declared once, in `_SETTINGS`: its type and choices (which
+check flags, config-file values and sweep values alike), default and help.
+Its flag is `--key` with `-` for `_`, except `--trunc-L`.  `_COMMANDS` gives
+each subcommand its handler and the keys it reads and echoes; `build_parser`
+makes the flags from these two tables.  A `--config` file may set any key,
+named as the key or as its flag is spelled.
 
 Every subcommand echoes its fully resolved configuration, the seed included;
 re-running from that echo reproduces outputs byte for byte.  run, sweep and
@@ -90,6 +91,19 @@ def _flag(key: str) -> str:
     return "--trunc-L" if key == "trunc_l" else "--" + key.replace("_", "-")
 
 
+# a config-file key or sweep --param may be a setting's key or its flag's spelling
+_KEYS = {**{_flag(key)[2:]: key for key in _SETTINGS}, **{key: key for key in _SETTINGS}}
+
+
+def _coerce(key: str, raw: str):
+    """raw as a value of setting key, checked against its choices as the flag is."""
+    setting = _SETTINGS[key]
+    value = setting.type(raw)
+    if setting.choices is not None and value not in setting.choices:
+        raise ValueError(f"{key} must be one of {', '.join(setting.choices)}, got {raw!r}")
+    return value
+
+
 def _parse_config_file(path: str) -> dict:
     values = {}
     with open(path) as fh:
@@ -99,11 +113,11 @@ def _parse_config_file(path: str) -> dict:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _SETTINGS[key].type(raw.strip())
+            name, _, raw = stripped.partition("=")
+            key = _KEYS.get(name.strip())
+            if key is None:
+                raise ValueError(f"{path}:{lineno}: unknown config key {name.strip()!r}")
+            values[key] = _coerce(key, raw.strip())
     return values
 
 
@@ -259,15 +273,14 @@ def cmd_sweep(settings: dict, keys) -> int:
     values = settings.get("values")
     if not param or not values:
         raise ValueError("sweep needs --param and --values")
-    # a flag's spelling names its key: trunc-L is trunc_l
-    param = settings["param"] = {_flag(key)[2:]: key for key in _RUN_KEYS}.get(param, param)
+    param = settings["param"] = _KEYS.get(param, param)
     if param not in _RUN_KEYS:
         raise ValueError(f"unknown sweep parameter {param!r}: not a run setting")
     out_root = Path(settings.get("out") or "sweep-out")
     points = []
     for raw in values.split(","):
         point = dict(settings)
-        point[param] = _SETTINGS[param].type(raw.strip())
+        point[param] = _coerce(param, raw.strip())
         points.append((raw.strip(), _experiment_config(point)))
     _echo_config(settings, keys, out_root)
     rows = []

@@ -4,16 +4,21 @@ heard-sets, and spreading-time measurement.
 
 A network is a Topology, or the complete graph K_N given as its node count N,
 an int.  K_N is never stored: row u of its adjacency is 0..u-1, u+1..N-1, so
-the gossip picker finds a neighbour by arithmetic, and Aloha, which would
-need the whole adjacency, rejects it.
+gossip finds a neighbour by arithmetic, and Aloha, which would need the
+whole adjacency, rejects it.
 
-Aloha runs in blocks of up to 32 slots: one draw gives a block's transmit
-masks, packed into one uint32 word per node with bit s for slot s.  Bitwise
+Who contacts whom never depends on what anyone has heard, so each protocol
+is a source of contact blocks: its deliveries in order as arrays (tick,
+sender, receiver), and a boolean array whose row t marks the messages of
+tick t.  Gossip draws 4096 ticks a block, Aloha the transmit masks of 32
+slots, packed into one uint32 word per node with bit s for slot s: bitwise
 ORs and ANDs over each node's neighbour words give the slots in which
-exactly one neighbour transmits, and a scan of the receiver's row names that
-neighbour.  Deliveries into nodes already full are dropped, since they
-change nothing.  The spread, and where it leaves the generator, are those
-of one mask per slot.
+exactly one neighbour transmits.  One loop, _deliver, applies either
+source's blocks until every heard-set is full or the step cap binds,
+skipping receivers already full, since a delivery into them changes
+nothing.  A loop that stops inside a block tells the source how many ticks
+it used, and Aloha then redraws only those masks, so the generator ends
+where one draw per tick would leave it.
 
 Spreading carries no sketch state.  A node's min-sketch is the elementwise
 min of the initial sketches in its heard-set, so callers read sketches off
@@ -22,6 +27,7 @@ the heard-sets that run_spreading returns.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -83,53 +89,46 @@ def _n_nodes(topo: Topology | int) -> int:
     return topo if isinstance(topo, int) else topo.n_nodes
 
 
-class _GossipPicker:
-    """Buffered (node, neighbor) picks for the spreading driver's hot loop:
-    a uniform node and a uniform neighbor of it, drawn in blocks."""
+_GOSSIP_BLOCK = 4096  # gossip ticks per draw
 
-    _BLOCK = 4096
 
-    def __init__(self, topo: Topology | int, rng: np.random.Generator):
-        self.topo = topo
-        self.rng = rng
-        self.pos = self._BLOCK
-
-    def _refill(self) -> None:
-        n = _n_nodes(self.topo)
-        nodes = self.rng.integers(n, size=self._BLOCK)
-        fracs = self.rng.random(self._BLOCK)
-        nbrs = np.full(self._BLOCK, -1, dtype=np.int64)
-        if isinstance(self.topo, int):
-            # entry j = floor(frac (N - 1)) of row u of K_N is j + (j >= u)
-            if n > 1:
-                j = (fracs * (n - 1)).astype(np.int64)
-                nbrs = j + (j >= nodes)
+def _gossip_blocks(topo: Topology | int, exchange: bool, rng: np.random.Generator):
+    """Gossip contact blocks of _GOSSIP_BLOCK ticks, for _deliver.  Tick t
+    picks a uniform node u and a uniform neighbour v of it, and delivers
+    u -> v, then v -> u under exchange; a node without neighbours delivers
+    nothing.  Row t of sent marks tick t's messages, one per delivery.  The
+    picks are drawn a whole block at a time, so the source just stops when
+    told that a block was used in part."""
+    n = _n_nodes(topo)
+    while True:
+        nodes = rng.integers(n, size=_GOSSIP_BLOCK)
+        fracs = rng.random(_GOSSIP_BLOCK)
+        if isinstance(topo, int):
+            deg = np.full(_GOSSIP_BLOCK, n - 1)
         else:
-            indptr, indices = self.topo.indptr, self.topo.indices
-            start = indptr[nodes]
-            deg = indptr[nodes + 1] - start
-            has = deg > 0
-            nbrs[has] = indices[start[has] + (fracs[has] * deg[has]).astype(np.int64)]
-        self.nodes, self.nbrs = nodes.tolist(), nbrs.tolist()
-        self.pos = 0
-
-    def pick(self) -> tuple[int, int]:
-        """Returns (node, neighbor); neighbor is -1 for an isolated node."""
-        if self.pos >= self._BLOCK:
-            self._refill()
-        pos = self.pos
-        self.pos += 1
-        return self.nodes[pos], self.nbrs[pos]
+            start = topo.indptr[nodes]
+            deg = topo.indptr[nodes + 1] - start
+        tick = np.flatnonzero(deg)
+        u = nodes[tick]
+        j = (fracs[tick] * deg[tick]).astype(np.int64)
+        # entry j of u's row; in K_N's row 0..u-1, u+1..N-1 it is j + (j >= u)
+        v = j + (j >= u) if isinstance(topo, int) else topo.indices[start[tick] + j]
+        if exchange:
+            tick = np.repeat(tick, 2)
+            u, v = np.column_stack((u, v)).ravel(), np.column_stack((v, u)).ravel()
+        if (yield tick, u, v, np.repeat(deg[:, None] > 0, 1 + exchange, axis=1)) is not None:
+            return
 
 
 _ALOHA_BLOCK = 32  # Aloha slots per mask draw: one bit of a node's uint32 word each
+_PIECE = 2048  # nodes per degree-class table, which bounds the intp copy a gather makes
 
 
 def _degree_classes(topo: Topology) -> list[tuple[np.ndarray, np.ndarray]]:
     """The nodes with neighbours, grouped by degree rounded up to a power of
-    two w: per class, its nodes ascending and a (w, nodes) table whose column
-    j lists the neighbours of the class's node j, padded with the id n of a
-    sentinel that never transmits."""
+    two w, in pieces of up to _PIECE nodes: per piece, its nodes ascending
+    and an int32 (w, nodes) table whose column j lists the neighbours of the
+    piece's node j, padded with the id n of a sentinel that never transmits."""
     n = topo.n_nodes
     deg = np.diff(topo.indptr)
     # class c holds the degrees in (2^(c - 1), 2^c]; isolated nodes have none
@@ -143,9 +142,10 @@ def _degree_classes(topo: Topology) -> list[tuple[np.ndarray, np.ndarray]]:
         d = deg[rows]
         col = np.repeat(np.arange(len(rows)), d)
         at = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
-        table = np.full((w, len(rows)), n, dtype=np.intp)
+        table = np.full((w, len(rows)), n, dtype=np.int32)
         table[at, col] = topo.indices[np.repeat(topo.indptr[rows], d) + at]
-        classes.append((rows, table))
+        classes += [(rows[lo : lo + _PIECE], table[:, lo : lo + _PIECE])
+                    for lo in range(0, len(rows), _PIECE)]
     return classes
 
 
@@ -204,6 +204,25 @@ def _aloha_block(
     return slot, sender, receiver
 
 
+def _aloha_blocks(topo: Topology, p_n: float, rng: np.random.Generator, skip: np.ndarray):
+    """Aloha contact blocks of _ALOHA_BLOCK slots, for _deliver: a node
+    transmits in a slot with probability p_n, so the masks mark the messages,
+    and no delivery goes into a node marked in skip.  A block's masks come
+    from one draw, which reads the stream that one rng.random(n) per slot
+    reads, so told that only `used` slots were used, the source rewinds the
+    generator and redraws only those."""
+    n = topo.n_nodes
+    classes = _degree_classes(topo)
+    while True:
+        state = rng.bit_generator.state
+        tx = rng.random((_ALOHA_BLOCK, n)) < p_n
+        used = yield (*_aloha_block(topo, classes, tx, skip), tx)
+        if used is not None:
+            rng.bit_generator.state = state
+            rng.random((used, n))
+            return
+
+
 @dataclass
 class SpreadReport:
     """Outcome of one spreading run."""
@@ -214,91 +233,41 @@ class SpreadReport:
     completed: bool
 
 
-def _spread_gossip(
-    topo: Topology | int,
-    exchange: bool,
-    rng: np.random.Generator,
-    max_steps: int,
-    heard: list[int],
-) -> tuple[int, int, bool]:
-    """Gossip ticks until every heard-set is full or max_steps ticks have run,
-    updating heard in place: (steps, messages, completed)."""
-    n = len(heard)
-    picker = _GossipPicker(topo, rng)
-    full = (1 << n) - 1
-    n_full = 1 if n == 1 else 0
-    steps = 0
-    messages = 0
-    completed = n == 1
-
-    while not completed and steps < max_steps:
-        steps += 1
-        u, v = picker.pick()
-        if v < 0:
-            deliveries = ()
-        elif exchange:
-            deliveries = ((u, v), (v, u))
-        else:
-            deliveries = ((u, v),)
-        messages += len(deliveries)  # one message per sender
-        # an exchange's two deliveries merge the same union, so applying them
-        # in order is exact
-        for src, dst in deliveries:
-            merged = heard[dst] | heard[src]
-            if merged != heard[dst]:
-                heard[dst] = merged
-                if merged == full:
-                    n_full += 1
-        completed = n_full == n
-    return steps, messages, completed
-
-
-def _spread_aloha(
-    topo: Topology, p_n: float, rng: np.random.Generator, max_steps: int, heard: list[int]
-) -> tuple[int, int, bool]:
-    """Aloha slots until every heard-set is full or max_steps slots have run,
-    updating heard in place: (steps, messages, completed).
-
-    Slots run in blocks of up to _ALOHA_BLOCK.  A block's masks come from one
-    draw, which reads the stream that one rng.random(n) per slot reads; a
-    spread that completes inside a block rewinds the generator and redraws
-    only the slots it used, so the generator ends where a slot-by-slot loop
-    would leave it.
+def _deliver(blocks, heard: list[int], is_full: bytearray, max_steps: int):
+    """Applies a source's contact blocks to heard in place until every
+    heard-set is full or max_steps ticks have run: (steps, messages,
+    completed).  is_full[u] is set once heard[u] is full, and deliveries into
+    u are skipped from then on.  Applying a tick's deliveries one after
+    another is exact: an Aloha slot's receivers are distinct and never send
+    in it, and both deliveries of a gossip exchange leave the same union.
     """
     n = len(heard)
-    classes = _degree_classes(topo)
     full = (1 << n) - 1
-    is_full = np.zeros(n, dtype=bool)
     n_full = 0
-    steps = 0
-    messages = 0
+    steps = messages = 0
     completed = n <= 1
-
     while not completed and steps < max_steps:
-        b = min(_ALOHA_BLOCK, max_steps - steps)
-        state = rng.bit_generator.state
-        tx = rng.random((b, n)) < p_n
-        slots, senders, receivers = _aloha_block(topo, classes, tx, is_full)
-        used = b
-        # a slot's receivers are distinct and never send in that slot, and a
-        # delivery into a node that is full changes nothing, so applying the
-        # deliveries in slot order is exact
-        for slot, src, dst in zip(slots.tolist(), senders.tolist(), receivers.tolist()):
+        tick, sender, receiver, sent = next(blocks)
+        used = min(len(sent), max_steps - steps)
+        cut = np.searchsorted(tick, used)  # the deliveries of the first `used` ticks
+        for t, src, dst in zip(*(a[:cut].tolist() for a in (tick, sender, receiver))):
+            if is_full[dst]:
+                continue
             merged = heard[dst] | heard[src]
             if merged != heard[dst]:
                 heard[dst] = merged
                 if merged == full:
-                    is_full[dst] = True
+                    is_full[dst] = 1
                     n_full += 1
                     if n_full == n:
                         completed = True
-                        used = slot + 1
+                        used = t + 1
                         break
         steps += used
-        messages += int(np.count_nonzero(tx[:used]))
-        if used < b:
-            rng.bit_generator.state = state
-            rng.random((used, n))
+        messages += int(np.count_nonzero(sent[:used]))
+        if used < len(sent):
+            with contextlib.suppress(StopIteration):
+                blocks.send(used)
     return steps, messages, completed
 
 
@@ -332,19 +301,14 @@ def run_spreading(
         if isinstance(topo, int):
             raise ValueError("aloha needs a Topology, not the complete graph's node count")
     heard = [1 << u for u in range(n)]
+    is_full = bytearray(n)
     if protocol == GOSSIP:
-        exchange = cfg.exchange_mode == EXCHANGE
-        steps, messages, completed = _spread_gossip(topo, exchange, rng, max_steps, heard)
+        blocks = _gossip_blocks(topo, cfg.exchange_mode == EXCHANGE, rng)
     else:
-        steps, messages, completed = _spread_aloha(topo, p_n, rng, max_steps, heard)
-
-    report = SpreadReport(
-        steps_to_full=steps,
-        messages_sent=messages,
-        bits_sent=messages * message_bits,
-        completed=completed,
-    )
-    return report, heard
+        # the kernel reads is_full through this view as its skip mask
+        blocks = _aloha_blocks(topo, p_n, rng, np.frombuffer(is_full, dtype=bool))
+    steps, messages, completed = _deliver(blocks, heard, is_full, max_steps)
+    return SpreadReport(steps, messages, messages * message_bits, completed), heard
 
 
 def heard_ids(heard_set: int, n_nodes: int) -> np.ndarray:

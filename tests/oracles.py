@@ -271,3 +271,60 @@ def aloha_spread(
         completed = all(h == full for h in heard)
     report = SpreadReport(steps, messages, messages * message_bits, completed)
     return report, heard
+
+
+def gossip_picks(topo: Topology | int, rng: np.random.Generator):
+    """(node, neighbour) gossip picks one tick at a time: a uniform node and a
+    uniform neighbour of it, -1 for a node without one.  The picks are drawn
+    4096 at a time, rng.integers(n, size=4096) and then rng.random(4096),
+    and the neighbour is entry floor(frac deg) of the node's row; topo is a
+    Topology or the node count of K_N, whose row u is 0..u-1, u+1..N-1."""
+    n = topo if isinstance(topo, int) else topo.n_nodes
+    while True:
+        nodes = rng.integers(n, size=4096)
+        fracs = rng.random(4096)
+        for u, frac in zip(nodes.tolist(), fracs.tolist()):
+            if isinstance(topo, int):
+                j = int(frac * (n - 1))
+                yield u, (j + (j >= u) if n > 1 else -1)
+            else:
+                row = neighbors(topo, u)
+                yield u, (int(row[int(frac * len(row))]) if len(row) else -1)
+
+
+def gossip_spread(
+    topo: Topology | int,
+    exchange: bool,
+    max_steps: int,
+    rng: np.random.Generator,
+    message_bits: int = 0,
+) -> tuple[SpreadReport, list[int]]:
+    """Gossip one tick at a time: one pick of gossip_picks per tick, its
+    deliveries u -> v, then v -> u under exchange, each a message and each
+    applied.  The oracle for the contact blocks and the delivery loop of
+    run_spreading."""
+    n = topo if isinstance(topo, int) else topo.n_nodes
+    picks = gossip_picks(topo, rng)
+    heard = [1 << u for u in range(n)]
+    full = (1 << n) - 1
+    n_full = 0
+    steps = messages = 0
+    completed = n == 1
+    while not completed and steps < max_steps:
+        steps += 1
+        u, v = next(picks)
+        if v < 0:
+            deliveries = ()
+        elif exchange:
+            deliveries = ((u, v), (v, u))
+        else:
+            deliveries = ((u, v),)
+        messages += len(deliveries)
+        for src, dst in deliveries:
+            merged = heard[dst] | heard[src]
+            if merged != heard[dst]:
+                heard[dst] = merged
+                n_full += merged == full
+        completed = n_full == n
+    report = SpreadReport(steps, messages, messages * message_bits, completed)
+    return report, heard

@@ -433,6 +433,35 @@ class TestReproducibility:
         assert (first / "report.json").read_bytes() == (again / "report.json").read_bytes()
 
 
+_CONFIG = "nodes = 60\nalphabet = 5\nr1 = 2\nr2 = 4\nseed = 1\n"
+
+
+class TestConfigFile:
+    def test_value_outside_choices_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "fmt.cfg").write_text(_CONFIG + "format = xml\n")
+        out = tmp_path / "fmtout"
+        assert cli.main(["run", "--config", str(tmp_path / "fmt.cfg"), "--out", str(out)]) == 2
+        assert "format must be one of json, csv, both, got 'xml'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_may_take_its_flag_spelling(self, tmp_path, capsys):
+        (tmp_path / "tl.cfg").write_text(_CONFIG + "trunc-L = 5\nmax-steps = 900\n")
+        code, out = _run(tmp_path, "tl", ["--config", str(tmp_path / "tl.cfg")])
+        assert code == cli.EXIT_OK
+        assert {"trunc_l = 5.0", "max_steps = 900"} <= set(
+            (out / "effective.cfg").read_text().splitlines()
+        )
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config["quant"]["truncation_L"] == 5.0
+        assert config["spread"]["max_steps"] == 900
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_text(_CONFIG + "trunc_L = 5\n")
+        code, _ = _run(tmp_path, "bad", ["--config", str(tmp_path / "bad.cfg")])
+        assert code == cli.EXIT_CONFIG
+        assert "unknown config key 'trunc_L'" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_rerun_seedless_sweep_from_effective_cfg(self, tmp_path, capsys):
         argv = ["sweep", "--param", "nodes", "--values", "60,80", "--alphabet", "5",
@@ -465,6 +494,14 @@ class TestSweep:
             for value in values.split(","):
                 report = json.loads((out / f"trunc_l={value}" / "report.json").read_text())
                 assert report["config"]["quant"]["truncation_L"] == float(value)
+
+    def test_value_outside_choices_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--param", "format", "--values", "json,xml", "--nodes", "60",
+                "--alphabet", "5", "--r1", "2", "--r2", "4", "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "format must be one of json, csv, both, got 'xml'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_point_fails_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -689,6 +726,9 @@ class TestImports:
             "k3-gossip": ["run", *common, "--k", "3", "--s1", "1", "--buckets", "2",
                           "--protocol", "gossip", "--out", str(tmp_path / "gossip")],
             "k2-aloha": ["run", *common, "--protocol", "aloha", "--out", str(tmp_path / "aloha")],
+            # the f2-complete-gossip path: the complete graph as its node count
+            "k2-complete-gossip": ["run", *common[:4], *common[6:], "--network", "complete",
+                                   "--protocol", "gossip", "--out", str(tmp_path / "complete")],
         }
         src = str(Path(netmoments.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -697,7 +737,7 @@ class TestImports:
         )
         result = json.loads(done.stdout.splitlines()[-1])
         assert result["scipy"] == []
-        assert result["late"] == {"k3-gossip": [0, []], "k2-aloha": [0, []]}
+        assert result["late"] == dict.fromkeys(runs, [0, []])
 
 
 class TestSolveBudget:

@@ -7,6 +7,8 @@ from scipy import stats
 from netmoments.network import build_connected_rgg, build_rgg, from_edges
 from netmoments.protocols import (
     _ALOHA_BLOCK,
+    _GOSSIP_BLOCK,
+    _PIECE,
     ALOHA,
     EXCHANGE,
     GOSSIP,
@@ -14,7 +16,7 @@ from netmoments.protocols import (
     SpreadConfig,
     _aloha_block,
     _degree_classes,
-    _GossipPicker,
+    _gossip_blocks,
     default_max_steps,
     default_p_n,
     heard_ids,
@@ -28,6 +30,7 @@ from oracles import (
     complete_topology,
     cycle_topology,
     degree,
+    gossip_spread,
     neighbors,
     uint64_adjacency,
 )
@@ -101,8 +104,9 @@ class TestAlohaRule:
         # multiple of 32 leaves a last block of b < 32 slots
         edges = [(0, v) for v in range(1, 41)] + [(u, u + 1) for u in range(41, 48)]
         topo = from_edges(50, edges)
-        widths = sorted(table.shape[0] for _, table in _degree_classes(topo))
-        assert widths == [1, 2, 64]
+        classes = _degree_classes(topo)
+        assert sorted(table.shape[0] for _, table in classes) == [1, 2, 64]
+        assert all(table.dtype == np.int32 for _, table in classes)
         rng = np.random.default_rng(n_masks)
         masks = [rng.random(50) < rng.random() for _ in range(n_masks)]
         is_full = rng.random(50) < 0.2
@@ -110,11 +114,14 @@ class TestAlohaRule:
             want = {(u, v) for u, v in aloha_deliveries(_neighbors(topo), tx) if not is_full[v]}
             assert set(row) == want
 
-    @pytest.mark.parametrize("n, p", [(300, None), (800, None), (800, 0.3)])
+    @pytest.mark.parametrize("n, p", [(300, None), (800, None), (800, 0.3), (5000, None)])
     def test_rgg_blocks_match_slot_oracle(self, n, p):
-        # connectivity-regime RGGs span several degree classes; the oracle is
-        # one uint64 sparse matvec per slot
+        # connectivity-regime RGGs span several degree classes, and at 5000
+        # nodes a class splits into pieces; the oracle is one uint64 sparse
+        # matvec per slot
         topo = build_connected_rgg(n, 0.12, np.random.default_rng(n))
+        widths = [table.shape[0] for _, table in _degree_classes(topo)]
+        assert (len(widths) > len(set(widths))) == (n > _PIECE)
         adj = uint64_adjacency(topo)
         rng = np.random.default_rng(7)
         masks = [rng.random(n) < (default_p_n(n) if p is None else p) for _ in range(70)]
@@ -133,12 +140,29 @@ class TestAlohaRule:
             assert set(row) == want
 
 
+def _gossip_contacts(topo, exchange, seed, n_ticks):
+    """(tick, sender, receiver) of the first n_ticks ticks of _gossip_blocks,
+    ticks counted across blocks."""
+    blocks = _gossip_blocks(topo, exchange, np.random.default_rng(seed))
+    contacts = []
+    for at in range(0, n_ticks, _GOSSIP_BLOCK):
+        tick, sender, receiver, sent = next(blocks)
+        assert np.array_equal(sent.sum(axis=1), np.bincount(tick, minlength=_GOSSIP_BLOCK))
+        keep = tick < n_ticks - at
+        contacts += zip((tick[keep] + at).tolist(), sender[keep].tolist(), receiver[keep].tolist())
+    return contacts
+
+
 def _pick_pvalue(topo, pairs, expected, draws=40_000):
-    """Chi-square p-value of the picker's (node, neighbor) counts."""
-    picker = _GossipPicker(topo, np.random.default_rng(2012))
+    """Chi-square p-value of the (node, neighbor) counts of push contacts,
+    a tick without one counting as (node, -1) for the graph's one isolated
+    node, 6."""
+    contacts = _gossip_contacts(topo, False, 2012, draws)
     tally = dict.fromkeys(pairs, 0)
-    for _ in range(draws):
-        tally[picker.pick()] += 1
+    for _, u, v in contacts:
+        tally[u, v] += 1
+    if (6, -1) in tally:
+        tally[6, -1] = draws - len(contacts)
     observed = np.array([tally[p] for p in pairs])
     assert observed.sum() == draws
     return stats.chisquare(observed, np.asarray(expected) * draws).pvalue
@@ -146,7 +170,7 @@ def _pick_pvalue(topo, pairs, expected, draws=40_000):
 
 class TestGossipPicker:
     def test_pairs_uniform_chi_square(self):
-        # irregular degrees 3, 1, 2, 3, 2, 1 and one isolated node (pick -1):
+        # irregular degrees 3, 1, 2, 3, 2, 1 and one isolated node (no contact):
         # a pair (u, v) has probability 1 / (N deg u)
         edges = [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4), (4, 5)]
         topo = from_edges(7, edges)
@@ -159,11 +183,11 @@ class TestGossipPicker:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
     def test_complete_node_count_matches_csr_oracle(self, n):
-        # pick for pick, across three refills and part of a fourth
-        draws = 3 * _GossipPicker._BLOCK + 100
-        implicit = _GossipPicker(n, np.random.default_rng(n))
-        oracle = _GossipPicker(complete_topology(n), np.random.default_rng(n))
-        assert [implicit.pick() for _ in range(draws)] == [oracle.pick() for _ in range(draws)]
+        # contact for contact, across three blocks and part of a fourth
+        ticks = 3 * _GOSSIP_BLOCK + 100
+        implicit = _gossip_contacts(n, True, n, ticks)
+        assert implicit == _gossip_contacts(complete_topology(n), True, n, ticks)
+        assert len(implicit) == (2 * ticks if n > 1 else 0)
 
 
 class TestRunSpreading:
@@ -228,6 +252,29 @@ class TestRunSpreading:
             got = run_spreading(topo, ALOHA, SpreadConfig(max_steps=max_steps), got_rng,
                                 message_bits=5)
             want = aloha_spread(topo, default_p_n(n), cap, want_rng, message_bits=5)
+            assert got == want
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("max_steps", [1, _GOSSIP_BLOCK - 1, _GOSSIP_BLOCK,
+                                           _GOSSIP_BLOCK + 1, None])
+    @pytest.mark.parametrize("name", ["complete1000", "rgg300", "isolated40"])
+    @pytest.mark.parametrize("mode", [EXCHANGE, PUSH])
+    def test_gossip_matches_tick_by_tick_oracle(self, mode, name, max_steps):
+        # each spread runs past a block edge: K_1000 and the RGG take 5 000
+        # to 25 000 ticks, and a 39-cycle plus an isolated node never completes
+        topo = {
+            "complete1000": 1000,
+            "rgg300": build_connected_rgg(300, 0.12, np.random.default_rng(300)),
+            "isolated40": from_edges(40, [(u, (u + 1) % 39) for u in range(39)]),
+        }[name]
+        n = topo if isinstance(topo, int) else topo.n_nodes
+        cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
+        cfg = SpreadConfig(max_steps=max_steps, exchange_mode=mode)
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        # two spreads on one generator, as measure_spreading runs its trials
+        for _ in range(2):
+            got = run_spreading(topo, GOSSIP, cfg, got_rng, message_bits=5)
+            want = gossip_spread(topo, mode == EXCHANGE, cap, want_rng, message_bits=5)
             assert got == want
         assert got_rng.random() == want_rng.random()
 

@@ -38,13 +38,6 @@ from .simulator import (
     run_trial,
     solve_budget,
 )
-from .sketch_core import (
-    QuantConfig,
-    SharedRandomness,
-    bucket_map_eval,
-    harmonic_estimate,
-    root_map_eval,
-    sign_map_eval,
-)
+from .sketch_core import QuantConfig, harmonic_estimate
 
 __version__ = "0.1.0"

@@ -313,7 +313,11 @@ def cmd_spreading_time(settings: dict, keys) -> int:
     simulator.check_network_protocol(kind, settings["protocol"])
     if settings.get("radius_c") is None:
         settings["radius_c"] = simulator.default_radius_c(kind)
+    if settings["radius_c"] <= 0:
+        raise ValueError("need radius_c > 0")
     given_p_n = settings.get("p_n")
+    if given_p_n is not None:
+        protocols.check_p_n(given_p_n)
     p_ns = [
         protocols.default_p_n(n, percolating=kind == "rgg-percolating")
         if given_p_n is None
@@ -340,7 +344,7 @@ def cmd_spreading_time(settings: dict, keys) -> int:
             return EXIT_NONCONVERGED
         median = empirical_quantile(m.steps, 0.5)
         mean = float(np.mean(m.steps))
-        rows.append((n, m.quantile_steps, median, mean, m.completed_trials))
+        rows.append((len(ids), m.quantile_steps, median, mean, m.completed_trials))
         giant = f" giant={len(ids)}" if len(ids) != n else ""
         print(
             f"N={n}:{giant} quantile(1-beta)={m.quantile_steps} median={median} "

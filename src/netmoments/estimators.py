@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch_core import SharedRandomness, sign_table
+from .sketch_core import sign_table
 
 
 @dataclass
@@ -67,13 +67,11 @@ def exact_fk(d: Dataset, k: int) -> int:
     return sum(int(c) ** k for c in counts if c > 0)
 
 
-def exact_nplus(d: Dataset, rand: SharedRandomness, map_index: int) -> int:
-    """Number of nodes whose value the given sign map sends to +1."""
-    if d.n_nodes == 0:
-        return 0
-    tbl = sign_table(rand, d.alphabet_size)
+def exact_nplus(d: Dataset, seed: int, r1: int) -> np.ndarray:
+    """N_+ under each of the r1 sign maps of the seed: the number of nodes
+    whose value the map sends to +1."""
     counts = Histogram.from_dataset(d).counts
-    return int(counts[tbl[map_index - 1] > 0].sum())
+    return (sign_table(seed, r1, d.alphabet_size) > 0) @ counts
 
 
 def f2_from_nplus(nplus: np.ndarray, n_nodes: int) -> float:
@@ -83,13 +81,11 @@ def f2_from_nplus(nplus: np.ndarray, n_nodes: int) -> float:
     return float(np.mean((2.0 * arr - n_nodes) ** 2)) / float(n_nodes) ** 2
 
 
-def ams_reference_f2(d: Dataset, rand: SharedRandomness) -> float:
-    """Streaming-style estimate from exact sign sums: the no-network baseline."""
-    n = d.n_nodes
-    nplus = np.array(
-        [exact_nplus(d, rand, i) for i in range(1, rand.r1 + 1)], dtype=float
-    )
-    return float(np.mean((2.0 * nplus - n) ** 2))
+def ams_reference_f2(d: Dataset, seed: int, r1: int) -> float:
+    """Streaming-style estimate from exact sign sums over the r1 sign maps of
+    the seed: the no-network baseline."""
+    nplus = exact_nplus(d, seed, r1).astype(float)
+    return float(np.mean((2.0 * nplus - d.n_nodes) ** 2))
 
 
 def median(values) -> float:

@@ -85,6 +85,11 @@ def default_p_n(n_nodes: int, percolating: bool = False) -> float:
     return 1.0 / math.log(max(n_nodes, 3))
 
 
+def check_p_n(p_n: float) -> None:
+    if not (0.0 < p_n < 1.0):
+        raise ValueError(f"p_n must lie in (0, 1), got {p_n}")
+
+
 def _n_nodes(topo: Topology | int) -> int:
     return topo if isinstance(topo, int) else topo.n_nodes
 
@@ -296,8 +301,7 @@ def run_spreading(
     max_steps = cfg.max_steps if cfg.max_steps is not None else default_max_steps(protocol, n)
     if protocol == ALOHA:
         p_n = default_p_n(n) if p_n is None else p_n
-        if not (0.0 < p_n < 1.0):
-            raise ValueError("p_n must lie in (0, 1)")
+        check_p_n(p_n)
         if isinstance(topo, int):
             raise ValueError("aloha needs a Topology, not the complete graph's node count")
     heard = [1 << u for u in range(n)]
@@ -311,10 +315,10 @@ def run_spreading(
     return SpreadReport(steps, messages, messages * message_bits, completed), heard
 
 
-def heard_ids(heard_set: int, n_nodes: int) -> np.ndarray:
-    """Node ids in a heard-set bitmask, ascending."""
+def heard_mask(heard_set: int, n_nodes: int) -> np.ndarray:
+    """A heard-set bitmask as a boolean array over the n_nodes nodes."""
     raw = np.frombuffer(heard_set.to_bytes((n_nodes + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")[:n_nodes])
+    return np.unpackbits(raw, count=n_nodes, bitorder="little").view(bool)
 
 
 def empirical_quantile(values, q: float) -> float:

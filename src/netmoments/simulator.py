@@ -22,13 +22,8 @@ import numpy.random  # numpy loads it on first use; load it with the package
 
 from . import estimators, network, protocols, sketch_core
 from .estimators import Dataset, ErrorBudget, exact_fk
-from .protocols import SpreadConfig, heard_ids, run_spreading
-from .sketch_core import (
-    QuantConfig,
-    SharedRandomness,
-    harmonic_estimate,
-    min_truncated_exp_levels,
-)
+from .protocols import SpreadConfig, heard_mask, run_spreading
+from .sketch_core import QuantConfig, harmonic_estimate, min_truncated_exp_levels
 
 NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
 DATA_KINDS = ("pointmass", "uniform", "zipf", "file")
@@ -146,8 +141,9 @@ def read_dataset_file(path) -> Dataset:
 
 
 def default_num_buckets(alphabet_size: int, k: int) -> int:
-    """Bucket count honoring B * s1 = O(M^(1 - 1/(k-1)))."""
-    if k < 3:
+    """Bucket count honoring B * s1 = O(M^(1 - 1/(k-1))); 1 for an alphabet
+    below 1, which ExperimentConfig rejects."""
+    if k < 3 or alphabet_size < 1:
         return 1
     return max(1, math.ceil(alphabet_size ** (1.0 - 1.0 / (k - 1))))
 
@@ -252,8 +248,8 @@ class ExperimentConfig:
     graph_path: str | None = None
 
     def __post_init__(self):
-        if self.alphabet_size >= self.n_nodes:
-            raise ValueError("alphabet size must satisfy M < N")
+        if not (1 <= self.alphabet_size < self.n_nodes):
+            raise ValueError("alphabet size must satisfy 1 <= M < N")
         if self.k < 2:
             raise ValueError("moment order k must be >= 2")
         if self.trials < 1:
@@ -266,10 +262,13 @@ class ExperimentConfig:
             raise ValueError("num_buckets and s1 must be >= 1")
         if self.radius_c is None:
             self.radius_c = default_radius_c(self.network)
+        if self.radius_c <= 0:
+            raise ValueError("need radius_c > 0")
         if self.p_n is None:
             self.p_n = protocols.default_p_n(
                 self.n_nodes, percolating=self.network == "rgg-percolating"
             )
+        protocols.check_p_n(self.p_n)
 
     @property
     def phases(self) -> int:
@@ -483,17 +482,15 @@ def _heard_sketch(
     r2: int,
     quant: QuantConfig,
     value_seeds,
-    members: np.ndarray,
+    heard: np.ndarray,
 ) -> np.ndarray:
-    """The sketch a node holds once it has heard from `members`: the min over
-    their initial grids, where a node holding value v draws one row of r2
-    levels per entry of rates_by_value[v - 1].  That min depends only on how
-    many members hold each value, so it is drawn once per value present,
-    from value_seeds[v - 1], as the closed-form min of that many draws.
-    `members` is read as a set: a node listed twice is counted once."""
+    """The sketch a node holds once it has heard from the nodes the boolean
+    mask `heard` marks: the min over their initial grids, where a node
+    holding value v draws one row of r2 levels per entry of
+    rates_by_value[v - 1].  That min depends only on how many members hold
+    each value, so it is drawn once per value present, from
+    value_seeds[v - 1], as the closed-form min of that many draws."""
     acc = np.full((rates_by_value.shape[1], r2), quant.infinity_level, dtype=quant.level_dtype)
-    heard = np.zeros(values.size, dtype=bool)
-    heard[members] = True
     counts = np.bincount(values[heard] - 1, minlength=len(rates_by_value))
     for v in np.flatnonzero(counts):
         rng = np.random.default_rng(value_seeds[v])
@@ -529,18 +526,16 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult | None:
     part_values = dataset.values[part_ids]
     n_part = part_values.size
 
-    rand = SharedRandomness(
-        _seed_int(maps_ss), r1=r1, r2=r2, k=cfg.k, num_buckets=cfg.num_buckets, s1=cfg.s1
-    )
+    maps_seed = _seed_int(maps_ss)
     if cfg.k == 2:
-        rates_by_value = (sketch_core.sign_table(rand, m).T > 0).astype(float)
+        rates_by_value = (sketch_core.sign_table(maps_seed, r1, m).T > 0).astype(float)
         plan = [(1, 1, [sched_ss, *draws_ss.spawn(m)])]
     else:
-        roots = sketch_core.root_table(rand, m).T
+        roots = sketch_core.root_table(maps_seed, r1, cfg.k, m).T
         rates_by_value = np.concatenate(
             [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(roots.shape)], axis=1
         )
-        buckets = sketch_core.bucket_table(rand, m)
+        buckets = sketch_core.bucket_table(maps_seed, cfg.s1, cfg.num_buckets, m)
         phase_ids = itertools.product(range(1, cfg.s1 + 1), range(1, cfg.num_buckets + 1))
         plan = (  # each phase: a scheduling seed, then one seed per value
             (t, b, phase_ss.spawn(m + 1))
@@ -557,10 +552,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult | None:
             message_bits=cfg.message_bits,
             p_n=cfg.p_n,
         )
-        members = heard_ids(heard[0], n_part)
+        members = heard_mask(heard[0], n_part)
         del heard  # neither the heard-sets nor the sketch outlive their phase
         if cfg.k > 2:
-            members = members[buckets[t - 1, part_values[members] - 1] == b]
+            members &= buckets[t - 1, part_values - 1] == b
         sketch = _heard_sketch(rates_by_value, part_values, r2, cfg.quant, seeds[1:], members)
         estimates.append(harmonic_estimate(sketch.reshape(cfg.channels, r1, r2), cfg.quant))
         reports.append(report)

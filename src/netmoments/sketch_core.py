@@ -1,7 +1,8 @@
 """Shared-randomness maps and truncated, quantized exponential draws.
 
-Every node derives the same map values from a common master seed (keyed
-hashing), so "shared global randomness" costs no per-node storage.  Sketch
+Every node derives the same map values from a common seed by keyed
+hashing, so "shared global randomness" costs no per-node storage; a trial
+reads each map family as one (maps, alphabet) table.  Sketch
 entries are exponential variables truncated to [0, L] and uniformly
 quantized to integer levels; the level 2^quant_bits, one above every finite
 level, is the infinity sentinel.  A sketch is a plain integer level array.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from hashlib import blake2b
 
 import numpy as np
@@ -27,56 +27,26 @@ _CHI_DOMAIN = b"chi"  # bucket maps
 _SNAP_EPS = 1e-15
 
 
-@dataclass(frozen=True)
-class SharedRandomness:
-    """Seeds for the global map families: r1 outer maps, r2 replicas each,
-    plus s1 bucket maps into num_buckets buckets."""
-
-    master_seed: int
-    r1: int
-    r2: int
-    k: int = 2
-    num_buckets: int = 1
-    s1: int = 1
-
-    def __post_init__(self):
-        if not (0 <= self.master_seed < 2**64):
-            raise ValueError("master_seed must fit in 64 bits")
-        if min(self.r1, self.r2, self.s1) < 1:
-            raise ValueError("r1, r2 and s1 must all be >= 1")
-        if self.k < 2:
-            raise ValueError("moment order k must be >= 2")
-        if self.num_buckets < 1:
-            raise ValueError("num_buckets must be >= 1")
-
-    @property
-    def _key(self) -> bytes:
-        return self.master_seed.to_bytes(8, "big")
+def _map_draws(seed: int, domain: bytes, rows: int, alphabet_size: int) -> np.ndarray:
+    """(rows, M) uniform 64-bit draws of one map family: entry [i - 1, v - 1]
+    is the 8-byte blake2b digest, keyed by the 8-byte seed, of domain, then
+    i in 4 bytes, then v in 8 bytes (all big-endian).  Map i is thus a pure
+    function of (seed, domain, i, v).  The keyed state is built once and
+    copied per row and per value."""
+    keyed = blake2b(digest_size=8, key=seed.to_bytes(8, "big"))
+    values = [v.to_bytes(8, "big") for v in range(1, alphabet_size + 1)]
+    digests = bytearray()
+    for i in range(1, rows + 1):
+        row = keyed.copy()
+        row.update(domain + i.to_bytes(4, "big"))
+        for v in values:
+            h = row.copy()
+            h.update(v)
+            digests += h.digest()
+    return np.frombuffer(digests, dtype=">u8").reshape(rows, alphabet_size)
 
 
-def _map_draw(rand: SharedRandomness, domain: bytes, index: int, value: int) -> int:
-    """Uniform 64-bit draw, a pure function of (master_seed, domain, index, value)."""
-    msg = domain + index.to_bytes(4, "big") + int(value).to_bytes(8, "big")
-    return int.from_bytes(blake2b(msg, digest_size=8, key=rand._key).digest(), "big")
-
-
-def _check_index(index: int, limit: int, what: str) -> None:
-    if not (1 <= index <= limit):
-        raise ValueError(f"{what} {index} out of range [1, {limit}]")
-
-
-def sign_map_eval(rand: SharedRandomness, map_index: int, value: int) -> int:
-    """Evaluate the map_index-th sign map on an alphabet value, returning +1 or -1.
-
-    Shares its underlying draw with root_map_eval so that the k=2 root map
-    and the sign map agree on every value.
-    """
-    _check_index(map_index, rand.r1, "map_index")
-    return 1 if _map_draw(rand, _PHI_DOMAIN, map_index, value) % 2 == 0 else -1
-
-
-@lru_cache(maxsize=64)
-def _roots_table(k: int) -> tuple[complex, ...]:
+def _roots_table(k: int) -> np.ndarray:
     # Snap near-zero / near-unit coordinates so that e.g. the k-even root -1
     # yields an exactly-zero rate (alpha + 1 == 0) downstream.
     roots = []
@@ -92,53 +62,27 @@ def _roots_table(k: int) -> tuple[complex, ...]:
         elif abs(abs(im) - 1.0) < _SNAP_EPS:
             im = math.copysign(1.0, im)
         roots.append(complex(re, im))
-    return tuple(roots)
+    return np.array(roots)
 
 
-def root_map_eval(rand: SharedRandomness, map_index: int, value: int) -> complex:
-    """Evaluate the map_index-th roots-of-unity map: a uniform k-th root of unity."""
-    _check_index(map_index, rand.r1, "map_index")
-    ell = _map_draw(rand, _PHI_DOMAIN, map_index, value) % rand.k
-    return _roots_table(rand.k)[ell]
+def sign_table(seed: int, r1: int, alphabet_size: int) -> np.ndarray:
+    """(r1, M) int8 table of the r1 sign maps: +1 where the draw is even."""
+    draws = _map_draws(seed, _PHI_DOMAIN, r1, alphabet_size)
+    return np.where(draws % 2 == 0, np.int8(1), np.int8(-1))
 
 
-def bucket_map_eval(rand: SharedRandomness, bucket_map_index: int, value: int) -> int:
-    """Evaluate the bucket_map_index-th bucket map: a uniform bucket in [1, num_buckets]."""
-    _check_index(bucket_map_index, rand.s1, "bucket_map_index")
-    return 1 + _map_draw(rand, _CHI_DOMAIN, bucket_map_index, value) % rand.num_buckets
+def root_table(seed: int, r1: int, k: int, alphabet_size: int) -> np.ndarray:
+    """(r1, M) complex table of the r1 roots-of-unity maps: a uniform k-th
+    root of unity.  It shares its draws with sign_table, so for k = 2 the
+    roots are the signs."""
+    return _roots_table(k)[_map_draws(seed, _PHI_DOMAIN, r1, alphabet_size) % k]
 
 
-@lru_cache(maxsize=32)
-def sign_table(rand: SharedRandomness, alphabet_size: int) -> np.ndarray:
-    """(r1, M) table of sign_map_eval over the whole alphabet."""
-    tbl = np.empty((rand.r1, alphabet_size), dtype=np.int8)
-    for i in range(1, rand.r1 + 1):
-        for v in range(1, alphabet_size + 1):
-            tbl[i - 1, v - 1] = sign_map_eval(rand, i, v)
-    tbl.setflags(write=False)
-    return tbl
-
-
-@lru_cache(maxsize=32)
-def root_table(rand: SharedRandomness, alphabet_size: int) -> np.ndarray:
-    """(r1, M) complex table of root_map_eval over the whole alphabet."""
-    tbl = np.empty((rand.r1, alphabet_size), dtype=np.complex128)
-    for i in range(1, rand.r1 + 1):
-        for v in range(1, alphabet_size + 1):
-            tbl[i - 1, v - 1] = root_map_eval(rand, i, v)
-    tbl.setflags(write=False)
-    return tbl
-
-
-@lru_cache(maxsize=32)
-def bucket_table(rand: SharedRandomness, alphabet_size: int) -> np.ndarray:
-    """(s1, M) table of bucket_map_eval over the whole alphabet."""
-    tbl = np.empty((rand.s1, alphabet_size), dtype=np.int32)
-    for t in range(1, rand.s1 + 1):
-        for v in range(1, alphabet_size + 1):
-            tbl[t - 1, v - 1] = bucket_map_eval(rand, t, v)
-    tbl.setflags(write=False)
-    return tbl
+def bucket_table(seed: int, s1: int, num_buckets: int, alphabet_size: int) -> np.ndarray:
+    """(s1, M) int32 table of the s1 bucket maps: a uniform bucket in
+    [1, num_buckets]."""
+    draws = _map_draws(seed, _CHI_DOMAIN, s1, alphabet_size)
+    return (1 + draws % num_buckets).astype(np.int32)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ probabilistic implementations have something honest to be checked against.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import deque
@@ -17,6 +18,15 @@ from scipy.spatial import cKDTree
 
 from netmoments.network import Topology, from_edges
 from netmoments.protocols import SpreadReport
+
+
+def map_draw(seed: int, domain: bytes, index: int, value: int) -> int:
+    """A shared-map draw by its definition, in one hash call: the 8-byte
+    blake2b digest, keyed by the seed in 8 bytes, of domain + index in 4
+    bytes + value in 8 bytes (all big-endian), read as an integer."""
+    msg = domain + index.to_bytes(4, "big") + value.to_bytes(8, "big")
+    digest = hashlib.blake2b(msg, digest_size=8, key=seed.to_bytes(8, "big")).digest()
+    return int.from_bytes(digest, "big")
 
 
 def exhaustive_sign_expectation(counts) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from netmoments.estimators import (
     median,
     oracle_record,
 )
-from netmoments.sketch_core import QuantConfig, SharedRandomness, sign_map_eval
+from netmoments.sketch_core import QuantConfig, sign_table
 from netmoments.sketch_core import harmonic_estimate as sketch_harmonic_estimate
 
 from oracles import (
@@ -68,30 +68,27 @@ class TestExactOracles:
     def test_nplus_two_of_three(self):
         # find a seed whose first sign map sends value 1 to +1 and 2 to -1
         for seed in range(200):
-            rand = SharedRandomness(seed, r1=1, r2=1)
-            if sign_map_eval(rand, 1, 1) == 1 and sign_map_eval(rand, 1, 2) == -1:
+            if sign_table(seed, 1, 2).tolist() == [[1, -1]]:
                 d = Dataset([1, 1, 2], 2)
-                nplus = exact_nplus(d, rand, 1)
+                (nplus,) = exact_nplus(d, seed, 1)
                 assert nplus == 2
                 assert 2 * nplus - d.n_nodes == 1
                 return
         pytest.fail("no such seed in range")
 
     def test_nplus_empty_dataset(self):
-        rand = SharedRandomness(1, r1=2, r2=1)
-        assert exact_nplus(Dataset([], 3), rand, 1) == 0
+        assert exact_nplus(Dataset([], 3), 1, 2).tolist() == [0, 0]
 
     def test_nplus_partition_identity(self):
         rng = np.random.default_rng(1)
-        rand = SharedRandomness(5, r1=4, r2=1)
         for _ in range(100):
             d = random_dataset(rng)
-            for i in range(1, 5):
-                nplus = exact_nplus(d, rand, i)
+            signs = sign_table(5, 4, d.alphabet_size)
+            for i, nplus in enumerate(exact_nplus(d, 5, 4)):
                 nminus = sum(
                     int(c)
                     for v, c in enumerate(Histogram.from_dataset(d).counts, start=1)
-                    if c > 0 and sign_map_eval(rand, i, v) == -1
+                    if c > 0 and signs[i, v - 1] == -1
                 )
                 assert nplus + nminus == d.n_nodes
 
@@ -109,8 +106,7 @@ class TestSignExpectationIdentity:
     def test_ams_pointmass_exact(self):
         d = Dataset([4] * 9, 5)
         for seed in range(5):
-            rand = SharedRandomness(seed, r1=6, r2=1)
-            assert ams_reference_f2(d, rand) == pytest.approx(81.0)
+            assert ams_reference_f2(d, seed, 6) == pytest.approx(81.0)
 
 
 class TestRootExpectationIdentity:
@@ -178,9 +174,8 @@ class TestEstimateF2:
     def test_step5_equals_reference_combination(self):
         rng = np.random.default_rng(11)
         d = random_dataset(rng, n_max=20, m_max=6)
-        rand = SharedRandomness(21, r1=8, r2=4)
-        nplus = np.array([exact_nplus(d, rand, i) for i in range(1, 9)])
-        assert ams_reference_f2(d, rand) == pytest.approx(
+        nplus = exact_nplus(d, 21, 8)
+        assert ams_reference_f2(d, 21, 8) == pytest.approx(
             f2_from_nplus(nplus, d.n_nodes) * d.n_nodes**2
         )
 

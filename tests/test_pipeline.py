@@ -306,8 +306,9 @@ class TestSpreadingTime:
             p_n = default_p_n(n, percolating=True)
             assert n / 2 <= topo.n_nodes < n
         m = measure_spreading(topo, protocol, SpreadConfig(), 3, rng, p_n=p_n)
-        want = (n, m.quantile_steps, empirical_quantile(m.steps, 0.5), float(np.mean(m.steps)),
-                m.completed_trials)
+        # the n_nodes column counts the nodes the spread ran on: the giant's
+        want = (topo.n_nodes, m.quantile_steps, empirical_quantile(m.steps, 0.5),
+                float(np.mean(m.steps)), m.completed_trials)
         row = (tmp_path / "st" / "spreading_time.csv").read_text().splitlines()[1]
         assert row == ",".join(str(x) for x in want)
 
@@ -503,9 +504,15 @@ class TestSweep:
         assert "format must be one of json, csv, both, got 'xml'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_point_fails_before_any_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "point",
+        [["--param", "nodes", "--values", "60,4"],
+         ["--param", "p-n", "--values", "0.2,1.5", "--network", "rgg-connected",
+          "--protocol", "aloha"]],
+    )
+    def test_bad_point_fails_before_any_output(self, tmp_path, capsys, point):
         out = tmp_path / "sweep"
-        argv = ["sweep", "--param", "nodes", "--values", "60,4", "--alphabet", "5",
+        argv = ["sweep", *point, "--nodes", "60", "--alphabet", "5",
                 "--r1", "2", "--r2", "4", "--seed", "1", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert not out.exists()
@@ -546,6 +553,34 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "no-alphabet", ["--nodes", "40", "--seed", "2"])
         assert code == cli.EXIT_CONFIG
         assert "--alphabet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--alphabet", "0"], "1 <= M < N"), (["--alphabet", "-1", "--k", "3"], "1 <= M < N"),
+         (["--radius-c", "0"], "need radius_c > 0"),
+         (["--network", "rgg-connected", "--protocol", "aloha", "--p-n", "1.5"],
+          "p_n must lie in (0, 1)")],
+    )
+    def test_bad_setting_fails_before_any_output(self, tmp_path, capsys, flags, message):
+        code, out = _run(tmp_path, "bad", ["--nodes", "40", "--alphabet", "5", "--seed", "2",
+                                           *flags])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--p-n", "0"], "p_n must lie in (0, 1)"), (["--radius-c", "0"], "need radius_c > 0")],
+    )
+    def test_spreading_time_bad_setting_fails_before_echo(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "st"
+        argv = ["spreading-time", "--nodes", "60", "--network", "rgg-connected",
+                "--protocol", "aloha", *flags, "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "# effective-config" not in captured.out
+        assert not out.exists()
 
     def test_gen_data_without_alphabet_is_config_error(self, tmp_path, capsys):
         code = cli.main(["gen-data", "--nodes", "40", "--out", str(tmp_path / "data.txt")])

@@ -19,7 +19,7 @@ from netmoments.protocols import (
     _gossip_blocks,
     default_max_steps,
     default_p_n,
-    heard_ids,
+    heard_mask,
     run_spreading,
 )
 
@@ -287,10 +287,11 @@ class TestRunSpreading:
             run_spreading(cycle_topology(5), ALOHA, SpreadConfig(), np.random.default_rng(0), p_n=1.0)
 
 
-class TestHeardIds:
+class TestHeardMask:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 130])
     def test_matches_bit_tests(self, n):
         rng = np.random.default_rng(n)
         for _ in range(20):
-            want = np.flatnonzero(rng.integers(0, 2, size=n)).tolist()
-            assert heard_ids(sum(1 << u for u in want), n).tolist() == want
+            want = rng.integers(0, 2, size=n).astype(bool)
+            mask = heard_mask(sum(1 << int(u) for u in np.flatnonzero(want)), n)
+            assert mask.dtype == bool and mask.tolist() == want.tolist()

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 
@@ -11,98 +12,93 @@ from netmoments.estimators import ErrorBudget
 from netmoments.simulator import DataModel, ExperimentConfig, _heard_sketch
 from netmoments.sketch_core import (
     QuantConfig,
-    SharedRandomness,
-    bucket_map_eval,
+    bucket_table,
     harmonic_estimate,
     min_truncated_exp_levels,
-    root_map_eval,
     root_table,
-    sign_map_eval,
     sign_table,
 )
 
 import oracles
-from oracles import min_exponential_samples
+from oracles import map_draw, min_exponential_samples
 
 
-RAND = SharedRandomness(master_seed=1234, r1=8, r2=16, k=3, num_buckets=8, s1=4)
+class TestMapsAgainstOracle:
+    """Every table entry is the one-call keyed-hash draw of its (map, value):
+    the sign is +1 on an even draw, the root is e^(2 pi i draw / k), the
+    bucket is 1 + draw mod B."""
+
+    @pytest.mark.parametrize("seed", [0, 1234, 2**64 - 1])
+    @pytest.mark.parametrize("rows, m", [(1, 1), (3, 40)])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sign_and_root_tables(self, seed, rows, m, k):
+        signs, roots = sign_table(seed, rows, m), root_table(seed, rows, k, m)
+        assert signs.shape == roots.shape == (rows, m)
+        for i in range(1, rows + 1):
+            for v in range(1, m + 1):
+                draw = map_draw(seed, b"phi", i, v)
+                assert signs[i - 1, v - 1] == (1 if draw % 2 == 0 else -1)
+                assert abs(roots[i - 1, v - 1] - cmath.exp(2j * math.pi * (draw % k) / k)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1234, 2**64 - 1])
+    @pytest.mark.parametrize("rows, m", [(1, 1), (3, 40)])
+    @pytest.mark.parametrize("num_buckets", [1, 8])
+    def test_bucket_table(self, seed, rows, m, num_buckets):
+        buckets = bucket_table(seed, rows, num_buckets, m)
+        assert buckets.shape == (rows, m)
+        for t in range(1, rows + 1):
+            for v in range(1, m + 1):
+                draw = map_draw(seed, b"chi", t, v)
+                assert buckets[t - 1, v - 1] == 1 + draw % num_buckets
 
 
 class TestMaps:
     def test_sign_deterministic(self):
-        rand = SharedRandomness(99, r1=2, r2=2)
-        assert all(
-            sign_map_eval(rand, 1, v) == sign_map_eval(rand, 1, v) for v in range(1, 50)
-        )
+        assert np.array_equal(sign_table(99, 2, 49), sign_table(99, 2, 49))
+        # map i on value v does not depend on how many maps or values the table holds
+        assert np.array_equal(sign_table(99, 2, 49), sign_table(99, 5, 80)[:2, :49])
 
     def test_sign_values(self):
-        assert all(sign_map_eval(RAND, 2, v) in (1, -1) for v in range(1, 200))
+        signs = sign_table(1234, 8, 199)
+        assert signs.dtype == np.int8 and set(np.unique(signs)) <= {1, -1}
 
     def test_sign_fraction_near_half(self):
         m = 10**5
-        rand = SharedRandomness(7, r1=1, r2=1)
-        plus = sum(sign_map_eval(rand, 1, v) == 1 for v in range(1, m + 1))
+        plus = int((sign_table(7, 1, m) == 1).sum())
         assert abs(plus / m - 0.5) <= 3.0 / math.sqrt(m)
 
-    def test_sign_index_range(self):
-        with pytest.raises(ValueError):
-            sign_map_eval(RAND, 0, 1)
-        with pytest.raises(ValueError):
-            sign_map_eval(RAND, RAND.r1 + 1, 1)
-
     def test_k2_roots_are_signs(self):
-        rand = SharedRandomness(31, r1=4, r2=2, k=2)
-        for i in range(1, 5):
-            for v in range(1, 300):
-                root = root_map_eval(rand, i, v)
-                assert (root.real, root.imag) in ((1.0, 0.0), (-1.0, 0.0))
-                assert root.real == sign_map_eval(rand, i, v)
+        roots = root_table(31, 4, 2, 299)
+        assert np.array_equal(roots.real, sign_table(31, 4, 299))
+        assert not roots.imag.any()
 
     def test_k4_roots_exact(self):
-        rand = SharedRandomness(5, r1=1, r2=1, k=4)
-        seen = {
-            (root_map_eval(rand, 1, v).real, root_map_eval(rand, 1, v).imag)
-            for v in range(1, 200)
-        }
+        roots = root_table(5, 1, 4, 199)
+        seen = set(zip(roots.real.ravel().tolist(), roots.imag.ravel().tolist()))
         assert seen == {(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)}
 
     def test_roots_on_unit_circle(self):
-        for v in range(1, 100):
-            r = root_map_eval(RAND, 3, v)
-            assert abs(r.real**2 + r.imag**2 - 1.0) < 1e-12
+        roots = root_table(1234, 8, 3, 99)
+        assert np.all(np.abs(roots.real**2 + roots.imag**2 - 1.0) < 1e-12)
 
     def test_k3_root_frequencies(self):
-        rand = SharedRandomness(11, r1=1, r2=1, k=3)
         m = 30_000
-        freq: dict[tuple[float, float], int] = {}
-        for v in range(1, m + 1):
-            r = root_map_eval(rand, 1, v)
-            key = (round(r.real, 9), round(r.imag, 9))
-            freq[key] = freq.get(key, 0) + 1
-        assert len(freq) == 3
-        for count in freq.values():
-            assert abs(count / m - 1 / 3) <= 0.01
+        roots = root_table(11, 1, 3, m).ravel()
+        keys, counts = np.unique(np.round(roots, 9), return_counts=True)
+        assert len(keys) == 3
+        assert np.all(np.abs(counts / m - 1 / 3) <= 0.01)
 
     def test_bucket_single(self):
-        rand = SharedRandomness(3, r1=1, r2=1, num_buckets=1, s1=2)
-        assert all(bucket_map_eval(rand, 1, v) == 1 for v in range(1, 100))
+        assert np.all(bucket_table(3, 2, 1, 99) == 1)
 
     def test_bucket_deterministic_and_range(self):
-        for v in range(1, 500):
-            b = bucket_map_eval(RAND, 2, v)
-            assert b == bucket_map_eval(RAND, 2, v)
-            assert 1 <= b <= RAND.num_buckets
+        buckets = bucket_table(1234, 4, 8, 499)
+        assert np.array_equal(buckets, bucket_table(1234, 4, 8, 499))
+        assert buckets.min() >= 1 and buckets.max() <= 8
 
     def test_bucket_balance(self):
-        rand = SharedRandomness(17, r1=1, r2=1, num_buckets=8, s1=1)
-        loads = np.zeros(8)
-        for v in range(1, 10_001):
-            loads[bucket_map_eval(rand, 1, v) - 1] += 1
+        loads = np.bincount(bucket_table(17, 1, 8, 10_000).ravel() - 1, minlength=8)
         assert loads.max() / loads.mean() <= 1.2
-
-    def test_bucket_index_range(self):
-        with pytest.raises(ValueError):
-            bucket_map_eval(RAND, RAND.s1 + 1, 1)
 
 
 class StubRng:
@@ -317,9 +313,12 @@ class TestMergeMin:
         rates = rng.uniform(0.2, 2.0, size=(self.M, 3))
         rates[rng.random(rates.shape) < 0.3] = 0.0
         seeds = np.random.SeedSequence(seed).spawn(self.M)
-        return rng, values, lambda members: _heard_sketch(
-            rates, values, self.R2, self.Q, seeds, np.asarray(members, dtype=np.int64)
-        )
+        def heard(members):
+            mask = np.zeros(self.N, dtype=bool)
+            mask[np.asarray(members, dtype=np.int64)] = True
+            return _heard_sketch(rates, values, self.R2, self.Q, seeds, mask)
+
+        return rng, values, heard
 
     def test_idempotent(self):
         _, _, heard = self._setup(0)
@@ -376,16 +375,19 @@ class TestHeardSketchAgainstOracle:
         quant = QuantConfig.for_population(self.N)
         rng = np.random.default_rng(1210)
         values = rng.integers(1, self.M + 1, size=self.N)
-        members = np.flatnonzero(rng.random(self.N) < 0.8)
+        heard = rng.random(self.N) < 0.8
         got, want = [], []
         for seed in range(self.SEEDS):
             value_seeds = np.random.SeedSequence((seed, 0)).spawn(self.M)
             node_seeds = np.random.SeedSequence((seed, 1)).spawn(self.N)
             got.append(harmonic_estimate(
-                _heard_sketch(rates_by_value, values, r2, quant, value_seeds, members), quant
+                _heard_sketch(rates_by_value, values, r2, quant, value_seeds, heard), quant
             ))
             want.append(harmonic_estimate(
-                oracles.heard_sketch(rates_by_value, values, r2, quant, node_seeds, members), quant
+                oracles.heard_sketch(
+                    rates_by_value, values, r2, quant, node_seeds, np.flatnonzero(heard)
+                ),
+                quant,
             ))
         got, want = np.ravel(got), np.ravel(want)
         se = math.sqrt((got.var() + want.var()) / got.size)
@@ -393,16 +395,14 @@ class TestHeardSketchAgainstOracle:
         assert stats.ks_2samp(got, want).pvalue > 1e-3
 
     def test_k2_sign_table(self):
-        rand = SharedRandomness(5, r1=4, r2=16, k=2)
-        self._compare((sign_table(rand, self.M).T > 0).astype(float), rand.r2)
+        self._compare((sign_table(5, 4, self.M).T > 0).astype(float), 16)
 
     def test_k3_root_table(self):
-        rand = SharedRandomness(6, r1=4, r2=16, k=3)
-        roots = root_table(rand, self.M).T
+        roots = root_table(6, 4, 3, self.M).T
         rates = np.concatenate(
             [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(roots.shape)], axis=1
         )
-        self._compare(rates, rand.r2)
+        self._compare(rates, 16)
 
 
 class TestHarmonic:

@@ -8,7 +8,6 @@ claim at desk scale.
 from .estimators import (
     Dataset,
     ErrorBudget,
-    Histogram,
     ams_reference_f2,
     estimate_fk,
     exact_fk,
@@ -32,8 +31,6 @@ from .simulator import (
     CapacityError,
     DataModel,
     ExperimentConfig,
-    ExperimentReport,
-    TrialResult,
     run_experiment,
     run_trial,
     solve_budget,

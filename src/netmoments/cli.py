@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
 from __future__ import annotations
 
 import argparse
+import json
 import secrets
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import protocols, simulator
-from .estimators import exact_fk, Histogram, oracle_record
+from .estimators import exact_fk, oracle_record
 from .protocols import SpreadConfig, empirical_quantile, measure_spreading
 from .simulator import (
     CapacityError,
@@ -201,12 +202,20 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     )
 
 
-def _write_report(report, out_dir: Path, fmt: str) -> None:
+_TRIAL_COLUMNS = ("seed", "exact_scaled", "estimate_scaled", "abs_error", "steps", "bits",
+                  "phases", "alpha")
+
+
+def _write_report(report: dict, out_dir: Path, fmt: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt in ("json", "both"):
-        (out_dir / "report.json").write_text(report.to_json() + "\n")
+        (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if fmt in ("csv", "both"):
-        (out_dir / "trials.csv").write_text(report.csv_text())
+        rows = (
+            [f"{t[c]:.12g}" if isinstance(t[c], float) else t[c] for c in _TRIAL_COLUMNS]
+            for t in report["trials"]
+        )
+        _write_csv(out_dir / "trials.csv", ",".join(_TRIAL_COLUMNS), rows)
 
 
 def cmd_gen_data(settings: dict, keys) -> int:
@@ -225,8 +234,8 @@ def cmd_gen_data(settings: dict, keys) -> int:
     return EXIT_OK
 
 
-def _summarize(report, cfg: ExperimentConfig) -> None:
-    agg = report.aggregates()
+def _summarize(report: dict, cfg: ExperimentConfig) -> None:
+    agg, trials = report["aggregates"], report["trials"]
     print(
         f"trials: {agg['trials_measured']} measured, "
         f"{agg['trials_rejected']} rejected, {agg['non_converged']} non-converged"
@@ -234,13 +243,13 @@ def _summarize(report, cfg: ExperimentConfig) -> None:
     print(f"phases: {cfg.phases}")
     print(f"message bits per transmission: {cfg.message_bits}")
     print(f"median steps: {agg['median_steps']:.0f}  total bits: {agg['total_bits']}")
-    if report.results:
-        est = np.mean([r.estimate_scaled for r in report.results])
-        exact = np.mean([r.exact_scaled for r in report.results])
+    if trials:
+        est = np.mean([t["estimate_scaled"] for t in trials])
+        exact = np.mean([t["exact_scaled"] for t in trials])
         print(f"mean estimate_scaled: {est:.6g}  mean exact_scaled: {exact:.6g}")
         print(f"mean |error|: {agg['mean_abs_error']:.6g}  max |error|: {agg['max_abs_error']:.6g}")
     print(
-        f"success rate: {report.empirical_success_rate:.3f} "
+        f"success rate: {report['empirical_success_rate']:.3f} "
         f"(target >= {1 - cfg.delta:.3f} at epsilon = {cfg.epsilon})"
     )
 
@@ -254,15 +263,15 @@ def cmd_run(settings: dict, keys) -> int:
     settings["trunc_l"] = cfg.quant.truncation_L
     settings["radius_c"] = cfg.radius_c
     settings["p_n"] = cfg.p_n
-    settings["buckets"] = cfg.num_buckets
+    settings["buckets"], settings["s1"] = cfg.num_buckets, cfg.s1
     out_dir = Path(settings["out"]) if settings.get("out") else None
     _echo_config(settings, keys, out_dir)
     report = run_experiment(cfg, jobs=settings["jobs"])
     if out_dir is not None:
         _write_report(report, out_dir, settings["format"])
     _summarize(report, cfg)
-    measured = max(1, len(report.results))
-    if report.non_converged / measured > cfg.spread.beta:
+    measured = max(1, len(report["trials"]))
+    if report["aggregates"]["non_converged"] / measured > cfg.spread.beta:
         print("non-convergence beyond tolerance", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -287,17 +296,9 @@ def cmd_sweep(settings: dict, keys) -> int:
     for raw, cfg in points:
         report = run_experiment(cfg, jobs=settings["jobs"])
         _write_report(report, out_root / f"{param}={raw}", settings["format"])
-        agg = report.aggregates()
-        rows.append(
-            (
-                raw,
-                report.empirical_success_rate,
-                agg["mean_abs_error"],
-                agg["median_steps"],
-                agg["total_bits"],
-            )
-        )
-        print(f"{param}={raw}: success {report.empirical_success_rate:.3f}")
+        agg, success = report["aggregates"], report["empirical_success_rate"]
+        rows.append((raw, success, agg["mean_abs_error"], agg["median_steps"], agg["total_bits"]))
+        print(f"{param}={raw}: success {success:.3f}")
     _write_csv(out_root / "summary.csv",
                f"{param},success_rate,mean_abs_error,median_steps,total_bits", rows)
     print(f"wrote {out_root / 'summary.csv'}")
@@ -338,17 +339,18 @@ def cmd_spreading_time(settings: dict, keys) -> int:
         except simulator.TrialRejected as exc:
             raise ValueError(f"N={n}: {exc}, under half") from None
         try:
-            m = measure_spreading(topo, settings["protocol"], cfg, trials, rng, p_n=p_n)
+            steps = measure_spreading(topo, settings["protocol"], cfg, trials, rng, p_n=p_n)
         except RuntimeError as exc:  # no trial finished within the step cap
             print(f"N={n}: {exc}", file=sys.stderr)
             return EXIT_NONCONVERGED
-        median = empirical_quantile(m.steps, 0.5)
-        mean = float(np.mean(m.steps))
-        rows.append((len(ids), m.quantile_steps, median, mean, m.completed_trials))
+        quantile = empirical_quantile(steps, 1.0 - cfg.beta)
+        median = empirical_quantile(steps, 0.5)
+        mean = float(np.mean(steps))
+        rows.append((len(ids), quantile, median, mean, len(steps)))
         giant = f" giant={len(ids)}" if len(ids) != n else ""
         print(
-            f"N={n}:{giant} quantile(1-beta)={m.quantile_steps} median={median} "
-            f"mean={mean:.1f} completed={m.completed_trials}/{trials}"
+            f"N={n}:{giant} quantile(1-beta)={quantile} median={median} "
+            f"mean={mean:.1f} completed={len(steps)}/{trials}"
         )
     if out_dir is not None:
         _write_csv(out_dir / "spreading_time.csv",
@@ -370,13 +372,11 @@ def cmd_oracle(settings: dict, keys) -> int:
     print(f"N = {n}  M = {dataset.alphabet_size}")
     print(f"F_{k} = {exact}")
     print(f"F_{k} / N^{k} = {scaled:.9g}")
-    counts = Histogram.from_dataset(dataset).counts
+    counts = dataset.counts
     order = np.argsort(counts)[::-1][:5]
     tops = ", ".join(f"{int(v) + 1}:{int(counts[v])}" for v in order if counts[v] > 0)
     print(f"top frequencies: {tops}")
     if settings.get("json_out"):
-        import json
-
         Path(settings["json_out"]).write_text(
             json.dumps(oracle_record(dataset, k), indent=2, sort_keys=True) + "\n"
         )

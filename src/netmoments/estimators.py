@@ -35,6 +35,11 @@ class Dataset:
     def n_nodes(self) -> int:
         return int(self.values.size)
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Occurrence counts per alphabet value, value 1 first."""
+        return np.bincount(self.values, minlength=self.alphabet_size + 1)[1:]
+
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(f"{self.n_nodes} {self.alphabet_size}\n".encode())
@@ -42,36 +47,18 @@ class Dataset:
         return h.hexdigest()
 
 
-@dataclass
-class Histogram:
-    """Occurrence counts per alphabet value."""
-
-    counts: np.ndarray
-
-    @classmethod
-    def from_dataset(cls, d: Dataset) -> "Histogram":
-        counts = np.bincount(d.values, minlength=d.alphabet_size + 1)[1:]
-        return cls(counts.astype(np.int64))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
 def exact_fk(d: Dataset, k: int) -> int:
     """Brute-force k-th frequency moment; the oracle every probabilistic path
     is validated against.  Exact integer arithmetic, so no k is too large."""
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    counts = Histogram.from_dataset(d).counts
-    return sum(int(c) ** k for c in counts if c > 0)
+    return sum(int(c) ** k for c in d.counts if c > 0)
 
 
 def exact_nplus(d: Dataset, seed: int, r1: int) -> np.ndarray:
     """N_+ under each of the r1 sign maps of the seed: the number of nodes
     whose value the map sends to +1."""
-    counts = Histogram.from_dataset(d).counts
-    return (sign_table(seed, r1, d.alphabet_size) > 0) @ counts
+    return (sign_table(seed, r1, d.alphabet_size) > 0) @ d.counts
 
 
 def f2_from_nplus(nplus: np.ndarray, n_nodes: int) -> float:

@@ -330,17 +330,6 @@ def empirical_quantile(values, q: float) -> float:
     return ordered[idx]
 
 
-@dataclass
-class SpreadingMeasurement:
-    """Empirical spreading-time estimate across independent trials."""
-
-    quantile_steps: float
-    beta: float
-    steps: list[int]
-    completed_trials: int
-    trials: int
-
-
 def measure_spreading(
     topo: Topology | int,
     protocol: str,
@@ -348,28 +337,17 @@ def measure_spreading(
     trials: int,
     rng: np.random.Generator,
     p_n: float | None = None,
-) -> SpreadingMeasurement:
-    """Empirical (1 - beta)-quantile of steps to full dissemination.
-
-    Trials that hit the step cap are excluded from the quantile and counted
-    only in trials.
-    """
+) -> list[int]:
+    """Steps to full dissemination of each of `trials` spreads that
+    completed, in order; a spread that hits the step cap is left out."""
     if trials < 1:
         raise ValueError("need at least one trial")
     steps: list[int] = []
-    completed = 0
     for _ in range(trials):
         report, _ = run_spreading(topo, protocol, cfg, rng, p_n=p_n)
         if report.completed:
-            completed += 1
             steps.append(report.steps_to_full)
     if not steps:
         cap = cfg.max_steps or default_max_steps(protocol, _n_nodes(topo))
         raise RuntimeError(f"no trial completed within the step cap ({cap})")
-    return SpreadingMeasurement(
-        quantile_steps=empirical_quantile(steps, 1.0 - cfg.beta),
-        beta=cfg.beta,
-        steps=steps,
-        completed_trials=completed,
-        trials=trials,
-    )
+    return steps

@@ -8,14 +8,16 @@ in sequence: one for k = 2, one per (bucket map, bucket) for k >= 3.  Each
 phase spreads from scratch and reads node 0's sketch off its heard-set, one
 closed-form draw per value present.  The per-phase harmonic estimates give
 F_2 / N^2 from the sign sums, or F_k / N^k from the bucket phases, scaled by
-the participant count."""
+the participant count.
+
+Reports are plain dicts: a trial's record and the experiment's report are
+the dicts report.json serialises, so each key is written in one place."""
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import numpy.random  # numpy loads it on first use; load it with the package
@@ -284,148 +286,14 @@ class ExperimentConfig:
         return self.channels * self.budget.r1 * self.budget.r2 * self.quant.bits_per_entry
 
     def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "alphabet_size": self.alphabet_size,
-            "k": self.k,
-            "data": self.data.spec_string(),
-            "network": self.network if self.network != "graph" else f"graph:{self.graph_path}",
-            "protocol": self.protocol,
-            "budget": {
-                "eps1": self.budget.eps1,
-                "eps2": self.budget.eps2,
-                "mu": self.budget.mu,
-                "r1": self.budget.r1,
-                "r2": self.budget.r2,
-                "beta": self.budget.beta,
-            },
-            "quant": {
-                "truncation_L": self.quant.truncation_L,
-                "quant_bits": self.quant.quant_bits,
-                "target_mu": self.quant.target_mu,
-            },
-            "num_buckets": self.num_buckets,
-            "s1": self.s1,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "radius_c": self.radius_c,
-            "p_n": self.p_n,
-            "spread": {
-                "beta": self.spread.beta,
-                "max_steps": self.spread.max_steps,
-                "exchange_mode": self.spread.exchange_mode,
-            },
-        }
-
-
-@dataclass
-class TrialResult:
-    """One trial's outcome; abs_error compares scaled estimate and oracle."""
-
-    trial_index: int
-    exact_scaled: float
-    estimate_scaled: float
-    abs_error: float
-    steps: int
-    bits: int
-    message_bits: int
-    phases: int
-    completed: bool
-    success: bool
-    alpha: float = 0.0
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {
-            "seed": self.trial_index,
-            "exact_scaled": self.exact_scaled,
-            "estimate_scaled": self.estimate_scaled,
-            "abs_error": self.abs_error,
-            "steps": self.steps,
-            "bits": self.bits,
-            "message_bits": self.message_bits,
-            "phases": self.phases,
-            "completed": self.completed,
-            "success": self.success,
-            "alpha": self.alpha,
-        }
-        d.update(self.extras)
+        """The config block of report.json: the fields, with the data model as
+        its spec string and a graph file's path inside the network spec."""
+        d = asdict(self)
+        d["data"] = self.data.spec_string()
+        graph_path = d.pop("graph_path")
+        if self.network == "graph":
+            d["network"] = f"graph:{graph_path}"
         return d
-
-
-CSV_COLUMNS = (
-    "seed",
-    "exact_scaled",
-    "estimate_scaled",
-    "abs_error",
-    "steps",
-    "bits",
-    "phases",
-    "alpha",
-)
-
-
-@dataclass
-class ExperimentReport:
-    """All trials of one experiment plus the success-rate bookkeeping."""
-
-    config: dict
-    kind: str
-    results: list[TrialResult]
-    rejected_trials: list[int] = field(default_factory=list)
-
-    @property
-    def empirical_success_rate(self) -> float:
-        measured = [r for r in self.results if r.completed]
-        if not measured:
-            return 0.0
-        return sum(r.success for r in measured) / len(measured)
-
-    @property
-    def non_converged(self) -> int:
-        return sum(not r.completed for r in self.results)
-
-    def aggregates(self) -> dict:
-        steps = [r.steps for r in self.results]
-        errors = [r.abs_error for r in self.results if r.completed]
-        return {
-            "trials_measured": len(self.results),
-            "trials_rejected": len(self.rejected_trials),
-            "non_converged": self.non_converged,
-            "total_bits": int(sum(r.bits for r in self.results)),
-            "median_steps": estimators.median(steps) if steps else 0.0,
-            "mean_steps": float(np.mean(steps)) if steps else 0.0,
-            "mean_abs_error": float(np.mean(errors)) if errors else 0.0,
-            "max_abs_error": float(np.max(errors)) if errors else 0.0,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "kind": self.kind,
-            "empirical_success_rate": self.empirical_success_rate,
-            "aggregates": self.aggregates(),
-            "rejected_trials": self.rejected_trials,
-            "trials": [r.to_dict() for r in self.results],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for r in sorted(self.results, key=lambda r: r.trial_index):
-            row = r.to_dict()
-            lines.append(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS))
-        return "\n".join(lines) + "\n"
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
@@ -499,8 +367,9 @@ def _heard_sketch(
     return acc
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult | None:
-    """One end-to-end trial of any k; None means a rejected percolation trial.
+def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
+    """One end-to-end trial of any k, as its record in report.json; None
+    means a rejected percolation trial.
 
     The set-up runs once: data, maps and the network, which on a percolating
     network is its giant component.  Then the phases run in sequence, each a
@@ -570,46 +439,42 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult | None:
     exact = exact_fk(dataset, cfg.k)
     exact_scaled = exact / float(cfg.n_nodes) ** cfg.k
     abs_error = abs(estimate - exact_scaled)
-    success = completed and abs_error <= cfg.epsilon
-
-    extras: dict = {}
+    trial = {
+        "seed": trial_index,
+        "exact_scaled": exact_scaled,
+        "estimate_scaled": estimate,
+        "abs_error": abs_error,
+        "steps": sum(report.steps_to_full for report in reports),
+        "bits": sum(report.bits_sent for report in reports),
+        "message_bits": cfg.message_bits,
+        "phases": cfg.phases,
+        "completed": completed,
+        "success": completed and abs_error <= cfg.epsilon,
+        "alpha": alpha,
+    }
     if cfg.network == "rgg-percolating":
         # eq. (4): the estimate against the giant's own scaled moment
         part_scaled = exact_fk(Dataset(part_values, m), cfg.k) / float(n_part) ** cfg.k
         eq4_error = abs(estimate - part_scaled)
-        extras = {
-            f"f{cfg.k}_alpha_scaled": part_scaled,
-            "eq4_error": eq4_error,
-            "eq4_ok": eq4_error <= cfg.epsilon,
-            "n_participants": n_part,
-        }
+        trial[f"f{cfg.k}_alpha_scaled"] = part_scaled
+        trial["eq4_error"] = eq4_error
+        trial["eq4_ok"] = eq4_error <= cfg.epsilon
+        trial["n_participants"] = n_part
+        trial["success"] = completed and trial["eq4_ok"]
         if cfg.k == 2:  # the corollary on the whole network's F_2 is stated for k = 2 only
             corollary_stat = abs(estimate * n_part**2 - exact)
             corollary_threshold = cfg.n_nodes**2 * alpha**2 * (1.0 - cfg.epsilon)
-            extras["corollary_stat"] = corollary_stat
-            extras["corollary_threshold"] = corollary_threshold
-            extras["corollary_ok"] = corollary_stat < corollary_threshold
-        success = completed and extras["eq4_ok"]
-
-    return TrialResult(
-        trial_index=trial_index,
-        exact_scaled=exact_scaled,
-        estimate_scaled=estimate,
-        abs_error=abs_error,
-        steps=sum(report.steps_to_full for report in reports),
-        bits=sum(report.bits_sent for report in reports),
-        message_bits=cfg.message_bits,
-        phases=cfg.phases,
-        completed=completed,
-        success=success,
-        alpha=alpha,
-        extras=extras,
-    )
+            trial["corollary_stat"] = corollary_stat
+            trial["corollary_threshold"] = corollary_threshold
+            trial["corollary_ok"] = corollary_stat < corollary_threshold
+    return trial
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     """Run all trials (optionally across processes; trials are independent and
-    aggregation is order-free) and assemble the report."""
+    aggregation is order-free) and assemble the report that report.json holds:
+    the trials in trial order, the rejected trial indices, and the success
+    rate and aggregates, which count only completed trials' errors."""
     kind = "percolation" if cfg.network == "rgg-percolating" else ("f2" if cfg.k == 2 else "fk")
     args = ([cfg] * cfg.trials, range(cfg.trials))
     if jobs > 1:
@@ -619,8 +484,27 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
             outcomes = list(pool.map(run_trial, *args))  # in trial order
     else:
         outcomes = list(map(run_trial, *args))
-    results = [result for result in outcomes if result is not None]
-    rejected = [t for t, result in enumerate(outcomes) if result is None]
-    return ExperimentReport(
-        config=cfg.to_dict(), kind=kind, results=results, rejected_trials=rejected
-    )
+    trials = [trial for trial in outcomes if trial is not None]
+    rejected = [t for t, trial in enumerate(outcomes) if trial is None]
+    completed = [trial for trial in trials if trial["completed"]]
+    steps = [trial["steps"] for trial in trials]
+    errors = [trial["abs_error"] for trial in completed]
+    return {
+        "config": cfg.to_dict(),
+        "kind": kind,
+        "empirical_success_rate": (
+            sum(trial["success"] for trial in completed) / len(completed) if completed else 0.0
+        ),
+        "aggregates": {
+            "trials_measured": len(trials),
+            "trials_rejected": len(rejected),
+            "non_converged": len(trials) - len(completed),
+            "total_bits": int(sum(trial["bits"] for trial in trials)),
+            "median_steps": estimators.median(steps) if steps else 0.0,
+            "mean_steps": float(np.mean(steps)) if steps else 0.0,
+            "mean_abs_error": float(np.mean(errors)) if errors else 0.0,
+            "max_abs_error": float(np.max(errors)) if errors else 0.0,
+        },
+        "rejected_trials": rejected,
+        "trials": trials,
+    }

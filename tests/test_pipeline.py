@@ -58,6 +58,7 @@ from netmoments.simulator import (
     CapacityError,
     DataModel,
     ExperimentConfig,
+    parse_network,
     solve_budget,
     write_dataset_file,
 )
@@ -251,6 +252,58 @@ class TestGoldenReports:
         assert hashlib.sha256(body).hexdigest() == want_digest
 
 
+# GOLDEN name -> sha256 of trials.csv; these, the sweep's summary.csv and the
+# summary lines were recorded on the release that held trials and reports in
+# classes of their own
+TRIALS_CSV = {
+    "rgg-percolating-gossip-k2": "ca9867961d6aa9e0dcfde5cf91c652aa74358c0e34a08e79ebf5011b7c31dec0",
+    "rgg-connected-gossip-k3-cut": "bc0d1205f81ef375d1a05bef5fb7300525cca36d273c4b4afc49e870cfb4dce3",
+}
+_SUMMARY = """\
+trials: 3 measured, 0 rejected, 0 non-converged
+phases: 1
+message bits per transmission: 11776
+median steps: 38629  total bits: 2595006464
+mean estimate_scaled: 0.288018  mean exact_scaled: 0.229239
+mean |error|: 0.13046  max |error|: 0.283859
+success rate: 0.667 (target >= 0.900 at epsilon = 0.1)
+"""
+
+
+class TestOtherOutputs:
+    @pytest.mark.parametrize("name", sorted(TRIALS_CSV))
+    def test_trials_csv_digest(self, tmp_path, capsys, name):
+        argv, want_code, want_digest, _ = GOLDEN[name]
+        out = tmp_path / name
+        assert cli.main(["run", *argv, "--out", str(out), "--format", "both"]) == want_code
+        body = (out / "trials.csv").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == TRIALS_CSV[name]
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == want_digest
+
+    def test_summary_lines(self, tmp_path, capsys):
+        code, _ = _run(tmp_path, "summary", GOLDEN["rgg-percolating-gossip-k2"][0])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out.split("# end-config\n", 1)[1] == _SUMMARY
+
+    def test_sweep_summary_csv_digest(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--param", "network", "--values", "complete,rgg-percolating",
+                "--nodes", "200", "--alphabet", "10", "--r1", "4", "--r2", "16",
+                "--trials", "2", "--seed", "5", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        body = (out / "summary.csv").read_bytes()
+        want = "f9502f277e80a5459445ff1f373bac243c1071acc4dd2c84c675831d8efe4a14"
+        assert hashlib.sha256(body).hexdigest() == want
+
+    def test_csv_format_writes_no_json(self, tmp_path, capsys):
+        out = tmp_path / "csv"
+        argv = ["run", "--nodes", "40", "--alphabet", "5", "--r1", "2", "--r2", "8",
+                "--trials", "2", "--seed", "2", "--format", "csv", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["effective.cfg", "trials.csv"]
+        assert len((out / "trials.csv").read_text().splitlines()) == 3
+
+
 # network -> sha256 of spreading_time.csv for --nodes 20,300 --trials 3 --seed 1,
 # recorded from the release that stored the complete graph as a CSR
 SPREADING_CSV = {
@@ -305,10 +358,11 @@ class TestSpreadingTime:
             topo, _ = induced_subgraph(whole, giant_component(whole).giant)
             p_n = default_p_n(n, percolating=True)
             assert n / 2 <= topo.n_nodes < n
-        m = measure_spreading(topo, protocol, SpreadConfig(), 3, rng, p_n=p_n)
+        cfg = SpreadConfig()
+        steps = measure_spreading(topo, protocol, cfg, 3, rng, p_n=p_n)
         # the n_nodes column counts the nodes the spread ran on: the giant's
-        want = (topo.n_nodes, m.quantile_steps, empirical_quantile(m.steps, 0.5),
-                float(np.mean(m.steps)), m.completed_trials)
+        want = (topo.n_nodes, empirical_quantile(steps, 1.0 - cfg.beta),
+                empirical_quantile(steps, 0.5), float(np.mean(steps)), len(steps))
         row = (tmp_path / "st" / "spreading_time.csv").read_text().splitlines()[1]
         assert row == ",".join(str(x) for x in want)
 
@@ -427,6 +481,16 @@ class TestReproducibility:
         _, one = _run(tmp_path, "jobs1", [*_SMALL, "--jobs", "1"])
         _, two = _run(tmp_path, "jobs2", [*_SMALL, "--jobs", "2"])
         assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
+
+    def test_echo_and_report_agree_on_s1_at_k2(self, tmp_path, capsys):
+        # k = 2 runs one phase, so the s1 it runs with is 1 whatever was given
+        argv = ["--nodes", "200", "--alphabet", "10", "--network", "rgg-percolating",
+                "--radius-c", "0.5", "--r1", "2", "--r2", "4", "--trials", "2", "--seed", "1"]
+        code, out = _run(tmp_path, "s1", argv)
+        assert code == cli.EXIT_OK
+        echoed = re.findall(r"^s1 = (\d+)$", (out / "effective.cfg").read_text(), re.M)
+        assert echoed == ["1"]
+        assert json.loads((out / "report.json").read_text())["config"]["s1"] == 1
 
     def test_rerun_from_effective_cfg(self, tmp_path, capsys):
         _, first = _run(tmp_path, "first", [*_SMALL, "--network", "rgg-connected"])
@@ -838,10 +902,21 @@ def experiment_configs(draw):
     )
 
 
+# the top-level keys of report.json's config block
+_CONFIG_BLOCK_KEYS = sorted(
+    "alphabet_size budget data delta epsilon k master_seed n_nodes network num_buckets p_n "
+    "protocol quant radius_c s1 spread trials".split()
+)
+
+
 class TestConfigRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(experiment_configs())
     def test_pickles_for_workers_and_dumps_to_json(self, cfg):
         # --jobs hands each worker the pickled config; report.json holds to_dict()
         assert pickle.loads(pickle.dumps(cfg)) == cfg
-        json.dumps(cfg.to_dict())
+        d = cfg.to_dict()
+        json.dumps(d)
+        assert sorted(d) == _CONFIG_BLOCK_KEYS
+        assert DataModel.parse(d["data"]) == cfg.data
+        assert parse_network(d["network"]) == (cfg.network, cfg.graph_path)

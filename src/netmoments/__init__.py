@@ -22,11 +22,7 @@ from .network import (
     giant_component,
     percolation_radius,
 )
-from .protocols import (
-    SpreadConfig,
-    SpreadReport,
-    measure_spreading,
-)
+from .protocols import SpreadConfig, SpreadReport
 from .simulator import (
     CapacityError,
     DataModel,

@@ -8,10 +8,12 @@ each subcommand its handler and the keys it reads and echoes; `build_parser`
 makes the flags from these two tables.  A `--config` file may set any key,
 named as the key or as its flag is spelled.
 
-Every subcommand echoes its fully resolved configuration, the seed included;
-re-running from that echo reproduces outputs byte for byte.  run, sweep and
-spreading-time also write the echo as effective.cfg into their --out
-directory.
+Every subcommand echoes its configuration, the seed included, before any
+other output; re-running from that echo reproduces outputs byte for byte.
+A setting resolved per run (the budget, quantizer, radius_c, p_n, buckets
+and s1) is echoed at its resolved value when all the command's runs share
+it, and as given otherwise.  run, sweep and spreading-time also write the
+echo as effective.cfg into their --out directory.
 Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
 4 non-convergence beyond tolerance.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import protocols, simulator
 from .estimators import exact_fk, oracle_record
-from .protocols import SpreadConfig, empirical_quantile, measure_spreading
+from .protocols import SpreadConfig, default_max_steps, empirical_quantile, run_spreading
 from .simulator import (
     CapacityError,
     DataModel,
@@ -136,9 +138,16 @@ def _resolve(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _echo_config(settings: dict, keys, out_dir: Path | None = None) -> None:
-    """Print the settings named by keys; with out_dir, make it and write them to effective.cfg."""
-    lines = [f"{key} = {settings[key]}" for key in keys if settings.get(key) is not None]
+def _echo_config(settings: dict, keys, points=(), out_dir: Path | None = None) -> None:
+    """Print the settings named by keys; with out_dir, make it and write them
+    to effective.cfg.  points are the resolved settings of the command's runs:
+    a value they all share is echoed in place of the given one."""
+    echoed = dict(settings)
+    for key in {key for point in points for key in point}:
+        shared = {point[key] for point in points}
+        if len(shared) == 1:
+            echoed[key] = shared.pop()
+    lines = [f"{key} = {echoed[key]}" for key in keys if echoed.get(key) is not None]
     print("# effective-config")
     for line in lines:
         print(line)
@@ -202,6 +211,14 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     )
 
 
+def _resolved(cfg: ExperimentConfig) -> dict:
+    """The settings an experiment resolves, by their keys."""
+    budget, quant = cfg.budget, cfg.quant
+    return dict(r1=budget.r1, r2=budget.r2, quant_bits=quant.quant_bits,
+                trunc_l=quant.truncation_L, radius_c=cfg.radius_c, p_n=cfg.p_n,
+                buckets=cfg.num_buckets, s1=cfg.s1)
+
+
 _TRIAL_COLUMNS = ("seed", "exact_scaled", "estimate_scaled", "abs_error", "steps", "bits",
                   "phases", "alpha")
 
@@ -258,14 +275,8 @@ def cmd_run(settings: dict, keys) -> int:
     if settings.get("nodes") is None:
         raise ValueError("run needs --nodes")
     cfg = _experiment_config(settings)
-    settings["r1"], settings["r2"] = cfg.budget.r1, cfg.budget.r2
-    settings["quant_bits"] = cfg.quant.quant_bits
-    settings["trunc_l"] = cfg.quant.truncation_L
-    settings["radius_c"] = cfg.radius_c
-    settings["p_n"] = cfg.p_n
-    settings["buckets"], settings["s1"] = cfg.num_buckets, cfg.s1
     out_dir = Path(settings["out"]) if settings.get("out") else None
-    _echo_config(settings, keys, out_dir)
+    _echo_config(settings, keys, [_resolved(cfg)], out_dir)
     report = run_experiment(cfg, jobs=settings["jobs"])
     if out_dir is not None:
         _write_report(report, out_dir, settings["format"])
@@ -291,7 +302,7 @@ def cmd_sweep(settings: dict, keys) -> int:
         point = dict(settings)
         point[param] = _coerce(param, raw.strip())
         points.append((raw.strip(), _experiment_config(point)))
-    _echo_config(settings, keys, out_root)
+    _echo_config(settings, keys, [_resolved(cfg) for _, cfg in points], out_root)
     rows = []
     for raw, cfg in points:
         report = run_experiment(cfg, jobs=settings["jobs"])
@@ -309,39 +320,35 @@ def cmd_spreading_time(settings: dict, keys) -> int:
     if settings.get("nodes") is None:
         raise ValueError("spreading-time needs --nodes (comma list allowed)")
     sizes = [int(x) for x in str(settings["nodes"]).split(",")]
-    trials = settings["trials"]
-    kind, graph_path = simulator.parse_network(settings["network"])
-    simulator.check_network_protocol(kind, settings["protocol"])
-    if settings.get("radius_c") is None:
-        settings["radius_c"] = simulator.default_radius_c(kind)
-    if settings["radius_c"] <= 0:
-        raise ValueError("need radius_c > 0")
-    given_p_n = settings.get("p_n")
-    if given_p_n is not None:
-        protocols.check_p_n(given_p_n)
-    p_ns = [
-        protocols.default_p_n(n, percolating=kind == "rgg-percolating")
-        if given_p_n is None
-        else given_p_n
+    trials, protocol = settings["trials"], settings["protocol"]
+    networks = [
+        simulator.resolve_network(
+            settings["network"], protocol, n, settings.get("radius_c"), settings.get("p_n")
+        )
         for n in sizes
     ]
-    if len(set(p_ns)) == 1:
-        settings["p_n"] = p_ns[0]  # one value for every size, so the echo can pin it
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     cfg = _spread_config(settings)
     out_dir = Path(settings["out"]) if settings.get("out") else None
-    _echo_config(settings, keys, out_dir)
+    points = [{"radius_c": radius_c, "p_n": p_n} for _, _, radius_c, p_n in networks]
+    _echo_config(settings, keys, points, out_dir)
     rows = []
-    for idx, (n, p_n) in enumerate(zip(sizes, p_ns)):
+    for idx, (n, (kind, graph_path, radius_c, p_n)) in enumerate(zip(sizes, networks)):
         # one generator per size draws the graph, then every trial on it
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], idx)))
         try:
-            topo, ids, _ = simulator.build_topology(kind, n, settings["radius_c"], graph_path, rng)
+            topo, ids, _ = simulator.build_topology(kind, n, radius_c, graph_path, rng)
         except simulator.TrialRejected as exc:
             raise ValueError(f"N={n}: {exc}, under half") from None
-        try:
-            steps = measure_spreading(topo, settings["protocol"], cfg, trials, rng, p_n=p_n)
-        except RuntimeError as exc:  # no trial finished within the step cap
-            print(f"N={n}: {exc}", file=sys.stderr)
+        steps = []  # of the spreads that completed; one cut by the cap is left out
+        for _ in range(trials):
+            report, _ = run_spreading(topo, protocol, cfg, rng, p_n=p_n)
+            if report.completed:
+                steps.append(report.steps_to_full)
+        if not steps:
+            cap = cfg.max_steps or default_max_steps(protocol, len(ids))
+            print(f"N={n}: no trial completed within the step cap ({cap})", file=sys.stderr)
             return EXIT_NONCONVERGED
         quantile = empirical_quantile(steps, 1.0 - cfg.beta)
         median = empirical_quantile(steps, 0.5)

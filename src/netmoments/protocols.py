@@ -1,11 +1,12 @@
 """Information-spreading protocols: gossip with a discrete rate-N clock and
 slotted Aloha with a single-transmitter collision rule, run over per-node
-heard-sets, and spreading-time measurement.
+heard-sets.
 
 A network is a Topology, or the complete graph K_N given as its node count N,
 an int.  K_N is never stored: row u of its adjacency is 0..u-1, u+1..N-1, so
-gossip finds a neighbour by arithmetic, and Aloha, which would need the
-whole adjacency, rejects it.
+gossip finds a neighbour by arithmetic.  Aloha would need the whole
+adjacency, and cannot finish on K_N anyway; the experiment configuration
+rejects it there, so it only ever runs on a Topology.
 
 Who contacts whom never depends on what anyone has heard, so each protocol
 is a source of contact blocks: its deliveries in order as arrays (tick,
@@ -234,7 +235,6 @@ class SpreadReport:
 
     steps_to_full: int
     messages_sent: int
-    bits_sent: int
     completed: bool
 
 
@@ -281,7 +281,6 @@ def run_spreading(
     protocol: str,
     cfg: SpreadConfig,
     rng: np.random.Generator,
-    message_bits: int = 0,
     p_n: float | None = None,
 ) -> tuple[SpreadReport, list[int]]:
     """Run a protocol until every node has heard every other node (or the step
@@ -289,7 +288,8 @@ def run_spreading(
     node u has heard, directly or by relay, from node w.
 
     topo is a Topology, or the node count N of the complete graph, which
-    only gossip accepts.
+    only gossip takes.  p_n is Aloha's transmit probability, resolved by
+    the caller; gossip ignores it.
 
     Returns (SpreadReport, heard_sets).  A node's min-sketch is the min over
     the initial sketches of its heard-set, so the heard-sets are all a caller
@@ -299,11 +299,6 @@ def run_spreading(
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     max_steps = cfg.max_steps if cfg.max_steps is not None else default_max_steps(protocol, n)
-    if protocol == ALOHA:
-        p_n = default_p_n(n) if p_n is None else p_n
-        check_p_n(p_n)
-        if isinstance(topo, int):
-            raise ValueError("aloha needs a Topology, not the complete graph's node count")
     heard = [1 << u for u in range(n)]
     is_full = bytearray(n)
     if protocol == GOSSIP:
@@ -312,7 +307,7 @@ def run_spreading(
         # the kernel reads is_full through this view as its skip mask
         blocks = _aloha_blocks(topo, p_n, rng, np.frombuffer(is_full, dtype=bool))
     steps, messages, completed = _deliver(blocks, heard, is_full, max_steps)
-    return SpreadReport(steps, messages, messages * message_bits, completed), heard
+    return SpreadReport(steps, messages, completed), heard
 
 
 def heard_mask(heard_set: int, n_nodes: int) -> np.ndarray:
@@ -329,25 +324,3 @@ def empirical_quantile(values, q: float) -> float:
     idx = max(0, math.ceil(q * len(ordered)) - 1)
     return ordered[idx]
 
-
-def measure_spreading(
-    topo: Topology | int,
-    protocol: str,
-    cfg: SpreadConfig,
-    trials: int,
-    rng: np.random.Generator,
-    p_n: float | None = None,
-) -> list[int]:
-    """Steps to full dissemination of each of `trials` spreads that
-    completed, in order; a spread that hits the step cap is left out."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    steps: list[int] = []
-    for _ in range(trials):
-        report, _ = run_spreading(topo, protocol, cfg, rng, p_n=p_n)
-        if report.completed:
-            steps.append(report.steps_to_full)
-    if not steps:
-        cap = cfg.max_steps or default_max_steps(protocol, _n_nodes(topo))
-        raise RuntimeError(f"no trial completed within the step cap ({cap})")
-    return steps

@@ -32,6 +32,7 @@ DATA_KINDS = ("pointmass", "uniform", "zipf", "file")
 
 DEFAULT_S1 = 5
 _GIANT_MIN_FRACTION = 0.5
+_MAX_CELLS = 1 << 23  # the desk-scale cap on a solved budget's r1 * r2
 
 # Budget-solver calibration.  The worst-case theory constants (Chebyshev 2
 # for the map term, Chernoff 12 for the replica term) demand r1*r2 in the
@@ -45,14 +46,6 @@ CAL_EXP_TERM = 12.0 / 2.0**14
 
 class CapacityError(RuntimeError):
     """The requested accuracy needs more sketch cells than the desk-scale cap."""
-
-    def __init__(self, required_cells: int, max_cells: int):
-        super().__init__(
-            f"budget needs r1*r2 = {required_cells} sketch cells "
-            f"(cap {max_cells}); relax epsilon or delta"
-        )
-        self.required_cells = required_cells
-        self.max_cells = max_cells
 
 
 @dataclass(frozen=True)
@@ -159,8 +152,6 @@ def solve_budget(
     eps: float,
     delta: float,
     n_nodes: int,
-    target_mu: float | None = None,
-    max_cells: int = 1 << 23,
     r1: int | None = None,
     r2: int | None = None,
 ) -> tuple[ErrorBudget, QuantConfig]:
@@ -169,7 +160,7 @@ def solve_budget(
 
     eps is split as eps1 = eps/2 for the map term and eps2 = eps/32 for the
     replica term; each term gets half of delta.  Given r1 and r2 are taken
-    as they are; solved budgets beyond max_cells sketch cells raise
+    as they are; solved budgets beyond _MAX_CELLS sketch cells raise
     CapacityError instead of returning something unrunnable.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
@@ -178,26 +169,20 @@ def solve_budget(
         raise ValueError("give both r1 and r2, or neither")
     eps1 = eps / 2.0
     eps2 = eps / 32.0
-    mu = eps2 if target_mu is None else target_mu
     delta_half = delta / 2.0
     if r1 is None:
         r1 = _next_pow2(CAL_MAP_TERM / (delta_half * eps1**2))
         r2 = _next_pow2(CAL_EXP_TERM * math.log(2.0 / delta_half) / eps2**2)
-        if r1 * r2 > max_cells:
-            raise CapacityError(r1 * r2, max_cells)
+        if r1 * r2 > _MAX_CELLS:
+            raise CapacityError(
+                f"budget needs r1*r2 = {r1 * r2} sketch cells "
+                f"(cap {_MAX_CELLS}); relax epsilon or delta"
+            )
     budget = ErrorBudget(
-        eps1=eps1, eps2=eps2, mu=mu, r1=r1, r2=r2, beta=min(0.05, delta / 2.0)
+        eps1=eps1, eps2=eps2, mu=eps2, r1=r1, r2=r2, beta=min(0.05, delta / 2.0)
     )
-    quant = QuantConfig.for_population(n_nodes, mu)
+    quant = QuantConfig.for_population(n_nodes, eps2)
     return budget, quant
-
-
-def check_network_protocol(network_kind: str, protocol: str) -> None:
-    """Reject Aloha on the complete graph: a slot delivers only when exactly
-    one of all N nodes transmits, about (N/ln N) e^(-N/ln N) of the slots at
-    the default p_n, so the spread cannot finish."""
-    if network_kind == "complete" and protocol == protocols.ALOHA:
-        raise ValueError("aloha needs a spatial network; the complete graph supports gossip only")
 
 
 def parse_network(spec: str, graph_path: str | None = None) -> tuple[str, str | None]:
@@ -212,11 +197,31 @@ def parse_network(spec: str, graph_path: str | None = None) -> tuple[str, str | 
     return spec, graph_path
 
 
-def default_radius_c(network_kind: str) -> float:
-    """The radius-rule constant of the network kind's regime."""
-    if network_kind == "rgg-percolating":
-        return network.DEFAULT_PERCOLATION_C
-    return network.DEFAULT_CONNECTIVITY_C
+def resolve_network(
+    spec: str, protocol: str, n_nodes: int, radius_c: float | None = None,
+    p_n: float | None = None, graph_path: str | None = None,
+) -> tuple[str, str | None, float, float]:
+    """(kind, graph path, radius_c, p_n) of a network spec run by protocol on
+    n_nodes nodes; a radius_c or p_n not given takes its regime's value.
+
+    Aloha is rejected on the complete graph: a slot delivers only when exactly
+    one of all N nodes transmits, about (N/ln N) e^(-N/ln N) of the slots at
+    the default p_n, so the spread cannot finish.
+    """
+    kind, graph_path = parse_network(spec, graph_path)
+    if protocol not in protocols.PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if kind == "complete" and protocol == protocols.ALOHA:
+        raise ValueError("aloha needs a spatial network; the complete graph supports gossip only")
+    percolating = kind == "rgg-percolating"
+    if radius_c is None:
+        radius_c = network.DEFAULT_PERCOLATION_C if percolating else network.DEFAULT_CONNECTIVITY_C
+    if radius_c <= 0:
+        raise ValueError("need radius_c > 0")
+    if p_n is None:
+        p_n = protocols.default_p_n(n_nodes, percolating=percolating)
+    protocols.check_p_n(p_n)
+    return kind, graph_path, radius_c, p_n
 
 
 @dataclass
@@ -256,21 +261,11 @@ class ExperimentConfig:
             raise ValueError("moment order k must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        self.network, self.graph_path = parse_network(self.network, self.graph_path)
-        if self.protocol not in protocols.PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        check_network_protocol(self.network, self.protocol)
         if self.num_buckets < 1 or self.s1 < 1:
             raise ValueError("num_buckets and s1 must be >= 1")
-        if self.radius_c is None:
-            self.radius_c = default_radius_c(self.network)
-        if self.radius_c <= 0:
-            raise ValueError("need radius_c > 0")
-        if self.p_n is None:
-            self.p_n = protocols.default_p_n(
-                self.n_nodes, percolating=self.network == "rgg-percolating"
-            )
-        protocols.check_p_n(self.p_n)
+        self.network, self.graph_path, self.radius_c, self.p_n = resolve_network(
+            self.network, self.protocol, self.n_nodes, self.radius_c, self.p_n, self.graph_path
+        )
 
     @property
     def phases(self) -> int:
@@ -414,12 +409,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
     reports, estimates = [], []
     for t, b, seeds in plan:
         report, heard = run_spreading(
-            topo,
-            cfg.protocol,
-            cfg.spread,
-            np.random.default_rng(seeds[0]),
-            message_bits=cfg.message_bits,
-            p_n=cfg.p_n,
+            topo, cfg.protocol, cfg.spread, np.random.default_rng(seeds[0]), p_n=cfg.p_n
         )
         members = heard_mask(heard[0], n_part)
         del heard  # neither the heard-sets nor the sketch outlive their phase
@@ -445,7 +435,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
         "estimate_scaled": estimate,
         "abs_error": abs_error,
         "steps": sum(report.steps_to_full for report in reports),
-        "bits": sum(report.bits_sent for report in reports),
+        "bits": sum(report.messages_sent for report in reports) * cfg.message_bits,
         "message_bits": cfg.message_bits,
         "phases": cfg.phases,
         "completed": completed,

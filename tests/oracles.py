@@ -261,7 +261,7 @@ def aloha_slot_events(adj: csr_matrix, tx: np.ndarray) -> tuple[np.ndarray, list
 
 
 def aloha_spread(
-    topo: Topology, p_n: float, max_steps: int, rng: np.random.Generator, message_bits: int = 0
+    topo: Topology, p_n: float, max_steps: int, rng: np.random.Generator
 ) -> tuple[SpreadReport, list[int]]:
     """Slotted Aloha one slot at a time: one rng.random(n) mask and one packed
     uint64 matvec per slot, every delivery applied.  The oracle for the
@@ -279,7 +279,7 @@ def aloha_spread(
         for src, dst in deliveries:
             heard[dst] |= heard[src]
         completed = all(h == full for h in heard)
-    report = SpreadReport(steps, messages, messages * message_bits, completed)
+    report = SpreadReport(steps, messages, completed)
     return report, heard
 
 
@@ -307,7 +307,6 @@ def gossip_spread(
     exchange: bool,
     max_steps: int,
     rng: np.random.Generator,
-    message_bits: int = 0,
 ) -> tuple[SpreadReport, list[int]]:
     """Gossip one tick at a time: one pick of gossip_picks per tick, its
     deliveries u -> v, then v -> u under exchange, each a message and each
@@ -336,5 +335,5 @@ def gossip_spread(
                 heard[dst] = merged
                 n_full += merged == full
         completed = n_full == n
-    report = SpreadReport(steps, messages, messages * message_bits, completed)
+    report = SpreadReport(steps, messages, completed)
     return report, heard

@@ -52,7 +52,7 @@ from netmoments.protocols import (
     default_max_steps,
     default_p_n,
     empirical_quantile,
-    measure_spreading,
+    run_spreading,
 )
 from netmoments.simulator import (
     CapacityError,
@@ -359,7 +359,8 @@ class TestSpreadingTime:
             p_n = default_p_n(n, percolating=True)
             assert n / 2 <= topo.n_nodes < n
         cfg = SpreadConfig()
-        steps = measure_spreading(topo, protocol, cfg, 3, rng, p_n=p_n)
+        reports = [run_spreading(topo, protocol, cfg, rng, p_n=p_n)[0] for _ in range(3)]
+        steps = [report.steps_to_full for report in reports if report.completed]
         # the n_nodes column counts the nodes the spread ran on: the giant's
         want = (topo.n_nodes, empirical_quantile(steps, 1.0 - cfg.beta),
                 empirical_quantile(steps, 0.5), float(np.mean(steps)), len(steps))
@@ -388,6 +389,23 @@ class TestSpreadingTime:
         first = (tmp_path / "first" / "spreading_time.csv").read_bytes()
         assert (tmp_path / "again" / "spreading_time.csv").read_bytes() == first
         assert b",2\n" in first  # the cap cut one trial short
+
+    @pytest.mark.parametrize("net", ["complete", "rgg-connected", "rgg-percolating", "graph"])
+    def test_resolves_the_regime_run_resolves(self, tmp_path, monkeypatch, capsys, net):
+        # one N, so spreading-time's echo pins the radius_c and p_n it ran with
+        monkeypatch.chdir(tmp_path)
+        _write_graph(tmp_path / "edges.txt")
+        spec = "graph:edges.txt" if net == "graph" else net
+        protocol = "gossip" if net == "complete" else "aloha"
+        common = ["--nodes", "150", "--network", spec, "--protocol", protocol, "--seed", "5"]
+        argv = ["spreading-time", *common, "--trials", "1", "--out", "st"]
+        assert cli.main(argv) == cli.EXIT_OK
+        echo = dict(line.split(" = ") for line in Path("st/effective.cfg").read_text().splitlines())
+        code, out = _run(tmp_path, "run", [*common, "--alphabet", "5", "--r1", "2", "--r2", "4"])
+        assert code == cli.EXIT_OK
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert float(echo["radius_c"]) == config["radius_c"]
+        assert float(echo["p_n"]) == config["p_n"]
 
     def test_echo_pins_a_p_n_shared_by_every_size(self, tmp_path, capsys):
         out = tmp_path / "one"
@@ -543,6 +561,33 @@ class TestSweep:
             assert (again / point / "report.json").read_bytes() == body
             assert json.loads(body)["config"]["master_seed"] == int(seed)
 
+    def test_echo_and_reports_agree_on_s1_and_buckets_at_k2(self, tmp_path, capsys):
+        # k = 2 runs one phase at every point, so each resolves s1 and buckets to 1
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--param", "nodes", "--values", "60,80", "--alphabet", "5",
+                "--r1", "2", "--r2", "4", "--seed", "1", "--format", "json", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        echo = (out / "effective.cfg").read_text().splitlines()
+        assert {"s1 = 1", "buckets = 1"} <= set(echo)
+        for point in ("nodes=60", "nodes=80"):
+            config = json.loads((out / point / "report.json").read_text())["config"]
+            assert (config["s1"], config["num_buckets"]) == (1, 1)
+
+    def test_echo_withholds_values_the_points_resolve_apart(self, tmp_path, capsys):
+        # each network kind has its own radius_c and p_n, so the echo pins neither
+        argv = ["sweep", "--param", "network", "--values", "complete,rgg-percolating",
+                "--nodes", "200", "--alphabet", "5", "--r1", "2", "--r2", "4", "--trials", "2",
+                "--seed", "2", "--format", "json"]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli.main([*argv, "--out", str(first)]) == cli.EXIT_OK
+        cfg = (first / "effective.cfg").read_text()
+        assert "radius_c = " not in cfg and "p_n = " not in cfg
+        rerun = ["sweep", "--config", str(first / "effective.cfg"), "--out", str(again)]
+        assert cli.main(rerun) == cli.EXIT_OK
+        for point in ("network=complete", "network=rgg-percolating"):
+            body = (first / point / "report.json").read_bytes()
+            assert (again / point / "report.json").read_bytes() == body
+
     @pytest.mark.parametrize("param, values", [("trunc-L", "5,6"), ("out", "x,y")])
     def test_param_is_a_run_setting_by_its_flag_spelling(self, tmp_path, capsys, param, values):
         out = tmp_path / "sweep"
@@ -634,7 +679,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--p-n", "0"], "p_n must lie in (0, 1)"), (["--radius-c", "0"], "need radius_c > 0")],
+        [(["--p-n", "0"], "p_n must lie in (0, 1)"), (["--radius-c", "0"], "need radius_c > 0"),
+         (["--trials", "0"], "trials must be >= 1")],
     )
     def test_spreading_time_bad_setting_fails_before_echo(self, tmp_path, capsys, flags, message):
         out = tmp_path / "st"

@@ -198,11 +198,10 @@ class TestRunSpreading:
         topo = complete_topology(30) if protocol == GOSSIP else cycle_topology(12)
         report, heard = run_spreading(
             topo, protocol, SpreadConfig(exchange_mode=mode), np.random.default_rng(1),
-            message_bits=7,
+            p_n=default_p_n(topo.n_nodes),
         )
         assert report.completed
         assert heard == [(1 << topo.n_nodes) - 1] * topo.n_nodes
-        assert report.bits_sent == 7 * report.messages_sent
 
     def test_gossip_messages_per_tick(self):
         topo = complete_topology(20)
@@ -229,10 +228,8 @@ class TestRunSpreading:
     def test_complete_node_count_matches_csr_oracle(self, mode, max_steps):
         # N = 1000 takes about 11 000 ticks: several picker refills
         cfg = SpreadConfig(exchange_mode=mode, max_steps=max_steps)
-        got = run_spreading(1000, GOSSIP, cfg, np.random.default_rng(6), message_bits=3)
-        want = run_spreading(
-            complete_topology(1000), GOSSIP, cfg, np.random.default_rng(6), message_bits=3
-        )
+        got = run_spreading(1000, GOSSIP, cfg, np.random.default_rng(6))
+        want = run_spreading(complete_topology(1000), GOSSIP, cfg, np.random.default_rng(6))
         assert got[0] == want[0] and got[0].completed == (max_steps is None)
         assert got[1] == want[1]
 
@@ -247,11 +244,11 @@ class TestRunSpreading:
         n = topo.n_nodes
         cap = default_max_steps(ALOHA, n) if max_steps is None else max_steps
         got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
-        # two spreads on one generator, as measure_spreading runs its trials
+        # two spreads on one generator, as spreading-time runs its trials
         for _ in range(2):
             got = run_spreading(topo, ALOHA, SpreadConfig(max_steps=max_steps), got_rng,
-                                message_bits=5)
-            want = aloha_spread(topo, default_p_n(n), cap, want_rng, message_bits=5)
+                                p_n=default_p_n(n))
+            want = aloha_spread(topo, default_p_n(n), cap, want_rng)
             assert got == want
         assert got_rng.random() == want_rng.random()
 
@@ -271,20 +268,12 @@ class TestRunSpreading:
         cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
         cfg = SpreadConfig(max_steps=max_steps, exchange_mode=mode)
         got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
-        # two spreads on one generator, as measure_spreading runs its trials
+        # two spreads on one generator, as spreading-time runs its trials
         for _ in range(2):
-            got = run_spreading(topo, GOSSIP, cfg, got_rng, message_bits=5)
-            want = gossip_spread(topo, mode == EXCHANGE, cap, want_rng, message_bits=5)
+            got = run_spreading(topo, GOSSIP, cfg, got_rng)
+            want = gossip_spread(topo, mode == EXCHANGE, cap, want_rng)
             assert got == want
         assert got_rng.random() == want_rng.random()
-
-    def test_aloha_rejects_complete_node_count(self):
-        with pytest.raises(ValueError, match="aloha"):
-            run_spreading(30, ALOHA, SpreadConfig(), np.random.default_rng(0))
-
-    def test_invalid_p_n_rejected(self):
-        with pytest.raises(ValueError):
-            run_spreading(cycle_topology(5), ALOHA, SpreadConfig(), np.random.default_rng(0), p_n=1.0)
 
 
 class TestHeardMask:

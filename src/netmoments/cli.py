@@ -12,8 +12,9 @@ Every subcommand echoes its configuration, the seed included, before any
 other output; re-running from that echo reproduces outputs byte for byte.
 A setting resolved per run (the budget, quantizer, radius_c, p_n, buckets
 and s1) is echoed at its resolved value when all the command's runs share
-it, and as given otherwise.  run, sweep and spreading-time also write the
-echo as effective.cfg into their --out directory.
+it, and as given otherwise; r1 and r2 count as one setting, the budget.
+run, sweep and spreading-time also write the echo as effective.cfg into
+their --out directory.
 Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
 4 non-convergence beyond tolerance.
 """
@@ -141,12 +142,14 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _echo_config(settings: dict, keys, points=(), out_dir: Path | None = None) -> None:
     """Print the settings named by keys; with out_dir, make it and write them
     to effective.cfg.  points are the resolved settings of the command's runs:
-    a value they all share is echoed in place of the given one."""
+    a value they all share is echoed in place of the given one.  A tuple of
+    keys is one entry, echoed as a unit: its values all, or none."""
     echoed = dict(settings)
     for key in {key for point in points for key in point}:
         shared = {point[key] for point in points}
         if len(shared) == 1:
-            echoed[key] = shared.pop()
+            value = shared.pop()
+            echoed.update(zip(key, value) if isinstance(key, tuple) else [(key, value)])
     lines = [f"{key} = {echoed[key]}" for key in keys if echoed.get(key) is not None]
     print("# effective-config")
     for line in lines:
@@ -212,11 +215,12 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
 
 
 def _resolved(cfg: ExperimentConfig) -> dict:
-    """The settings an experiment resolves, by their keys."""
+    """The settings an experiment resolves, by their keys; r1 and r2 are one
+    entry, as solve_budget takes them only together."""
     budget, quant = cfg.budget, cfg.quant
-    return dict(r1=budget.r1, r2=budget.r2, quant_bits=quant.quant_bits,
-                trunc_l=quant.truncation_L, radius_c=cfg.radius_c, p_n=cfg.p_n,
-                buckets=cfg.num_buckets, s1=cfg.s1)
+    return {("r1", "r2"): (budget.r1, budget.r2), "quant_bits": quant.quant_bits,
+            "trunc_l": quant.truncation_L, "radius_c": cfg.radius_c, "p_n": cfg.p_n,
+            "buckets": cfg.num_buckets, "s1": cfg.s1}
 
 
 _TRIAL_COLUMNS = ("seed", "exact_scaled", "estimate_scaled", "abs_error", "steps", "bits",

@@ -281,7 +281,7 @@ def run_spreading(
     protocol: str,
     cfg: SpreadConfig,
     rng: np.random.Generator,
-    p_n: float | None = None,
+    p_n: float | None,
 ) -> tuple[SpreadReport, list[int]]:
     """Run a protocol until every node has heard every other node (or the step
     cap).  Heard-sets S_u are tracked as bitmasks: bit w of S_u is set once
@@ -289,7 +289,7 @@ def run_spreading(
 
     topo is a Topology, or the node count N of the complete graph, which
     only gossip takes.  p_n is Aloha's transmit probability, resolved by
-    the caller; gossip ignores it.
+    the caller and required for Aloha; gossip ignores it, so None will do.
 
     Returns (SpreadReport, heard_sets).  A node's min-sketch is the min over
     the initial sketches of its heard-set, so the heard-sets are all a caller

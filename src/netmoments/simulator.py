@@ -261,11 +261,11 @@ class ExperimentConfig:
             raise ValueError("moment order k must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.num_buckets < 1 or self.s1 < 1:
-            raise ValueError("num_buckets and s1 must be >= 1")
         self.network, self.graph_path, self.radius_c, self.p_n = resolve_network(
             self.network, self.protocol, self.n_nodes, self.radius_c, self.p_n, self.graph_path
         )
+        if self.num_buckets < 1 or self.s1 < 1:
+            raise ValueError("num_buckets and s1 must be >= 1")
 
     @property
     def phases(self) -> int:

@@ -588,6 +588,26 @@ class TestSweep:
             body = (first / point / "report.json").read_bytes()
             assert (again / point / "report.json").read_bytes() == body
 
+    @pytest.mark.parametrize("param, values", [("delta", "0.1,0.05"), ("epsilon", "0.1,0.09")])
+    def test_echo_pins_r1_and_r2_together(self, tmp_path, capsys, param, values):
+        # at epsilon 0.1 both points solve r2 = 512 but r1 = 64 and 128; solve_budget
+        # takes r1 and r2 only as a pair, so the echo must withhold both
+        argv = ["sweep", "--param", param, "--values", values, "--nodes", "30",
+                "--alphabet", "3", "--seed", "3", "--format", "json"]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert cli.main([*argv, "--out", str(first)]) == cli.EXIT_OK
+        cfg = (first / "effective.cfg").read_text()
+        assert "r1 = " not in cfg and "r2 = " not in cfg
+        rerun = ["sweep", "--config", str(first / "effective.cfg"), "--out", str(again)]
+        assert cli.main(rerun) == cli.EXIT_OK
+        budgets = set()
+        for raw in values.split(","):
+            body = (first / f"{param}={raw}" / "report.json").read_bytes()
+            assert (again / f"{param}={raw}" / "report.json").read_bytes() == body
+            budget = json.loads(body)["config"]["budget"]
+            budgets.add((budget["r1"], budget["r2"]))
+        assert budgets == {(64, 512), (128, 512)}
+
     @pytest.mark.parametrize("param, values", [("trunc-L", "5,6"), ("out", "x,y")])
     def test_param_is_a_run_setting_by_its_flag_spelling(self, tmp_path, capsys, param, values):
         out = tmp_path / "sweep"
@@ -732,6 +752,16 @@ class TestExitCodes:
             assert code == cli.EXIT_CONFIG
             assert "num_buckets and s1 must be >= 1" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        (["--protocol", "aloha"], "aloha needs a spatial network"),
+        (["--network", "torus"], "unknown network kind 'torus'"),
+    ])
+    def test_network_error_is_reported_before_bucket_error(self, tmp_path, capsys, bad, message):
+        code, out = _run(tmp_path, "order", [*_SMALL, "--k", "3", "--buckets", "0", *bad])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infeasible_budget(self, tmp_path, capsys):
         code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",

@@ -207,7 +207,7 @@ class TestRunSpreading:
         topo = complete_topology(20)
         for mode, per_tick in ((EXCHANGE, 2), (PUSH, 1)):
             report, _ = run_spreading(
-                topo, GOSSIP, SpreadConfig(exchange_mode=mode), np.random.default_rng(2)
+                topo, GOSSIP, SpreadConfig(exchange_mode=mode), np.random.default_rng(2), None
             )
             assert report.messages_sent == per_tick * report.steps_to_full
 
@@ -215,8 +215,9 @@ class TestRunSpreading:
         topo = build_rgg(60, 0.3, np.random.default_rng(3))
         cfg_short = SpreadConfig(max_steps=40)
         cfg_long = SpreadConfig(max_steps=80)
-        short, heard_short = run_spreading(topo, GOSSIP, cfg_short, np.random.default_rng(4))
-        _, heard_long = run_spreading(topo, GOSSIP, cfg_long, np.random.default_rng(4))
+        short, heard_short = run_spreading(topo, GOSSIP, cfg_short, np.random.default_rng(4),
+                                           None)
+        _, heard_long = run_spreading(topo, GOSSIP, cfg_long, np.random.default_rng(4), None)
         assert not short.completed and short.steps_to_full == 40
         for a, b in zip(heard_short, heard_long):
             assert a & b == a
@@ -228,8 +229,9 @@ class TestRunSpreading:
     def test_complete_node_count_matches_csr_oracle(self, mode, max_steps):
         # N = 1000 takes about 11 000 ticks: several picker refills
         cfg = SpreadConfig(exchange_mode=mode, max_steps=max_steps)
-        got = run_spreading(1000, GOSSIP, cfg, np.random.default_rng(6))
-        want = run_spreading(complete_topology(1000), GOSSIP, cfg, np.random.default_rng(6))
+        got = run_spreading(1000, GOSSIP, cfg, np.random.default_rng(6), None)
+        want = run_spreading(complete_topology(1000), GOSSIP, cfg, np.random.default_rng(6),
+                             None)
         assert got[0] == want[0] and got[0].completed == (max_steps is None)
         assert got[1] == want[1]
 
@@ -270,7 +272,7 @@ class TestRunSpreading:
         got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
         # two spreads on one generator, as spreading-time runs its trials
         for _ in range(2):
-            got = run_spreading(topo, GOSSIP, cfg, got_rng)
+            got = run_spreading(topo, GOSSIP, cfg, got_rng, None)
             want = gossip_spread(topo, mode == EXCHANGE, cap, want_rng)
             assert got == want
         assert got_rng.random() == want_rng.random()

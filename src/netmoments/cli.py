@@ -37,13 +37,11 @@ from .simulator import (
     CapacityError,
     DataModel,
     ExperimentConfig,
-    default_num_buckets,
     read_dataset_file,
     run_experiment,
     solve_budget,
     write_dataset_file,
 )
-from .sketch_core import QuantConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -179,31 +177,23 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         raise ValueError("--alphabet is required")
     if settings["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {settings['jobs']}")
-    k = settings["k"]
     epsilon, delta = settings["epsilon"], settings["delta"]
-    budget, quant = solve_budget(epsilon, delta, n, r1=settings.get("r1"), r2=settings.get("r2"))
-    trunc_l, quant_bits = settings.get("trunc_l"), settings.get("quant_bits")
-    quant = QuantConfig(
-        truncation_L=quant.truncation_L if trunc_l is None else trunc_l,
-        quant_bits=quant.quant_bits if quant_bits is None else quant_bits,
-        target_mu=quant.target_mu,
+    budget, quant = solve_budget(
+        epsilon, delta, n, settings.get("r1"), settings.get("r2"),
+        settings.get("quant_bits"), settings.get("trunc_l"),
     )
     buckets = settings["buckets"]
-    num_buckets = (
-        default_num_buckets(m, k) if buckets == "auto" else int(buckets)
-    )
     return ExperimentConfig(
         n_nodes=n,
         alphabet_size=m,
-        k=k,
+        k=settings["k"],
         data=DataModel.parse(settings["data"]),
         budget=budget,
         quant=quant,
         network=settings["network"],
         protocol=settings["protocol"],
-        num_buckets=num_buckets,
-        # k = 2 runs one phase, so s1 is 1 there, but a value below 1 still fails
-        s1=settings["s1"] if k >= 3 else min(settings["s1"], 1),
+        num_buckets=None if buckets == "auto" else int(buckets),
+        s1=settings["s1"],
         trials=settings["trials"],
         master_seed=settings["seed"],
         epsilon=epsilon,
@@ -325,26 +315,29 @@ def cmd_spreading_time(settings: dict, keys) -> int:
         raise ValueError("spreading-time needs --nodes (comma list allowed)")
     sizes = [int(x) for x in str(settings["nodes"]).split(",")]
     trials, protocol = settings["trials"], settings["protocol"]
+    spec = settings["network"]
     networks = [
-        simulator.resolve_network(
-            settings["network"], protocol, n, settings.get("radius_c"), settings.get("p_n")
-        )
+        simulator.resolve_network(spec, protocol, n, settings.get("radius_c"), settings.get("p_n"))
         for n in sizes
     ]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cfg = _spread_config(settings)
-    out_dir = Path(settings["out"]) if settings.get("out") else None
-    points = [{"radius_c": radius_c, "p_n": p_n} for _, _, radius_c, p_n in networks]
-    _echo_config(settings, keys, points, out_dir)
-    rows = []
-    for idx, (n, (kind, graph_path, radius_c, p_n)) in enumerate(zip(sizes, networks)):
-        # one generator per size draws the graph, then every trial on it
+    # one generator per size draws the graph, then every trial on it; every
+    # graph is drawn before the echo, so one that cannot be drawn fails first
+    graphs = []
+    for idx, (n, (radius_c, _)) in enumerate(zip(sizes, networks)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], idx)))
         try:
-            topo, ids, _ = simulator.build_topology(kind, n, radius_c, graph_path, rng)
+            topo, ids, _ = simulator.build_topology(spec, n, radius_c, rng)
         except simulator.TrialRejected as exc:
             raise ValueError(f"N={n}: {exc}, under half") from None
+        graphs.append((topo, ids, rng))
+    out_dir = Path(settings["out"]) if settings.get("out") else None
+    points = [{"radius_c": radius_c, "p_n": p_n} for radius_c, p_n in networks]
+    _echo_config(settings, keys, points, out_dir)
+    rows = []
+    for n, (_, p_n), (topo, ids, rng) in zip(sizes, networks, graphs):
         steps = []  # of the spreads that completed; one cut by the cap is left out
         for _ in range(trials):
             report, _ = run_spreading(topo, protocol, cfg, rng, p_n=p_n)

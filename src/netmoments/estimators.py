@@ -111,37 +111,23 @@ def estimate_fk(phases: np.ndarray, n_nodes: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Accuracy split across the three error sources: sign/root maps (eps1),
-    exponential replicas (eps2), truncation/quantization (mu), and the
-    spreading failure target (beta)."""
+    """Sketch sizes: r1 outer (sign or roots-of-unity) maps, each with r2
+    exponential replicas."""
 
-    eps1: float
-    eps2: float
-    mu: float
     r1: int
     r2: int
-    beta: float
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "mu"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
         if self.r1 < 1 or self.r2 < 1:
             raise ValueError("r1 and r2 must be >= 1")
 
 
-def oracle_record(d: Dataset, k: int, estimate: float | None = None) -> dict:
-    """JSON-ready record tying an exact moment to an estimate of it."""
+def oracle_record(d: Dataset, k: int) -> dict:
+    """JSON-ready record of a dataset's exact k-th moment."""
     exact = exact_fk(d, k)
-    scaled = exact / float(d.n_nodes) ** k if d.n_nodes else 0.0
-    rec = {
+    return {
         "dataset_digest": d.digest(),
         "k": k,
         "exact": exact,
-        "exact_scaled": scaled,
-        "estimate": estimate,
-        "scaled_error": None if estimate is None else abs(estimate - scaled),
+        "exact_scaled": exact / float(d.n_nodes) ** k if d.n_nodes else 0.0,
     }
-    return rec

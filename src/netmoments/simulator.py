@@ -37,9 +37,12 @@ _MAX_CELLS = 1 << 23  # the desk-scale cap on a solved budget's r1 * r2
 # Budget-solver calibration.  The worst-case theory constants (Chebyshev 2
 # for the map term, Chernoff 12 for the replica term) demand r1*r2 in the
 # billions at desk-scale (eps, delta); these Monte-Carlo-calibrated constants
-# keep the same 1/eps^2 and log(1/delta) shapes while matching observed
-# estimator concentration.  The calibration runs are not yet reproduced in
-# this repository (ROADMAP item 3).
+# scale them down.  With pow2 rounding up to a power of two, solve_budget sizes
+#   r1 = pow2(CAL_MAP_TERM / ((delta/2) (eps/2)^2)), which grows as 1/(delta eps^2),
+#   r2 = pow2(CAL_EXP_TERM ln(4/delta) / (eps/32)^2).
+# The map term thus grows as 1/delta, not log(1/delta) (ROADMAP item 10), and
+# its constant undersizes r1 on two equal values (ROADMAP item 3); the
+# calibration runs are not yet reproduced in this repository.
 CAL_MAP_TERM = 2.0 / 256.0
 CAL_EXP_TERM = 12.0 / 2.0**14
 
@@ -136,11 +139,8 @@ def read_dataset_file(path) -> Dataset:
 
 
 def default_num_buckets(alphabet_size: int, k: int) -> int:
-    """Bucket count honoring B * s1 = O(M^(1 - 1/(k-1))); 1 for an alphabet
-    below 1, which ExperimentConfig rejects."""
-    if k < 3 or alphabet_size < 1:
-        return 1
-    return max(1, math.ceil(alphabet_size ** (1.0 - 1.0 / (k - 1))))
+    """Bucket count honoring B * s1 = O(M^(1 - 1/(k-1))) for M >= 1."""
+    return math.ceil(alphabet_size ** (1.0 - 1.0 / (k - 1)))
 
 
 def _next_pow2(x: float) -> int:
@@ -154,14 +154,21 @@ def solve_budget(
     n_nodes: int,
     r1: int | None = None,
     r2: int | None = None,
+    quant_bits: int | None = None,
+    trunc_l: float | None = None,
 ) -> tuple[ErrorBudget, QuantConfig]:
     """Pick (r1, r2) powers of two meeting the calibrated failure split, plus
     the matching truncation/quantization config.
 
     eps is split as eps1 = eps/2 for the map term and eps2 = eps/32 for the
-    replica term; each term gets half of delta.  Given r1 and r2 are taken
-    as they are; solved budgets beyond _MAX_CELLS sketch cells raise
-    CapacityError instead of returning something unrunnable.
+    replica term; each term gets half of delta:
+    - r1 = pow2(CAL_MAP_TERM / ((delta/2) eps1^2)), which grows as
+      1/(delta eps^2) (ROADMAP items 3 and 10);
+    - r2 = pow2(CAL_EXP_TERM ln(4/delta) / eps2^2).
+    The quantizer follows QuantConfig.for_population at target eps2.  A given
+    r1 and r2, quant_bits or trunc_l is taken as it is; solved budgets beyond
+    _MAX_CELLS sketch cells raise CapacityError instead of returning
+    something unrunnable.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -178,37 +185,32 @@ def solve_budget(
                 f"budget needs r1*r2 = {r1 * r2} sketch cells "
                 f"(cap {_MAX_CELLS}); relax epsilon or delta"
             )
-    budget = ErrorBudget(
-        eps1=eps1, eps2=eps2, mu=eps2, r1=r1, r2=r2, beta=min(0.05, delta / 2.0)
-    )
+    budget = ErrorBudget(r1=r1, r2=r2)
     quant = QuantConfig.for_population(n_nodes, eps2)
+    quant = QuantConfig(
+        truncation_L=quant.truncation_L if trunc_l is None else trunc_l,
+        quant_bits=quant.quant_bits if quant_bits is None else quant_bits,
+    )
     return budget, quant
-
-
-def parse_network(spec: str, graph_path: str | None = None) -> tuple[str, str | None]:
-    """(kind, graph path) of complete | rgg-connected | rgg-percolating |
-    graph:PATH; the kind "graph" may also come with its path given apart."""
-    if spec.startswith("graph:"):
-        spec, graph_path = "graph", spec.split(":", 1)[1]
-    if spec not in NETWORK_KINDS + ("graph",):
-        raise ValueError(f"unknown network kind {spec!r}")
-    if spec == "graph" and not graph_path:
-        raise ValueError("graph network needs a path")
-    return spec, graph_path
 
 
 def resolve_network(
     spec: str, protocol: str, n_nodes: int, radius_c: float | None = None,
-    p_n: float | None = None, graph_path: str | None = None,
-) -> tuple[str, str | None, float, float]:
-    """(kind, graph path, radius_c, p_n) of a network spec run by protocol on
-    n_nodes nodes; a radius_c or p_n not given takes its regime's value.
+    p_n: float | None = None,
+) -> tuple[float, float]:
+    """(radius_c, p_n) of a network spec (complete | rgg-connected |
+    rgg-percolating | graph:PATH) run by protocol on n_nodes nodes; a
+    radius_c or p_n not given takes its regime's value.
 
     Aloha is rejected on the complete graph: a slot delivers only when exactly
     one of all N nodes transmits, about (N/ln N) e^(-N/ln N) of the slots at
     the default p_n, so the spread cannot finish.
     """
-    kind, graph_path = parse_network(spec, graph_path)
+    kind = "graph" if spec.startswith("graph:") else spec
+    if kind not in NETWORK_KINDS + ("graph",):
+        raise ValueError(f"unknown network kind {spec!r}")
+    if kind == "graph" and not spec[len("graph:"):]:
+        raise ValueError("graph network needs a path")
     if protocol not in protocols.PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if kind == "complete" and protocol == protocols.ALOHA:
@@ -221,7 +223,7 @@ def resolve_network(
     if p_n is None:
         p_n = protocols.default_p_n(n_nodes, percolating=percolating)
     protocols.check_p_n(p_n)
-    return kind, graph_path, radius_c, p_n
+    return radius_c, p_n
 
 
 @dataclass
@@ -230,9 +232,10 @@ class ExperimentConfig:
     index determines every random choice in that trial.
 
     Every k >= 2 runs on every network kind.  k = 2 is one phase on the sign
-    maps, and num_buckets and s1 do not enter it; k >= 3 runs num_buckets * s1
-    bucket phases.  On rgg-percolating the trials run on the giant component.
-    radius_c and p_n default to the values of the network's regime.
+    maps, so num_buckets and s1 resolve to 1 there; k >= 3 runs
+    num_buckets * s1 bucket phases, with num_buckets None meaning
+    default_num_buckets.  On rgg-percolating the trials run on the giant
+    component.  radius_c and p_n default to the values of the network's regime.
     """
 
     n_nodes: int
@@ -243,7 +246,7 @@ class ExperimentConfig:
     quant: QuantConfig
     network: str = "complete"
     protocol: str = protocols.GOSSIP
-    num_buckets: int = 1
+    num_buckets: int | None = None
     s1: int = 1
     trials: int = 1
     master_seed: int = 0
@@ -252,7 +255,6 @@ class ExperimentConfig:
     radius_c: float | None = None
     p_n: float | None = None
     spread: SpreadConfig = field(default_factory=SpreadConfig)
-    graph_path: str | None = None
 
     def __post_init__(self):
         if not (1 <= self.alphabet_size < self.n_nodes):
@@ -261,11 +263,15 @@ class ExperimentConfig:
             raise ValueError("moment order k must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        self.network, self.graph_path, self.radius_c, self.p_n = resolve_network(
-            self.network, self.protocol, self.n_nodes, self.radius_c, self.p_n, self.graph_path
+        self.radius_c, self.p_n = resolve_network(
+            self.network, self.protocol, self.n_nodes, self.radius_c, self.p_n
         )
+        if self.num_buckets is None:
+            self.num_buckets = default_num_buckets(self.alphabet_size, self.k)
         if self.num_buckets < 1 or self.s1 < 1:
             raise ValueError("num_buckets and s1 must be >= 1")
+        if self.k == 2:
+            self.num_buckets = self.s1 = 1
 
     @property
     def phases(self) -> int:
@@ -282,12 +288,9 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The config block of report.json: the fields, with the data model as
-        its spec string and a graph file's path inside the network spec."""
+        its spec string."""
         d = asdict(self)
         d["data"] = self.data.spec_string()
-        graph_path = d.pop("graph_path")
-        if self.network == "graph":
-            d["network"] = f"graph:{graph_path}"
         return d
 
 
@@ -306,17 +309,15 @@ class TrialRejected(RuntimeError):
     """Percolation trial whose giant component is too small to measure."""
 
 
-def build_topology(
-    kind: str, n: int, radius_c: float, graph_path: str | None, rng: np.random.Generator
-):
-    """Returns (topology-to-run-on, original node ids of participants, alpha).
-    The complete graph is never built: it is run on as its node count N.  A
-    percolating network is run on its giant component, and a giant below
-    half of the N nodes raises TrialRejected."""
-    if kind == "complete":
+def build_topology(spec: str, n: int, radius_c: float, rng: np.random.Generator):
+    """Returns (topology-to-run-on, original node ids of participants, alpha)
+    for a resolved network spec.  The complete graph is never built: it is
+    run on as its node count N.  A percolating network is run on its giant
+    component, and a giant below half of the N nodes raises TrialRejected."""
+    if spec == "complete":
         return n, np.arange(n), 0.0
-    if kind == "graph":
-        topo = network.read_edge_list(graph_path)
+    if spec.startswith("graph:"):
+        topo = network.read_edge_list(spec[len("graph:"):])
         if topo.n_nodes != n:
             raise ValueError(
                 f"graph file has {topo.n_nodes} nodes, config wants {n}"
@@ -324,7 +325,7 @@ def build_topology(
         if len(network.giant_component(topo).giant) != n:
             raise ValueError("graph file is not connected")
         return topo, np.arange(n), 0.0
-    if kind == "rgg-connected":
+    if spec == "rgg-connected":
         radius = network.connectivity_radius(n, radius_c)
         return network.build_connected_rgg(n, radius, rng), np.arange(n), 0.0
     # rgg-percolating
@@ -383,7 +384,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
     dataset = cfg.data.generate(cfg.n_nodes, m, np.random.default_rng(data_ss))
     try:
         topo, part_ids, alpha = build_topology(
-            cfg.network, cfg.n_nodes, cfg.radius_c, cfg.graph_path, np.random.default_rng(topo_ss)
+            cfg.network, cfg.n_nodes, cfg.radius_c, np.random.default_rng(topo_ss)
         )
     except TrialRejected:
         return None

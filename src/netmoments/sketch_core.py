@@ -87,20 +87,16 @@ def bucket_table(seed: int, s1: int, num_buckets: int, alphabet_size: int) -> np
 
 @dataclass(frozen=True)
 class QuantConfig:
-    """Truncation length, quantizer resolution, and the relative-error target
-    the default resolution rule is derived from."""
+    """Truncation length and quantizer resolution."""
 
     truncation_L: float
     quant_bits: int
-    target_mu: float = 0.05
 
     def __post_init__(self):
         if not (self.truncation_L > 0):
             raise ValueError("truncation_L must be positive")
         if not (1 <= self.quant_bits <= 62):
             raise ValueError("quant_bits must lie in [1, 62] (the sentinel must fit int64)")
-        if not (0.0 < self.target_mu < 1.0):
-            raise ValueError("target_mu must lie in (0, 1)")
 
     @classmethod
     def for_population(cls, n_nodes: int, target_mu: float = 0.05) -> "QuantConfig":
@@ -108,9 +104,11 @@ class QuantConfig:
         so minima of order 1/n carry relative quantization error <= target_mu."""
         if n_nodes < 2:
             raise ValueError("need at least 2 nodes")
+        if not (0.0 < target_mu < 1.0):
+            raise ValueError("target_mu must lie in (0, 1)")
         L = 2.0 * math.log(n_nodes)
         bits = math.ceil(math.log2(L * n_nodes / target_mu))
-        return cls(truncation_L=L, quant_bits=bits, target_mu=target_mu)
+        return cls(truncation_L=L, quant_bits=bits)
 
     @property
     def cell_width(self) -> float:

@@ -12,6 +12,12 @@ The golden digests pin `report.json` byte for byte.  Each config has two:
 The percolating Aloha config at k = 2 was recorded on the release before the
 k = 2 and k >= 3 trial paths were merged into one.  The percolating configs
 at k = 3 record both digests at once, on the first release that ran them.
+
+Both digests of every config were re-recorded once more when the config
+block lost the five values that no run reads: budget eps1, eps2, mu and
+beta, and quant target_mu.  On every config, the earlier report.json with
+those five keys deleted and re-serialised equalled the new one byte for
+byte, and trials.csv and effective.cfg did not change.
 """
 
 import argparse
@@ -58,7 +64,6 @@ from netmoments.simulator import (
     CapacityError,
     DataModel,
     ExperimentConfig,
-    parse_network,
     solve_budget,
     write_dataset_file,
 )
@@ -121,85 +126,85 @@ GOLDEN = {
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "11"],
         0,
-        "59e0f580a39cf554a3edf622cee760e3ffd3b86a7e3c97e753d65b611dfedfe8",
-        "43201f9721ac9a1bc53d6b83a0247fe1636459236b017d60a07ab1f5e796baac",
+        "233b79f383df5036f16a9a26c7aaa03daa135f302b2a145c1a19bb8abda8575b",
+        "02d6ca93670ec1e9c07541987cbbfb9a32d579ddf9f342b246d34c7d6e57725d",
     ),
     "complete-gossip-push-k2": (
         ["--nodes", "200", "--alphabet", "12", "--network", "complete", "--protocol", "gossip",
          "--exchange-mode", "push", "--data", "uniform", "--r1", "8", "--r2", "32",
          "--trials", "2", "--seed", "12"],
         0,
-        "0c7e61bb6dbf8986eac40371c419173df8e794c1924dfa7038c9b68d696f0925",
-        "7a4a15d87889fc2401e52ae630c9f3bfc1f605ee9119948ce08ce994b0d25cd7",
+        "cfb1d1bc6a3bb8b0ef88ea2bc016cee46f7cf86adf670449cfd15d5773ac7e2b",
+        "43379dab4aca5e577f4207687976e669493ab59f7a625f9bcd90e6692a0975f1",
     ),
     "rgg-connected-aloha-k2": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "13"],
         0,
-        "6a22d4b5a1303368633eb1729688721ee40406b6c4b24fc9c16b2fe365caa795",
-        "78204327b25824f541c6f9d11fdc1bfdeeb38d5c217ae89a9bbbeb13a7996075",
+        "5c8cb9ded63d9a564afb7f45f04ffe6dd64b2c800b54925aa1f052382facafc4",
+        "ca12fef53a7e4c38625538827db6fefa7ea4cb63b008290cb23c7f3c0227529d",
     ),
     "rgg-percolating-gossip-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "gossip",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "14"],
         0,
-        "80ec33f3c504e578a8dc09d56f09e3b5863b455f30ce2faa1aa50848d2d54b4a",
-        "ebf9c40ecf67562f3ac4a841a2d2a4ac310781262cc45e870628eb7761369eaa",
+        "fdad55c6d91f43af06308946385a6ab7e5d65edeb83e139fe6765d79154b80dc",
+        "9e35198cc4f6df8299a2ca8c72798b401109572b742ed854aec43b237735144c",
     ),
     "rgg-percolating-aloha-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "aloha",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "22"],
         0,
-        "13b5cf8a4dff28763ec1f4dc04e1e76e8117e516b6a2b6d6224031ae4a7852f2",
-        "623feff45ea9493a79081fa5a0ee647d8c2aeab9cc06297798b94381c1a875ca",
+        "1caf43812c825ca750b1bd5a1cefbe6c818f4f64c4cbfc0a959bb611c82efc43",
+        "a5046a4f0ee110a1977c3e733d8ae7ca79809f094205c93a3cbdc6dc28bc6251",
     ),
     "rgg-percolating-gossip-k3": (
         [*_K3_PERCOLATING, "--protocol", "gossip"],
         0,
-        "d54566a0495de2bd393510e32c641dd9c87c037fdad40faef14553760886d321",
-        "1d156a60823ad22c9b1f1a021b94ccc5b6ecf11e52e98a774339f1e85fb5e4ad",
+        "2fad807bfd014c927e195fe4080df5776e2a53ffb4b442e52ec62ea21196c1f9",
+        "0e4cd030cea3020548861a831afabe5914b774d1ac045f95613051efbb3c3fdd",
     ),
     "rgg-percolating-aloha-k3": (
         [*_K3_PERCOLATING, "--protocol", "aloha"],
         0,
-        "803a0f2b0ca602eebb540fe00dd7eea11d5ffd965205bd2fff58e10ca675dec8",
-        "e9d2a45f6a00deb985510dd27cae6871d6f3dc209e91bfd6ce679f2affa856a8",
+        "973689aa3dc652163639bf1de0826052eee280b91320d65313ee46449875eb67",
+        "1e4f29839992be276db8f1074cab37b4ae9ff3954aa88c25b1bd6fcf131b2455",
     ),
     "rgg-connected-gossip-k3": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--seed", "15"],
         0,
-        "08a3b4f7e0ae38e7dc9d888edc28f97228581ba4236ef6c7d536f5c5e984b271",
-        "ee4f332a09638c4c224b01c60dcff400337a5297abca560b5e5167e34ee29e8f",
+        "879d6caa2d0a8498c6a37c915ee121593b9327aa82444cf1cdfcb6b8345269d5",
+        "dd20f6ae76f491f0f5f7bb87f2234d1df6cee0857673838daeaacec337469bcc",
     ),
     "rgg-connected-aloha-k4": (
         ["--nodes", "100", "--alphabet", "8", "--k", "4", "--s1", "1", "--buckets", "2",
          "--network", "rgg-connected", "--protocol", "aloha", "--data", "pointmass",
          "--r1", "4", "--r2", "16", "--seed", "16"],
         0,
-        "ffaf329cf35da159e0b5d3a6b354ecb118ea753e33101d7473b82414f28a79bd",
-        "3d557ab4554fe1ffa0db8aebc4a608ef982e89baf0060d8f83f1cee7119bf0fb",
+        "555ba0e24023e768c59872584e4031b5b1f2b24c328dd5139ae023508671aff0",
+        "5b580b6a7a74ec4c23cf16e0130bbb8075f05f7a22e3c354d8628c0fa16ee84d",
     ),
     "rgg-connected-gossip-k3-cut": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--max-steps", "300", "--seed", "19"],
         4,
-        "ea82e69bca95bf29b6ed0dbc6a864f797c33aa0b6e62263b352fab4c494b772d",
-        "8deb0eed78c01746b1a000029d2e5e3e144127502ad8a7042b5bb23dd72f2693",
+        "d4ea55524df0b4584b172cf7313ae9fb2640b9417f7bdafeb3a525c9b7707589",
+        "431cb9532f0ec178c069113a37958f8ed6fb05c603faa2d06fca32199c78140d",
     ),
     "complete-gossip-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "600", "--seed", "17"],
         4,
-        "aff5a05b96f210081290a262f4a91b9350a0cf685645b198c0d347d0d60cc18f",
-        "7c9e243d1d9ca5e468d8b744d0930d5774d3dcddcad8cc02191d6a50aaeda7f4",
+        "f9e26d6e32b01d40ad29543cceb8ee53db05605a9c55b68bf1f60f3a0c5811a7",
+        "e86661bcde0e853bd65c098d8e1d5039f633302bd8a33af0ce0828bf66b08b5d",
     ),
     "rgg-connected-aloha-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "20", "--seed", "18"],
         4,
-        "a82d8d51aa4811fd36cfdfc147e029f1eb19f67d1a53cebb6a363b1ac72ede8f",
-        "9fac8a6cc65ecee1ddfaad46a5b620a03a841bcaf8587cad2d3d0016dad5bddd",
+        "4d8fe402d0b1bfde037ae415666c4a5ca2f8837cf04a92bfef4a182322c535f2",
+        "48928713d5882f6445265e6268bdaf4e02153969dcb7c96ff8d84322a90010d9",
     ),
 }
 
@@ -211,13 +216,13 @@ GRAPH_GOLDEN = {
     "graph-gossip-k2": (
         ["--nodes", "150", "--alphabet", "12", "--protocol", "gossip", "--data", "zipf:1.2",
          *_BUDGET, "--trials", "2", "--seed", "20"],
-        "8fc8dd0be971bc4e130190910a9bc02def87c11885093063aa9bc2356692f8f0",
-        "ce3e1d443908f9cfa1a7597ce6e522fbf2e523bdbd2d1eb3e6cb321174767fa8",
+        "1dd7bde350080a6429013f831084241d45b3aba4e07cba653a1eec14c3ff298a",
+        "fbcdd46a4cc2a26f9ffe62b6d976a71e6e461040fe8db5523fcc75672bc63a1a",
     ),
     "graph-aloha-k3": (
         [*_K3, "--protocol", "aloha", "--data", "zipf:1.2", "--seed", "21"],
-        "a0109ebf50970943251d480d535e5a98cc60f8f6a9bc44dbf4e15d245141b2e7",
-        "cfb6c2659bcfd8ab6e6ddb43dcc7a436b06f94fd65c0f1f25fb43bdad93cae10",
+        "a99203696956aaf82f6f02f9b7b2c9ddd34983db42276d761362a7c23963e8de",
+        "ab66e8ff12ffc3feb71ecf2c5b984af8c3352367b5b5a3e751ae8367abc0a615",
     ),
 }
 
@@ -367,11 +372,28 @@ class TestSpreadingTime:
         row = (tmp_path / "st" / "spreading_time.csv").read_text().splitlines()[1]
         assert row == ",".join(str(x) for x in want)
 
-    def test_small_giant_is_config_error(self, capsys):
+    def test_small_giant_is_config_error(self, tmp_path, capsys):
+        # the graph is drawn before the echo, so its failure leaves no output
+        out = tmp_path / "st"
         argv = ["spreading-time", "--nodes", "300", "--network", "rgg-percolating",
-                "--radius-c", "0.6", "--seed", "3"]
+                "--radius-c", "0.6", "--seed", "3", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert re.search(r"giant component holds \d+/300 nodes", capsys.readouterr().err)
+        captured = capsys.readouterr()
+        assert re.search(r"giant component holds \d+/300 nodes", captured.err)
+        assert "# effective-config" not in captured.out
+        assert not out.exists()
+
+    def test_graph_of_a_later_size_fails_before_echo(self, tmp_path, monkeypatch, capsys):
+        # the 150-node file serves N = 150 but not N = 200
+        monkeypatch.chdir(tmp_path)
+        _write_graph(tmp_path / "edges.txt")
+        argv = ["spreading-time", "--nodes", "150,200", "--network", "graph:edges.txt",
+                "--seed", "3", "--out", "st"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "graph file has 150 nodes, config wants 200" in captured.err
+        assert "# effective-config" not in captured.out
+        assert not (tmp_path / "st").exists()
 
     def test_rerun_from_effective_cfg(self, tmp_path, capsys):
         # push with a cap that binds: the echo must carry both, or the
@@ -509,6 +531,20 @@ class TestReproducibility:
         echoed = re.findall(r"^s1 = (\d+)$", (out / "effective.cfg").read_text(), re.M)
         assert echoed == ["1"]
         assert json.loads((out / "report.json").read_text())["config"]["s1"] == 1
+
+    def test_k2_resolves_given_buckets_to_one(self, tmp_path, capsys):
+        # a k = 2 run has no bucket maps, so a bucket count given to it is 1,
+        # as is s1, in the echo and the report alike (a count below 1 still
+        # fails: TestExitCodes.test_zero_buckets_is_config_error)
+        argv = ["--nodes", "60", "--alphabet", "5", "--r1", "2", "--r2", "4", "--seed", "1"]
+        code, first = _run(tmp_path, "first", [*argv, "--buckets", "5"])
+        assert code == cli.EXIT_OK
+        assert {"buckets = 1", "s1 = 1"} <= set((first / "effective.cfg").read_text().splitlines())
+        config = json.loads((first / "report.json").read_text())["config"]
+        assert (config["num_buckets"], config["s1"]) == (1, 1)
+        code, again = _run(tmp_path, "again", ["--config", str(first / "effective.cfg")])
+        assert code == cli.EXIT_OK
+        assert (again / "report.json").read_bytes() == (first / "report.json").read_bytes()
 
     def test_rerun_from_effective_cfg(self, tmp_path, capsys):
         _, first = _run(tmp_path, "first", [*_SMALL, "--network", "rgg-connected"])
@@ -776,12 +812,17 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "connected" in capsys.readouterr().err
 
-    def test_spreading_time_without_connected_rgg_is_config_error(self, capsys):
+    def test_spreading_time_without_connected_rgg_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "st"
         argv = ["spreading-time", "--nodes", "500", "--network", "rgg-connected",
-                "--radius-c", "0.05", "--seed", "3"]
+                "--radius-c", "0.05", "--seed", "3", "--out", str(out)]
         with _deadline(60):
             code = cli.main(argv)
         assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "connected" in captured.err
+        assert "# effective-config" not in captured.out
+        assert not out.exists()
 
     def test_run_aloha_on_complete_is_config_error(self, tmp_path, capsys):
         argv = ["--nodes", "120", "--alphabet", "8", "--k", "4", "--s1", "1", "--buckets", "2",
@@ -928,6 +969,13 @@ class TestSolveBudget:
         budget, _ = solve_budget(0.001, 0.001, 300, r1=2, r2=4)
         assert (budget.r1, budget.r2) == (2, 4)
 
+    def test_given_quantizer_values_override_the_rule(self):
+        _, quant = solve_budget(0.1, 0.1, 300)
+        _, bits = solve_budget(0.1, 0.1, 300, quant_bits=12)
+        _, length = solve_budget(0.1, 0.1, 300, trunc_l=5.0)
+        assert (bits.truncation_L, bits.quant_bits) == (quant.truncation_L, 12)
+        assert (length.truncation_L, length.quant_bits) == (5.0, quant.quant_bits)
+
     @pytest.mark.parametrize("sizes", [dict(r1=8), dict(r2=8)])
     def test_one_size_alone_rejected(self, sizes):
         with pytest.raises(ValueError, match="both"):
@@ -949,23 +997,20 @@ def experiment_configs(draw):
                          DataModel("file", path="data.txt")]),
         st.floats(1e-3, 10.0, **_finite).map(lambda t: DataModel("zipf", theta=t)),
     ))
-    positive = st.floats(1e-6, 1.0, **_finite)
     unit = st.floats(1e-6, 1.0, exclude_max=True, **_finite)
     return ExperimentConfig(
         n_nodes=n,
         alphabet_size=draw(st.integers(1, n - 1)),
         k=k,
         data=data,
-        budget=ErrorBudget(eps1=draw(positive), eps2=draw(positive), mu=draw(positive),
-                           r1=draw(st.integers(1, 1024)), r2=draw(st.integers(1, 1024)),
-                           beta=draw(unit)),
+        budget=ErrorBudget(r1=draw(st.integers(1, 1024)), r2=draw(st.integers(1, 1024))),
         quant=QuantConfig(truncation_L=draw(st.floats(1e-3, 100.0, **_finite)),
-                          quant_bits=draw(st.integers(1, 62)), target_mu=draw(unit)),
+                          quant_bits=draw(st.integers(1, 62))),
         network=network,
         protocol=draw(st.sampled_from(
             ["gossip"] + (["aloha"] if network != "complete" else [])
         )),
-        num_buckets=draw(st.integers(1, 50)),
+        num_buckets=draw(st.none() | st.integers(1, 50)),
         s1=draw(st.integers(1, 9)),
         trials=draw(st.integers(1, 100)),
         master_seed=draw(st.integers(0, 2**32 - 1)),
@@ -994,5 +1039,11 @@ class TestConfigRoundTrip:
         d = cfg.to_dict()
         json.dumps(d)
         assert sorted(d) == _CONFIG_BLOCK_KEYS
+        assert sorted(d["budget"]) == ["r1", "r2"]
+        assert sorted(d["quant"]) == ["quant_bits", "truncation_L"]
         assert DataModel.parse(d["data"]) == cfg.data
-        assert parse_network(d["network"]) == (cfg.network, cfg.graph_path)
+        assert d["network"] == cfg.network
+        # every setting is resolved: k = 2 runs one phase with no bucket maps
+        assert d["num_buckets"] >= 1
+        if cfg.k == 2:
+            assert (d["num_buckets"], d["s1"]) == (1, 1)

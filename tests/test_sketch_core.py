@@ -185,6 +185,11 @@ class TestQuantizedDraws:
         assert q.truncation_L == 2.0 * math.log(500)
         assert q.cell_width <= 0.1 / 500
 
+    @pytest.mark.parametrize("target_mu", [0.0, 1.0, -0.1])
+    def test_default_rule_rejects_target_outside_unit_interval(self, target_mu):
+        with pytest.raises(ValueError, match="target_mu must lie in"):
+            QuantConfig.for_population(500, target_mu=target_mu)
+
 
 class TestLevelDtype:
     @pytest.mark.parametrize("bits, dtype", [(30, np.int32), (31, np.int64), (32, np.int64)])
@@ -495,7 +500,7 @@ class TestWireWidth:
     def test_sketch_message_bits(self):
         # a message carries channels * r1 * r2 entries of quant_bits + 1 bits:
         # one sign channel for k = 2, real/imaginary/population for k >= 3
-        budget = ErrorBudget(eps1=0.1, eps2=0.1, mu=0.1, r1=2, r2=3, beta=0.1)
+        budget = ErrorBudget(r1=2, r2=3)
         quant = QuantConfig(truncation_L=8.0, quant_bits=4)
         for k, channels in ((2, 1), (3, 3)):
             cfg = ExperimentConfig(

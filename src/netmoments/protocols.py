@@ -9,17 +9,21 @@ adjacency, and cannot finish on K_N anyway; the experiment configuration
 rejects it there, so it only ever runs on a Topology.
 
 Who contacts whom never depends on what anyone has heard, so each protocol
-is a source of contact blocks: its deliveries in order as arrays (tick,
+is a source of contact blocks: its contacts in order as arrays (tick,
 sender, receiver), and a boolean array whose row t marks the messages of
-tick t.  Gossip draws 4096 ticks a block, Aloha the transmit masks of 32
-slots, packed into one uint32 word per node with bit s for slot s: bitwise
-ORs and ANDs over each node's neighbour words give the slots in which
-exactly one neighbour transmits.  One loop, _deliver, applies either
-source's blocks until every heard-set is full or the step cap binds,
-skipping receivers already full, since a delivery into them changes
-nothing.  A loop that stops inside a block tells the source how many ticks
-it used, and Aloha then redraws only those masks, so the generator ends
-where one draw per tick would leave it.
+tick t.  A gossip tick is one contact, both ways under exchange; an Aloha
+slot is one contact per receiver.  Gossip draws 4096 ticks a block, Aloha
+the transmit masks of 32 slots, packed into one uint32 word per node with
+bit s for slot s: bitwise ORs and ANDs over each node's neighbour words give
+the slots in which exactly one neighbour transmits.  One loop, _deliver,
+applies either source's blocks until every heard-set is full or the step
+cap binds.  It forms one union per contact, heard[sender] | heard[receiver],
+and stores it into the receiver, and into the sender too under exchange.
+Full heard-sets are marked in a mask that both sources read when they draw
+a block: they leave out every contact whose receiving ends are all full,
+since it changes nothing.  A loop that stops inside a block tells the
+source how many ticks it used, and Aloha then redraws only those masks, so
+the generator ends where one draw per tick would leave it.
 
 Spreading carries no sketch state.  A node's min-sketch is the elementwise
 min of the initial sketches in its heard-set, so callers read sketches off
@@ -98,13 +102,16 @@ def _n_nodes(topo: Topology | int) -> int:
 _GOSSIP_BLOCK = 4096  # gossip ticks per draw
 
 
-def _gossip_blocks(topo: Topology | int, exchange: bool, rng: np.random.Generator):
+def _gossip_blocks(
+    topo: Topology | int, exchange: bool, rng: np.random.Generator, skip: np.ndarray
+):
     """Gossip contact blocks of _GOSSIP_BLOCK ticks, for _deliver.  Tick t
-    picks a uniform node u and a uniform neighbour v of it, and delivers
-    u -> v, then v -> u under exchange; a node without neighbours delivers
-    nothing.  Row t of sent marks tick t's messages, one per delivery.  The
-    picks are drawn a whole block at a time, so the source just stops when
-    told that a block was used in part."""
+    picks a uniform node u and a uniform neighbour v of it: one contact
+    u -> v, both ways under exchange, and row t of sent marks its one or two
+    messages.  A node without neighbours makes no contact.  A contact whose
+    receiving ends, v and under exchange u, were all marked in skip when its
+    block was drawn is left out.  The picks are drawn a whole block at a
+    time, so the source just stops when told that a block was used in part."""
     n = _n_nodes(topo)
     while True:
         nodes = rng.integers(n, size=_GOSSIP_BLOCK)
@@ -119,10 +126,11 @@ def _gossip_blocks(topo: Topology | int, exchange: bool, rng: np.random.Generato
         j = (fracs[tick] * deg[tick]).astype(np.int64)
         # entry j of u's row; in K_N's row 0..u-1, u+1..N-1 it is j + (j >= u)
         v = j + (j >= u) if isinstance(topo, int) else topo.indices[start[tick] + j]
+        live = ~skip[v]
         if exchange:
-            tick = np.repeat(tick, 2)
-            u, v = np.column_stack((u, v)).ravel(), np.column_stack((v, u)).ravel()
-        if (yield tick, u, v, np.repeat(deg[:, None] > 0, 1 + exchange, axis=1)) is not None:
+            live |= ~skip[u]
+        sent = np.repeat(deg[:, None] > 0, 1 + exchange, axis=1)
+        if (yield tick[live], u[live], v[live], sent) is not None:
             return
 
 
@@ -238,13 +246,15 @@ class SpreadReport:
     completed: bool
 
 
-def _deliver(blocks, heard: list[int], is_full: bytearray, max_steps: int):
+def _deliver(blocks, heard: list[int], is_full: bytearray, max_steps: int, exchange: bool):
     """Applies a source's contact blocks to heard in place until every
     heard-set is full or max_steps ticks have run: (steps, messages,
-    completed).  is_full[u] is set once heard[u] is full, and deliveries into
-    u are skipped from then on.  Applying a tick's deliveries one after
-    another is exact: an Aloha slot's receivers are distinct and never send
-    in it, and both deliveries of a gossip exchange leave the same union.
+    completed).  A contact (tick, u, v) forms the union heard[u] | heard[v]
+    once and stores it into v, and under exchange into u too, so the two
+    ends share one int.  That is exact: both deliveries of an exchange leave
+    the same union, and an Aloha slot's receivers are distinct and never
+    send in it.  is_full[w] is set once heard[w] is full; sources read it
+    as their skip mask and leave out contacts that cannot change anything.
     """
     n = len(heard)
     full = (1 << n) - 1
@@ -254,20 +264,23 @@ def _deliver(blocks, heard: list[int], is_full: bytearray, max_steps: int):
     while not completed and steps < max_steps:
         tick, sender, receiver, sent = next(blocks)
         used = min(len(sent), max_steps - steps)
-        cut = np.searchsorted(tick, used)  # the deliveries of the first `used` ticks
-        for t, src, dst in zip(*(a[:cut].tolist() for a in (tick, sender, receiver))):
-            if is_full[dst]:
-                continue
-            merged = heard[dst] | heard[src]
-            if merged != heard[dst]:
-                heard[dst] = merged
-                if merged == full:
-                    is_full[dst] = 1
+        cut = np.searchsorted(tick, used)  # the contacts of the first `used` ticks
+        for t, u, v in zip(*(a[:cut].tolist() for a in (tick, sender, receiver))):
+            merged = heard[u] | heard[v]
+            heard[v] = merged
+            if exchange:
+                heard[u] = merged
+            if merged == full:
+                if not is_full[v]:
+                    is_full[v] = 1
                     n_full += 1
-                    if n_full == n:
-                        completed = True
-                        used = t + 1
-                        break
+                if exchange and not is_full[u]:
+                    is_full[u] = 1
+                    n_full += 1
+                if n_full == n:
+                    completed = True
+                    used = t + 1
+                    break
         steps += used
         messages += int(np.count_nonzero(sent[:used]))
         if used < len(sent):
@@ -301,12 +314,14 @@ def run_spreading(
     max_steps = cfg.max_steps if cfg.max_steps is not None else default_max_steps(protocol, n)
     heard = [1 << u for u in range(n)]
     is_full = bytearray(n)
+    # the sources read is_full through this view as their skip mask
+    skip = np.frombuffer(is_full, dtype=bool)
+    exchange = protocol == GOSSIP and cfg.exchange_mode == EXCHANGE
     if protocol == GOSSIP:
-        blocks = _gossip_blocks(topo, cfg.exchange_mode == EXCHANGE, rng)
+        blocks = _gossip_blocks(topo, exchange, rng, skip)
     else:
-        # the kernel reads is_full through this view as its skip mask
-        blocks = _aloha_blocks(topo, p_n, rng, np.frombuffer(is_full, dtype=bool))
-    steps, messages, completed = _deliver(blocks, heard, is_full, max_steps)
+        blocks = _aloha_blocks(topo, p_n, rng, skip)
+    steps, messages, completed = _deliver(blocks, heard, is_full, max_steps, exchange)
     return SpreadReport(steps, messages, completed), heard
 
 

@@ -139,10 +139,13 @@ class QuantConfig:
         return levels
 
     def dequantize(self, levels):
-        """Cell midpoints; the sentinel level maps to +inf.  Works elementwise."""
+        """Cell midpoints; the sentinel level maps to +inf.  Works elementwise,
+        in one float buffer."""
         arr = np.asarray(levels)
-        out = (arr + 0.5) * self.cell_width
-        return np.where(arr >= self.infinity_level, np.inf, out)
+        out = np.add(arr, 0.5, out=np.empty(arr.shape))
+        out *= self.cell_width
+        out[arr >= self.infinity_level] = np.inf
+        return out
 
 
 def min_truncated_exp_levels(

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from netmoments.network import build_connected_rgg, build_rgg, from_edges
@@ -140,14 +142,19 @@ class TestAlohaRule:
             assert set(row) == want
 
 
-def _gossip_contacts(topo, exchange, seed, n_ticks):
+def _gossip_contacts(topo, exchange, seed, n_ticks, skip=None):
     """(tick, sender, receiver) of the first n_ticks ticks of _gossip_blocks,
-    ticks counted across blocks."""
-    blocks = _gossip_blocks(topo, exchange, np.random.default_rng(seed))
+    ticks counted across blocks, after checking one contact per tick and
+    1 + exchange messages per tick with a neighbour to contact."""
+    n = topo if isinstance(topo, int) else topo.n_nodes
+    skip = np.zeros(n, dtype=bool) if skip is None else skip
+    blocks = _gossip_blocks(topo, exchange, np.random.default_rng(seed), skip)
     contacts = []
     for at in range(0, n_ticks, _GOSSIP_BLOCK):
         tick, sender, receiver, sent = next(blocks)
-        assert np.array_equal(sent.sum(axis=1), np.bincount(tick, minlength=_GOSSIP_BLOCK))
+        assert np.all(np.diff(tick) > 0)
+        assert set(sent.sum(axis=1).tolist()) <= {0, 1 + exchange}
+        assert sent[tick].all()
         keep = tick < n_ticks - at
         contacts += zip((tick[keep] + at).tolist(), sender[keep].tolist(), receiver[keep].tolist())
     return contacts
@@ -183,11 +190,27 @@ class TestGossipPicker:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
     def test_complete_node_count_matches_csr_oracle(self, n):
-        # contact for contact, across three blocks and part of a fourth
+        # contact for contact, across three blocks and part of a fourth: one
+        # contact per tick, which stands for both deliveries of an exchange
         ticks = 3 * _GOSSIP_BLOCK + 100
         implicit = _gossip_contacts(n, True, n, ticks)
         assert implicit == _gossip_contacts(complete_topology(n), True, n, ticks)
-        assert len(implicit) == (2 * ticks if n > 1 else 0)
+        assert len(implicit) == (ticks if n > 1 else 0)
+
+    @pytest.mark.parametrize("exchange", [True, False])
+    @pytest.mark.parametrize("name", sorted(_graphs()) + ["complete7"])
+    def test_no_contact_into_nodes_marked_full(self, name, exchange):
+        # the contacts are the unmasked ones with those whose receiving ends,
+        # v and under exchange u too, are all marked in skip left out
+        topo = 7 if name == "complete7" else _graphs()[name]
+        n = topo if isinstance(topo, int) else topo.n_nodes
+        ticks = 2 * _GOSSIP_BLOCK + 50
+        skip = np.random.default_rng(len(name)).random(n) < 0.5
+        want = [
+            (t, u, v) for t, u, v in _gossip_contacts(topo, exchange, 3, ticks)
+            if not (skip[v] and (skip[u] or not exchange))
+        ]
+        assert _gossip_contacts(topo, exchange, 3, ticks, skip) == want
 
 
 class TestRunSpreading:
@@ -266,16 +289,56 @@ class TestRunSpreading:
             "rgg300": build_connected_rgg(300, 0.12, np.random.default_rng(300)),
             "isolated40": from_edges(40, [(u, (u + 1) % 39) for u in range(39)]),
         }[name]
-        n = topo if isinstance(topo, int) else topo.n_nodes
-        cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
-        cfg = SpreadConfig(max_steps=max_steps, exchange_mode=mode)
-        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
-        # two spreads on one generator, as spreading-time runs its trials
-        for _ in range(2):
-            got = run_spreading(topo, GOSSIP, cfg, got_rng, None)
-            want = gossip_spread(topo, mode == EXCHANGE, cap, want_rng)
-            assert got == want
-        assert got_rng.random() == want_rng.random()
+        _assert_gossip_matches_oracle(topo, mode, max_steps, 9)
+
+    @pytest.mark.parametrize("max_steps", [1, 2, 3, None])
+    @pytest.mark.parametrize("name", ["complete2", "csr2", "complete3", "star5"])
+    @pytest.mark.parametrize("mode", [EXCHANGE, PUSH])
+    def test_contact_that_fills_both_ends(self, mode, name, max_steps):
+        # on K_2 the first exchange fills both ends at once; on K_3 and a star
+        # the last contact often fills one end and finds the other full
+        topo = {
+            "complete2": 2,
+            "csr2": complete_topology(2),
+            "complete3": 3,
+            "star5": from_edges(5, [(0, v) for v in range(1, 5)]),
+        }[name]
+        for seed in range(20):
+            _assert_gossip_matches_oracle(topo, mode, max_steps, seed)
+        if name in ("complete2", "csr2") and mode == EXCHANGE:
+            report, heard = run_spreading(topo, GOSSIP, SpreadConfig(), np.random.default_rng(0),
+                                          None)
+            assert (report.steps_to_full, report.messages_sent) == (1, 2)
+            assert heard == [3, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        data=st.data(),
+        max_steps=st.one_of(st.none(), st.integers(1, 300)),
+        mode=st.sampled_from([EXCHANGE, PUSH]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_small_graphs_match_tick_by_tick_oracle(self, n, data, max_steps, mode, seed):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        topo = n if data.draw(st.booleans()) else from_edges(n, edges)
+        _assert_gossip_matches_oracle(topo, mode, max_steps, seed)
+
+
+def _assert_gossip_matches_oracle(topo, mode, max_steps, seed):
+    """Two gossip spreads on one generator, as spreading-time runs its
+    trials, equal gossip_spread's in report and heard-sets, and leave the
+    generator where the oracle leaves it."""
+    n = topo if isinstance(topo, int) else topo.n_nodes
+    cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
+    cfg = SpreadConfig(max_steps=max_steps, exchange_mode=mode)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        got = run_spreading(topo, GOSSIP, cfg, got_rng, None)
+        want = gossip_spread(topo, mode == EXCHANGE, cap, want_rng)
+        assert got == want
+    assert got_rng.random() == want_rng.random()
 
 
 class TestHeardMask:

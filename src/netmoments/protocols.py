@@ -13,12 +13,14 @@ is a source of contact blocks: its contacts in order as arrays (tick,
 sender, receiver), and a boolean array whose row t marks the messages of
 tick t.  A gossip tick is one contact, both ways under exchange; an Aloha
 slot is one contact per receiver.  Gossip draws 4096 ticks a block, Aloha
-the transmit masks of 32 slots, packed into one uint32 word per node with
-bit s for slot s: bitwise ORs and ANDs over each node's neighbour words give
-the slots in which exactly one neighbour transmits.  One loop, _deliver,
-applies either source's blocks until every heard-set is full or the step
-cap binds.  It forms one union per contact, heard[sender] | heard[receiver],
-and stores it into the receiver, and into the sender too under exchange.
+the transmit masks of 64 slots, packed into one uint64 word per node with
+bit s for slot s: bitwise ORs and ANDs over the neighbour words of each
+receiver not yet full give the slots in which exactly one neighbour
+transmits, and one scan of a hit receiver's row names its senders.  One
+loop, _deliver, applies either source's blocks until every heard-set is
+full or the step cap binds.  It forms one union per contact,
+heard[sender] | heard[receiver], and stores it into the receiver, and into
+the sender too under exchange.
 Full heard-sets are marked in a mask that both sources read when they draw
 a block: they leave out every contact whose receiving ends are all full,
 since it changes nothing.  A loop that stops inside a block tells the
@@ -134,19 +136,22 @@ def _gossip_blocks(
             return
 
 
-_ALOHA_BLOCK = 32  # Aloha slots per mask draw: one bit of a node's uint32 word each
-_PIECE = 2048  # nodes per degree-class table, which bounds the intp copy a gather makes
+_ALOHA_BLOCK = 64  # Aloha slots per mask draw: one bit of a node's uint64 word each
+_PIECE = 2048  # receivers per degree-class table, which bounds the intp copy a gather makes
 
 
-def _degree_classes(topo: Topology) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The nodes with neighbours, grouped by degree rounded up to a power of
-    two w, in pieces of up to _PIECE nodes: per piece, its nodes ascending
+def _degree_classes(topo: Topology, live: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The receivers that still need a table, the nodes marked in the boolean
+    array live that have neighbours, grouped by degree rounded up to a power
+    of two w, in pieces of up to _PIECE nodes: per piece, its nodes ascending
     and an int32 (w, nodes) table whose column j lists the neighbours of the
-    piece's node j, padded with the id n of a sentinel that never transmits."""
+    piece's node j, padded with the id n of a sentinel that never transmits.
+    A column lists every neighbour, live or not, since a full node still
+    transmits and collides."""
     n = topo.n_nodes
     deg = np.diff(topo.indptr)
     # class c holds the degrees in (2^(c - 1), 2^c]; isolated nodes have none
-    has = deg > 0
+    has = live & (deg > 0)
     cls = np.full(n, -1, dtype=np.int64)
     cls[has] = np.ceil(np.log2(deg[has]))
     classes = []
@@ -170,24 +175,26 @@ def _aloha_block(
     skip: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deliveries of the Aloha slots whose transmit masks are the rows of the
-    (b, n) boolean array tx, b <= 32, over topo and its _degree_classes, as
+    (b, n) boolean array tx, b <= 64, over topo and its _degree_classes, as
     arrays (slot, sender, receiver): in slot order, receivers ascending
-    within a slot, and none into a node marked in skip.
+    within a slot, and none into a node marked in skip.  A node without a
+    column in the classes receives nothing, so these are the deliveries of
+    tables over every node as long as every node left out is in skip.
 
     A node receives a broadcast iff it is silent and has exactly one
     transmitting neighbor; everything else collides.
     """
     n = topo.n_nodes
     # bit s of words[u] says whether u transmits in slot s; words[n] = 0
-    packed = np.zeros((n + 1, 4), dtype=np.uint8)
+    packed = np.zeros((n + 1, 8), dtype=np.uint8)
     packed[:n, : (len(tx) + 7) // 8] = np.packbits(
         np.ascontiguousarray(tx.T), axis=1, bitorder="little"
     )
-    words = packed.view("<u4").ravel()
+    words = packed.view("<u8").ravel()
     # bit s of single[v]: exactly one neighbour of v transmits in slot s.
     # Per class, a pairwise tree over the neighbour words keeps the bits set
     # at least once and at least twice.
-    single = np.zeros(n, dtype=np.uint32)
+    single = np.zeros(n, dtype=np.uint64)
     for rows, table in classes:
         once, twice = words.take(table), None
         while len(once) > 1:
@@ -202,32 +209,40 @@ def _aloha_block(
         single[rows] = once[0] if twice is None else once[0] & ~twice[0]
     single &= ~words[:n]
     single[skip] = 0
-    # the set bits in slot-major order: transposed, row s of bits is slot s
-    hit_rows = np.flatnonzero(single)
-    bits = np.unpackbits(single[hit_rows].astype("<u4").view(np.uint8), bitorder="little")
-    slot, at = np.divmod(np.flatnonzero(bits.reshape(-1, 32).T), len(hit_rows))
-    receiver = hit_rows[at]
-    # each receiver's sender: the one neighbour whose word has the slot's bit,
-    # found by one scan over the receivers' rows
-    start = topo.indptr[receiver]
-    deg = topo.indptr[receiver + 1] - start
+    # one scan over each hit receiver's row: words[nbr] & single[receiver]
+    # marks exactly the slots in which nbr is the receiver's one sender
+    hit = np.flatnonzero(single)
+    start = topo.indptr[hit]
+    deg = topo.indptr[hit + 1] - start
     entry = np.arange(deg.sum()) + np.repeat(start - (np.cumsum(deg) - deg), deg)
     nbrs = topo.indices.take(entry)
-    slot_bit = np.repeat(np.left_shift(np.uint32(1), slot.astype(np.uint32)), deg)
-    sender = nbrs[(words.take(nbrs) & slot_bit) != 0]
-    return slot, sender, receiver
+    marks = words.take(nbrs) & np.repeat(single[hit], deg)
+    got = np.flatnonzero(marks)
+    # the set bits in slot-major order: transposed, row s of bits is slot s,
+    # and within it the entries, so the receivers, ascend
+    bits = np.unpackbits(marks[got].astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    slot, at = np.divmod(np.flatnonzero(bits.view(bool).reshape(-1, 64).T), len(got))
+    at = got[at]
+    return slot, nbrs[at], np.repeat(hit, deg)[at]
 
 
 def _aloha_blocks(topo: Topology, p_n: float, rng: np.random.Generator, skip: np.ndarray):
     """Aloha contact blocks of _ALOHA_BLOCK slots, for _deliver: a node
     transmits in a slot with probability p_n, so the masks mark the messages,
-    and no delivery goes into a node marked in skip.  A block's masks come
+    and no delivery goes into a node marked in skip.  The degree-class
+    tables cover the live receivers, those not marked in skip, and are
+    rebuilt once the live count has halved since the last build, so all
+    builds together cost at most two over every node.  A block's masks come
     from one draw, which reads the stream that one rng.random(n) per slot
     reads, so told that only `used` slots were used, the source rewinds the
     generator and redraws only those."""
     n = topo.n_nodes
-    classes = _degree_classes(topo)
+    built = 2 * n  # live nodes at the last build; this makes the first block build
     while True:
+        live = ~skip
+        n_live = np.count_nonzero(live)
+        if 2 * n_live <= built:
+            classes, built = _degree_classes(topo, live), n_live
         state = rng.bit_generator.state
         tx = rng.random((_ALOHA_BLOCK, n)) < p_n
         used = yield (*_aloha_block(topo, classes, tx, skip), tx)

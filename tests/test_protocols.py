@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from netmoments.network import build_connected_rgg, build_rgg, from_edges
+from netmoments import protocols
+from netmoments.network import build_connected_rgg, build_rgg, connectivity_radius, from_edges
 from netmoments.protocols import (
     _ALOHA_BLOCK,
     _GOSSIP_BLOCK,
@@ -55,12 +56,17 @@ def _neighbors(topo):
     return [neighbors(topo, u) for u in range(topo.n_nodes)]
 
 
+def _all_classes(topo):
+    """The degree-class tables over every node, as at the first block."""
+    return _degree_classes(topo, np.ones(topo.n_nodes, dtype=bool))
+
+
 def _block_rows(topo, masks, skip=None):
     """The deliveries of _aloha_block over blocks of _ALOHA_BLOCK masks, one
     list per mask, after checking the slot-major, receiver-ascending order."""
     n = topo.n_nodes
     skip = np.zeros(n, dtype=bool) if skip is None else skip
-    classes = _degree_classes(topo)
+    classes = _all_classes(topo)
     rows = []
     for at in range(0, len(masks), _ALOHA_BLOCK):
         tx = np.array(masks[at : at + _ALOHA_BLOCK], dtype=bool).reshape(-1, n)
@@ -99,14 +105,15 @@ class TestAlohaRule:
         for tx, row in zip(masks, _block_rows(topo, masks)):
             assert set(row) == aloha_deliveries(_neighbors(topo), tx)
 
-    @pytest.mark.parametrize("n_masks", [1, 5, 31, 32, 33, 3 * _ALOHA_BLOCK + 7])
+    @pytest.mark.parametrize("n_masks", [1, 5, 31, 32, 33, _ALOHA_BLOCK - 1, _ALOHA_BLOCK,
+                                         _ALOHA_BLOCK + 1, 103, 3 * _ALOHA_BLOCK + 7])
     def test_mixed_degree_classes_match_brute_force(self, n_masks):
         # a 40-leaf star (degree 40, class 64, and 40 leaves of degree 1), an
         # 8-node path (degrees 1 and 2) and an isolated node; n_masks not a
-        # multiple of 32 leaves a last block of b < 32 slots
+        # multiple of _ALOHA_BLOCK leaves a last block of b < _ALOHA_BLOCK slots
         edges = [(0, v) for v in range(1, 41)] + [(u, u + 1) for u in range(41, 48)]
         topo = from_edges(50, edges)
-        classes = _degree_classes(topo)
+        classes = _all_classes(topo)
         assert sorted(table.shape[0] for _, table in classes) == [1, 2, 64]
         assert all(table.dtype == np.int32 for _, table in classes)
         rng = np.random.default_rng(n_masks)
@@ -122,7 +129,7 @@ class TestAlohaRule:
         # nodes a class splits into pieces; the oracle is one uint64 sparse
         # matvec per slot
         topo = build_connected_rgg(n, 0.12, np.random.default_rng(n))
-        widths = [table.shape[0] for _, table in _degree_classes(topo)]
+        widths = [table.shape[0] for _, table in _all_classes(topo)]
         assert (len(widths) > len(set(widths))) == (n > _PIECE)
         adj = uint64_adjacency(topo)
         rng = np.random.default_rng(7)
@@ -140,6 +147,70 @@ class TestAlohaRule:
         for tx, row in zip(masks, _block_rows(topo, masks, is_full)):
             want = {(u, v) for u, v in aloha_deliveries(_neighbors(topo), tx) if not is_full[v]}
             assert set(row) == want
+
+
+class TestLiveTables:
+    """Tables over the live receivers alone, with the rows filled since
+    their build marked in skip, give the deliveries of tables over every
+    node."""
+
+    @pytest.mark.parametrize("name", sorted(_graphs()))
+    def test_tables_hold_live_rows_with_neighbours(self, name):
+        # full rows and isolated nodes get no column; a live row's column is
+        # its whole neighbour row, full neighbours included
+        topo = _graphs()[name]
+        n = topo.n_nodes
+        deg = np.diff(topo.indptr)
+        for seed in range(6):
+            live = np.random.default_rng(seed).random(n) < 0.5
+            columns = {}
+            for rows, table in _degree_classes(topo, live):
+                for j, v in enumerate(rows.tolist()):
+                    columns[v] = sorted(u for u in table[:, j].tolist() if u != n)
+            assert sorted(columns) == np.flatnonzero(live & (deg > 0)).tolist()
+            assert all(columns[v] == neighbors(topo, v).tolist() for v in columns)
+
+    @pytest.mark.parametrize("name", sorted(_graphs()) + ["rgg5000"])
+    def test_live_tables_match_all_node_tables(self, name):
+        # at 5000 nodes the classes split into _PIECE pieces; each block's
+        # slots run from sparse to dense masks so that every graph has
+        # deliveries
+        if name == "rgg5000":
+            topo = build_connected_rgg(5000, 0.12, np.random.default_rng(5000))
+        else:
+            topo = _graphs()[name]
+        n = topo.n_nodes
+        rng = np.random.default_rng(len(name))
+        every = _all_classes(topo)
+        density = np.geomspace(1e-3, 0.6, _ALOHA_BLOCK)[:, None]
+        delivered = 0
+        for share in (0.0, 0.3, 0.7, 1.0):
+            live = rng.random(n) < share
+            classes = _degree_classes(topo, live)
+            if name == "rgg5000" and share == 1.0:
+                widths = [table.shape[0] for _, table in classes]
+                assert len(widths) > len(set(widths))
+            for _ in range(3):
+                skip = ~live | (rng.random(n) < 0.2)  # some live rows filled since
+                tx = rng.random((_ALOHA_BLOCK, n)) < density
+                got = _aloha_block(topo, classes, tx, skip)
+                want = _aloha_block(topo, every, tx, skip)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+                delivered += len(want[0])
+        assert delivered > 0
+
+    def test_full_neighbours_still_transmit_and_collide(self):
+        # path a - b - c with a and c full: only b has a table, listing both
+        topo = from_edges(3, [(0, 1), (1, 2)])
+        skip = np.array([True, False, True])
+        classes = _degree_classes(topo, ~skip)
+        assert [rows.tolist() for rows, _ in classes] == [[1]]
+        tx = np.array([[1, 0, 1], [1, 0, 0], [0, 0, 0], [0, 0, 1]], dtype=bool)
+        slot, sender, receiver = _aloha_block(topo, classes, tx, skip)
+        assert list(zip(slot.tolist(), sender.tolist(), receiver.tolist())) == [
+            (1, 0, 1), (3, 2, 1)
+        ]
 
 
 def _gossip_contacts(topo, exchange, seed, n_ticks, skip=None):
@@ -258,7 +329,8 @@ class TestRunSpreading:
         assert got[0] == want[0] and got[0].completed == (max_steps is None)
         assert got[1] == want[1]
 
-    @pytest.mark.parametrize("max_steps", [1, 31, 32, 33, 100, None])
+    @pytest.mark.parametrize("max_steps", [1, 31, 32, 33, _ALOHA_BLOCK - 1, _ALOHA_BLOCK,
+                                           _ALOHA_BLOCK + 1, 100, None])
     @pytest.mark.parametrize("name", ["cycle12", "star9", "rgg60"])
     def test_aloha_matches_slot_by_slot_oracle(self, name, max_steps):
         topo = {
@@ -276,6 +348,60 @@ class TestRunSpreading:
             want = aloha_spread(topo, default_p_n(n), cap, want_rng)
             assert got == want
         assert got_rng.random() == want_rng.random()
+
+    def test_aloha_table_rebuilds_match_slot_by_slot_oracle(self, monkeypatch):
+        # a 300-node connectivity-regime spread: the live set halves several
+        # times, and each halving rebuilds the tables.  The spread runs to
+        # completion, and again cut one slot into a block that rebuilt.
+        n = 300
+        topo = build_connected_rgg(n, connectivity_radius(n), np.random.default_rng(n))
+        p_n = default_p_n(n)
+        builds, blocks = [], [0]
+        build, block = protocols._degree_classes, protocols._aloha_block
+
+        def counted_build(topo, live):
+            builds.append((blocks[0], int(np.count_nonzero(live))))
+            return build(topo, live)
+
+        def counted_block(*args):
+            blocks[0] += 1
+            return block(*args)
+
+        def spread(max_steps):
+            """(block, live count) of each build, after checking the spread."""
+            builds.clear()
+            blocks[0] = 0
+            cap = default_max_steps(ALOHA, n) if max_steps is None else max_steps
+            got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+            got = run_spreading(topo, ALOHA, SpreadConfig(max_steps=max_steps), got_rng, p_n)
+            assert got == aloha_spread(topo, p_n, cap, want_rng)
+            assert got_rng.random() == want_rng.random()
+            assert got[0].completed == (max_steps is None)
+            assert builds[0] == (0, n)
+            assert all(2 * b <= a for (_, a), (_, b) in zip(builds, builds[1:]))
+            return list(builds)
+
+        monkeypatch.setattr(protocols, "_degree_classes", counted_build)
+        monkeypatch.setattr(protocols, "_aloha_block", counted_block)
+        whole = spread(None)
+        assert spread(whole[3][0] * _ALOHA_BLOCK + 1) == whole[:4]
+
+    def test_aloha_with_isolated_node_runs_to_cap(self):
+        # a 60-node RGG and a 61st node without neighbours: the others fill,
+        # the tables shrink to none, and the spread runs to the default cap
+        rgg = build_connected_rgg(60, 0.25, np.random.default_rng(60))
+        edges = np.column_stack([np.repeat(np.arange(60), np.diff(rgg.indptr)), rgg.indices])
+        topo = from_edges(61, edges)
+        p_n = default_p_n(61)
+        cap = default_max_steps(ALOHA, 61)
+        got_rng, want_rng = np.random.default_rng(10), np.random.default_rng(10)
+        got = run_spreading(topo, ALOHA, SpreadConfig(), got_rng, p_n)
+        assert got == aloha_spread(topo, p_n, cap, want_rng)
+        assert got_rng.random() == want_rng.random()
+        report, heard = got
+        assert not report.completed and report.steps_to_full == cap
+        assert heard[60] == 1 << 60
+        assert all(h == (1 << 60) - 1 for h in heard[:60])
 
     @pytest.mark.parametrize("max_steps", [1, _GOSSIP_BLOCK - 1, _GOSSIP_BLOCK,
                                            _GOSSIP_BLOCK + 1, None])

@@ -35,7 +35,6 @@ from .estimators import exact_fk, oracle_record
 from .protocols import SpreadConfig, default_max_steps, empirical_quantile, run_spreading
 from .simulator import (
     CapacityError,
-    DataModel,
     ExperimentConfig,
     read_dataset_file,
     run_experiment,
@@ -187,7 +186,7 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         n_nodes=n,
         alphabet_size=m,
         k=settings["k"],
-        data=DataModel.parse(settings["data"]),
+        data=settings["data"],
         budget=budget,
         quant=quant,
         network=settings["network"],
@@ -234,14 +233,14 @@ def cmd_gen_data(settings: dict, keys) -> int:
     m = settings.get("alphabet")
     if m is None or settings.get("out") is None:
         raise ValueError("gen-data needs --alphabet and --out")
-    if m >= n:
-        raise ValueError(f"alphabet M={m} must be smaller than N={n}")
-    model = DataModel.parse(settings["data"])
+    if not (1 <= m < n):
+        raise ValueError("alphabet size must satisfy 1 <= M < N")
+    spec = settings["data"]
+    simulator.check_data(spec)
     _echo_config(settings, keys)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], 0)))
-    dataset = model.generate(n, m, rng)
-    write_dataset_file(dataset, settings["out"])
-    print(f"wrote {settings['out']} (N={n}, M={m}, model={model.spec_string()})")
+    write_dataset_file(simulator.generate_data(spec, n, m, rng), settings["out"])
+    print(f"wrote {settings['out']} (N={n}, M={m}, model={spec})")
     return EXIT_OK
 
 

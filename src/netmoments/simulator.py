@@ -28,7 +28,6 @@ from .protocols import SpreadConfig, heard_mask, run_spreading
 from .sketch_core import QuantConfig, harmonic_estimate, min_truncated_exp_levels
 
 NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
-DATA_KINDS = ("pointmass", "uniform", "zipf", "file")
 
 DEFAULT_S1 = 5
 _GIANT_MIN_FRACTION = 0.5
@@ -51,61 +50,45 @@ class CapacityError(RuntimeError):
     """The requested accuracy needs more sketch cells than the desk-scale cap."""
 
 
-@dataclass(frozen=True)
-class DataModel:
-    """How node values are assigned: pointmass | uniform | zipf(theta) | file."""
-
-    kind: str
-    theta: float | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in DATA_KINDS:
-            raise ValueError(f"unknown data model {self.kind!r}")
-        if self.kind == "zipf" and (self.theta is None or self.theta <= 0):
+def check_data(spec: str) -> None:
+    """Raises ValueError unless spec names a data model: pointmass | uniform |
+    zipf:THETA with THETA finite and > 0 | file:PATH."""
+    if spec in ("pointmass", "uniform"):
+        return
+    if spec.startswith("zipf:"):
+        theta = float(spec[len("zipf:"):])
+        if not theta > 0:  # nan included
             raise ValueError("zipf model needs a positive theta")
-        if self.kind == "file" and not self.path:
-            raise ValueError("file model needs a path")
-
-    @classmethod
-    def parse(cls, spec: str) -> "DataModel":
-        if spec in ("pointmass", "uniform"):
-            return cls(spec)
-        if spec.startswith("zipf:"):
-            return cls("zipf", theta=float(spec.split(":", 1)[1]))
-        if spec.startswith("file:"):
-            return cls("file", path=spec.split(":", 1)[1])
+        if math.isinf(theta):
+            raise ValueError("zipf model needs a finite theta")
+    elif spec == "file:":
+        raise ValueError("file model needs a path")
+    elif not spec.startswith("file:"):
         raise ValueError(f"unknown data model {spec!r}")
 
-    def spec_string(self) -> str:
-        if self.kind == "zipf":
-            # short form where it is exact; repr keeps every other theta exact
-            short = f"{self.theta:g}"
-            return f"zipf:{short if float(short) == self.theta else repr(self.theta)}"
-        if self.kind == "file":
-            return f"file:{self.path}"
-        return self.kind
 
-    def generate(self, n_nodes: int, alphabet_size: int, rng: np.random.Generator) -> Dataset:
-        if self.kind == "pointmass":
-            v = int(rng.integers(1, alphabet_size + 1))
-            values = np.full(n_nodes, v, dtype=np.int64)
-        elif self.kind == "uniform":
-            values = rng.integers(1, alphabet_size + 1, size=n_nodes)
-        elif self.kind == "zipf":
-            support = np.arange(1, alphabet_size + 1)
-            p = support.astype(float) ** -self.theta
-            p /= p.sum()
-            values = rng.choice(support, size=n_nodes, p=p)
-        else:
-            d = read_dataset_file(self.path)
-            if d.n_nodes != n_nodes or d.alphabet_size != alphabet_size:
-                raise ValueError(
-                    f"dataset file holds N={d.n_nodes} M={d.alphabet_size}, "
-                    f"config wants N={n_nodes} M={alphabet_size}"
-                )
-            return d
-        return Dataset(values, alphabet_size)
+def generate_data(spec: str, n_nodes: int, alphabet_size: int, rng: np.random.Generator) -> Dataset:
+    """The node values a checked data spec assigns to n_nodes nodes over the
+    alphabet 1..alphabet_size."""
+    if spec == "pointmass":
+        v = int(rng.integers(1, alphabet_size + 1))
+        values = np.full(n_nodes, v, dtype=np.int64)
+    elif spec == "uniform":
+        values = rng.integers(1, alphabet_size + 1, size=n_nodes)
+    elif spec.startswith("zipf:"):
+        support = np.arange(1, alphabet_size + 1)
+        p = support.astype(float) ** -float(spec[len("zipf:"):])
+        p /= p.sum()
+        values = rng.choice(support, size=n_nodes, p=p)
+    else:
+        d = read_dataset_file(spec[len("file:"):])
+        if d.n_nodes != n_nodes or d.alphabet_size != alphabet_size:
+            raise ValueError(
+                f"dataset file holds N={d.n_nodes} M={d.alphabet_size}, "
+                f"config wants N={n_nodes} M={alphabet_size}"
+            )
+        return d
+    return Dataset(values, alphabet_size)
 
 
 def write_dataset_file(d: Dataset, path) -> None:
@@ -241,7 +224,7 @@ class ExperimentConfig:
     n_nodes: int
     alphabet_size: int
     k: int
-    data: DataModel
+    data: str
     budget: ErrorBudget
     quant: QuantConfig
     network: str = "complete"
@@ -257,6 +240,7 @@ class ExperimentConfig:
     spread: SpreadConfig = field(default_factory=SpreadConfig)
 
     def __post_init__(self):
+        check_data(self.data)
         if not (1 <= self.alphabet_size < self.n_nodes):
             raise ValueError("alphabet size must satisfy 1 <= M < N")
         if self.k < 2:
@@ -285,13 +269,6 @@ class ExperimentConfig:
     def message_bits(self) -> int:
         """Bits per message: channels * r1 * r2 entries of quant_bits + 1 bits."""
         return self.channels * self.budget.r1 * self.budget.r2 * self.quant.bits_per_entry
-
-    def to_dict(self) -> dict:
-        """The config block of report.json: the fields, with the data model as
-        its spec string."""
-        d = asdict(self)
-        d["data"] = self.data.spec_string()
-        return d
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
@@ -381,7 +358,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
     """
     data_ss, maps_ss, topo_ss, sched_ss, draws_ss = _trial_seeds(cfg, trial_index)
     m, r1, r2 = cfg.alphabet_size, cfg.budget.r1, cfg.budget.r2
-    dataset = cfg.data.generate(cfg.n_nodes, m, np.random.default_rng(data_ss))
+    dataset = generate_data(cfg.data, cfg.n_nodes, m, np.random.default_rng(data_ss))
     try:
         topo, part_ids, alpha = build_topology(
             cfg.network, cfg.n_nodes, cfg.radius_c, np.random.default_rng(topo_ss)
@@ -481,7 +458,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
     steps = [trial["steps"] for trial in trials]
     errors = [trial["abs_error"] for trial in completed]
     return {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "kind": kind,
         "empirical_success_rate": (
             sum(trial["success"] for trial in completed) / len(completed) if completed else 0.0

@@ -62,8 +62,8 @@ from netmoments.protocols import (
 )
 from netmoments.simulator import (
     CapacityError,
-    DataModel,
     ExperimentConfig,
+    generate_data,
     solve_budget,
     write_dataset_file,
 )
@@ -493,7 +493,7 @@ class TestGiantInvariance:
         (trial,) = json.loads((out / "report.json").read_text())["trials"]
         # trial 0's generators: data first, then maps, then the topology
         data_ss, _, topo_ss, _, _ = np.random.SeedSequence(entropy=(seed, 0)).spawn(5)
-        values = DataModel("zipf", theta=1.2).generate(n, m, np.random.default_rng(data_ss)).values
+        values = generate_data("zipf:1.2", n, m, np.random.default_rng(data_ss)).values
         whole = build_rgg(n, percolation_radius(n, DEFAULT_PERCOLATION_C),
                           np.random.default_rng(topo_ss))
         giant, ids = induced_subgraph(whole, giant_component(whole).giant)
@@ -683,6 +683,15 @@ class TestSweep:
         assert not out.exists()
 
 
+_TINY = ["--nodes", "60", "--alphabet", "5", "--r1", "2", "--r2", "4", "--seed", "1"]
+_BAD_DATA = [
+    ("bogus", "unknown data model 'bogus'"), ("zipf", "unknown data model 'zipf'"),
+    ("zipf:", "could not convert"), ("zipf:abc", "could not convert"),
+    ("zipf:0", "positive theta"), ("zipf:-1", "positive theta"), ("zipf:nan", "positive theta"),
+    ("zipf:inf", "finite theta"), ("file:", "file model needs a path"),
+]
+
+
 class TestExitCodes:
     def test_tiny_run_exits_zero(self, tmp_path, capsys):
         code, out = _run(tmp_path, "tiny", ["--nodes", "40", "--alphabet", "5",
@@ -752,6 +761,26 @@ class TestExitCodes:
         code = cli.main(["gen-data", "--nodes", "40", "--out", str(tmp_path / "data.txt")])
         assert code == cli.EXIT_CONFIG
         assert "--alphabet" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        *(pytest.param(["run", *_TINY, "--data", spec], message, id=f"run-{spec}")
+          for spec, message in _BAD_DATA),
+        pytest.param(["sweep", *_TINY, "--param", "data", "--values", "zipf:1.2,zipf:nan"],
+                     "positive theta", id="sweep-zipf:nan"),
+        pytest.param(["gen-data", "--nodes", "60", "--alphabet", "5", "--seed", "1",
+                      "--data", "zipf:nan"], "positive theta", id="gen-data-zipf:nan"),
+        *(pytest.param(["gen-data", "--nodes", "10", "--alphabet", m, "--seed", "1",
+                        "--data", "uniform"], "alphabet size must satisfy 1 <= M < N",
+                       id=f"gen-data-M={m}") for m in ("0", "-3")),
+    ])
+    def test_bad_data_fails_before_any_output(self, tmp_path, capsys, argv, message):
+        # sweep checks every point before it runs the first
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "# effective-config" not in captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -993,9 +1022,8 @@ def experiment_configs(draw):
         ["complete", "rgg-connected", "rgg-percolating", "graph:edges.txt"]
     ))
     data = draw(st.one_of(
-        st.sampled_from([DataModel("pointmass"), DataModel("uniform"),
-                         DataModel("file", path="data.txt")]),
-        st.floats(1e-3, 10.0, **_finite).map(lambda t: DataModel("zipf", theta=t)),
+        st.sampled_from(["pointmass", "uniform", "file:data.txt"]),
+        st.floats(1e-3, 10.0, **_finite).map(lambda t: f"zipf:{t!r}"),
     ))
     unit = st.floats(1e-6, 1.0, exclude_max=True, **_finite)
     return ExperimentConfig(
@@ -1034,14 +1062,14 @@ class TestConfigRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(experiment_configs())
     def test_pickles_for_workers_and_dumps_to_json(self, cfg):
-        # --jobs hands each worker the pickled config; report.json holds to_dict()
+        # --jobs hands each worker the pickled config; report.json holds asdict()
         assert pickle.loads(pickle.dumps(cfg)) == cfg
-        d = cfg.to_dict()
+        d = dataclasses.asdict(cfg)
         json.dumps(d)
         assert sorted(d) == _CONFIG_BLOCK_KEYS
         assert sorted(d["budget"]) == ["r1", "r2"]
         assert sorted(d["quant"]) == ["quant_bits", "truncation_L"]
-        assert DataModel.parse(d["data"]) == cfg.data
+        assert d["data"] == cfg.data
         assert d["network"] == cfg.network
         # every setting is resolved: k = 2 runs one phase with no bucket maps
         assert d["num_buckets"] >= 1

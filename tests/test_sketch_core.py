@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from netmoments.estimators import ErrorBudget
-from netmoments.simulator import DataModel, ExperimentConfig, _heard_sketch
+from netmoments.simulator import ExperimentConfig, _heard_sketch
 from netmoments.sketch_core import (
     QuantConfig,
     bucket_table,
@@ -504,7 +504,7 @@ class TestWireWidth:
         quant = QuantConfig(truncation_L=8.0, quant_bits=4)
         for k, channels in ((2, 1), (3, 3)):
             cfg = ExperimentConfig(
-                n_nodes=10, alphabet_size=4, k=k, data=DataModel("uniform"),
+                n_nodes=10, alphabet_size=4, k=k, data="uniform",
                 budget=budget, quant=quant, num_buckets=2,
             )
             assert cfg.channels == channels

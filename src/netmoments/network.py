@@ -221,18 +221,10 @@ def induced_subgraph(t: Topology, nodes) -> tuple[Topology, np.ndarray]:
     return sub, keep
 
 
-def write_edge_list(t: Topology, path) -> None:
-    """Header "N radius" (radius '-' when absent), then one "u v" line per edge."""
-    with open(path, "w") as fh:
-        radius = "-" if t.radius is None else f"{t.radius:.9g}"
-        fh.write(f"{t.n_nodes} {radius}\n")
-        # one str() per column, not a Python list per edge row
-        us, vs = (map(str, col.tolist()) for col in t.edges().T)
-        fh.writelines(f"{u} {v}\n" for u, v in zip(us, vs))
-
-
 def read_edge_list(path) -> Topology:
-    """Inverse of write_edge_list; blank lines are skipped.  The edge lines
+    """The topology of an edge-list file: a header "N radius" (radius '-'
+    when absent), then one "u v" line per undirected edge, in either
+    orientation, on node ids 0..N-1; blank lines are skipped.  The edge lines
     are parsed in one vectorised pass, and only a malformed file is rescanned
     line by line, to name its first bad line."""
     with open(path) as fh:

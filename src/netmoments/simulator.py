@@ -5,10 +5,11 @@ A trial assigns data, derives the shared maps and builds the network once;
 on a percolating network the trial runs on the giant component, or is
 rejected when the giant holds under half the nodes.  Then it runs its phases
 in sequence: one for k = 2, one per (bucket map, bucket) for k >= 3.  Each
-phase spreads from scratch and reads node 0's sketch off its heard-set, one
-closed-form draw per value present.  The per-phase harmonic estimates give
-F_2 / N^2 from the sign sums, or F_k / N^k from the bucket phases, scaled by
-the participant count.
+phase spreads from scratch and reads node 0's sketch off its heard-set with
+one closed-form draw per distinct rate its members hold, all from the
+phase's one draw generator.  The per-phase harmonic estimates give F_2 / N^2
+from the sign sums, or F_k / N^k from the bucket phases, scaled by the
+participant count.
 
 Reports are plain dicts: a trial's record and the experiment's report are
 the dicts report.json serialises, so each key is written in one place."""
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -52,7 +54,7 @@ class CapacityError(RuntimeError):
 
 def check_data(spec: str) -> None:
     """Raises ValueError unless spec names a data model: pointmass | uniform |
-    zipf:THETA with THETA finite and > 0 | file:PATH."""
+    zipf:THETA with THETA finite and > 0 | file:PATH with PATH a file."""
     if spec in ("pointmass", "uniform"):
         return
     if spec.startswith("zipf:"):
@@ -61,9 +63,13 @@ def check_data(spec: str) -> None:
             raise ValueError("zipf model needs a positive theta")
         if math.isinf(theta):
             raise ValueError("zipf model needs a finite theta")
-    elif spec == "file:":
-        raise ValueError("file model needs a path")
-    elif not spec.startswith("file:"):
+    elif spec.startswith("file:"):
+        path = spec[len("file:"):]
+        if not path:
+            raise ValueError("file model needs a path")
+        if not os.path.isfile(path):
+            raise ValueError(f"data file {path!r} is not a file")
+    else:
         raise ValueError(f"unknown data model {spec!r}")
 
 
@@ -182,8 +188,8 @@ def resolve_network(
     p_n: float | None = None,
 ) -> tuple[float, float]:
     """(radius_c, p_n) of a network spec (complete | rgg-connected |
-    rgg-percolating | graph:PATH) run by protocol on n_nodes nodes; a
-    radius_c or p_n not given takes its regime's value.
+    rgg-percolating | graph:PATH with PATH a file) run by protocol on n_nodes
+    nodes; a radius_c or p_n not given takes its regime's value.
 
     Aloha is rejected on the complete graph: a slot delivers only when exactly
     one of all N nodes transmits, about (N/ln N) e^(-N/ln N) of the slots at
@@ -192,8 +198,12 @@ def resolve_network(
     kind = "graph" if spec.startswith("graph:") else spec
     if kind not in NETWORK_KINDS + ("graph",):
         raise ValueError(f"unknown network kind {spec!r}")
-    if kind == "graph" and not spec[len("graph:"):]:
-        raise ValueError("graph network needs a path")
+    if kind == "graph":
+        path = spec[len("graph:"):]
+        if not path:
+            raise ValueError("graph network needs a path")
+        if not os.path.isfile(path):
+            raise ValueError(f"graph file {path!r} is not a file")
     if protocol not in protocols.PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if kind == "complete" and protocol == protocols.ALOHA:
@@ -278,7 +288,8 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 def _trial_seeds(cfg: ExperimentConfig, trial_index: int) -> list[np.random.SeedSequence]:
     root = np.random.SeedSequence(entropy=(cfg.master_seed, trial_index))
     # data, maps, topology, then for k = 2 scheduling and sketch draws; for
-    # k >= 3 the fifth is the root of the phases' seeds and the fourth is unused
+    # k >= 3 the fifth is the root of the phases' seeds, each phase spawning
+    # (scheduling, draws), and the fourth is unused
     return root.spawn(5)
 
 
@@ -322,21 +333,30 @@ def _heard_sketch(
     values: np.ndarray,
     r2: int,
     quant: QuantConfig,
-    value_seeds,
+    rng: np.random.Generator,
     heard: np.ndarray,
 ) -> np.ndarray:
     """The sketch a node holds once it has heard from the nodes the boolean
     mask `heard` marks: the min over their initial grids, where a node
     holding value v draws one row of r2 levels per entry of
-    rates_by_value[v - 1].  That min depends only on how many members hold
-    each value, so it is drawn once per value present, from
-    value_seeds[v - 1], as the closed-form min of that many draws."""
+    rates_by_value[v - 1].  A cell's min depends only on how many members
+    draw it at each rate, so each distinct positive rate, in the row-major
+    order of its first entry among the members' rows, takes one draw from
+    rng: the closed-form min of that many draws in every cell where some
+    member has that rate."""
     acc = np.full((rates_by_value.shape[1], r2), quant.infinity_level, dtype=quant.level_dtype)
     counts = np.bincount(values[heard] - 1, minlength=len(rates_by_value))
-    for v in np.flatnonzero(counts):
-        rng = np.random.default_rng(value_seeds[v])
-        levels = min_truncated_exp_levels(rates_by_value[v], counts[v], r2, quant, rng)
-        np.minimum(acc, levels, out=acc)
+    present = np.flatnonzero(counts)
+    table, counts = rates_by_value[present], counts[present]
+    todo = table > 0  # the entries whose rate has not been drawn yet
+    while todo.any():
+        rate = table.flat[np.argmax(todo)]
+        in_group = table == rate
+        todo &= ~in_group
+        group = counts @ in_group
+        cells = np.flatnonzero(group)
+        levels = min_truncated_exp_levels(np.full(cells.size, rate), group[cells], r2, quant, rng)
+        acc[cells] = np.minimum(acc[cells], levels, out=levels)
     return acc
 
 
@@ -371,7 +391,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
     maps_seed = _seed_int(maps_ss)
     if cfg.k == 2:
         rates_by_value = (sketch_core.sign_table(maps_seed, r1, m).T > 0).astype(float)
-        plan = [(1, 1, [sched_ss, *draws_ss.spawn(m)])]
+        plan = [(1, 1, (sched_ss, draws_ss))]
     else:
         roots = sketch_core.root_table(maps_seed, r1, cfg.k, m).T
         rates_by_value = np.concatenate(
@@ -379,21 +399,22 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
         )
         buckets = sketch_core.bucket_table(maps_seed, cfg.s1, cfg.num_buckets, m)
         phase_ids = itertools.product(range(1, cfg.s1 + 1), range(1, cfg.num_buckets + 1))
-        plan = (  # each phase: a scheduling seed, then one seed per value
-            (t, b, phase_ss.spawn(m + 1))
+        plan = (  # each phase: a scheduling seed, then a draws seed
+            (t, b, phase_ss.spawn(2))
             for (t, b), phase_ss in zip(phase_ids, draws_ss.spawn(cfg.phases))
         )
 
     reports, estimates = [], []
-    for t, b, seeds in plan:
+    for t, b, (phase_sched_ss, phase_draws_ss) in plan:
         report, heard = run_spreading(
-            topo, cfg.protocol, cfg.spread, np.random.default_rng(seeds[0]), p_n=cfg.p_n
+            topo, cfg.protocol, cfg.spread, np.random.default_rng(phase_sched_ss), p_n=cfg.p_n
         )
         members = heard_mask(heard[0], n_part)
         del heard  # neither the heard-sets nor the sketch outlive their phase
         if cfg.k > 2:
             members &= buckets[t - 1, part_values - 1] == b
-        sketch = _heard_sketch(rates_by_value, part_values, r2, cfg.quant, seeds[1:], members)
+        draws = np.random.default_rng(phase_draws_ss)
+        sketch = _heard_sketch(rates_by_value, part_values, r2, cfg.quant, draws, members)
         estimates.append(harmonic_estimate(sketch.reshape(cfg.channels, r1, r2), cfg.quant))
         reports.append(report)
         del sketch

@@ -7,10 +7,11 @@ entries are exponential variables truncated to [0, L] and uniformly
 quantized to integer levels; the level 2^quant_bits, one above every finite
 level, is the infinity sentinel.  A sketch is a plain integer level array.
 The sketch a node holds after spreading is the elementwise min over the
-initial sketches of its heard-set, and the min of c iid truncated Exp(rate)
-draws has a closed-form inverse CDF, so min_truncated_exp_levels draws it
-directly from the count of members per value.  harmonic_estimate reads
-population estimates off the last axis of a sketch.
+initial sketches of its heard-set.  A member's rate in a cell depends only on
+its value, and the min of c iid truncated Exp(rate) draws has a closed-form
+inverse CDF, so min_truncated_exp_levels draws each cell's min directly from
+the count of members at each rate, with one count per row.
+harmonic_estimate reads population estimates off the last axis of a sketch.
 """
 
 from __future__ import annotations
@@ -149,29 +150,34 @@ class QuantConfig:
 
 
 def min_truncated_exp_levels(
-    rates: np.ndarray, count: int, r2: int, quant: QuantConfig, rng: np.random.Generator
+    rates: np.ndarray, counts: np.ndarray, r2: int, quant: QuantConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """One row of r2 levels per rate entry: the min of `count` iid Exp(rate)
-    draws truncated to [0, L], drawn in one step and quantized once.
+    """One row of r2 levels per rate entry: the min of counts[i] iid
+    Exp(rates[i]) draws truncated to [0, L], drawn in one step and quantized
+    once.  counts holds one count, at least 1, per rate entry.
 
     The min of c such draws has the inverse CDF
     x = -ln(e^(-rate L) + (1 - e^(-rate L)) u^(1/c)) / rate, for u uniform on
     (0, 1]; it is evaluated in one float buffer, one uniform per positive
     entry and replica, in the cancellation-free form
     -log1p(expm1(-rate L) * -expm1(ln(u) / c)) / rate.  A zero rate encodes
-    "no member contributes" and yields the infinity sentinel directly.
+    "no member contributes" and yields the infinity sentinel directly,
+    whatever its count.
     """
     rates = np.asarray(rates, dtype=float)
+    counts = np.asarray(counts)
+    if counts.shape != rates.shape:
+        raise ValueError(f"counts of shape {counts.shape} do not match rates of {rates.shape}")
     if np.any(rates < 0):
         raise ValueError("rates must be nonnegative")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if np.any(counts < 1):
+        raise ValueError("counts must be >= 1")
     pos = rates > 0
     lam = rates[pos][:, None]
     x = rng.random((lam.size, r2))
     np.subtract(1.0, x, out=x)  # u in (0, 1], so ln(u) is finite
     np.log(x, out=x)
-    x /= count
+    x /= counts[pos][:, None]
     np.expm1(x, out=x)
     x *= -np.expm1(-lam * quant.truncation_L)
     np.log1p(x, out=x)

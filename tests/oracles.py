@@ -104,6 +104,15 @@ def validate_topology(topo: Topology) -> None:
             raise ValueError("adjacency disagrees with the distance rule")
 
 
+def write_edge_list(t: Topology, path) -> None:
+    """The edge-list file that network.read_edge_list reads: header
+    "N radius" (radius '-' when absent), then one "u v" line per edge."""
+    with open(path, "w") as fh:
+        radius = "-" if t.radius is None else f"{t.radius:.9g}"
+        fh.write(f"{t.n_nodes} {radius}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in t.edges().tolist())
+
+
 def cycle_topology(n_nodes: int) -> Topology:
     return from_edges(n_nodes, [(u, (u + 1) % n_nodes) for u in range(n_nodes)])
 
@@ -183,8 +192,10 @@ def resampled_min_levels(rates, r2: int, quant, rngs) -> np.ndarray:
 
 def heard_sketch(rates_by_value, values, r2: int, quant, node_seeds, members) -> np.ndarray:
     """The sketch over `members` drawn node by node: member u draws its own
-    resampled grid for rates_by_value[values[u] - 1] from node_seeds[u], and
-    the sketch is the min over the members' grids."""
+    resampled grid for rates_by_value[values[u] - 1] from node_seeds[u], one
+    truncated exponential per cell, and the sketch is the min over the
+    members' grids.  The oracle, in law, for simulator._heard_sketch, which
+    draws one closed-form min per distinct rate."""
     rows = np.shape(rates_by_value)[1]
     acc = np.full((rows, r2), quant.infinity_level, dtype=quant.level_dtype)
     for u in members:

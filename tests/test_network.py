@@ -18,7 +18,6 @@ from netmoments.network import (
     induced_subgraph,
     percolation_radius,
     read_edge_list,
-    write_edge_list,
 )
 
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     neighbor_lists,
     neighbors,
     validate_topology,
+    write_edge_list,
 )
 
 

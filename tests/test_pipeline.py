@@ -18,6 +18,13 @@ block lost the five values that no run reads: budget eps1, eps2, mu and
 beta, and quant target_mu.  On every config, the earlier report.json with
 those five keys deleted and re-serialised equalled the new one byte for
 byte, and trials.csv and effective.cfg did not change.
+
+The whole-report digests were re-recorded once more when a sketch began to
+be drawn once per distinct rate, from one draw generator per phase, in
+place of once per value from a generator per value.  That changed the draw
+stream again but not its law; every stripped digest still matches, so only
+the estimates moved.  The trials.csv and sweep summary.csv digests and the
+summary lines were re-recorded with them, for the same reason.
 """
 
 import argparse
@@ -48,7 +55,6 @@ from netmoments.network import (
     induced_subgraph,
     percolation_radius,
     read_edge_list,
-    write_edge_list,
 )
 from netmoments.protocols import (
     ALOHA,
@@ -68,6 +74,8 @@ from netmoments.simulator import (
     write_dataset_file,
 )
 from netmoments.sketch_core import QuantConfig
+
+from oracles import write_edge_list
 
 
 # report keys that the sketch draws feed: every other key must survive a
@@ -126,7 +134,7 @@ GOLDEN = {
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "11"],
         0,
-        "233b79f383df5036f16a9a26c7aaa03daa135f302b2a145c1a19bb8abda8575b",
+        "b379cb169daba787b0231a30a71c7755a165d6f1a497b7edb85ed012ca8e8b79",
         "02d6ca93670ec1e9c07541987cbbfb9a32d579ddf9f342b246d34c7d6e57725d",
     ),
     "complete-gossip-push-k2": (
@@ -134,47 +142,47 @@ GOLDEN = {
          "--exchange-mode", "push", "--data", "uniform", "--r1", "8", "--r2", "32",
          "--trials", "2", "--seed", "12"],
         0,
-        "cfb1d1bc6a3bb8b0ef88ea2bc016cee46f7cf86adf670449cfd15d5773ac7e2b",
+        "bc076620db07b13d42144009760bbb00ff9568f308ee8206cb63f2d3f2686b3c",
         "43379dab4aca5e577f4207687976e669493ab59f7a625f9bcd90e6692a0975f1",
     ),
     "rgg-connected-aloha-k2": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "13"],
         0,
-        "5c8cb9ded63d9a564afb7f45f04ffe6dd64b2c800b54925aa1f052382facafc4",
+        "f9a1e34d4daf9e44f610191368d131640e918c1a49124552994481e5673b9f48",
         "ca12fef53a7e4c38625538827db6fefa7ea4cb63b008290cb23c7f3c0227529d",
     ),
     "rgg-percolating-gossip-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "gossip",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "14"],
         0,
-        "fdad55c6d91f43af06308946385a6ab7e5d65edeb83e139fe6765d79154b80dc",
+        "97735f578d685ff4b34bd277f44044b3dbd05d5356e97e2c0b5a50c10711842e",
         "9e35198cc4f6df8299a2ca8c72798b401109572b742ed854aec43b237735144c",
     ),
     "rgg-percolating-aloha-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "aloha",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "22"],
         0,
-        "1caf43812c825ca750b1bd5a1cefbe6c818f4f64c4cbfc0a959bb611c82efc43",
+        "7d1098f0f48e119eaff4a4230c86ca40e9ce3ffef8b141de21e828bc28172b96",
         "a5046a4f0ee110a1977c3e733d8ae7ca79809f094205c93a3cbdc6dc28bc6251",
     ),
     "rgg-percolating-gossip-k3": (
         [*_K3_PERCOLATING, "--protocol", "gossip"],
         0,
-        "2fad807bfd014c927e195fe4080df5776e2a53ffb4b442e52ec62ea21196c1f9",
+        "d821deb7b78aa10b1a51410587ddab806375c9ee7992c06dce37a8ac7243925c",
         "0e4cd030cea3020548861a831afabe5914b774d1ac045f95613051efbb3c3fdd",
     ),
     "rgg-percolating-aloha-k3": (
         [*_K3_PERCOLATING, "--protocol", "aloha"],
         0,
-        "973689aa3dc652163639bf1de0826052eee280b91320d65313ee46449875eb67",
+        "ddcac0357738a50c3f1d85dd4c7e9675396938eda8d3cff5191674187ac98667",
         "1e4f29839992be276db8f1074cab37b4ae9ff3954aa88c25b1bd6fcf131b2455",
     ),
     "rgg-connected-gossip-k3": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--seed", "15"],
         0,
-        "879d6caa2d0a8498c6a37c915ee121593b9327aa82444cf1cdfcb6b8345269d5",
+        "3dd30af5f12b498a52b9a497b280ca533989c42592798627ad041c981021933b",
         "dd20f6ae76f491f0f5f7bb87f2234d1df6cee0857673838daeaacec337469bcc",
     ),
     "rgg-connected-aloha-k4": (
@@ -182,28 +190,28 @@ GOLDEN = {
          "--network", "rgg-connected", "--protocol", "aloha", "--data", "pointmass",
          "--r1", "4", "--r2", "16", "--seed", "16"],
         0,
-        "555ba0e24023e768c59872584e4031b5b1f2b24c328dd5139ae023508671aff0",
+        "1217da9334ef5996364ec95750eae335fe4ec809dd5861f93f523741ca0a24de",
         "5b580b6a7a74ec4c23cf16e0130bbb8075f05f7a22e3c354d8628c0fa16ee84d",
     ),
     "rgg-connected-gossip-k3-cut": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--max-steps", "300", "--seed", "19"],
         4,
-        "d4ea55524df0b4584b172cf7313ae9fb2640b9417f7bdafeb3a525c9b7707589",
+        "532dabbf16762df22174e89583325f17cb196ee8706b7d8d384d3a8086842e8e",
         "431cb9532f0ec178c069113a37958f8ed6fb05c603faa2d06fca32199c78140d",
     ),
     "complete-gossip-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "600", "--seed", "17"],
         4,
-        "f9e26d6e32b01d40ad29543cceb8ee53db05605a9c55b68bf1f60f3a0c5811a7",
+        "0e0424de36e4c419782d6270a2bc5e267bf83b97850ba5e042d116747a79d2b8",
         "e86661bcde0e853bd65c098d8e1d5039f633302bd8a33af0ce0828bf66b08b5d",
     ),
     "rgg-connected-aloha-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "20", "--seed", "18"],
         4,
-        "4d8fe402d0b1bfde037ae415666c4a5ca2f8837cf04a92bfef4a182322c535f2",
+        "bb14d935f33548de1fa0cfc7c3272fec56a8ed307b00fbdeb7b20ff11690e34e",
         "48928713d5882f6445265e6268bdaf4e02153969dcb7c96ff8d84322a90010d9",
     ),
 }
@@ -216,12 +224,12 @@ GRAPH_GOLDEN = {
     "graph-gossip-k2": (
         ["--nodes", "150", "--alphabet", "12", "--protocol", "gossip", "--data", "zipf:1.2",
          *_BUDGET, "--trials", "2", "--seed", "20"],
-        "1dd7bde350080a6429013f831084241d45b3aba4e07cba653a1eec14c3ff298a",
+        "6ba63ff2b72a1a311085983974000e5d2acc347a625d58c64772b64074588e6e",
         "fbcdd46a4cc2a26f9ffe62b6d976a71e6e461040fe8db5523fcc75672bc63a1a",
     ),
     "graph-aloha-k3": (
         [*_K3, "--protocol", "aloha", "--data", "zipf:1.2", "--seed", "21"],
-        "a99203696956aaf82f6f02f9b7b2c9ddd34983db42276d761362a7c23963e8de",
+        "51e9409a9ef8bc3307880415d1ea855d66d607e966046226b7c1d20ad2a8584e",
         "ab66e8ff12ffc3feb71ecf2c5b984af8c3352367b5b5a3e751ae8367abc0a615",
     ),
 }
@@ -259,18 +267,18 @@ class TestGoldenReports:
 
 # GOLDEN name -> sha256 of trials.csv; these, the sweep's summary.csv and the
 # summary lines were recorded on the release that held trials and reports in
-# classes of their own
+# classes of their own, and re-recorded with the whole-report digests
 TRIALS_CSV = {
-    "rgg-percolating-gossip-k2": "ca9867961d6aa9e0dcfde5cf91c652aa74358c0e34a08e79ebf5011b7c31dec0",
-    "rgg-connected-gossip-k3-cut": "bc0d1205f81ef375d1a05bef5fb7300525cca36d273c4b4afc49e870cfb4dce3",
+    "rgg-percolating-gossip-k2": "e623a7edde5167c86e891a5a97f352e56058cc7ee1063c99fd12a81862c95acf",
+    "rgg-connected-gossip-k3-cut": "f96cd89c76cc939bd1795ea770031cabef8ff0702e0fd0808443bd5f31dcbb99",
 }
 _SUMMARY = """\
 trials: 3 measured, 0 rejected, 0 non-converged
 phases: 1
 message bits per transmission: 11776
 median steps: 38629  total bits: 2595006464
-mean estimate_scaled: 0.288018  mean exact_scaled: 0.229239
-mean |error|: 0.13046  max |error|: 0.283859
+mean estimate_scaled: 0.259844  mean exact_scaled: 0.229239
+mean |error|: 0.106148  max |error|: 0.20513
 success rate: 0.667 (target >= 0.900 at epsilon = 0.1)
 """
 
@@ -297,7 +305,7 @@ class TestOtherOutputs:
                 "--trials", "2", "--seed", "5", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
         body = (out / "summary.csv").read_bytes()
-        want = "f9502f277e80a5459445ff1f373bac243c1071acc4dd2c84c675831d8efe4a14"
+        want = "a7b87a0be1402948c532b73d22f43d1d0a8b81587248b13f7e61d6560e5e1b88"
         assert hashlib.sha256(body).hexdigest() == want
 
     def test_csv_format_writes_no_json(self, tmp_path, capsys):
@@ -841,6 +849,22 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "connected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--data", "file:MISSING"], "data file 'MISSING' is not a file"),
+        (["--network", "graph:MISSING"], "graph file 'MISSING' is not a file"),
+    ])
+    def test_missing_input_file_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--nodes", "200", "--alphabet", "10", *flags, "--r1", "2", "--r2", "4",
+                "--seed", "3", "--out", "out"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "# effective-config" not in captured.out
+        assert not (tmp_path / "out").exists()
+
     def test_spreading_time_without_connected_rgg_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "st"
         argv = ["spreading-time", "--nodes", "500", "--network", "rgg-connected",
@@ -1015,14 +1039,16 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def experiment_configs(draw):
+def experiment_configs(draw, graph_path, data_path):
+    """Configs over every setting; graph_path and data_path name files, as a
+    config checks that its graph: and file: paths do."""
     n = draw(st.integers(3, 10**6))
     k = draw(st.integers(2, 5))
     network = draw(st.sampled_from(
-        ["complete", "rgg-connected", "rgg-percolating", "graph:edges.txt"]
+        ["complete", "rgg-connected", "rgg-percolating", f"graph:{graph_path}"]
     ))
     data = draw(st.one_of(
-        st.sampled_from(["pointmass", "uniform", "file:data.txt"]),
+        st.sampled_from(["pointmass", "uniform", f"file:{data_path}"]),
         st.floats(1e-3, 10.0, **_finite).map(lambda t: f"zipf:{t!r}"),
     ))
     unit = st.floats(1e-6, 1.0, exclude_max=True, **_finite)
@@ -1058,11 +1084,21 @@ _CONFIG_BLOCK_KEYS = sorted(
 )
 
 
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """(graph file, data file): the checks read only that each is a file."""
+    root = tmp_path_factory.mktemp("inputs")
+    for name in ("edges.txt", "data.txt"):
+        (root / name).touch()
+    return root / "edges.txt", root / "data.txt"
+
+
 class TestConfigRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(experiment_configs())
-    def test_pickles_for_workers_and_dumps_to_json(self, cfg):
+    @given(data=st.data())
+    def test_pickles_for_workers_and_dumps_to_json(self, input_files, data):
         # --jobs hands each worker the pickled config; report.json holds asdict()
+        cfg = data.draw(experiment_configs(*input_files))
         assert pickle.loads(pickle.dumps(cfg)) == cfg
         d = dataclasses.asdict(cfg)
         json.dumps(d)

@@ -12,6 +12,7 @@ from netmoments.estimators import ErrorBudget
 from netmoments.simulator import ExperimentConfig, _heard_sketch
 from netmoments.sketch_core import (
     QuantConfig,
+    _roots_table,
     bucket_table,
     harmonic_estimate,
     min_truncated_exp_levels,
@@ -113,21 +114,53 @@ class StubRng:
 
 class TestQuantizedDraws:
     def test_zero_rate_is_sentinel(self):
+        # whatever its count, and beside a positive rate with its own count
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        levels = min_truncated_exp_levels(np.array([0.0]), 1, 4, q, np.random.default_rng(0))
-        assert (levels == q.infinity_level).all()
-        assert np.isinf(q.dequantize(levels)).all()
+        rates = np.array([0.0, 1.0, 0.0])
+        for count in (1, 7, 10**6):
+            counts = np.array([count, 2, 1])
+            levels = min_truncated_exp_levels(rates, counts, 4, q, np.random.default_rng(0))
+            assert (levels[[0, 2]] == q.infinity_level).all()
+            assert np.isinf(q.dequantize(levels[[0, 2]])).all()
+            assert levels[1].max() < q.infinity_level
 
     def test_negative_rate_rejected(self):
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        with pytest.raises(ValueError):
-            min_truncated_exp_levels(np.array([-1.0]), 1, 4, q, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_truncated_exp_levels(np.array([-1.0]), np.ones(1), 4, q, np.random.default_rng(0))
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_rejected(self, count):
+        # in any row, the zero-rate row included
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        with pytest.raises(ValueError):
-            min_truncated_exp_levels(np.array([1.0]), count, 4, q, np.random.default_rng(0))
+        for row in range(3):
+            counts = np.array([3, 1, 5])
+            counts[row] = count
+            with pytest.raises(ValueError, match="counts must be >= 1"):
+                min_truncated_exp_levels(
+                    np.array([0.0, 1.0, 2.0]), counts, 4, q, np.random.default_rng(0)
+                )
+
+    @pytest.mark.parametrize("counts", [1, [1, 1], [[1], [1], [1]], [1, 1, 1, 1]])
+    def test_counts_must_match_rates_in_shape(self, counts):
+        # one calling form: a scalar count is a shape mismatch, not a broadcast
+        q = QuantConfig(truncation_L=8.0, quant_bits=3)
+        with pytest.raises(ValueError, match="do not match"):
+            min_truncated_exp_levels(
+                np.array([0.5, 1.0, 2.0]), np.array(counts), 4, q, np.random.default_rng(0)
+            )
+
+    def test_each_row_draws_at_its_own_count(self):
+        # the same uniform in every entry: a row's level falls as its count
+        # grows, and rows of equal rate and count agree
+        q = QuantConfig(truncation_L=8.0, quant_bits=20)
+        rates, counts = np.ones(4), np.array([1, 9, 1, 9])
+        levels = min_truncated_exp_levels(rates, counts, 3, q, StubRng(0.5))
+        assert levels[0, 0] > levels[1, 0]
+        np.testing.assert_array_equal(levels[:2], levels[2:])
+        for count, row in zip(counts, levels):
+            alone = min_truncated_exp_levels(np.ones(1), np.array([count]), 3, q, StubRng(0.5))
+            np.testing.assert_array_equal(alone[0], row)
 
     def test_midpoint_rule(self):
         # L = 8 with 3 bits gives unit cells; a raw sample of 2.3 lands in
@@ -135,7 +168,7 @@ class TestQuantizedDraws:
         # the inverse CDF gives 2.3 at u = (e^-2.3 - e^-8) / (1 - e^-8)
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
         u = (math.exp(-2.3) - math.exp(-8.0)) / (1.0 - math.exp(-8.0))
-        levels = min_truncated_exp_levels(np.array([1.0]), 1, 1, q, StubRng(1.0 - u))
+        levels = min_truncated_exp_levels(np.array([1.0]), np.ones(1), 1, q, StubRng(1.0 - u))
         assert levels.tolist() == [[2]]
         assert q.dequantize(levels).tolist() == [[2.5]]
 
@@ -148,7 +181,7 @@ class TestQuantizedDraws:
         for L in (1e-3, 3.0, 60.0):
             q = QuantConfig(truncation_L=L, quant_bits=bits)
             rates = np.array([0.05, 1.0, 2.0, 40.0])
-            levels = min_truncated_exp_levels(rates, count, 5, q, StubRng(draw))
+            levels = min_truncated_exp_levels(rates, np.full(4, count), 5, q, StubRng(draw))
             assert levels.dtype == q.level_dtype
             assert (levels >= 0).all() and (levels < q.infinity_level).all()
             if draw == 0.0:
@@ -168,7 +201,7 @@ class TestQuantizedDraws:
         n = 1024
         q = QuantConfig.for_population(n)
         rng = np.random.default_rng(9)
-        levels = min_truncated_exp_levels(np.ones(100), 1, 10_000, q, rng)
+        levels = min_truncated_exp_levels(np.ones(100), np.ones(100), 10_000, q, rng)
         mean = float(q.dequantize(levels).mean())
         L = q.truncation_L
         target = (1.0 - (L + 1.0) * math.exp(-L)) / (1.0 - math.exp(-L))
@@ -177,7 +210,7 @@ class TestQuantizedDraws:
     def test_level_never_reaches_sentinel_for_positive_rate(self):
         q = QuantConfig(truncation_L=1.0, quant_bits=2)
         rng = np.random.default_rng(3)
-        levels = min_truncated_exp_levels(np.full(4, 0.05), 1, 500, q, rng)
+        levels = min_truncated_exp_levels(np.full(4, 0.05), np.ones(4), 500, q, rng)
         assert levels.max() < q.infinity_level
 
     def test_default_rule_cell_width(self):
@@ -197,7 +230,7 @@ class TestLevelDtype:
         q = QuantConfig(truncation_L=20.0, quant_bits=bits)
         assert q.level_dtype is dtype
         rates = np.array([0.0, 1.0, 2.0])
-        levels = min_truncated_exp_levels(rates, 3, 64, q, np.random.default_rng(bits))
+        levels = min_truncated_exp_levels(rates, np.full(3, 3), 64, q, np.random.default_rng(bits))
         assert levels.dtype == dtype
         assert (levels[0] == q.infinity_level).all() and q.infinity_level == 1 << bits
         assert levels[1:].max() < q.infinity_level
@@ -209,7 +242,8 @@ class TestLevelDtype:
 
         _, q = solve_budget(0.1, 0.1, 150000)
         assert q.quant_bits == 31
-        levels = min_truncated_exp_levels(np.array([0.0, 1.0]), 1, 8, q, np.random.default_rng(0))
+        rates = np.array([0.0, 1.0])
+        levels = min_truncated_exp_levels(rates, np.ones(2), 8, q, np.random.default_rng(0))
         assert levels[0, 0] == 1 << 31 and levels[1].max() < 1 << 31
 
     def test_sentinel_beyond_int64_rejected(self):
@@ -237,7 +271,7 @@ class TestClosedFormKernel:
             quant = QuantConfig(truncation_L=L, quant_bits=bits)
             seeds = np.random.SeedSequence((bits, count)).spawn(count + 1)
             rng = np.random.default_rng(seeds[0])
-            got = min_truncated_exp_levels(rates, count, 5 * r2, quant, rng)
+            got = min_truncated_exp_levels(rates, np.full(rates.size, count), 5 * r2, quant, rng)
             want = oracles.resampled_min_levels(
                 rates, r2, quant, (np.random.default_rng(s) for s in seeds[1:])
             )
@@ -299,29 +333,42 @@ class TestGroupedKernel:
         assert (levels == quant.infinity_level).all() and levels.shape == (2, 8)
 
 
+def _ks_rows(a, b, infinity_level) -> list[float]:
+    """Two-sample KS p-values of the rows of two level arrays, one per row
+    that holds finite levels; a row infinite in one array must be infinite
+    in the other."""
+    finite = (a < infinity_level).any(axis=1)
+    np.testing.assert_array_equal(finite, (b < infinity_level).any(axis=1))
+    return [stats.ks_2samp(x, y).pvalue for x, y in zip(a[finite], b[finite])]
+
+
 class TestMergeMin:
     """The sketch a node holds is the elementwise min over the initial
-    sketches of its heard-set, drawn from the count of members per value
-    with one generator per value.  So it is idempotent in its members (the
-    heard-set is a set), free of member order, has the empty heard-set (the
-    all-infinite sketch) as identity, and merging by elementwise min over
-    member sets that share no value is free of grouping.  Splitting one
-    value's members between two sets changes the counts, so the law for
-    such a split holds only in distribution."""
+    sketches of its heard-set, drawn from the count of members at each rate
+    with one generator.  For a given generator it is idempotent in its
+    members (the heard-set is a set), free of member order, depends only on
+    how many members hold each value, and has the empty heard-set (the
+    all-infinite sketch, which draws nothing) as identity.  Merging by
+    elementwise min over member sets that share no value draws the parts
+    from generators of their own, so it gives the sketch of the union in
+    distribution only: each cell row is a two-sample KS test at
+    ALPHA / rows (Bonferroni), on fixed seeds."""
 
     Q = QuantConfig(truncation_L=4.0, quant_bits=12)
     N, M, R2 = 12, 4, 6
+    ALPHA = 1e-3
 
-    def _setup(self, seed):
+    def _setup(self, seed, r2=R2):
         rng = np.random.default_rng(seed)
         values = rng.integers(1, self.M + 1, size=self.N)
         rates = rng.uniform(0.2, 2.0, size=(self.M, 3))
         rates[rng.random(rates.shape) < 0.3] = 0.0
-        seeds = np.random.SeedSequence(seed).spawn(self.M)
-        def heard(members):
+
+        def heard(members, draws_seed=0):
             mask = np.zeros(self.N, dtype=bool)
             mask[np.asarray(members, dtype=np.int64)] = True
-            return _heard_sketch(rates, values, self.R2, self.Q, seeds, mask)
+            draws = np.random.default_rng(draws_seed)
+            return _heard_sketch(rates, values, r2, self.Q, draws, mask)
 
         return rng, values, heard
 
@@ -338,6 +385,11 @@ class TestMergeMin:
         assert empty.dtype == self.Q.level_dtype
         full = heard(range(self.N))
         assert np.array_equal(np.minimum(full, empty), full)
+        draws = np.random.default_rng(7)
+        state = draws.bit_generator.state
+        _heard_sketch(np.ones((self.M, 3)), np.ones(self.N, dtype=np.int64), self.R2, self.Q,
+                      draws, np.zeros(self.N, dtype=bool))
+        assert draws.bit_generator.state == state
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), order=st.permutations(range(12)))
@@ -345,16 +397,20 @@ class TestMergeMin:
         _, _, heard = self._setup(seed)
         assert np.array_equal(heard(order), heard(range(self.N)))
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_merge_grouping_free(self, seed):
-        rng, values, heard = self._setup(seed)
-        side = rng.integers(3, size=self.M + 1)  # split the values, not the members
-        a, b, c = (np.flatnonzero(side[values] == s) for s in range(3))
-        full = heard(range(self.N))
-        assert np.array_equal(full, np.minimum(heard(a), heard(np.concatenate([b, c]))))
-        assert np.array_equal(full, np.minimum(heard(np.concatenate([a, b])), heard(c)))
-        assert np.array_equal(full, np.minimum(np.minimum(heard(a), heard(b)), heard(c)))
+    def test_merge_grouping_free(self):
+        r2 = 2000
+        for seed in range(4):
+            rng, values, heard = self._setup(seed, r2)
+            side = rng.permutation(np.arange(self.M + 1) % 3)  # split the values, not the members
+            a, b, c = (np.flatnonzero(side[values] == s) for s in range(3))
+            full = heard(range(self.N), 10)
+            for merged in (
+                np.minimum(heard(a, 11), heard(np.concatenate([b, c]), 12)),
+                np.minimum(heard(np.concatenate([a, b]), 13), heard(c, 14)),
+                np.minimum.reduce([heard(a, 15), heard(b, 16), heard(c, 17)]),
+            ):
+                pvalues = _ks_rows(full, merged, self.Q.infinity_level)
+                assert min(pvalues, default=1.0) > self.ALPHA / len(full), (seed, pvalues)
 
     def test_depends_only_on_counts_per_value(self):
         _, values, heard = self._setup(3)
@@ -369,10 +425,80 @@ class TestMergeMin:
             assert np.array_equal(heard(one), heard(two))
 
 
+def _channel_rates(k: int, root_ids) -> np.ndarray:
+    """(values, cells) rates of a root-index table as run_trial builds them:
+    the sign channel (rate 1 on +1, 0 on -1) for k = 2, else the channels
+    Re(root) + 1, Im(root) + 1 and 1."""
+    roots = _roots_table(k)[np.asarray(root_ids)]
+    if k == 2:
+        return (roots.real > 0).astype(float)
+    return np.concatenate([roots.real + 1.0, roots.imag + 1.0, np.ones(roots.shape)], axis=1)
+
+
+class TestGroupedDrawAgainstMemberOracle:
+    """_heard_sketch, one closed-form draw per distinct rate from one
+    generator, against oracles.heard_sketch, one truncated exponential per
+    member drawn by resampling.  The r2 levels of a cell row are iid, so
+    each row that holds finite levels is a two-sample Kolmogorov-Smirnov
+    test at ALPHA / rows (Bonferroni: family-wise ALPHA per case), and a
+    row infinite on one side must be infinite on the other.  The seeds are
+    fixed, so the outcome is too.
+
+    Each case is a root-index table (values x maps) and a member count per
+    value, plus three nodes that hold values but are not heard:
+    - k = 2: a map positive on every value, one on none (a zero-rate row),
+      mixed maps, and one positive on the count-1 value alone;
+    - k = 3: a map whose members hold only roots 1 and 2, whose Re + 1
+      rates differ in the last bit and so are two groups, and mixed maps;
+    - k = 4: zero rates from the roots -1 (real) and -i (imaginary), a map
+      zero on every member in the real channel, and mixed maps."""
+
+    ALPHA = 1e-3
+    R2 = 3000
+    CASES = {
+        "k2": (2, [[0, 1, 0, 0], [0, 1, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1]], [1, 2, 5, 13]),
+        "k3": (3, [[1, 0, 0], [2, 1, 0], [1, 2, 0], [2, 0, 0]], [1, 3, 4, 9]),
+        "k4": (4, [[2, 0, 3], [2, 1, 3], [2, 2, 1], [2, 3, 0]], [2, 1, 6, 3]),
+    }
+
+    def _draw(self, name, quant, drop_value=None):
+        k, root_ids, counts = self.CASES[name]
+        rates = _channel_rates(k, root_ids)
+        m = len(counts)
+        values = np.concatenate([np.repeat(np.arange(1, m + 1), counts), [1, 2, m]])
+        heard = np.arange(values.size) < sum(counts)
+        case = sorted(self.CASES).index(name)
+        draws = np.random.default_rng(np.random.SeedSequence((case, 0)))
+        got = _heard_sketch(rates, values, self.R2, quant, draws, heard)
+        if drop_value is not None:
+            heard &= values != drop_value
+        node_seeds = np.random.SeedSequence((case, 1)).spawn(values.size)
+        want = oracles.heard_sketch(rates, values, self.R2, quant, node_seeds,
+                                    np.flatnonzero(heard))
+        return got, want
+
+    @pytest.mark.parametrize("L", [3.0, 9.0])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_law_as_member_draws(self, name, L):
+        quant = QuantConfig(truncation_L=L, quant_bits=16)
+        got, want = self._draw(name, quant)
+        assert got.dtype == want.dtype == quant.level_dtype
+        pvalues = _ks_rows(got, want, quant.infinity_level)
+        assert min(pvalues) > self.ALPHA / len(got), pvalues
+
+    def test_detects_a_missing_value(self):
+        # the test has power: leaving out the count-13 value from the oracle's
+        # members fails it in some row
+        quant = QuantConfig(truncation_L=9.0, quant_bits=16)
+        got, want = self._draw("k2", quant, drop_value=4)
+        pvalues = _ks_rows(got, want, quant.infinity_level)
+        assert min(pvalues) < self.ALPHA / len(got)
+
+
 @pytest.mark.slow
 class TestHeardSketchAgainstOracle:
-    """Harmonic estimates read off _heard_sketch, one generator per value,
-    against the node-by-node resampling oracle, over 300 seeds."""
+    """Harmonic estimates read off _heard_sketch, one draw generator per
+    sketch, against the node-by-node resampling oracle, over 300 seeds."""
 
     N, M, SEEDS = 60, 6, 300
 
@@ -383,10 +509,10 @@ class TestHeardSketchAgainstOracle:
         heard = rng.random(self.N) < 0.8
         got, want = [], []
         for seed in range(self.SEEDS):
-            value_seeds = np.random.SeedSequence((seed, 0)).spawn(self.M)
+            draws = np.random.default_rng(np.random.SeedSequence((seed, 0)))
             node_seeds = np.random.SeedSequence((seed, 1)).spawn(self.N)
             got.append(harmonic_estimate(
-                _heard_sketch(rates_by_value, values, r2, quant, value_seeds, heard), quant
+                _heard_sketch(rates_by_value, values, r2, quant, draws, heard), quant
             ))
             want.append(harmonic_estimate(
                 oracles.heard_sketch(

@@ -10,9 +10,13 @@ named as the key or as its flag is spelled.
 
 Every subcommand echoes its configuration, the seed included, before any
 other output; re-running from that echo reproduces outputs byte for byte.
-A setting resolved per run (the budget, quantizer, radius_c, p_n, buckets
-and s1) is echoed at its resolved value when all the command's runs share
-it, and as given otherwise; r1 and r2 count as one setting, the budget.
+A setting resolved per run (the budget, quantizer, radius_c, p_n,
+exchange_mode, buckets and s1) is echoed at its resolved value when all the
+command's runs share it, and as given otherwise; r1 and r2 count as one
+setting, the budget.  Where it decides nothing (radius_c off the RGG kinds,
+p_n under gossip, exchange_mode under Aloha) a setting resolves to None and
+is neither echoed nor in report.json.  beta is read only by run and
+spreading-time, never by a run itself.
 run, sweep and spreading-time also write the echo as effective.cfg into
 their --out directory.
 Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import protocols, simulator
 from .estimators import exact_fk, oracle_record
-from .protocols import SpreadConfig, default_max_steps, empirical_quantile, run_spreading
+from .protocols import SpreadConfig, default_max_steps, run_spreading
 from .simulator import (
     CapacityError,
     ExperimentConfig,
@@ -161,12 +165,12 @@ def _write_csv(path: Path, header: str, rows) -> None:
     path.write_text("\n".join([header, *(",".join(str(x) for x in row) for row in rows)]) + "\n")
 
 
-def _spread_config(settings: dict) -> SpreadConfig:
-    return SpreadConfig(
-        beta=settings["beta"],
-        max_steps=settings.get("max_steps"),
-        exchange_mode=settings["exchange_mode"],
-    )
+def _beta(settings: dict) -> float:
+    """The spreading failure target of run and spreading-time, checked."""
+    beta = settings["beta"]
+    if not (0.0 < beta < 1.0):
+        raise ValueError("beta must lie in (0, 1)")
+    return beta
 
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
@@ -199,7 +203,7 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         delta=delta,
         radius_c=settings.get("radius_c"),
         p_n=settings.get("p_n"),
-        spread=_spread_config(settings),
+        spread=SpreadConfig(settings.get("max_steps"), settings["exchange_mode"]),
     )
 
 
@@ -209,7 +213,7 @@ def _resolved(cfg: ExperimentConfig) -> dict:
     budget, quant = cfg.budget, cfg.quant
     return {("r1", "r2"): (budget.r1, budget.r2), "quant_bits": quant.quant_bits,
             "trunc_l": quant.truncation_L, "radius_c": cfg.radius_c, "p_n": cfg.p_n,
-            "buckets": cfg.num_buckets, "s1": cfg.s1}
+            "exchange_mode": cfg.spread.exchange_mode, "buckets": cfg.num_buckets, "s1": cfg.s1}
 
 
 _TRIAL_COLUMNS = ("seed", "exact_scaled", "estimate_scaled", "abs_error", "steps", "bits",
@@ -267,6 +271,7 @@ def _summarize(report: dict, cfg: ExperimentConfig) -> None:
 def cmd_run(settings: dict, keys) -> int:
     if settings.get("nodes") is None:
         raise ValueError("run needs --nodes")
+    beta = _beta(settings)
     cfg = _experiment_config(settings)
     out_dir = Path(settings["out"]) if settings.get("out") else None
     _echo_config(settings, keys, [_resolved(cfg)], out_dir)
@@ -275,7 +280,7 @@ def cmd_run(settings: dict, keys) -> int:
         _write_report(report, out_dir, settings["format"])
     _summarize(report, cfg)
     measured = max(1, len(report["trials"]))
-    if report["aggregates"]["non_converged"] / measured > cfg.spread.beta:
+    if report["aggregates"]["non_converged"] / measured > beta:
         print("non-convergence beyond tolerance", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -287,8 +292,8 @@ def cmd_sweep(settings: dict, keys) -> int:
     if not param or not values:
         raise ValueError("sweep needs --param and --values")
     param = settings["param"] = _KEYS.get(param, param)
-    if param not in _RUN_KEYS:
-        raise ValueError(f"unknown sweep parameter {param!r}: not a run setting")
+    if param not in _EXPERIMENT_KEYS:
+        raise ValueError(f"unknown sweep parameter {param!r}: not an experiment setting")
     out_root = Path(settings.get("out") or "sweep-out")
     points = []
     for raw in values.split(","):
@@ -316,16 +321,19 @@ def cmd_spreading_time(settings: dict, keys) -> int:
     trials, protocol = settings["trials"], settings["protocol"]
     spec = settings["network"]
     networks = [
-        simulator.resolve_network(spec, protocol, n, settings.get("radius_c"), settings.get("p_n"))
+        simulator.resolve_network(spec, protocol, n, settings.get("radius_c"), settings.get("p_n"),
+                                  settings["exchange_mode"])
         for n in sizes
     ]
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cfg = _spread_config(settings)
+    beta = _beta(settings)
+    # the exchange mode follows the protocol alone, so every size resolves it alike
+    cfg = SpreadConfig(settings.get("max_steps"), networks[0][2])
     # one generator per size draws the graph, then every trial on it; every
     # graph is drawn before the echo, so one that cannot be drawn fails first
     graphs = []
-    for idx, (n, (radius_c, _)) in enumerate(zip(sizes, networks)):
+    for idx, (n, (radius_c, _, _)) in enumerate(zip(sizes, networks)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], idx)))
         try:
             topo, ids, _ = simulator.build_topology(spec, n, radius_c, rng)
@@ -333,10 +341,10 @@ def cmd_spreading_time(settings: dict, keys) -> int:
             raise ValueError(f"N={n}: {exc}, under half") from None
         graphs.append((topo, ids, rng))
     out_dir = Path(settings["out"]) if settings.get("out") else None
-    points = [{"radius_c": radius_c, "p_n": p_n} for radius_c, p_n in networks]
+    points = [dict(zip(("radius_c", "p_n", "exchange_mode"), network)) for network in networks]
     _echo_config(settings, keys, points, out_dir)
     rows = []
-    for n, (_, p_n), (topo, ids, rng) in zip(sizes, networks, graphs):
+    for n, (_, p_n, _), (topo, ids, rng) in zip(sizes, networks, graphs):
         steps = []  # of the spreads that completed; one cut by the cap is left out
         for _ in range(trials):
             report, _ = run_spreading(topo, protocol, cfg, rng, p_n=p_n)
@@ -346,8 +354,8 @@ def cmd_spreading_time(settings: dict, keys) -> int:
             cap = cfg.max_steps or default_max_steps(protocol, len(ids))
             print(f"N={n}: no trial completed within the step cap ({cap})", file=sys.stderr)
             return EXIT_NONCONVERGED
-        quantile = empirical_quantile(steps, 1.0 - cfg.beta)
-        median = empirical_quantile(steps, 0.5)
+        # the smallest count with at least a q-fraction of the trials at or below it
+        quantile, median = np.quantile(steps, [1.0 - beta, 0.5], method="inverted_cdf")
         mean = float(np.mean(steps))
         rows.append((len(ids), quantile, median, mean, len(steps)))
         giant = f" giant={len(ids)}" if len(ids) != n else ""
@@ -394,18 +402,20 @@ class _Command(NamedTuple):
     unechoed: tuple = ("out",)  # settings read but not echoed
 
 
-_RUN_KEYS = (
+# the settings of an ExperimentConfig, which sweep may vary
+_EXPERIMENT_KEYS = (
     "nodes alphabet k epsilon delta r1 r2 quant_bits trunc_l network radius_c "
-    "protocol p_n data buckets s1 trials seed jobs format beta max_steps exchange_mode"
+    "protocol p_n data buckets s1 trials seed jobs format max_steps exchange_mode"
 ).split()
 
 _COMMANDS = {
     "gen-data": _Command(
         cmd_gen_data, "write a dataset file", ("nodes", "alphabet", "data", "seed", "out"), ()
     ),
-    "run": _Command(cmd_run, "run a moment-estimation experiment", _RUN_KEYS),
+    "run": _Command(cmd_run, "run a moment-estimation experiment", (*_EXPERIMENT_KEYS, "beta")),
     "sweep": _Command(
-        cmd_sweep, "run an experiment per value of one parameter", (*_RUN_KEYS, "param", "values")
+        cmd_sweep, "run an experiment per value of one parameter",
+        (*_EXPERIMENT_KEYS, "param", "values"),
     ),
     "spreading-time": _Command(
         cmd_spreading_time,

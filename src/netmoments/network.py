@@ -224,48 +224,53 @@ def induced_subgraph(t: Topology, nodes) -> tuple[Topology, np.ndarray]:
 def read_edge_list(path) -> Topology:
     """The topology of an edge-list file: a header "N radius" (radius '-'
     when absent), then one "u v" line per undirected edge, in either
-    orientation, on node ids 0..N-1; blank lines are skipped.  The edge lines
-    are parsed in one vectorised pass, and only a malformed file is rescanned
-    line by line, to name its first bad line."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header, want 'N radius'")
-        n = int(header[0])
-        radius = None if header[1] == "-" else float(header[1])
-        body_start = fh.tell()
-        try:
-            edges = _load_id_pairs(fh)
-        except ValueError:
-            edges = None
-        if edges is None or (edges.size and edges.shape[1] != 2):
-            fh.seek(body_start)
-            raise _first_malformed_line(path, fh)
+    orientation, on node ids 0..N-1; blank lines are skipped."""
+    (n, radius), edges = read_int_rows(
+        path, (int, lambda token: None if token == "-" else float(token)), "'N radius'", 2,
+        "malformed edge line, want 'u v'",
+    )
     return from_edges(n, edges, radius=radius)
 
 
-def _load_id_pairs(lines) -> np.ndarray:
-    """np.loadtxt of whitespace-separated int64 ids, one row per line.  The
-    numpy releases before 2 only warn (DeprecationWarning) when they parse a
-    float token such as '2.7' as an integer and cast it; the error filter makes
-    them raise ValueError on it, as later numpy does."""
+def read_int_rows(path, header, header_want: str, columns: int, bad_line: str):
+    """(header values, rows) of a file of integer rows: a first line of
+    len(header) tokens, token i parsed by header[i], then `columns` int64
+    values a line, as an int64 (lines, columns) array; blank lines are
+    skipped.  The rows are parsed in one vectorised pass, and only a
+    malformed file is rescanned line by line, to name its first bad line.
+    Errors read "PATH:1: malformed header, want HEADER_WANT" and
+    "PATH:LINE: BAD_LINE"."""
+    with open(path) as fh:
+        tokens = fh.readline().split()
+        try:
+            if len(tokens) != len(header):
+                raise ValueError
+            head = [parse(token) for parse, token in zip(header, tokens)]
+        except ValueError:
+            raise ValueError(f"{path}:1: malformed header, want {header_want}") from None
+        body_start = fh.tell()
+        rows = _int_rows(fh, columns)
+        if rows is None:
+            fh.seek(body_start)
+            for lineno, line in enumerate(fh, start=2):
+                if line.strip() and _int_rows([line], columns) is None:
+                    raise ValueError(f"{path}:{lineno}: {bad_line}")
+            raise ValueError(f"{path}: {bad_line}")
+    return head, rows
+
+
+def _int_rows(lines, columns: int) -> np.ndarray | None:
+    """np.loadtxt of lines as an int64 (lines, columns) array, or None if a
+    line does not hold `columns` int64 values.  The numpy releases before 2
+    only warn (DeprecationWarning) when they parse a float token such as
+    '2.7' as an integer and cast it; the error filter makes them raise
+    ValueError on it, as later numpy does."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        # a file with no edge lines is an edgeless graph
+        # a file with no rows, such as an edgeless graph, is not an error
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
-
-
-def _first_malformed_line(path, lines) -> ValueError:
-    """The error naming the first edge line that _load_id_pairs, line by line,
-    cannot read as two int64 ids."""
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
         try:
-            ok = _load_id_pairs([line]).shape == (1, 2)
+            rows = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
         except ValueError:
-            ok = False
-        if not ok:
-            return ValueError(f"{path}:{lineno}: malformed edge line, want 'u v'")
-    return ValueError(f"{path}: malformed edge list")
+            return None
+    return rows.reshape(-1, columns) if not rows.size or rows.shape[1] == columns else None

@@ -52,14 +52,15 @@ PUSH = "push"  # sensitivity variant: only the contacted neighbor hears
 
 @dataclass(frozen=True)
 class SpreadConfig:
-    beta: float = 0.1
+    """The step cap (None: default_max_steps) and gossip's exchange mode
+    (None: exchange).  Aloha never reads the mode, so an experiment resolves
+    it to None there."""
+
     max_steps: int | None = None
-    exchange_mode: str = EXCHANGE
+    exchange_mode: str | None = EXCHANGE
 
     def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
-        if self.exchange_mode not in (EXCHANGE, PUSH):
+        if self.exchange_mode not in (EXCHANGE, PUSH, None):
             raise ValueError(f"exchange_mode must be one of {EXCHANGE!r}, {PUSH!r}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
@@ -90,11 +91,6 @@ def default_p_n(n_nodes: int, percolating: bool = False) -> float:
     if percolating:
         return 0.1
     return 1.0 / math.log(max(n_nodes, 3))
-
-
-def check_p_n(p_n: float) -> None:
-    if not (0.0 < p_n < 1.0):
-        raise ValueError(f"p_n must lie in (0, 1), got {p_n}")
 
 
 def _n_nodes(topo: Topology | int) -> int:
@@ -331,7 +327,7 @@ def run_spreading(
     is_full = bytearray(n)
     # the sources read is_full through this view as their skip mask
     skip = np.frombuffer(is_full, dtype=bool)
-    exchange = protocol == GOSSIP and cfg.exchange_mode == EXCHANGE
+    exchange = protocol == GOSSIP and cfg.exchange_mode != PUSH
     if protocol == GOSSIP:
         blocks = _gossip_blocks(topo, exchange, rng, skip)
     else:
@@ -344,13 +340,3 @@ def heard_mask(heard_set: int, n_nodes: int) -> np.ndarray:
     """A heard-set bitmask as a boolean array over the n_nodes nodes."""
     raw = np.frombuffer(heard_set.to_bytes((n_nodes + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=n_nodes, bitorder="little").view(bool)
-
-
-def empirical_quantile(values, q: float) -> float:
-    """Smallest value t with at least a q-fraction of the samples <= t."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("no samples")
-    idx = max(0, math.ceil(q * len(ordered)) - 1)
-    return ordered[idx]
-

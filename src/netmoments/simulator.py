@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import numpy.random  # numpy loads it on first use; load it with the package
@@ -106,25 +106,12 @@ def write_dataset_file(d: Dataset, path) -> None:
 
 
 def read_dataset_file(path) -> Dataset:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: malformed header, want 'N M'")
-        try:
-            n, m = int(header[0]), int(header[1])
-        except ValueError:
-            raise ValueError(f"{path}:1: malformed header, want 'N M'") from None
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not an integer value") from None
-    if len(values) != n:
-        raise ValueError(f"{path}: header says N={n} but found {len(values)} values")
-    return Dataset(np.array(values, dtype=np.int64), m)
+    """The dataset of a file that write_dataset_file wrote: a header "N M",
+    then one value per line; blank lines are skipped."""
+    (n, m), rows = network.read_int_rows(path, (int, int), "'N M'", 1, "not an integer value")
+    if len(rows) != n:
+        raise ValueError(f"{path}: header says N={n} but found {len(rows)} values")
+    return Dataset(rows.ravel(), m)
 
 
 def default_num_buckets(alphabet_size: int, k: int) -> int:
@@ -185,11 +172,14 @@ def solve_budget(
 
 def resolve_network(
     spec: str, protocol: str, n_nodes: int, radius_c: float | None = None,
-    p_n: float | None = None,
-) -> tuple[float, float]:
-    """(radius_c, p_n) of a network spec (complete | rgg-connected |
-    rgg-percolating | graph:PATH with PATH a file) run by protocol on n_nodes
-    nodes; a radius_c or p_n not given takes its regime's value.
+    p_n: float | None = None, exchange_mode: str | None = None,
+) -> tuple[float | None, float | None, str | None]:
+    """(radius_c, p_n, exchange_mode) of a network spec (complete |
+    rgg-connected | rgg-percolating | graph:PATH with PATH a file) run by
+    protocol on n_nodes nodes.  Each is None where it decides nothing, and
+    elsewhere as given or else its regime's value: radius_c on the RGG kinds,
+    p_n under Aloha, exchange_mode under gossip.  A radius_c or p_n given is
+    range-checked wherever it is given.
 
     Aloha is rejected on the complete graph: a slot delivers only when exactly
     one of all N nodes transmits, about (N/ln N) e^(-N/ln N) of the slots at
@@ -208,15 +198,20 @@ def resolve_network(
         raise ValueError(f"unknown protocol {protocol!r}")
     if kind == "complete" and protocol == protocols.ALOHA:
         raise ValueError("aloha needs a spatial network; the complete graph supports gossip only")
-    percolating = kind == "rgg-percolating"
-    if radius_c is None:
-        radius_c = network.DEFAULT_PERCOLATION_C if percolating else network.DEFAULT_CONNECTIVITY_C
-    if radius_c <= 0:
+    if radius_c is not None and radius_c <= 0:
         raise ValueError("need radius_c > 0")
+    if p_n is not None and not (0.0 < p_n < 1.0):
+        raise ValueError(f"p_n must lie in (0, 1), got {p_n}")
+    percolating = kind == "rgg-percolating"
+    if not kind.startswith("rgg-"):
+        radius_c = None
+    elif radius_c is None:
+        radius_c = network.DEFAULT_PERCOLATION_C if percolating else network.DEFAULT_CONNECTIVITY_C
+    if protocol == protocols.GOSSIP:
+        return radius_c, None, exchange_mode or protocols.EXCHANGE
     if p_n is None:
         p_n = protocols.default_p_n(n_nodes, percolating=percolating)
-    protocols.check_p_n(p_n)
-    return radius_c, p_n
+    return radius_c, p_n, None
 
 
 @dataclass
@@ -228,7 +223,9 @@ class ExperimentConfig:
     maps, so num_buckets and s1 resolve to 1 there; k >= 3 runs
     num_buckets * s1 bucket phases, with num_buckets None meaning
     default_num_buckets.  On rgg-percolating the trials run on the giant
-    component.  radius_c and p_n default to the values of the network's regime.
+    component.  radius_c, p_n and spread.exchange_mode resolve by
+    resolve_network, to None where they decide nothing, so report.json's
+    config block holds only what decides a run.
     """
 
     n_nodes: int
@@ -257,9 +254,11 @@ class ExperimentConfig:
             raise ValueError("moment order k must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        self.radius_c, self.p_n = resolve_network(
-            self.network, self.protocol, self.n_nodes, self.radius_c, self.p_n
+        self.radius_c, self.p_n, exchange_mode = resolve_network(
+            self.network, self.protocol, self.n_nodes, self.radius_c, self.p_n,
+            self.spread.exchange_mode,
         )
+        self.spread = replace(self.spread, exchange_mode=exchange_mode)
         if self.num_buckets is None:
             self.num_buckets = default_num_buckets(self.alphabet_size, self.k)
         if self.num_buckets < 1 or self.s1 < 1:

@@ -154,39 +154,33 @@ def min_truncated_exp_levels(
 ) -> np.ndarray:
     """One row of r2 levels per rate entry: the min of counts[i] iid
     Exp(rates[i]) draws truncated to [0, L], drawn in one step and quantized
-    once.  counts holds one count, at least 1, per rate entry.
+    once.  rates are positive, and counts holds one count, at least 1, per
+    rate entry.
 
     The min of c such draws has the inverse CDF
     x = -ln(e^(-rate L) + (1 - e^(-rate L)) u^(1/c)) / rate, for u uniform on
-    (0, 1]; it is evaluated in one float buffer, one uniform per positive
-    entry and replica, in the cancellation-free form
-    -log1p(expm1(-rate L) * -expm1(ln(u) / c)) / rate.  A zero rate encodes
-    "no member contributes" and yields the infinity sentinel directly,
-    whatever its count.
+    (0, 1]; it is evaluated in one float buffer, one uniform per entry and
+    replica, in the cancellation-free form
+    -log1p(expm1(-rate L) * -expm1(ln(u) / c)) / rate.
     """
     rates = np.asarray(rates, dtype=float)
     counts = np.asarray(counts)
     if counts.shape != rates.shape:
         raise ValueError(f"counts of shape {counts.shape} do not match rates of {rates.shape}")
-    if np.any(rates < 0):
-        raise ValueError("rates must be nonnegative")
+    if not np.all(rates > 0):
+        raise ValueError("rates must be positive")
     if np.any(counts < 1):
         raise ValueError("counts must be >= 1")
-    pos = rates > 0
-    lam = rates[pos][:, None]
+    lam = rates[:, None]
     x = rng.random((lam.size, r2))
     np.subtract(1.0, x, out=x)  # u in (0, 1], so ln(u) is finite
     np.log(x, out=x)
-    x /= counts[pos][:, None]
+    x /= counts[:, None]
     np.expm1(x, out=x)
     x *= -np.expm1(-lam * quant.truncation_L)
     np.log1p(x, out=x)
     x /= -lam
-    levels = quant.quantize(x)
-    del x  # the float buffer is freed before the sentinel-filled array exists
-    out = np.full((rates.size, r2), quant.infinity_level, dtype=quant.level_dtype)
-    out[pos] = levels
-    return out
+    return quant.quantize(x)
 
 
 def harmonic_estimate(levels, quant: QuantConfig) -> np.ndarray:

@@ -348,3 +348,10 @@ def gossip_spread(
         completed = n_full == n
     report = SpreadReport(steps, messages, completed)
     return report, heard
+
+
+def empirical_quantile(values, q: float):
+    """Smallest sample t with at least a q-fraction of the samples <= t, read
+    off the sorted samples: the quantile column of `spreading-time`."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]

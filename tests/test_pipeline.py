@@ -25,6 +25,16 @@ place of once per value from a generator per value.  That changed the draw
 stream again but not its law; every stripped digest still matches, so only
 the estimates moved.  The trials.csv and sweep summary.csv digests and the
 summary lines were re-recorded with them, for the same reason.
+
+Both digests of every config were re-recorded once more when the config
+block began to hold only what decides a run: spread.beta left it, and
+radius_c, p_n and spread.exchange_mode became null where they decide
+nothing (radius_c off the RGG kinds, p_n under gossip, exchange_mode under
+Aloha).  On all 14 configs, the earlier report.json with spread.beta
+deleted and those keys set to null, re-serialised as report.json is
+written, equalled the new one byte for byte.  trials.csv did not change, so
+its digests, the sweep summary.csv digest, the summary lines and the
+spreading-time CSV digests all pass as they were recorded.
 """
 
 import argparse
@@ -63,7 +73,6 @@ from netmoments.protocols import (
     SpreadConfig,
     default_max_steps,
     default_p_n,
-    empirical_quantile,
     run_spreading,
 )
 from netmoments.simulator import (
@@ -75,7 +84,7 @@ from netmoments.simulator import (
 )
 from netmoments.sketch_core import QuantConfig
 
-from oracles import write_edge_list
+from oracles import empirical_quantile, write_edge_list
 
 
 # report keys that the sketch draws feed: every other key must survive a
@@ -134,85 +143,85 @@ GOLDEN = {
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "11"],
         0,
-        "b379cb169daba787b0231a30a71c7755a165d6f1a497b7edb85ed012ca8e8b79",
-        "02d6ca93670ec1e9c07541987cbbfb9a32d579ddf9f342b246d34c7d6e57725d",
+        "ec29430b031bba6aaa1912bdc49480b650a410d8716981f5e1e1c6e3bbe47dc4",
+        "d5fc1b1e78331541076bdeb6029aaee25d769f8b9a8b1a5855c9c0edc408a127",
     ),
     "complete-gossip-push-k2": (
         ["--nodes", "200", "--alphabet", "12", "--network", "complete", "--protocol", "gossip",
          "--exchange-mode", "push", "--data", "uniform", "--r1", "8", "--r2", "32",
          "--trials", "2", "--seed", "12"],
         0,
-        "bc076620db07b13d42144009760bbb00ff9568f308ee8206cb63f2d3f2686b3c",
-        "43379dab4aca5e577f4207687976e669493ab59f7a625f9bcd90e6692a0975f1",
+        "98f0969212a827b697a38190940cf7a1b3c92998d6dae95323609adf39564023",
+        "be3e45be01ace23bb38da0fb21a502a38ffb8108a99934e5d4fe4ab9b323ac42",
     ),
     "rgg-connected-aloha-k2": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "13"],
         0,
-        "f9a1e34d4daf9e44f610191368d131640e918c1a49124552994481e5673b9f48",
-        "ca12fef53a7e4c38625538827db6fefa7ea4cb63b008290cb23c7f3c0227529d",
+        "19334db52390f726d574b24551f15bd9595ce63c120d8ddf85811163afa1c3f7",
+        "825587c720f7b1fe343d7059bda1ed49cce98246ba70511e014b725e325118f2",
     ),
     "rgg-percolating-gossip-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "gossip",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "14"],
         0,
-        "97735f578d685ff4b34bd277f44044b3dbd05d5356e97e2c0b5a50c10711842e",
-        "9e35198cc4f6df8299a2ca8c72798b401109572b742ed854aec43b237735144c",
+        "b0bd422b3e339bf6f2a546663fea7a8589b1089c5def787e6dfc5bf5efd27968",
+        "381f0e393ae34a1332995b418c9d8c9949132165b9eb3f9f8d685160ae474495",
     ),
     "rgg-percolating-aloha-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "aloha",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "22"],
         0,
-        "7d1098f0f48e119eaff4a4230c86ca40e9ce3ffef8b141de21e828bc28172b96",
-        "a5046a4f0ee110a1977c3e733d8ae7ca79809f094205c93a3cbdc6dc28bc6251",
+        "82885235a7e45337d9ce52eddc2aa6cbbd31b483d2a1068ea485006d33743c78",
+        "eb627d9ea59e3d7a1aacdbb5b401caac95c8ecd7424a558880865f17fa6d118a",
     ),
     "rgg-percolating-gossip-k3": (
         [*_K3_PERCOLATING, "--protocol", "gossip"],
         0,
-        "d821deb7b78aa10b1a51410587ddab806375c9ee7992c06dce37a8ac7243925c",
-        "0e4cd030cea3020548861a831afabe5914b774d1ac045f95613051efbb3c3fdd",
+        "7c2bcaa50fc80622b0dfe427168579a77fe02da8ed898ab6571c09c302ba9c4b",
+        "f70f7279b83f1216143b977eeccbaf38b8eb7655d1a8ddf128992ed5f2315f8d",
     ),
     "rgg-percolating-aloha-k3": (
         [*_K3_PERCOLATING, "--protocol", "aloha"],
         0,
-        "ddcac0357738a50c3f1d85dd4c7e9675396938eda8d3cff5191674187ac98667",
-        "1e4f29839992be276db8f1074cab37b4ae9ff3954aa88c25b1bd6fcf131b2455",
+        "157f30e622332e5d3b82af7076c95bc0dd94095c60c96ada89cc4ddfecb7d342",
+        "b080a44a07b424f8c035fd3000dd725ffd41a0394d4eba34c140b16571b13c07",
     ),
     "rgg-connected-gossip-k3": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--seed", "15"],
         0,
-        "3dd30af5f12b498a52b9a497b280ca533989c42592798627ad041c981021933b",
-        "dd20f6ae76f491f0f5f7bb87f2234d1df6cee0857673838daeaacec337469bcc",
+        "964e5936dcafc94bfecd6b10dbc1ca908fc100dd2f286b36e54fa47a96131d3c",
+        "93b1ad92251c3155f04efaa4f452c483782d07d8a443187de0215ec7aa24a1b3",
     ),
     "rgg-connected-aloha-k4": (
         ["--nodes", "100", "--alphabet", "8", "--k", "4", "--s1", "1", "--buckets", "2",
          "--network", "rgg-connected", "--protocol", "aloha", "--data", "pointmass",
          "--r1", "4", "--r2", "16", "--seed", "16"],
         0,
-        "1217da9334ef5996364ec95750eae335fe4ec809dd5861f93f523741ca0a24de",
-        "5b580b6a7a74ec4c23cf16e0130bbb8075f05f7a22e3c354d8628c0fa16ee84d",
+        "1d398e00bf5196a89052e76926a5be7f820ddf61c53c4faa26955d6a657991fb",
+        "ceb7cb313c8cb75247ad8f279cb9c8b666feb45dc09618e62a8f929a99f2908d",
     ),
     "rgg-connected-gossip-k3-cut": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--max-steps", "300", "--seed", "19"],
         4,
-        "532dabbf16762df22174e89583325f17cb196ee8706b7d8d384d3a8086842e8e",
-        "431cb9532f0ec178c069113a37958f8ed6fb05c603faa2d06fca32199c78140d",
+        "cfc8af2bd6dab7ba9b44b91ac259b17070e4497a1321c6bfd936912fa97d4cf4",
+        "adc97ed1ee063a34032ea6673aee8c0fe130a862fe7a3166b4ef5a55f33eec55",
     ),
     "complete-gossip-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "600", "--seed", "17"],
         4,
-        "0e0424de36e4c419782d6270a2bc5e267bf83b97850ba5e042d116747a79d2b8",
-        "e86661bcde0e853bd65c098d8e1d5039f633302bd8a33af0ce0828bf66b08b5d",
+        "c3622120b53777a6f9e16a1d4e68258a3d7f5a7241fbbdbf8b004db11b64ec19",
+        "96a75bfd45eeaed0bdbaf2e772860b93f00dd492cc1570ee1b2ac6d0930c9e1a",
     ),
     "rgg-connected-aloha-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "20", "--seed", "18"],
         4,
-        "bb14d935f33548de1fa0cfc7c3272fec56a8ed307b00fbdeb7b20ff11690e34e",
-        "48928713d5882f6445265e6268bdaf4e02153969dcb7c96ff8d84322a90010d9",
+        "d7c124ee0b4d58f1e0ba6f4edfc8d00b83ce9c22bf058f1f83b35ef38982e4b1",
+        "9f2f2d563fab3b52c21ba2c483d8699f48fb22e08040194928268aeec121cc91",
     ),
 }
 
@@ -224,13 +233,13 @@ GRAPH_GOLDEN = {
     "graph-gossip-k2": (
         ["--nodes", "150", "--alphabet", "12", "--protocol", "gossip", "--data", "zipf:1.2",
          *_BUDGET, "--trials", "2", "--seed", "20"],
-        "6ba63ff2b72a1a311085983974000e5d2acc347a625d58c64772b64074588e6e",
-        "fbcdd46a4cc2a26f9ffe62b6d976a71e6e461040fe8db5523fcc75672bc63a1a",
+        "7aca789e475bae7cb1977b4d15e13a3ff7b5d4c66e8f40bbca3edaeccf91de19",
+        "bf00529e518a52d372a841748cda2ede036e9a799a447ff7b75273ce811a3b54",
     ),
     "graph-aloha-k3": (
         [*_K3, "--protocol", "aloha", "--data", "zipf:1.2", "--seed", "21"],
-        "51e9409a9ef8bc3307880415d1ea855d66d607e966046226b7c1d20ad2a8584e",
-        "ab66e8ff12ffc3feb71ecf2c5b984af8c3352367b5b5a3e751ae8367abc0a615",
+        "6c17cbe10a9779ca523425e38a7cd2dc15a54e5efcfe67bbe3aa0a15ea6ee382",
+        "d6897846fcd89de0e23b4269e536da9561d0b27497f646201e7155c10252dddb",
     ),
 }
 
@@ -374,8 +383,9 @@ class TestSpreadingTime:
         cfg = SpreadConfig()
         reports = [run_spreading(topo, protocol, cfg, rng, p_n=p_n)[0] for _ in range(3)]
         steps = [report.steps_to_full for report in reports if report.completed]
-        # the n_nodes column counts the nodes the spread ran on: the giant's
-        want = (topo.n_nodes, empirical_quantile(steps, 1.0 - cfg.beta),
+        # the n_nodes column counts the nodes the spread ran on: the giant's;
+        # the quantile is at 1 - beta for the default beta of 0.1
+        want = (topo.n_nodes, empirical_quantile(steps, 1.0 - 0.1),
                 empirical_quantile(steps, 0.5), float(np.mean(steps)), len(steps))
         row = (tmp_path / "st" / "spreading_time.csv").read_text().splitlines()[1]
         assert row == ",".join(str(x) for x in want)
@@ -410,9 +420,10 @@ class TestSpreadingTime:
                 "--max-steps", "800", "--trials", "3", "--seed", "8"]
         assert cli.main([*argv, "--out", str(tmp_path / "first")]) == cli.EXIT_OK
         cfg = (tmp_path / "first" / "effective.cfg").read_text()
-        for line in ("exchange_mode = push", "max_steps = 800", "radius_c = 2.0"):
+        for line in ("exchange_mode = push", "max_steps = 800"):
             assert line in cfg.splitlines()
-        assert "p_n = " not in cfg  # 1/ln N differs per size
+        # gossip on the complete graph reads neither a radius nor p_n
+        assert "radius_c = " not in cfg and "p_n = " not in cfg
         again = ["spreading-time", "--config", str(tmp_path / "first" / "effective.cfg"),
                  "--out", str(tmp_path / "again")]
         assert cli.main(again) == cli.EXIT_OK
@@ -422,7 +433,8 @@ class TestSpreadingTime:
 
     @pytest.mark.parametrize("net", ["complete", "rgg-connected", "rgg-percolating", "graph"])
     def test_resolves_the_regime_run_resolves(self, tmp_path, monkeypatch, capsys, net):
-        # one N, so spreading-time's echo pins the radius_c and p_n it ran with
+        # one N, so spreading-time's echo pins the radius_c, p_n and
+        # exchange_mode it ran with, and leaves out those that run leaves null
         monkeypatch.chdir(tmp_path)
         _write_graph(tmp_path / "edges.txt")
         spec = "graph:edges.txt" if net == "graph" else net
@@ -434,8 +446,8 @@ class TestSpreadingTime:
         code, out = _run(tmp_path, "run", [*common, "--alphabet", "5", "--r1", "2", "--r2", "4"])
         assert code == cli.EXIT_OK
         config = json.loads((out / "report.json").read_text())["config"]
-        assert float(echo["radius_c"]) == config["radius_c"]
-        assert float(echo["p_n"]) == config["p_n"]
+        for key, value in _resolved_keys(config).items():
+            assert echo.get(key) == (None if value is None else str(value)), key
 
     def test_echo_pins_a_p_n_shared_by_every_size(self, tmp_path, capsys):
         out = tmp_path / "one"
@@ -443,6 +455,58 @@ class TestSpreadingTime:
                 "--protocol", "aloha", "--seed", "1", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
         assert f"p_n = {default_p_n(300)}" in (out / "effective.cfg").read_text().splitlines()
+
+
+def _resolved_keys(config: dict) -> dict:
+    """The settings of report.json's config block that resolve only where
+    they decide a run, None elsewhere."""
+    return {"radius_c": config["radius_c"], "p_n": config["p_n"],
+            "exchange_mode": config["spread"]["exchange_mode"]}
+
+
+# every supported (network, protocol) pair -> the keys of _resolved_keys that
+# decide its runs; Aloha on the complete graph is a config error
+_DECIDING = {
+    ("complete", "gossip"): {"exchange_mode"},
+    ("rgg-connected", "gossip"): {"radius_c", "exchange_mode"},
+    ("rgg-connected", "aloha"): {"radius_c", "p_n"},
+    ("rgg-percolating", "gossip"): {"radius_c", "exchange_mode"},
+    ("rgg-percolating", "aloha"): {"radius_c", "p_n"},
+    ("graph", "gossip"): {"exchange_mode"},
+    ("graph", "aloha"): {"p_n"},
+}
+_GIVEN = {"radius_c": 2.5, "p_n": 0.05, "exchange_mode": "push"}
+
+
+class TestResolvedSettings:
+    """A setting is resolved, written to report.json and echoed only where it
+    decides the run; given elsewhere, it is dropped."""
+
+    @pytest.mark.parametrize("given", [False, True], ids=["defaults", "given"])
+    @pytest.mark.parametrize("net, protocol", sorted(_DECIDING))
+    def test_report_and_echo_hold_only_deciding_settings(
+        self, tmp_path, monkeypatch, capsys, net, protocol, given
+    ):
+        monkeypatch.chdir(tmp_path)
+        _write_graph(tmp_path / "edges.txt")
+        spec = "graph:edges.txt" if net == "graph" else net
+        argv = ["--nodes", "150", "--alphabet", "6", "--network", spec, "--protocol", protocol,
+                "--r1", "2", "--r2", "4", "--trials", "2", "--seed", "9"]
+        if given:
+            argv += [arg for key, value in _GIVEN.items()
+                     for arg in ("--" + key.replace("_", "-"), str(value))]
+        code, first = _run(tmp_path, "first", argv)
+        assert code == cli.EXIT_OK
+        resolved = _resolved_keys(json.loads((first / "report.json").read_text())["config"])
+        deciding = _DECIDING[net, protocol]
+        assert {key for key, value in resolved.items() if value is not None} == deciding
+        if given:
+            assert {key: resolved[key] for key in deciding} == {key: _GIVEN[key] for key in deciding}
+        echo = dict(line.split(" = ") for line in (first / "effective.cfg").read_text().splitlines())
+        assert set(echo) & set(resolved) == deciding
+        code, again = _run(tmp_path, "again", ["--config", str(first / "effective.cfg")])
+        assert code == cli.EXIT_OK
+        assert (again / "report.json").read_bytes() == (first / "report.json").read_bytes()
 
 
 class TestMemory:
@@ -886,6 +950,21 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "aloha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["0", "1"])
+    @pytest.mark.parametrize("command", ["run", "spreading-time"])
+    def test_beta_outside_unit_interval_fails_before_any_output(
+        self, tmp_path, capsys, command, beta
+    ):
+        out = tmp_path / "out"
+        argv = [command, "--nodes", "60", "--beta", beta, "--seed", "1", "--out", str(out)]
+        if command == "run":
+            argv += ["--alphabet", "5", "--r1", "2", "--r2", "4"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "beta must lie in (0, 1)" in captured.err
+        assert "# effective-config" not in captured.out
+        assert not out.exists()
+
     def test_spreading_time_aloha_on_complete_is_config_error(self, capsys):
         argv = ["spreading-time", "--nodes", "120", "--network", "complete", "--protocol", "aloha",
                 "--seed", "16"]
@@ -895,10 +974,61 @@ class TestExitCodes:
         assert "aloha" in capsys.readouterr().err
 
 
+# dataset file -> the error `oracle --file` reports for it, PATH for its path
+_BAD_DATASETS = {
+    "header-word": ("abc 5\n1\n2\n3\n", "PATH:1: malformed header, want 'N M'"),
+    "header-one-token": ("3\n1\n2\n3\n", "PATH:1: malformed header, want 'N M'"),
+    "word": ("3 5\n1\n\nx\n3\n", "PATH:4: not an integer value"),
+    "two-ids": ("3 5\n1\n2 3\n3\n", "PATH:3: not an integer value"),
+    "float": ("3 5\n1\n2.0\n3\n", "PATH:3: not an integer value"),
+    "too-few": ("3 5\n1\n\n2\n", "PATH: header says N=3 but found 2 values"),
+}
+# graph file -> the error `spreading-time --network graph:PATH` reports for it
+_BAD_GRAPHS = {
+    "word-n": ("abc -\n0 1\n1 2\n", "PATH:1: malformed header, want 'N radius'"),
+    "word-radius": ("3 x\n0 1\n1 2\n", "PATH:1: malformed header, want 'N radius'"),
+}
+
+
+class TestInputFiles:
+    """A malformed input file is a configuration error named by its line,
+    reported before any output."""
+
+    @pytest.mark.parametrize("name", sorted(_BAD_DATASETS))
+    def test_bad_dataset_file(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        body, message = _BAD_DATASETS[name]
+        Path("data.txt").write_text(body)
+        assert cli.main(["oracle", "--file", "data.txt"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.replace('PATH', 'data.txt')}\n"
+        assert captured.out == ""
+
+    def test_dataset_blank_lines_skipped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("data.txt").write_text("3 5\n4\n\n  \n4\n5\n\n")
+        assert cli.main(["oracle", "--file", "data.txt"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert {"N = 3  M = 5", "F_2 = 5", "top frequencies: 4:2, 5:1"} <= set(lines)
+
+    @pytest.mark.parametrize("name", sorted(_BAD_GRAPHS))
+    def test_bad_graph_file(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        body, message = _BAD_GRAPHS[name]
+        Path("edges.txt").write_text(body)
+        argv = ["spreading-time", "--nodes", "3", "--network", "graph:edges.txt", "--seed", "1",
+                "--out", "st"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.replace('PATH', 'edges.txt')}\n"
+        assert captured.out == ""
+        assert not Path("st").exists()
+
+
 # Every flag as the parser declares it: option string -> (dest, type, choices).
 # Recorded on the release that declared flags per subcommand by hand; since
-# then only oracle's --nodes/--alphabet/--seed/--out and spreading-time's
-# --alphabet, which those subcommands never read, are gone.
+# then only oracle's --nodes/--alphabet/--seed/--out, spreading-time's
+# --alphabet and sweep's --beta, which those subcommands never read, are gone.
 _FLAGS = {
     "--config": ("config", None, None),
     "--nodes": ("nodes", str, None),
@@ -930,13 +1060,13 @@ _FLAGS = {
     "--file": ("file", str, None),
     "--json-out": ("json_out", str, None),
 }
-_RUN_FLAGS = ("--config --nodes --alphabet --seed --out --k --epsilon --delta --r1 --r2 "
-              "--quant-bits --trunc-L --network --radius-c --protocol --p-n --data --buckets "
-              "--s1 --trials --jobs --format --beta --max-steps --exchange-mode").split()
+_EXPERIMENT_FLAGS = ("--config --nodes --alphabet --seed --out --k --epsilon --delta --r1 --r2 "
+                     "--quant-bits --trunc-L --network --radius-c --protocol --p-n --data "
+                     "--buckets --s1 --trials --jobs --format --max-steps --exchange-mode").split()
 _SUBCOMMAND_FLAGS = {
     "gen-data": "--config --nodes --alphabet --seed --out --data".split(),
-    "run": _RUN_FLAGS,
-    "sweep": [*_RUN_FLAGS, "--param", "--values"],
+    "run": [*_EXPERIMENT_FLAGS, "--beta"],
+    "sweep": [*_EXPERIMENT_FLAGS, "--param", "--values"],
     "spreading-time": ("--config --nodes --seed --out --network --protocol --p-n --radius-c "
                        "--trials --beta --max-steps --exchange-mode").split(),
     "oracle": "--config --file --k --json-out".split(),
@@ -957,7 +1087,8 @@ class TestParserSurface:
         assert got == want
 
     @pytest.mark.parametrize("argv", [["oracle", "--nodes", "3"],
-                                      ["spreading-time", "--alphabet", "5"]])
+                                      ["spreading-time", "--alphabet", "5"],
+                                      ["sweep", "--beta", "0.2"]])
     def test_flag_the_subcommand_never_reads_is_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -1072,8 +1203,8 @@ def experiment_configs(draw, graph_path, data_path):
         delta=draw(unit),
         radius_c=draw(st.none() | st.floats(0.1, 10.0, **_finite)),
         p_n=draw(st.none() | unit),
-        spread=SpreadConfig(beta=draw(unit), max_steps=draw(st.none() | st.integers(1, 10**9)),
-                            exchange_mode=draw(st.sampled_from([EXCHANGE, PUSH]))),
+        spread=SpreadConfig(max_steps=draw(st.none() | st.integers(1, 10**9)),
+                            exchange_mode=draw(st.sampled_from([None, EXCHANGE, PUSH]))),
     )
 
 
@@ -1107,7 +1238,12 @@ class TestConfigRoundTrip:
         assert sorted(d["quant"]) == ["quant_bits", "truncation_L"]
         assert d["data"] == cfg.data
         assert d["network"] == cfg.network
+        assert sorted(d["spread"]) == ["exchange_mode", "max_steps"]
         # every setting is resolved: k = 2 runs one phase with no bucket maps
         assert d["num_buckets"] >= 1
         if cfg.k == 2:
             assert (d["num_buckets"], d["s1"]) == (1, 1)
+        # and a setting that decides nothing is None
+        net = "graph" if cfg.network.startswith("graph:") else cfg.network
+        resolved = {key for key, value in _resolved_keys(d).items() if value is not None}
+        assert resolved == _DECIDING[net, cfg.protocol]

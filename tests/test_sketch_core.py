@@ -113,32 +113,31 @@ class StubRng:
 
 
 class TestQuantizedDraws:
-    def test_zero_rate_is_sentinel(self):
-        # whatever its count, and beside a positive rate with its own count
+    def test_zero_rate_rejected(self):
+        # whatever its count, and beside a positive rate: a cell no member
+        # draws is the caller's sentinel, not a draw
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
         rates = np.array([0.0, 1.0, 0.0])
         for count in (1, 7, 10**6):
             counts = np.array([count, 2, 1])
-            levels = min_truncated_exp_levels(rates, counts, 4, q, np.random.default_rng(0))
-            assert (levels[[0, 2]] == q.infinity_level).all()
-            assert np.isinf(q.dequantize(levels[[0, 2]])).all()
-            assert levels[1].max() < q.infinity_level
+            with pytest.raises(ValueError, match="rates must be positive"):
+                min_truncated_exp_levels(rates, counts, 4, q, np.random.default_rng(0))
 
     def test_negative_rate_rejected(self):
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="rates must be positive"):
             min_truncated_exp_levels(np.array([-1.0]), np.ones(1), 4, q, np.random.default_rng(0))
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_rejected(self, count):
-        # in any row, the zero-rate row included
+        # in any row
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
         for row in range(3):
             counts = np.array([3, 1, 5])
             counts[row] = count
             with pytest.raises(ValueError, match="counts must be >= 1"):
                 min_truncated_exp_levels(
-                    np.array([0.0, 1.0, 2.0]), counts, 4, q, np.random.default_rng(0)
+                    np.array([0.5, 1.0, 2.0]), counts, 4, q, np.random.default_rng(0)
                 )
 
     @pytest.mark.parametrize("counts", [1, [1, 1], [[1], [1], [1]], [1, 1, 1, 1]])
@@ -229,12 +228,12 @@ class TestLevelDtype:
     def test_sentinel_fits_level_arrays(self, bits, dtype):
         q = QuantConfig(truncation_L=20.0, quant_bits=bits)
         assert q.level_dtype is dtype
-        rates = np.array([0.0, 1.0, 2.0])
-        levels = min_truncated_exp_levels(rates, np.full(3, 3), 64, q, np.random.default_rng(bits))
+        assert int(np.array(q.infinity_level, dtype=dtype)) == q.infinity_level == 1 << bits
+        rates = np.array([1.0, 2.0])
+        levels = min_truncated_exp_levels(rates, np.full(2, 3), 64, q, np.random.default_rng(bits))
         assert levels.dtype == dtype
-        assert (levels[0] == q.infinity_level).all() and q.infinity_level == 1 << bits
-        assert levels[1:].max() < q.infinity_level
-        z = q.dequantize(levels[1:])
+        assert levels.max() < q.infinity_level
+        z = q.dequantize(levels)
         assert np.all((z > 0) & (z < q.truncation_L))
 
     def test_solver_budget_above_30_bits_draws(self):
@@ -242,9 +241,9 @@ class TestLevelDtype:
 
         _, q = solve_budget(0.1, 0.1, 150000)
         assert q.quant_bits == 31
-        rates = np.array([0.0, 1.0])
-        levels = min_truncated_exp_levels(rates, np.ones(2), 8, q, np.random.default_rng(0))
-        assert levels[0, 0] == 1 << 31 and levels[1].max() < 1 << 31
+        assert int(np.array(q.infinity_level, dtype=q.level_dtype)) == 1 << 31
+        levels = min_truncated_exp_levels(np.ones(1), np.ones(1), 8, q, np.random.default_rng(0))
+        assert levels.dtype == q.level_dtype and levels.max() < 1 << 31
 
     def test_sentinel_beyond_int64_rejected(self):
         with pytest.raises(ValueError):
@@ -266,7 +265,7 @@ class TestClosedFormKernel:
     @pytest.mark.parametrize("count", sorted(_KS_LENGTHS))
     def test_ks_against_resampling_oracle(self, bits, count):
         rows, r2 = 8, 50  # 400 oracle samples per rate
-        rates = np.repeat([0.0, *self.RATES], rows)
+        rates = np.repeat(self.RATES, rows)
         for L in _KS_LENGTHS[count]:
             quant = QuantConfig(truncation_L=L, quant_bits=bits)
             seeds = np.random.SeedSequence((bits, count)).spawn(count + 1)
@@ -276,13 +275,11 @@ class TestClosedFormKernel:
                 rates, r2, quant, (np.random.default_rng(s) for s in seeds[1:])
             )
             assert got.dtype == want.dtype == quant.level_dtype
-            assert (got[:rows] == quant.infinity_level).all()
-            assert (want[:rows] == quant.infinity_level).all()
-            assert got[rows:].max() < quant.infinity_level
-            for i in range(1, len(self.RATES) + 1):
+            assert got.max() < quant.infinity_level
+            for i, rate in enumerate(self.RATES):
                 block = slice(i * rows, (i + 1) * rows)
                 p = stats.ks_2samp(got[block].ravel(), want[block].ravel()).pvalue
-                assert p > 1e-3, (L, self.RATES[i - 1], p)
+                assert p > 1e-3, (L, rate, p)
 
 
 class TestGroupedKernel:

@@ -5,8 +5,8 @@ Each setting is declared once, in `_SETTINGS`: its type and choices (which
 check flags, config-file values and sweep values alike), default and help.
 Its flag is `--key` with `-` for `_`, except `--trunc-L`.  `_COMMANDS` gives
 each subcommand its handler and the keys it reads and echoes; `build_parser`
-makes the flags from these two tables.  A `--config` file may set any key,
-named as the key or as its flag is spelled.
+makes the flags from these two tables.  A `--config` file may set any key
+its subcommand reads, named as the key or as its flag is spelled.
 
 Every subcommand echoes its configuration, the seed included, before any
 other output; re-running from that echo reproduces outputs byte for byte.
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import protocols, simulator
 from .estimators import exact_fk, oracle_record
-from .protocols import SpreadConfig, default_max_steps, run_spreading
+from .protocols import default_max_steps, run_spreading
 from .simulator import (
     CapacityError,
     ExperimentConfig,
@@ -109,7 +109,9 @@ def _coerce(key: str, raw: str):
     return value
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
+    """The settings a config file gives, each a key that command reads."""
+    reads = (*_COMMANDS[command].keys, *_COMMANDS[command].unechoed)
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -119,9 +121,12 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             name, _, raw = stripped.partition("=")
-            key = _KEYS.get(name.strip())
+            name = name.strip()
+            key = _KEYS.get(name)
             if key is None:
-                raise ValueError(f"{path}:{lineno}: unknown config key {name.strip()!r}")
+                raise ValueError(f"{path}:{lineno}: unknown config key {name!r}")
+            if key not in reads:
+                raise ValueError(f"{path}:{lineno}: {command} does not read config key {name!r}")
             values[key] = _coerce(key, raw.strip())
     return values
 
@@ -130,7 +135,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
     settings = {key: setting.default for key, setting in _SETTINGS.items()}
     if args.config:
-        settings.update(_parse_config_file(args.config))
+        settings.update(_parse_config_file(args.config, args.command))
     for key in _SETTINGS:
         val = getattr(args, key, None)
         if val is not None:
@@ -174,10 +179,10 @@ def _beta(settings: dict) -> float:
 
 
 def _experiment_config(settings: dict) -> ExperimentConfig:
-    n = int(settings["nodes"])
-    m = settings.get("alphabet")
-    if m is None:
-        raise ValueError("--alphabet is required")
+    for key in ("nodes", "alphabet"):
+        if settings.get(key) is None:
+            raise ValueError(f"--{key} is required")
+    n, m = int(settings["nodes"]), settings["alphabet"]
     if settings["jobs"] < 1:
         raise ValueError(f"--jobs must be >= 1, got {settings['jobs']}")
     epsilon, delta = settings["epsilon"], settings["delta"]
@@ -203,7 +208,8 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         delta=delta,
         radius_c=settings.get("radius_c"),
         p_n=settings.get("p_n"),
-        spread=SpreadConfig(settings.get("max_steps"), settings["exchange_mode"]),
+        exchange_mode=settings["exchange_mode"],
+        max_steps=settings.get("max_steps"),
     )
 
 
@@ -213,7 +219,7 @@ def _resolved(cfg: ExperimentConfig) -> dict:
     budget, quant = cfg.budget, cfg.quant
     return {("r1", "r2"): (budget.r1, budget.r2), "quant_bits": quant.quant_bits,
             "trunc_l": quant.truncation_L, "radius_c": cfg.radius_c, "p_n": cfg.p_n,
-            "exchange_mode": cfg.spread.exchange_mode, "buckets": cfg.num_buckets, "s1": cfg.s1}
+            "exchange_mode": cfg.exchange_mode, "buckets": cfg.num_buckets, "s1": cfg.s1}
 
 
 _TRIAL_COLUMNS = ("seed", "exact_scaled", "estimate_scaled", "abs_error", "steps", "bits",
@@ -233,10 +239,9 @@ def _write_report(report: dict, out_dir: Path, fmt: str) -> None:
 
 
 def cmd_gen_data(settings: dict, keys) -> int:
-    n = int(settings["nodes"])
-    m = settings.get("alphabet")
-    if m is None or settings.get("out") is None:
-        raise ValueError("gen-data needs --alphabet and --out")
+    if any(settings.get(key) is None for key in ("nodes", "alphabet", "out")):
+        raise ValueError("gen-data needs --nodes, --alphabet and --out")
+    n, m = int(settings["nodes"]), settings["alphabet"]
     if not (1 <= m < n):
         raise ValueError("alphabet size must satisfy 1 <= M < N")
     spec = settings["data"]
@@ -269,8 +274,6 @@ def _summarize(report: dict, cfg: ExperimentConfig) -> None:
 
 
 def cmd_run(settings: dict, keys) -> int:
-    if settings.get("nodes") is None:
-        raise ValueError("run needs --nodes")
     beta = _beta(settings)
     cfg = _experiment_config(settings)
     out_dir = Path(settings["out"]) if settings.get("out") else None
@@ -319,17 +322,15 @@ def cmd_spreading_time(settings: dict, keys) -> int:
         raise ValueError("spreading-time needs --nodes (comma list allowed)")
     sizes = [int(x) for x in str(settings["nodes"]).split(",")]
     trials, protocol = settings["trials"], settings["protocol"]
-    spec = settings["network"]
+    spec, max_steps = settings["network"], settings.get("max_steps")
     networks = [
         simulator.resolve_network(spec, protocol, n, settings.get("radius_c"), settings.get("p_n"),
-                                  settings["exchange_mode"])
+                                  settings["exchange_mode"], max_steps)
         for n in sizes
     ]
     if trials < 1:
         raise ValueError("trials must be >= 1")
     beta = _beta(settings)
-    # the exchange mode follows the protocol alone, so every size resolves it alike
-    cfg = SpreadConfig(settings.get("max_steps"), networks[0][2])
     # one generator per size draws the graph, then every trial on it; every
     # graph is drawn before the echo, so one that cannot be drawn fails first
     graphs = []
@@ -344,14 +345,14 @@ def cmd_spreading_time(settings: dict, keys) -> int:
     points = [dict(zip(("radius_c", "p_n", "exchange_mode"), network)) for network in networks]
     _echo_config(settings, keys, points, out_dir)
     rows = []
-    for n, (_, p_n, _), (topo, ids, rng) in zip(sizes, networks, graphs):
+    for n, (_, p_n, exchange_mode), (topo, ids, rng) in zip(sizes, networks, graphs):
         steps = []  # of the spreads that completed; one cut by the cap is left out
         for _ in range(trials):
-            report, _ = run_spreading(topo, protocol, cfg, rng, p_n=p_n)
+            report, _ = run_spreading(topo, protocol, rng, p_n, exchange_mode, max_steps)
             if report.completed:
                 steps.append(report.steps_to_full)
         if not steps:
-            cap = cfg.max_steps or default_max_steps(protocol, len(ids))
+            cap = max_steps or default_max_steps(protocol, len(ids))
             print(f"N={n}: no trial completed within the step cap ({cap})", file=sys.stderr)
             return EXIT_NONCONVERGED
         # the smallest count with at least a q-fraction of the trials at or below it

@@ -9,23 +9,23 @@ adjacency, and cannot finish on K_N anyway; the experiment configuration
 rejects it there, so it only ever runs on a Topology.
 
 Who contacts whom never depends on what anyone has heard, so each protocol
-is a source of contact blocks: its contacts in order as arrays (tick,
-sender, receiver), and a boolean array whose row t marks the messages of
-tick t.  A gossip tick is one contact, both ways under exchange; an Aloha
-slot is one contact per receiver.  Gossip draws 4096 ticks a block, Aloha
-the transmit masks of 64 slots, packed into one uint64 word per node with
-bit s for slot s: bitwise ORs and ANDs over the neighbour words of each
-receiver not yet full give the slots in which exactly one neighbour
-transmits, and one scan of a hit receiver's row names its senders.  One
-loop, _deliver, applies either source's blocks until every heard-set is
-full or the step cap binds.  It forms one union per contact,
-heard[sender] | heard[receiver], and stores it into the receiver, and into
-the sender too under exchange.
+is a source of contact blocks: a plain generator whose blocks are its
+contacts in order as arrays (tick, sender, receiver), and a boolean array
+whose row t marks the messages of tick t.  A gossip tick is one contact,
+both ways under exchange; an Aloha slot is one contact per receiver.
+Gossip draws 4096 ticks a block, Aloha the transmit masks of 64 slots,
+packed into one uint64 word per node with bit s for slot s: bitwise ORs and
+ANDs over the neighbour words of each receiver not yet full give the slots
+in which exactly one neighbour transmits, and one scan of a hit receiver's
+row names its senders.  One loop, _deliver, applies either source's blocks
+until every heard-set is full or the step cap binds.  It forms one union
+per contact, heard[sender] | heard[receiver], and stores it into the
+receiver, and into the sender too under exchange.
 Full heard-sets are marked in a mask that both sources read when they draw
 a block: they leave out every contact whose receiving ends are all full,
-since it changes nothing.  A loop that stops inside a block tells the
-source how many ticks it used, and Aloha then redraws only those masks, so
-the generator ends where one draw per tick would leave it.
+since it changes nothing.  A spread reads whole blocks from its source's
+generator: one that stops inside a block has drawn all of that block, so
+spreads run in turn on one generator each start at a block boundary.
 
 Spreading carries no sketch state.  A node's min-sketch is the elementwise
 min of the initial sketches in its heard-set, so callers read sketches off
@@ -34,7 +34,6 @@ the heard-sets that run_spreading returns.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -48,22 +47,6 @@ PROTOCOLS = (GOSSIP, ALOHA)
 
 EXCHANGE = "exchange"  # both endpoints hear each other, per the bidirectional gossip model
 PUSH = "push"  # sensitivity variant: only the contacted neighbor hears
-
-
-@dataclass(frozen=True)
-class SpreadConfig:
-    """The step cap (None: default_max_steps) and gossip's exchange mode
-    (None: exchange).  Aloha never reads the mode, so an experiment resolves
-    it to None there."""
-
-    max_steps: int | None = None
-    exchange_mode: str | None = EXCHANGE
-
-    def __post_init__(self):
-        if self.exchange_mode not in (EXCHANGE, PUSH, None):
-            raise ValueError(f"exchange_mode must be one of {EXCHANGE!r}, {PUSH!r}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 def default_max_steps(protocol: str, n_nodes: int) -> int:
@@ -108,8 +91,7 @@ def _gossip_blocks(
     u -> v, both ways under exchange, and row t of sent marks its one or two
     messages.  A node without neighbours makes no contact.  A contact whose
     receiving ends, v and under exchange u, were all marked in skip when its
-    block was drawn is left out.  The picks are drawn a whole block at a
-    time, so the source just stops when told that a block was used in part."""
+    block was drawn is left out."""
     n = _n_nodes(topo)
     while True:
         nodes = rng.integers(n, size=_GOSSIP_BLOCK)
@@ -128,8 +110,7 @@ def _gossip_blocks(
         if exchange:
             live |= ~skip[u]
         sent = np.repeat(deg[:, None] > 0, 1 + exchange, axis=1)
-        if (yield tick[live], u[live], v[live], sent) is not None:
-            return
+        yield tick[live], u[live], v[live], sent
 
 
 _ALOHA_BLOCK = 64  # Aloha slots per mask draw: one bit of a node's uint64 word each
@@ -228,10 +209,7 @@ def _aloha_blocks(topo: Topology, p_n: float, rng: np.random.Generator, skip: np
     and no delivery goes into a node marked in skip.  The degree-class
     tables cover the live receivers, those not marked in skip, and are
     rebuilt once the live count has halved since the last build, so all
-    builds together cost at most two over every node.  A block's masks come
-    from one draw, which reads the stream that one rng.random(n) per slot
-    reads, so told that only `used` slots were used, the source rewinds the
-    generator and redraws only those."""
+    builds together cost at most two over every node."""
     n = topo.n_nodes
     built = 2 * n  # live nodes at the last build; this makes the first block build
     while True:
@@ -239,13 +217,8 @@ def _aloha_blocks(topo: Topology, p_n: float, rng: np.random.Generator, skip: np
         n_live = np.count_nonzero(live)
         if 2 * n_live <= built:
             classes, built = _degree_classes(topo, live), n_live
-        state = rng.bit_generator.state
         tx = rng.random((_ALOHA_BLOCK, n)) < p_n
-        used = yield (*_aloha_block(topo, classes, tx, skip), tx)
-        if used is not None:
-            rng.bit_generator.state = state
-            rng.random((used, n))
-            return
+        yield (*_aloha_block(topo, classes, tx, skip), tx)
 
 
 @dataclass
@@ -294,26 +267,27 @@ def _deliver(blocks, heard: list[int], is_full: bytearray, max_steps: int, excha
                     break
         steps += used
         messages += int(np.count_nonzero(sent[:used]))
-        if used < len(sent):
-            with contextlib.suppress(StopIteration):
-                blocks.send(used)
     return steps, messages, completed
 
 
 def run_spreading(
     topo: Topology | int,
     protocol: str,
-    cfg: SpreadConfig,
     rng: np.random.Generator,
-    p_n: float | None,
+    p_n: float | None = None,
+    exchange_mode: str | None = None,
+    max_steps: int | None = None,
 ) -> tuple[SpreadReport, list[int]]:
     """Run a protocol until every node has heard every other node (or the step
     cap).  Heard-sets S_u are tracked as bitmasks: bit w of S_u is set once
     node u has heard, directly or by relay, from node w.
 
     topo is a Topology, or the node count N of the complete graph, which
-    only gossip takes.  p_n is Aloha's transmit probability, resolved by
-    the caller and required for Aloha; gossip ignores it, so None will do.
+    only gossip takes.  The settings come resolved and checked, as
+    simulator.resolve_network leaves them: p_n is Aloha's transmit
+    probability, required for Aloha; exchange_mode is gossip's, exchange
+    when None; max_steps is the step cap, default_max_steps when None.  Each
+    protocol ignores the other's setting.
 
     Returns (SpreadReport, heard_sets).  A node's min-sketch is the min over
     the initial sketches of its heard-set, so the heard-sets are all a caller
@@ -322,12 +296,12 @@ def run_spreading(
     n = _n_nodes(topo)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    max_steps = cfg.max_steps if cfg.max_steps is not None else default_max_steps(protocol, n)
+    max_steps = default_max_steps(protocol, n) if max_steps is None else max_steps
     heard = [1 << u for u in range(n)]
     is_full = bytearray(n)
     # the sources read is_full through this view as their skip mask
     skip = np.frombuffer(is_full, dtype=bool)
-    exchange = protocol == GOSSIP and cfg.exchange_mode != PUSH
+    exchange = protocol == GOSSIP and exchange_mode != PUSH
     if protocol == GOSSIP:
         blocks = _gossip_blocks(topo, exchange, rng, skip)
     else:

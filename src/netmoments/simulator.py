@@ -19,14 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import numpy.random  # numpy loads it on first use; load it with the package
 
 from . import estimators, network, protocols, sketch_core
 from .estimators import Dataset, ErrorBudget, exact_fk
-from .protocols import SpreadConfig, heard_mask, run_spreading
+from .protocols import heard_mask, run_spreading
 from .sketch_core import QuantConfig, harmonic_estimate, min_truncated_exp_levels
 
 NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
@@ -172,14 +172,15 @@ def solve_budget(
 
 def resolve_network(
     spec: str, protocol: str, n_nodes: int, radius_c: float | None = None,
-    p_n: float | None = None, exchange_mode: str | None = None,
+    p_n: float | None = None, exchange_mode: str | None = None, max_steps: int | None = None,
 ) -> tuple[float | None, float | None, str | None]:
     """(radius_c, p_n, exchange_mode) of a network spec (complete |
     rgg-connected | rgg-percolating | graph:PATH with PATH a file) run by
     protocol on n_nodes nodes.  Each is None where it decides nothing, and
     elsewhere as given or else its regime's value: radius_c on the RGG kinds,
-    p_n under Aloha, exchange_mode under gossip.  A radius_c or p_n given is
-    range-checked wherever it is given.
+    p_n under Aloha, exchange_mode under gossip.  A radius_c, p_n,
+    exchange_mode or max_steps (the step cap, which every run reads) given is
+    checked wherever it is given.
 
     Aloha is rejected on the complete graph: a slot delivers only when exactly
     one of all N nodes transmits, about (N/ln N) e^(-N/ln N) of the slots at
@@ -202,6 +203,10 @@ def resolve_network(
         raise ValueError("need radius_c > 0")
     if p_n is not None and not (0.0 < p_n < 1.0):
         raise ValueError(f"p_n must lie in (0, 1), got {p_n}")
+    if exchange_mode not in (protocols.EXCHANGE, protocols.PUSH, None):
+        raise ValueError(f"exchange_mode must be one of {protocols.EXCHANGE!r}, {protocols.PUSH!r}")
+    if max_steps is not None and max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     percolating = kind == "rgg-percolating"
     if not kind.startswith("rgg-"):
         radius_c = None
@@ -223,9 +228,9 @@ class ExperimentConfig:
     maps, so num_buckets and s1 resolve to 1 there; k >= 3 runs
     num_buckets * s1 bucket phases, with num_buckets None meaning
     default_num_buckets.  On rgg-percolating the trials run on the giant
-    component.  radius_c, p_n and spread.exchange_mode resolve by
-    resolve_network, to None where they decide nothing, so report.json's
-    config block holds only what decides a run.
+    component.  radius_c, p_n and exchange_mode resolve by resolve_network,
+    to None where they decide nothing, so report.json's config block holds
+    only what decides a run; max_steps None means default_max_steps.
     """
 
     n_nodes: int
@@ -244,7 +249,8 @@ class ExperimentConfig:
     delta: float = 0.1
     radius_c: float | None = None
     p_n: float | None = None
-    spread: SpreadConfig = field(default_factory=SpreadConfig)
+    exchange_mode: str | None = None
+    max_steps: int | None = None
 
     def __post_init__(self):
         check_data(self.data)
@@ -254,11 +260,10 @@ class ExperimentConfig:
             raise ValueError("moment order k must be >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        self.radius_c, self.p_n, exchange_mode = resolve_network(
+        self.radius_c, self.p_n, self.exchange_mode = resolve_network(
             self.network, self.protocol, self.n_nodes, self.radius_c, self.p_n,
-            self.spread.exchange_mode,
+            self.exchange_mode, self.max_steps,
         )
-        self.spread = replace(self.spread, exchange_mode=exchange_mode)
         if self.num_buckets is None:
             self.num_buckets = default_num_buckets(self.alphabet_size, self.k)
         if self.num_buckets < 1 or self.s1 < 1:
@@ -405,9 +410,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
 
     reports, estimates = [], []
     for t, b, (phase_sched_ss, phase_draws_ss) in plan:
-        report, heard = run_spreading(
-            topo, cfg.protocol, cfg.spread, np.random.default_rng(phase_sched_ss), p_n=cfg.p_n
-        )
+        report, heard = run_spreading(topo, cfg.protocol, np.random.default_rng(phase_sched_ss),
+                                      cfg.p_n, cfg.exchange_mode, cfg.max_steps)
         members = heard_mask(heard[0], n_part)
         del heard  # neither the heard-sets nor the sketch outlive their phase
         if cfg.k > 2:

@@ -276,7 +276,9 @@ def aloha_spread(
 ) -> tuple[SpreadReport, list[int]]:
     """Slotted Aloha one slot at a time: one rng.random(n) mask and one packed
     uint64 matvec per slot, every delivery applied.  The oracle for the
-    block-of-slots loop of run_spreading."""
+    block-of-slots loop of run_spreading, which draws the masks of 64 slots
+    at a time, so the masks of the rest of the last 64-slot block are drawn
+    too and left unused."""
     n = topo.n_nodes
     adj = uint64_adjacency(topo)
     heard = [1 << u for u in range(n)]
@@ -290,6 +292,7 @@ def aloha_spread(
         for src, dst in deliveries:
             heard[dst] |= heard[src]
         completed = all(h == full for h in heard)
+    rng.random((-steps % 64, n))
     report = SpreadReport(steps, messages, completed)
     return report, heard
 

@@ -35,9 +35,17 @@ deleted and those keys set to null, re-serialised as report.json is
 written, equalled the new one byte for byte.  trials.csv did not change, so
 its digests, the sweep summary.csv digest, the summary lines and the
 spreading-time CSV digests all pass as they were recorded.
+
+Both digests of every config were re-recorded once more when the config
+block's spread object dissolved into it: spread.exchange_mode and
+spread.max_steps became the top-level exchange_mode and max_steps.  On all
+14 configs, the earlier report.json with those two keys moved up and
+re-serialised as report.json is written equalled the new one byte for
+byte, and trials.csv and effective.cfg did not change.
 """
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -70,7 +78,6 @@ from netmoments.protocols import (
     ALOHA,
     EXCHANGE,
     PUSH,
-    SpreadConfig,
     default_max_steps,
     default_p_n,
     run_spreading,
@@ -143,85 +150,85 @@ GOLDEN = {
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "11"],
         0,
-        "ec29430b031bba6aaa1912bdc49480b650a410d8716981f5e1e1c6e3bbe47dc4",
-        "d5fc1b1e78331541076bdeb6029aaee25d769f8b9a8b1a5855c9c0edc408a127",
+        "fa0c94a37a52105f422e30d17c23ca71997afc12260a95236950afade3a6a4bb",
+        "b26e66422942703ea320517a93222759ee8bd570757a3b7f2aa0dbb5774b15ef",
     ),
     "complete-gossip-push-k2": (
         ["--nodes", "200", "--alphabet", "12", "--network", "complete", "--protocol", "gossip",
          "--exchange-mode", "push", "--data", "uniform", "--r1", "8", "--r2", "32",
          "--trials", "2", "--seed", "12"],
         0,
-        "98f0969212a827b697a38190940cf7a1b3c92998d6dae95323609adf39564023",
-        "be3e45be01ace23bb38da0fb21a502a38ffb8108a99934e5d4fe4ab9b323ac42",
+        "0232e566e9425e386aa31d35a4c8970f197d28d58a970c52f80cc5e54499df70",
+        "f45847f9352e72c213532562ab95b312f295cfcd08370aeef00052fe7cd254a1",
     ),
     "rgg-connected-aloha-k2": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "13"],
         0,
-        "19334db52390f726d574b24551f15bd9595ce63c120d8ddf85811163afa1c3f7",
-        "825587c720f7b1fe343d7059bda1ed49cce98246ba70511e014b725e325118f2",
+        "01a9f6cc13f074436443282f9053b3284cdbaf77367f2fc24e54bec36ec7a607",
+        "1496b6f6b8d25fd9ec454a84b3adc01ae579756df73fda257bf45766d085f63e",
     ),
     "rgg-percolating-gossip-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "gossip",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "14"],
         0,
-        "b0bd422b3e339bf6f2a546663fea7a8589b1089c5def787e6dfc5bf5efd27968",
-        "381f0e393ae34a1332995b418c9d8c9949132165b9eb3f9f8d685160ae474495",
+        "c32b997a6a12b069fabf83cc66f4af0ae02889a2384a72f5bb8e6662fe8cc7df",
+        "e6b39be3bcfbbe1efbd61fc1a04613aaad30675aa8b1861277e30a7ae4554018",
     ),
     "rgg-percolating-aloha-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "aloha",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "22"],
         0,
-        "82885235a7e45337d9ce52eddc2aa6cbbd31b483d2a1068ea485006d33743c78",
-        "eb627d9ea59e3d7a1aacdbb5b401caac95c8ecd7424a558880865f17fa6d118a",
+        "61c3cc4234039c0cf3ec5cb4e317ac0b2481bebf0d21177878d8d69381f22bc1",
+        "df0ebe342e2c24af4a2763b88ee13344c50483831545e6a1d3600bdf08d567ef",
     ),
     "rgg-percolating-gossip-k3": (
         [*_K3_PERCOLATING, "--protocol", "gossip"],
         0,
-        "7c2bcaa50fc80622b0dfe427168579a77fe02da8ed898ab6571c09c302ba9c4b",
-        "f70f7279b83f1216143b977eeccbaf38b8eb7655d1a8ddf128992ed5f2315f8d",
+        "fb6dffceca79f15974f9129ade8eceb591e0b37e0d85ff67589a3d0c24f88dc2",
+        "c46524480f9958076a1cfe5c0c53d90f464ba120540e6c5cfed70cd9a43b8324",
     ),
     "rgg-percolating-aloha-k3": (
         [*_K3_PERCOLATING, "--protocol", "aloha"],
         0,
-        "157f30e622332e5d3b82af7076c95bc0dd94095c60c96ada89cc4ddfecb7d342",
-        "b080a44a07b424f8c035fd3000dd725ffd41a0394d4eba34c140b16571b13c07",
+        "c18ecbd4c595ef185cd47e46a90a9b06055c6684be7c9c84aad8803b601144c1",
+        "9a99601b7d6ba9ef51a54f794908c7c48c4918945e7135595cf9556054c63909",
     ),
     "rgg-connected-gossip-k3": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--seed", "15"],
         0,
-        "964e5936dcafc94bfecd6b10dbc1ca908fc100dd2f286b36e54fa47a96131d3c",
-        "93b1ad92251c3155f04efaa4f452c483782d07d8a443187de0215ec7aa24a1b3",
+        "d15e0c3ef1fba20db308bea4def4726f8a144fef8e74a2cf84808d41a31bdce4",
+        "070e59b007f7133d321c419a68363640bed2240624781d69745f16a2bd03c377",
     ),
     "rgg-connected-aloha-k4": (
         ["--nodes", "100", "--alphabet", "8", "--k", "4", "--s1", "1", "--buckets", "2",
          "--network", "rgg-connected", "--protocol", "aloha", "--data", "pointmass",
          "--r1", "4", "--r2", "16", "--seed", "16"],
         0,
-        "1d398e00bf5196a89052e76926a5be7f820ddf61c53c4faa26955d6a657991fb",
-        "ceb7cb313c8cb75247ad8f279cb9c8b666feb45dc09618e62a8f929a99f2908d",
+        "a10ac4474f1eaf82baeae4fff87ea33db4e5b52feb68a228a77b9d51d1c70efb",
+        "87a105f3ee4c23af8b201368ef5dd351e11a5ca536783961705cd895579440a6",
     ),
     "rgg-connected-gossip-k3-cut": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--max-steps", "300", "--seed", "19"],
         4,
-        "cfc8af2bd6dab7ba9b44b91ac259b17070e4497a1321c6bfd936912fa97d4cf4",
-        "adc97ed1ee063a34032ea6673aee8c0fe130a862fe7a3166b4ef5a55f33eec55",
+        "82430d90c5331594ddd4aded08ee7c4c114ecf5df3691f69b207c2cf985f8377",
+        "5f8aa68d25fd53e963dfbfc30beb3f6887f396c82094daeb5329cb2a3a7b201a",
     ),
     "complete-gossip-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "600", "--seed", "17"],
         4,
-        "c3622120b53777a6f9e16a1d4e68258a3d7f5a7241fbbdbf8b004db11b64ec19",
-        "96a75bfd45eeaed0bdbaf2e772860b93f00dd492cc1570ee1b2ac6d0930c9e1a",
+        "71847027e0c025d4b90a8c15ce021da7cfcb951359055dbec672c21a45a29414",
+        "234b836944af9cb2e0de27f03a49b99d69f0c509b8166b62ae44e400a07778bc",
     ),
     "rgg-connected-aloha-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "20", "--seed", "18"],
         4,
-        "d7c124ee0b4d58f1e0ba6f4edfc8d00b83ce9c22bf058f1f83b35ef38982e4b1",
-        "9f2f2d563fab3b52c21ba2c483d8699f48fb22e08040194928268aeec121cc91",
+        "2d496a71ab9f9ea5303f02fe413b328c752b78b588ca5ab64abdfa204b7f551e",
+        "95a20914b5140649890c230c8ab35900dbc68a87de842ef992574bf5c230964b",
     ),
 }
 
@@ -233,13 +240,13 @@ GRAPH_GOLDEN = {
     "graph-gossip-k2": (
         ["--nodes", "150", "--alphabet", "12", "--protocol", "gossip", "--data", "zipf:1.2",
          *_BUDGET, "--trials", "2", "--seed", "20"],
-        "7aca789e475bae7cb1977b4d15e13a3ff7b5d4c66e8f40bbca3edaeccf91de19",
-        "bf00529e518a52d372a841748cda2ede036e9a799a447ff7b75273ce811a3b54",
+        "196b26459d923eb28cb1a8cdbb0d0035d72f0712ad795a21d09081b472c16e0a",
+        "db69bd4d4fc3cb879408e8fb4ce0b8cfbd5776c321523a5c355ce48bafe23231",
     ),
     "graph-aloha-k3": (
         [*_K3, "--protocol", "aloha", "--data", "zipf:1.2", "--seed", "21"],
-        "6c17cbe10a9779ca523425e38a7cd2dc15a54e5efcfe67bbe3aa0a15ea6ee382",
-        "d6897846fcd89de0e23b4269e536da9561d0b27497f646201e7155c10252dddb",
+        "daef3e77586d0365c5626d0507c2f75a1803cf1fcce60c43587e7210e70723f8",
+        "873cb386035188e316091a3fc0762585801ccef1b63efdceb7d341d3ca0f201f",
     ),
 }
 
@@ -345,16 +352,18 @@ class TestSpreadingTime:
         assert hashlib.sha256(body).hexdigest() == SPREADING_CSV[net]
 
     def test_aloha_csv_digest(self, tmp_path, capsys):
-        # recorded from the release that drew one Aloha mask per slot; the
-        # three trials share one generator, so a block of slots drawn past a
-        # trial's end must be given back
+        # the three trials share one generator, and a spread reads whole
+        # 64-slot blocks of masks, so each trial after the first starts where
+        # the last block of the one before it ends.  Re-recorded when spreads
+        # stopped giving back the unused masks of their last block; the CSV
+        # equals the one oracles.aloha_spread gives, which reads them too.
         out = tmp_path / "aloha"
         code = cli.main(["spreading-time", "--nodes", "20,300", "--network", "rgg-connected",
                          "--protocol", "aloha", "--trials", "3", "--seed", "1",
                          "--out", str(out)])
         assert code == cli.EXIT_OK
         body = (out / "spreading_time.csv").read_bytes()
-        want = "832617742e1224cf6aa22f4a5ce1cd05b32e2519da218f6e76769deb44f1d036"
+        want = "a755e74966a4e5597cdd9c4e7760f4db3e66b8aca3e802cfd20da58210da4e22"
         assert hashlib.sha256(body).hexdigest() == want
 
 
@@ -380,8 +389,7 @@ class TestSpreadingTime:
             topo, _ = induced_subgraph(whole, giant_component(whole).giant)
             p_n = default_p_n(n, percolating=True)
             assert n / 2 <= topo.n_nodes < n
-        cfg = SpreadConfig()
-        reports = [run_spreading(topo, protocol, cfg, rng, p_n=p_n)[0] for _ in range(3)]
+        reports = [run_spreading(topo, protocol, rng, p_n)[0] for _ in range(3)]
         steps = [report.steps_to_full for report in reports if report.completed]
         # the n_nodes column counts the nodes the spread ran on: the giant's;
         # the quantile is at 1 - beta for the default beta of 0.1
@@ -461,7 +469,7 @@ def _resolved_keys(config: dict) -> dict:
     """The settings of report.json's config block that resolve only where
     they decide a run, None elsewhere."""
     return {"radius_c": config["radius_c"], "p_n": config["p_n"],
-            "exchange_mode": config["spread"]["exchange_mode"]}
+            "exchange_mode": config["exchange_mode"]}
 
 
 # every supported (network, protocol) pair -> the keys of _resolved_keys that
@@ -644,13 +652,33 @@ class TestConfigFile:
         )
         config = json.loads((out / "report.json").read_text())["config"]
         assert config["quant"]["truncation_L"] == 5.0
-        assert config["spread"]["max_steps"] == 900
+        assert config["max_steps"] == 900
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text(_CONFIG + "trunc_L = 5\n")
         code, _ = _run(tmp_path, "bad", ["--config", str(tmp_path / "bad.cfg")])
         assert code == cli.EXIT_CONFIG
         assert "unknown config key 'trunc_L'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, body, line, key", [
+        pytest.param("sweep", "beta = 0\nfile = nowhere\n", 1, "beta", id="sweep-beta"),
+        pytest.param("run", _CONFIG + "json_out = x.json\n", 6, "json_out", id="run-json_out"),
+    ])
+    def test_key_the_command_never_reads_fails_before_echo(
+        self, tmp_path, capsys, command, body, line, key
+    ):
+        # a config file may set only what its command reads, as the flags may
+        path, out = tmp_path / "extra.cfg", tmp_path / "out"
+        path.write_text(body)
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--param", "nodes", "--values", "60", "--alphabet", "5",
+                     "--r1", "2", "--r2", "4", "--seed", "1"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"{path}:{line}: {command} does not read config key {key!r}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSweep:
@@ -745,7 +773,8 @@ class TestSweep:
         "point",
         [["--param", "nodes", "--values", "60,4"],
          ["--param", "p-n", "--values", "0.2,1.5", "--network", "rgg-connected",
-          "--protocol", "aloha"]],
+          "--protocol", "aloha"],
+         ["--param", "max-steps", "--values", "10,0"]],
     )
     def test_bad_point_fails_before_any_output(self, tmp_path, capsys, point):
         out = tmp_path / "sweep"
@@ -805,7 +834,8 @@ class TestExitCodes:
         [(["--alphabet", "0"], "1 <= M < N"), (["--alphabet", "-1", "--k", "3"], "1 <= M < N"),
          (["--radius-c", "0"], "need radius_c > 0"),
          (["--network", "rgg-connected", "--protocol", "aloha", "--p-n", "1.5"],
-          "p_n must lie in (0, 1)")],
+          "p_n must lie in (0, 1)"),
+         (["--max-steps", "0"], "max_steps must be >= 1")],
     )
     def test_bad_setting_fails_before_any_output(self, tmp_path, capsys, flags, message):
         code, out = _run(tmp_path, "bad", ["--nodes", "40", "--alphabet", "5", "--seed", "2",
@@ -817,7 +847,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--p-n", "0"], "p_n must lie in (0, 1)"), (["--radius-c", "0"], "need radius_c > 0"),
-         (["--trials", "0"], "trials must be >= 1")],
+         (["--trials", "0"], "trials must be >= 1"),
+         (["--max-steps", "0"], "max_steps must be >= 1")],
     )
     def test_spreading_time_bad_setting_fails_before_echo(self, tmp_path, capsys, flags, message):
         out = tmp_path / "st"
@@ -827,6 +858,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "# effective-config" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["gen-data", "--alphabet", "5"], id="gen-data"),
+        pytest.param(["sweep", "--alphabet", "5", "--r1", "2", "--r2", "4", "--seed", "1",
+                      "--param", "k", "--values", "2"], id="sweep"),
+        pytest.param(["run", "--alphabet", "5", "--r1", "2", "--r2", "4", "--seed", "1"],
+                     id="run"),
+    ])
+    def test_missing_nodes_fails_before_any_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--nodes" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_gen_data_without_alphabet_is_config_error(self, tmp_path, capsys):
@@ -1139,6 +1185,29 @@ class TestImports:
         assert result["scipy"] == []
         assert result["late"] == dict.fromkeys(runs, [0, []])
 
+    def test_no_unused_imports(self):
+        # every name an import binds is read, in the package and in the tests;
+        # a dotted import without an alias binds only its first part and is
+        # kept for its side effect, as is a __future__ import
+        files = [*Path(netmoments.__file__).resolve().parent.glob("*.py"),
+                 *Path(__file__).resolve().parent.glob("*.py")]
+        unused = []
+        for path in sorted(files):
+            tree = ast.parse(path.read_text())
+            bound = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    bound.update((alias.asname or alias.name, node.lineno) for alias in node.names
+                                 if alias.asname or "." not in alias.name)
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused += [f"{path.name}:{line}: {name}" for name, line in bound.items()
+                       if name not in read]
+        assert len(files) >= 12
+        assert unused == []
+
 
 class TestSolveBudget:
     def test_given_sizes_keep_the_split(self):
@@ -1203,15 +1272,15 @@ def experiment_configs(draw, graph_path, data_path):
         delta=draw(unit),
         radius_c=draw(st.none() | st.floats(0.1, 10.0, **_finite)),
         p_n=draw(st.none() | unit),
-        spread=SpreadConfig(max_steps=draw(st.none() | st.integers(1, 10**9)),
-                            exchange_mode=draw(st.sampled_from([None, EXCHANGE, PUSH]))),
+        exchange_mode=draw(st.sampled_from([None, EXCHANGE, PUSH])),
+        max_steps=draw(st.none() | st.integers(1, 10**9)),
     )
 
 
 # the top-level keys of report.json's config block
 _CONFIG_BLOCK_KEYS = sorted(
-    "alphabet_size budget data delta epsilon k master_seed n_nodes network num_buckets p_n "
-    "protocol quant radius_c s1 spread trials".split()
+    "alphabet_size budget data delta epsilon exchange_mode k master_seed max_steps n_nodes "
+    "network num_buckets p_n protocol quant radius_c s1 trials".split()
 )
 
 
@@ -1238,7 +1307,6 @@ class TestConfigRoundTrip:
         assert sorted(d["quant"]) == ["quant_bits", "truncation_L"]
         assert d["data"] == cfg.data
         assert d["network"] == cfg.network
-        assert sorted(d["spread"]) == ["exchange_mode", "max_steps"]
         # every setting is resolved: k = 2 runs one phase with no bucket maps
         assert d["num_buckets"] >= 1
         if cfg.k == 2:
@@ -1247,3 +1315,7 @@ class TestConfigRoundTrip:
         net = "graph" if cfg.network.startswith("graph:") else cfg.network
         resolved = {key for key, value in _resolved_keys(d).items() if value is not None}
         assert resolved == _DECIDING[net, cfg.protocol]
+        # a mode or step cap out of range is rejected on every network and protocol
+        for key, bad in (("exchange_mode", "pull"), ("max_steps", 0)):
+            with pytest.raises(ValueError, match=key):
+                dataclasses.replace(cfg, **{key: bad})

@@ -16,7 +16,6 @@ from netmoments.protocols import (
     EXCHANGE,
     GOSSIP,
     PUSH,
-    SpreadConfig,
     _aloha_block,
     _degree_classes,
     _gossip_blocks,
@@ -291,8 +290,7 @@ class TestRunSpreading:
     def test_completed_heard_sets_are_full(self, protocol, mode):
         topo = complete_topology(30) if protocol == GOSSIP else cycle_topology(12)
         report, heard = run_spreading(
-            topo, protocol, SpreadConfig(exchange_mode=mode), np.random.default_rng(1),
-            p_n=default_p_n(topo.n_nodes),
+            topo, protocol, np.random.default_rng(1), default_p_n(topo.n_nodes), mode
         )
         assert report.completed
         assert heard == [(1 << topo.n_nodes) - 1] * topo.n_nodes
@@ -300,18 +298,13 @@ class TestRunSpreading:
     def test_gossip_messages_per_tick(self):
         topo = complete_topology(20)
         for mode, per_tick in ((EXCHANGE, 2), (PUSH, 1)):
-            report, _ = run_spreading(
-                topo, GOSSIP, SpreadConfig(exchange_mode=mode), np.random.default_rng(2), None
-            )
+            report, _ = run_spreading(topo, GOSSIP, np.random.default_rng(2), exchange_mode=mode)
             assert report.messages_sent == per_tick * report.steps_to_full
 
     def test_cut_short_heard_sets_grow_monotonically(self):
         topo = build_rgg(60, 0.3, np.random.default_rng(3))
-        cfg_short = SpreadConfig(max_steps=40)
-        cfg_long = SpreadConfig(max_steps=80)
-        short, heard_short = run_spreading(topo, GOSSIP, cfg_short, np.random.default_rng(4),
-                                           None)
-        _, heard_long = run_spreading(topo, GOSSIP, cfg_long, np.random.default_rng(4), None)
+        short, heard_short = run_spreading(topo, GOSSIP, np.random.default_rng(4), max_steps=40)
+        _, heard_long = run_spreading(topo, GOSSIP, np.random.default_rng(4), max_steps=80)
         assert not short.completed and short.steps_to_full == 40
         for a, b in zip(heard_short, heard_long):
             assert a & b == a
@@ -322,10 +315,9 @@ class TestRunSpreading:
     )
     def test_complete_node_count_matches_csr_oracle(self, mode, max_steps):
         # N = 1000 takes about 11 000 ticks: several picker refills
-        cfg = SpreadConfig(exchange_mode=mode, max_steps=max_steps)
-        got = run_spreading(1000, GOSSIP, cfg, np.random.default_rng(6), None)
-        want = run_spreading(complete_topology(1000), GOSSIP, cfg, np.random.default_rng(6),
-                             None)
+        settings = dict(exchange_mode=mode, max_steps=max_steps)
+        got = run_spreading(1000, GOSSIP, np.random.default_rng(6), **settings)
+        want = run_spreading(complete_topology(1000), GOSSIP, np.random.default_rng(6), **settings)
         assert got[0] == want[0] and got[0].completed == (max_steps is None)
         assert got[1] == want[1]
 
@@ -343,8 +335,7 @@ class TestRunSpreading:
         got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
         # two spreads on one generator, as spreading-time runs its trials
         for _ in range(2):
-            got = run_spreading(topo, ALOHA, SpreadConfig(max_steps=max_steps), got_rng,
-                                p_n=default_p_n(n))
+            got = run_spreading(topo, ALOHA, got_rng, default_p_n(n), max_steps=max_steps)
             want = aloha_spread(topo, default_p_n(n), cap, want_rng)
             assert got == want
         assert got_rng.random() == want_rng.random()
@@ -373,7 +364,7 @@ class TestRunSpreading:
             blocks[0] = 0
             cap = default_max_steps(ALOHA, n) if max_steps is None else max_steps
             got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
-            got = run_spreading(topo, ALOHA, SpreadConfig(max_steps=max_steps), got_rng, p_n)
+            got = run_spreading(topo, ALOHA, got_rng, p_n, max_steps=max_steps)
             assert got == aloha_spread(topo, p_n, cap, want_rng)
             assert got_rng.random() == want_rng.random()
             assert got[0].completed == (max_steps is None)
@@ -395,7 +386,7 @@ class TestRunSpreading:
         p_n = default_p_n(61)
         cap = default_max_steps(ALOHA, 61)
         got_rng, want_rng = np.random.default_rng(10), np.random.default_rng(10)
-        got = run_spreading(topo, ALOHA, SpreadConfig(), got_rng, p_n)
+        got = run_spreading(topo, ALOHA, got_rng, p_n)
         assert got == aloha_spread(topo, p_n, cap, want_rng)
         assert got_rng.random() == want_rng.random()
         report, heard = got
@@ -432,8 +423,7 @@ class TestRunSpreading:
         for seed in range(20):
             _assert_gossip_matches_oracle(topo, mode, max_steps, seed)
         if name in ("complete2", "csr2") and mode == EXCHANGE:
-            report, heard = run_spreading(topo, GOSSIP, SpreadConfig(), np.random.default_rng(0),
-                                          None)
+            report, heard = run_spreading(topo, GOSSIP, np.random.default_rng(0))
             assert (report.steps_to_full, report.messages_sent) == (1, 2)
             assert heard == [3, 3]
 
@@ -458,10 +448,9 @@ def _assert_gossip_matches_oracle(topo, mode, max_steps, seed):
     generator where the oracle leaves it."""
     n = topo if isinstance(topo, int) else topo.n_nodes
     cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
-    cfg = SpreadConfig(max_steps=max_steps, exchange_mode=mode)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2):
-        got = run_spreading(topo, GOSSIP, cfg, got_rng, None)
+        got = run_spreading(topo, GOSSIP, got_rng, exchange_mode=mode, max_steps=max_steps)
         want = gossip_spread(topo, mode == EXCHANGE, cap, want_rng)
         assert got == want
     assert got_rng.random() == want_rng.random()

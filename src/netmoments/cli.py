@@ -10,6 +10,8 @@ its subcommand reads, named as the key or as its flag is spelled.
 
 Every subcommand echoes its configuration, the seed included, before any
 other output; re-running from that echo reproduces outputs byte for byte.
+Before the echo, run and each sweep point build trial 0's dataset and
+network, and gen-data its dataset, so an input they cannot use fails first.
 A setting resolved per run (the budget, quantizer, radius_c, p_n,
 exchange_mode, buckets and s1) is echoed at its resolved value when all the
 command's runs share it, and as given otherwise; r1 and r2 count as one
@@ -246,9 +248,10 @@ def cmd_gen_data(settings: dict, keys) -> int:
         raise ValueError("alphabet size must satisfy 1 <= M < N")
     spec = settings["data"]
     simulator.check_data(spec)
-    _echo_config(settings, keys)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], 0)))
-    write_dataset_file(simulator.generate_data(spec, n, m, rng), settings["out"])
+    dataset = simulator.generate_data(spec, n, m, rng)
+    _echo_config(settings, keys)
+    write_dataset_file(dataset, settings["out"])
     print(f"wrote {settings['out']} (N={n}, M={m}, model={spec})")
     return EXIT_OK
 
@@ -276,6 +279,7 @@ def _summarize(report: dict, cfg: ExperimentConfig) -> None:
 def cmd_run(settings: dict, keys) -> int:
     beta = _beta(settings)
     cfg = _experiment_config(settings)
+    simulator.check_inputs(cfg)
     out_dir = Path(settings["out"]) if settings.get("out") else None
     _echo_config(settings, keys, [_resolved(cfg)], out_dir)
     report = run_experiment(cfg, jobs=settings["jobs"])
@@ -303,6 +307,8 @@ def cmd_sweep(settings: dict, keys) -> int:
         point = dict(settings)
         point[param] = _coerce(param, raw.strip())
         points.append((raw.strip(), _experiment_config(point)))
+    for _, cfg in points:
+        simulator.check_inputs(cfg)
     _echo_config(settings, keys, [_resolved(cfg) for _, cfg in points], out_root)
     rows = []
     for raw, cfg in points:

@@ -28,15 +28,10 @@ DEFAULT_PERCOLATION_C = 1.35
 _RGG_CONNECT_ATTEMPTS = 100
 
 
-class DisconnectedGraphError(ValueError):
-    """No connected graph could be drawn: a configuration error (the radius
-    is too small for the node count), not a crash."""
-
-
 @dataclass
 class Topology:
-    """Undirected graph in CSR form, optionally with node positions in the
-    unit square and the transmission radius that induced the edges.
+    """Undirected graph as its CSR arrays alone: a run reads only the
+    adjacency, so an RGG keeps neither its node positions nor its radius.
 
     The neighbours of node u are indices[indptr[u]:indptr[u + 1]], ascending,
     and every edge is stored in the rows of both endpoints.  Everything else
@@ -45,8 +40,6 @@ class Topology:
 
     indptr: np.ndarray  # int64, n_nodes + 1 offsets
     indices: np.ndarray  # int32, each row ascending
-    positions: np.ndarray | None = None
-    radius: float | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -67,19 +60,14 @@ class Topology:
         return np.column_stack((rows[upper], self.indices[upper]))
 
 
-def _from_sorted_rows(n_nodes: int, rows, cols, positions=None, radius=None) -> Topology:
+def _from_sorted_rows(n_nodes: int, rows, cols) -> Topology:
     """Topology from entries already in row-major order, each row ascending."""
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_nodes), out=indptr[1:])
-    return Topology(indptr, np.asarray(cols, dtype=np.int32), positions, radius)
+    return Topology(indptr, np.asarray(cols, dtype=np.int32))
 
 
-def from_edges(
-    n_nodes: int,
-    edges,
-    positions: np.ndarray | None = None,
-    radius: float | None = None,
-) -> Topology:
+def from_edges(n_nodes: int, edges) -> Topology:
     """Topology from (u, v) pairs in any orientation; duplicates collapse."""
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     u, v = pairs[:, 0], pairs[:, 1]
@@ -93,7 +81,7 @@ def from_edges(
     # entries at once, and equal neighbours are duplicates
     keys = np.sort(np.concatenate((u * n_nodes + v, v * n_nodes + u)))
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    return _from_sorted_rows(n_nodes, keys // n_nodes, keys % n_nodes, positions, radius)
+    return _from_sorted_rows(n_nodes, keys // n_nodes, keys % n_nodes)
 
 
 def connectivity_radius(n_nodes: int, c: float = DEFAULT_CONNECTIVITY_C) -> float:
@@ -117,8 +105,7 @@ def build_rgg(n_nodes: int, radius: float, rng: np.random.Generator) -> Topology
         raise ValueError("need at least 2 nodes")
     if not (0.0 < radius <= math.sqrt(2.0)):
         raise ValueError("radius must lie in (0, sqrt(2)]")
-    positions = rng.random((n_nodes, 2))
-    return from_edges(n_nodes, _grid_pairs(positions, radius), positions=positions, radius=radius)
+    return from_edges(n_nodes, _grid_pairs(rng.random((n_nodes, 2)), radius))
 
 
 # a cell's half stencil: itself and the four neighbours that follow it, so
@@ -164,19 +151,12 @@ def _grid_pairs(positions: np.ndarray, radius: float) -> np.ndarray:
     return np.concatenate(found)
 
 
-@dataclass
-class ComponentReport:
-    """Connected-component labeling with the giant component singled out."""
+def giant_component(t: Topology) -> np.ndarray:
+    """The ascending node ids of the largest connected component, the one
+    holding the smallest id among those of equal size.
 
-    component_ids: np.ndarray
-    giant: np.ndarray  # ascending node ids
-    alpha: float
-
-
-def giant_component(t: Topology) -> ComponentReport:
-    """Min-label propagation with pointer jumping: each node is labeled by the
-    smallest id in its component, and the giant is the largest component
-    (smallest-id tiebreak, which the smallest-member labels give for free).
+    Min-label propagation with pointer jumping labels each node by the
+    smallest id in its component, so the tiebreak comes for free.
 
     Labels only decrease and stay inside their component.  Each round hooks
     the label of every edge end onto the smaller label across the edge, then
@@ -190,18 +170,18 @@ def giant_component(t: Topology) -> ComponentReport:
         np.minimum.at(labels, lv, lu)
         while not np.array_equal(jumped := labels[labels], labels):
             labels = jumped
-    giant = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
-    return ComponentReport(labels, giant, 1.0 - len(giant) / t.n_nodes)
+    return np.flatnonzero(labels == np.argmax(np.bincount(labels)))
 
 
 def build_connected_rgg(n_nodes: int, radius: float, rng: np.random.Generator) -> Topology:
     """Redraw RGGs until one is connected, giving up after a fixed number of
-    draws with DisconnectedGraphError instead of looping forever."""
+    draws with a ValueError, a configuration error (the radius is too small
+    for the node count), instead of looping forever."""
     for _ in range(_RGG_CONNECT_ATTEMPTS):
         topo = build_rgg(n_nodes, radius, rng)
-        if len(giant_component(topo).giant) == n_nodes:
+        if len(giant_component(topo)) == n_nodes:
             return topo
-    raise DisconnectedGraphError(
+    raise ValueError(
         f"no connected RGG in {_RGG_CONNECT_ATTEMPTS} attempts at N={n_nodes} "
         f"(radius {radius:.4g}); raise the radius constant"
     )
@@ -216,20 +196,19 @@ def induced_subgraph(t: Topology, nodes) -> tuple[Topology, np.ndarray]:
     # relabeling is increasing on the kept ids, so rows stay ascending
     rows, cols = new_id[t._rows()], new_id[t.indices]
     inside = (rows >= 0) & (cols >= 0)
-    positions = t.positions[keep] if t.positions is not None else None
-    sub = _from_sorted_rows(len(keep), rows[inside], cols[inside], positions, t.radius)
-    return sub, keep
+    return _from_sorted_rows(len(keep), rows[inside], cols[inside]), keep
 
 
 def read_edge_list(path) -> Topology:
     """The topology of an edge-list file: a header "N radius" (radius '-'
     when absent), then one "u v" line per undirected edge, in either
-    orientation, on node ids 0..N-1; blank lines are skipped."""
-    (n, radius), edges = read_int_rows(
+    orientation, on node ids 0..N-1; blank lines are skipped.  The radius
+    token is checked, then dropped: no run reads it."""
+    (n, _), edges = read_int_rows(
         path, (int, lambda token: None if token == "-" else float(token)), "'N radius'", 2,
         "malformed edge line, want 'u v'",
     )
-    return from_edges(n, edges, radius=radius)
+    return from_edges(n, edges)
 
 
 def read_int_rows(path, header, header_want: str, columns: int, bad_line: str):

@@ -314,7 +314,7 @@ def build_topology(spec: str, n: int, radius_c: float, rng: np.random.Generator)
             raise ValueError(
                 f"graph file has {topo.n_nodes} nodes, config wants {n}"
             )
-        if len(network.giant_component(topo).giant) != n:
+        if len(network.giant_component(topo)) != n:
             raise ValueError("graph file is not connected")
         return topo, np.arange(n), 0.0
     if spec == "rgg-connected":
@@ -323,13 +323,24 @@ def build_topology(spec: str, n: int, radius_c: float, rng: np.random.Generator)
     # rgg-percolating
     radius = network.percolation_radius(n, radius_c)
     topo = network.build_rgg(n, radius, rng)
-    report = network.giant_component(topo)
-    if len(report.giant) < _GIANT_MIN_FRACTION * n:
-        raise TrialRejected(
-            f"giant component holds {len(report.giant)}/{n} nodes"
-        )
-    sub, orig_ids = network.induced_subgraph(topo, report.giant)
-    return sub, orig_ids, report.alpha
+    giant = network.giant_component(topo)
+    if len(giant) < _GIANT_MIN_FRACTION * n:
+        raise TrialRejected(f"giant component holds {len(giant)}/{n} nodes")
+    sub, orig_ids = network.induced_subgraph(topo, giant)
+    return sub, orig_ids, 1.0 - len(giant) / n
+
+
+def check_inputs(cfg: ExperimentConfig) -> None:
+    """Builds trial 0's dataset and network from its own seeds, as run_trial
+    does, and discards them: an input no trial can use (a malformed or
+    mismatched file, a disconnected graph file, no connected RGG) raises its
+    ValueError here.  A small percolating giant rejects only its own trial."""
+    data_ss, _, topo_ss, _, _ = _trial_seeds(cfg, 0)
+    generate_data(cfg.data, cfg.n_nodes, cfg.alphabet_size, np.random.default_rng(data_ss))
+    try:
+        build_topology(cfg.network, cfg.n_nodes, cfg.radius_c, np.random.default_rng(topo_ss))
+    except TrialRejected:
+        pass
 
 
 def _heard_sketch(

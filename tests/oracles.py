@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -74,10 +74,12 @@ def degree(topo: Topology, u: int) -> int:
     return int(topo.indptr[u + 1] - topo.indptr[u])
 
 
-def validate_topology(topo: Topology) -> None:
+def validate_topology(topo: Topology, positions=None, radius=None) -> None:
     """Exhaustive structural check: well-formed ascending rows, no
-    self-loops, symmetric adjacency, and (when positions are present)
-    edge iff distance <= radius, checked over all N^2 pairs."""
+    self-loops, symmetric adjacency, and (when positions are given) edge iff
+    distance <= radius, checked over all N^2 pairs.  An RGG drawn by
+    build_rgg(n, radius, np.random.default_rng(s)) has the positions
+    np.random.default_rng(s).random((n, 2)), its generator's first draw."""
     n = topo.n_nodes
     rows = np.repeat(np.arange(n), np.diff(topo.indptr))
     cols = topo.indices.astype(np.int64)
@@ -92,11 +94,11 @@ def validate_topology(topo: Topology) -> None:
         raise ValueError(f"self-loop at node {rows[rows == cols][0]}")
     if not np.array_equal(keys, np.sort(cols * n + rows)):
         raise ValueError("asymmetric adjacency")
-    if topo.positions is not None:
-        if topo.radius is None:
+    if positions is not None:
+        if radius is None:
             raise ValueError("positions given without a radius")
-        diff = topo.positions[:, None, :] - topo.positions[None, :, :]
-        want = np.sqrt((diff**2).sum(axis=2)) <= topo.radius
+        diff = positions[:, None, :] - positions[None, :, :]
+        want = np.sqrt((diff**2).sum(axis=2)) <= radius
         np.fill_diagonal(want, False)
         have = np.zeros((n, n), dtype=bool)
         have[rows, cols] = True
@@ -104,12 +106,12 @@ def validate_topology(topo: Topology) -> None:
             raise ValueError("adjacency disagrees with the distance rule")
 
 
-def write_edge_list(t: Topology, path) -> None:
+def write_edge_list(t: Topology, path, radius: float | None = None) -> None:
     """The edge-list file that network.read_edge_list reads: header
-    "N radius" (radius '-' when absent), then one "u v" line per edge."""
+    "N radius" (radius '-' when None), then one "u v" line per edge."""
     with open(path, "w") as fh:
-        radius = "-" if t.radius is None else f"{t.radius:.9g}"
-        fh.write(f"{t.n_nodes} {radius}\n")
+        header = "-" if radius is None else f"{radius:.9g}"
+        fh.write(f"{t.n_nodes} {header}\n")
         fh.writelines(f"{u} {v}\n" for u, v in t.edges().tolist())
 
 
@@ -152,6 +154,15 @@ def bfs_components(n: int, adjacency) -> np.ndarray:
                     labels[v] = start
                     queue.append(v)
     return labels
+
+
+def bfs_giant(n: int, adjacency) -> np.ndarray:
+    """The ascending ids of the largest component of bfs_components, the
+    one with the smallest member among those of equal size."""
+    labels = bfs_components(n, adjacency)
+    sizes = Counter(labels.tolist())
+    largest = min(sizes, key=lambda label: (-sizes[label], label))
+    return np.flatnonzero(labels == largest)
 
 
 def min_exponential_samples(rates, n_samples: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,7 +21,7 @@ from netmoments.network import (
 )
 
 from oracles import (
-    bfs_components,
+    bfs_giant,
     complete_topology,
     cycle_topology,
     degree,
@@ -76,7 +76,7 @@ class TestRadii:
         connected = 0
         for seed in range(100):
             topo = build_rgg(n, radius, np.random.default_rng(seed))
-            if len(giant_component(topo).giant) == n:
+            if len(giant_component(topo)) == n:
                 connected += 1
         assert connected >= 95
 
@@ -87,7 +87,7 @@ class TestRadii:
         hits = 0
         for seed in range(40):
             topo = build_rgg(n, radius, np.random.default_rng(seed))
-            if len(giant_component(topo).giant) >= 0.8 * n:
+            if len(giant_component(topo)) >= 0.8 * n:
                 hits += 1
         assert hits >= 36
 
@@ -104,13 +104,25 @@ class TestRgg:
     def test_deterministic_given_seed(self):
         a = build_rgg(50, 0.2, np.random.default_rng(5))
         b = build_rgg(50, 0.2, np.random.default_rng(5))
-        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.edges(), b.edges())
+
+    def test_positions_are_the_generators_first_draw(self):
+        # the oracles rebuild an RGG's positions as its generator's first
+        # draw: build_rgg draws them, and nothing else
+        rng = np.random.default_rng(7)
+        topo = build_rgg(50, 0.2, rng)
+        again = np.random.default_rng(7)
+        positions = again.random((50, 2))
+        assert rng.bit_generator.state == again.bit_generator.state
+        validate_topology(topo, positions, 0.2)
+        with pytest.raises(ValueError, match="distance rule"):
+            validate_topology(topo, np.random.default_rng(8).random((50, 2)), 0.2)
 
     def test_structure_validates(self):
         for seed in range(10):
             topo = build_rgg(40, 0.25, np.random.default_rng(seed))
-            validate_topology(topo)
+            validate_topology(topo, np.random.default_rng(seed).random((40, 2)), 0.25)
 
     def test_radius_bounds(self):
         with pytest.raises(ValueError):
@@ -144,8 +156,9 @@ class TestGridPairs:
         )(n)
         for seed in range(seeds):
             topo = build_rgg(n, radius, np.random.default_rng(seed))
-            want = kdtree_pairs(topo.positions, radius)
-            assert np.array_equal(_row_major(_grid_pairs(topo.positions, radius)), want)
+            positions = np.random.default_rng(seed).random((n, 2))
+            want = kdtree_pairs(positions, radius)
+            assert np.array_equal(_row_major(_grid_pairs(positions, radius)), want)
             assert np.array_equal(topo.edges(), want)
 
     @pytest.mark.parametrize("k", [3, 7, 10, 31])
@@ -214,9 +227,8 @@ class TestCsrAgainstOracle:
         again = from_edges(n, pairs)
         assert np.array_equal(again.indptr, topo.indptr)
         assert np.array_equal(again.indices, topo.indices)
-        # components from the raw edge list, not from the topology under test
-        labels = giant_component(topo).component_ids
-        assert np.array_equal(labels, bfs_components(n, want))
+        # the giant from the raw edge list, not from the topology under test
+        assert np.array_equal(giant_component(topo), bfs_giant(n, want))
         # induced subgraph on a random node subset given in random order
         nodes = data.draw(st.lists(st.integers(0, n - 1), unique=True))
         sub, keep = induced_subgraph(topo, nodes)
@@ -241,30 +253,22 @@ class TestCsrAgainstOracle:
 class TestGiantComponent:
     def test_two_components(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]
-        report = giant_component(from_edges(8, edges))
-        assert report.giant.tolist() == [0, 1, 2, 3, 4]
-        assert report.alpha == pytest.approx(3 / 8)
+        assert giant_component(from_edges(8, edges)).tolist() == [0, 1, 2, 3, 4]
 
-    def test_connected_alpha_zero(self):
-        report = giant_component(cycle_topology(9))
-        assert report.alpha == 0.0
-        assert len(report.giant) == 9
+    def test_connected_graph_is_its_own_giant(self):
+        assert giant_component(cycle_topology(9)).tolist() == list(range(9))
 
     def test_tie_broken_by_smallest_id(self):
-        report = giant_component(from_edges(4, [(0, 1), (2, 3)]))
-        assert report.giant.tolist() == [0, 1]
+        assert giant_component(from_edges(4, [(0, 1), (2, 3)])).tolist() == [0, 1]
+        assert giant_component(from_edges(5, [(1, 4), (2, 3)])).tolist() == [1, 4]
 
-    def test_labels_are_equivalence_classes(self):
-        rng = np.random.default_rng(8)
-        topo = build_rgg(60, 0.12, rng)
-        report = giant_component(topo)
-        ids = report.component_ids
-        for u, v in topo.edges():
-            assert ids[u] == ids[v]
-        # labels are the smallest member of each class
-        for u in range(60):
-            members = np.flatnonzero(ids == ids[u])
-            assert ids[u] == members.min()
+    def test_giant_is_one_whole_component(self):
+        topo = build_rgg(60, 0.12, np.random.default_rng(8))
+        giant = giant_component(topo)
+        # no edge leaves the giant, and it is the BFS oracle's largest class
+        inside = np.isin(topo.edges(), giant)
+        assert np.array_equal(inside[:, 0], inside[:, 1])
+        assert np.array_equal(giant, bfs_giant(60, [neighbors(topo, u) for u in range(60)]))
 
     def test_matches_bfs_oracle(self):
         rng = np.random.default_rng(3)
@@ -278,10 +282,8 @@ class TestGiantComponent:
                 if rng.random() < p
             ]
             topo = from_edges(n, edges)
-            mine = giant_component(topo).component_ids
-            oracle = bfs_components(n, neighbor_lists(n, edges))
-            # same partition: labels agree because both use smallest member
-            assert np.array_equal(mine, oracle)
+            # the largest class, smallest member first on ties
+            assert np.array_equal(giant_component(topo), bfs_giant(n, neighbor_lists(n, edges)))
 
     def test_shuffled_path_needs_many_rounds(self):
         # two long paths over shuffled ids: labels must travel hundreds of
@@ -289,20 +291,19 @@ class TestGiantComponent:
         n = 2000
         perm = np.random.default_rng(12).permutation(n)
         edges = [(perm[i], perm[i + 1]) for i in range(n - 1) if i != 1299]
-        report = giant_component(from_edges(n, edges))
-        assert np.array_equal(report.component_ids, bfs_components(n, neighbor_lists(n, edges)))
-        assert report.giant.tolist() == sorted(perm[:1300].tolist())
-        assert report.alpha == pytest.approx(700 / n)
+        giant = giant_component(from_edges(n, edges))
+        assert np.array_equal(giant, bfs_giant(n, neighbor_lists(n, edges)))
+        assert giant.tolist() == sorted(perm[:1300].tolist())
 
 
 class TestSerialization:
     def test_edge_list_round_trip(self, tmp_path):
         topo = build_rgg(30, 0.3, np.random.default_rng(4))
         path = tmp_path / "edges.txt"
-        write_edge_list(topo, path)
+        write_edge_list(topo, path, 0.3)
+        assert path.read_text().splitlines()[0] == "30 0.3"
         loaded = read_edge_list(path)
         assert loaded.n_nodes == 30
-        assert loaded.radius == pytest.approx(0.3)
         assert loaded.edges().tolist() == topo.edges().tolist()
 
     def test_edge_list_no_radius(self, tmp_path):
@@ -310,7 +311,7 @@ class TestSerialization:
         path = tmp_path / "edges.txt"
         write_edge_list(topo, path)
         assert path.read_text().splitlines()[0] == "4 -"
-        assert read_edge_list(path).radius is None
+        assert read_edge_list(path).edges().tolist() == topo.edges().tolist()
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -386,7 +386,7 @@ class TestSpreadingTime:
             topo, p_n = read_edge_list("edges.txt"), default_p_n(n)
         else:
             whole = build_rgg(n, percolation_radius(n, DEFAULT_PERCOLATION_C), rng)
-            topo, _ = induced_subgraph(whole, giant_component(whole).giant)
+            topo, _ = induced_subgraph(whole, giant_component(whole))
             p_n = default_p_n(n, percolating=True)
             assert n / 2 <= topo.n_nodes < n
         reports = [run_spreading(topo, protocol, rng, p_n)[0] for _ in range(3)]
@@ -576,7 +576,7 @@ class TestGiantInvariance:
         values = generate_data("zipf:1.2", n, m, np.random.default_rng(data_ss)).values
         whole = build_rgg(n, percolation_radius(n, DEFAULT_PERCOLATION_C),
                           np.random.default_rng(topo_ss))
-        giant, ids = induced_subgraph(whole, giant_component(whole).giant)
+        giant, ids = induced_subgraph(whole, giant_component(whole))
         write_edge_list(giant, tmp_path / "giant.txt")
         write_dataset_file(Dataset(values[ids], m), tmp_path / "giant.dat")
         code, out = _run(tmp_path, "giant", [
@@ -785,6 +785,7 @@ class TestSweep:
 
 
 _TINY = ["--nodes", "60", "--alphabet", "5", "--r1", "2", "--r2", "4", "--seed", "1"]
+_PINS = ["--r1", "2", "--r2", "4", "--seed", "3"]
 _BAD_DATA = [
     ("bogus", "unknown data model 'bogus'"), ("zipf", "unknown data model 'zipf'"),
     ("zipf:", "could not convert"), ("zipf:abc", "could not convert"),
@@ -974,6 +975,41 @@ class TestExitCodes:
         assert message in captured.err
         assert "# effective-config" not in captured.out
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, out, message", [
+        pytest.param(["run", "--nodes", "200", "--alphabet", "10", "--network", "rgg-connected",
+                      "--radius-c", "0.05", *_PINS], "y",
+                     "no connected RGG in 100 attempts at N=200", id="run-no-connected-rgg"),
+        pytest.param(["run", "--nodes", "3", "--alphabet", "2", "--data", "file:bad.dat",
+                      *_PINS], "z", "bad.dat:3: not an integer value", id="run-bad-data-file"),
+        pytest.param(["run", "--nodes", "12", "--alphabet", "2", "--data", "file:d10.dat",
+                      *_PINS], "v", "dataset file holds N=10 M=2, config wants N=12 M=2",
+                     id="run-data-file-size"),
+        pytest.param(["run", "--nodes", "4", "--alphabet", "2", "--network", "graph:g.txt",
+                      *_PINS], "w", "graph file is not connected", id="run-disconnected-graph"),
+        pytest.param(["sweep", "--nodes", "12", "--alphabet", "2", "--data", "file:d10.dat",
+                      *_PINS, "--param", "k", "--values", "2"], "sw",
+                     "dataset file holds N=10 M=2, config wants N=12 M=2",
+                     id="sweep-data-file-size"),
+        pytest.param(["gen-data", "--nodes", "12", "--alphabet", "2", "--data", "file:d10.dat",
+                      "--seed", "1"], "g.out", "dataset file holds N=10 M=2, config wants N=12 M=2",
+                     id="gen-data-data-file-size"),
+    ])
+    def test_input_trial_zero_cannot_use_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys, argv, out, message
+    ):
+        # run and each sweep point build trial 0's dataset and network before
+        # the echo, and gen-data its dataset
+        monkeypatch.chdir(tmp_path)
+        Path("bad.dat").write_text("3 5\n1\nx\n2\n")
+        write_dataset_file(Dataset(np.arange(10) % 2 + 1, 2), "d10.dat")
+        Path("g.txt").write_text("4 -\n0 1\n2 3\n")
+        with _deadline(60):
+            assert cli.main([*argv, "--out", out]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not Path(out).exists()
 
     def test_spreading_time_without_connected_rgg_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "st"

@@ -22,7 +22,7 @@ spreading-time, never by a run itself.
 run, sweep and spreading-time also write the echo as effective.cfg into
 their --out directory.
 Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
-4 non-convergence beyond tolerance.
+4 non-convergence beyond tolerance, or a run that measured no trial.
 """
 
 from __future__ import annotations
@@ -286,8 +286,11 @@ def cmd_run(settings: dict, keys) -> int:
     if out_dir is not None:
         _write_report(report, out_dir, settings["format"])
     _summarize(report, cfg)
-    measured = max(1, len(report["trials"]))
-    if report["aggregates"]["non_converged"] / measured > beta:
+    agg, measured = report["aggregates"], len(report["trials"])
+    if not measured:
+        print(f"no trial measured: all {agg['trials_rejected']} rejected", file=sys.stderr)
+        return EXIT_NONCONVERGED
+    if agg["non_converged"] / measured > beta:
         print("non-convergence beyond tolerance", file=sys.stderr)
         return EXIT_NONCONVERGED
     return EXIT_OK
@@ -337,23 +340,24 @@ def cmd_spreading_time(settings: dict, keys) -> int:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     beta = _beta(settings)
-    # one generator per size draws the graph, then every trial on it; every
+    # each size's seed draws its graph and spawns one seed per trial; every
     # graph is drawn before the echo, so one that cannot be drawn fails first
     graphs = []
     for idx, (n, (radius_c, _, _)) in enumerate(zip(sizes, networks)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], idx)))
+        size_ss = np.random.SeedSequence(entropy=(settings["seed"], idx))
         try:
-            topo, ids, _ = simulator.build_topology(spec, n, radius_c, rng)
+            topo, ids = simulator.build_topology(spec, n, radius_c, np.random.default_rng(size_ss))
         except simulator.TrialRejected as exc:
             raise ValueError(f"N={n}: {exc}, under half") from None
-        graphs.append((topo, ids, rng))
+        graphs.append((topo, ids, size_ss.spawn(trials)))
     out_dir = Path(settings["out"]) if settings.get("out") else None
     points = [dict(zip(("radius_c", "p_n", "exchange_mode"), network)) for network in networks]
     _echo_config(settings, keys, points, out_dir)
     rows = []
-    for n, (_, p_n, exchange_mode), (topo, ids, rng) in zip(sizes, networks, graphs):
+    for n, (_, p_n, exchange_mode), (topo, ids, trial_seeds) in zip(sizes, networks, graphs):
         steps = []  # of the spreads that completed; one cut by the cap is left out
-        for _ in range(trials):
+        for trial_ss in trial_seeds:
+            rng = np.random.default_rng(trial_ss)
             report, _ = run_spreading(topo, protocol, rng, p_n, exchange_mode, max_steps)
             if report.completed:
                 steps.append(report.steps_to_full)

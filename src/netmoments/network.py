@@ -203,12 +203,19 @@ def read_edge_list(path) -> Topology:
     """The topology of an edge-list file: a header "N radius" (radius '-'
     when absent), then one "u v" line per undirected edge, in either
     orientation, on node ids 0..N-1; blank lines are skipped.  The radius
-    token is checked, then dropped: no run reads it."""
+    token is checked, '-' or a finite radius > 0, then dropped: no run
+    reads it."""
     (n, _), edges = read_int_rows(
-        path, (int, lambda token: None if token == "-" else float(token)), "'N radius'", 2,
-        "malformed edge line, want 'u v'",
+        path, (int, _check_radius), "'N radius'", 2, "malformed edge line, want 'u v'",
     )
     return from_edges(n, edges)
+
+
+def _check_radius(token: str) -> None:
+    """Raises ValueError unless an edge-list header's radius token is '-' or
+    a finite radius > 0."""
+    if token != "-" and not 0.0 < float(token) < math.inf:  # nan included
+        raise ValueError
 
 
 def read_int_rows(path, header, header_want: str, columns: int, bad_line: str):

@@ -23,13 +23,12 @@ per contact, heard[sender] | heard[receiver], and stores it into the
 receiver, and into the sender too under exchange.
 Full heard-sets are marked in a mask that both sources read when they draw
 a block: they leave out every contact whose receiving ends are all full,
-since it changes nothing.  A spread reads whole blocks from its source's
-generator: one that stops inside a block has drawn all of that block, so
-spreads run in turn on one generator each start at a block boundary.
+since it changes nothing.
 
 Spreading carries no sketch state.  A node's min-sketch is the elementwise
-min of the initial sketches in its heard-set, so callers read sketches off
-the heard-sets that run_spreading returns.
+min of the initial sketches in its heard-set, and the algorithm reads node
+0's, so run_spreading returns node 0's heard-set alone, as a boolean mask;
+the N heard-sets never leave this module.
 """
 
 from __future__ import annotations
@@ -277,7 +276,7 @@ def run_spreading(
     p_n: float | None = None,
     exchange_mode: str | None = None,
     max_steps: int | None = None,
-) -> tuple[SpreadReport, list[int]]:
+) -> tuple[SpreadReport, np.ndarray]:
     """Run a protocol until every node has heard every other node (or the step
     cap).  Heard-sets S_u are tracked as bitmasks: bit w of S_u is set once
     node u has heard, directly or by relay, from node w.
@@ -289,9 +288,9 @@ def run_spreading(
     when None; max_steps is the step cap, default_max_steps when None.  Each
     protocol ignores the other's setting.
 
-    Returns (SpreadReport, heard_sets).  A node's min-sketch is the min over
-    the initial sketches of its heard-set, so the heard-sets are all a caller
-    needs to read any node's sketch, complete or cut short by the cap.
+    Returns (SpreadReport, mask), mask node 0's heard-set as a boolean array
+    over the N nodes: the members whose initial sketches node 0's min-sketch
+    is the min of, complete or cut short by the cap.
     """
     n = _n_nodes(topo)
     if protocol not in PROTOCOLS:
@@ -307,10 +306,6 @@ def run_spreading(
     else:
         blocks = _aloha_blocks(topo, p_n, rng, skip)
     steps, messages, completed = _deliver(blocks, heard, is_full, max_steps, exchange)
-    return SpreadReport(steps, messages, completed), heard
-
-
-def heard_mask(heard_set: int, n_nodes: int) -> np.ndarray:
-    """A heard-set bitmask as a boolean array over the n_nodes nodes."""
-    raw = np.frombuffer(heard_set.to_bytes((n_nodes + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n_nodes, bitorder="little").view(bool)
+    node0 = (heard[0] if n else 0).to_bytes((n + 7) // 8, "little")
+    mask = np.unpackbits(np.frombuffer(node0, dtype=np.uint8), count=n, bitorder="little")
+    return SpreadReport(steps, messages, completed), mask.view(bool)

@@ -26,14 +26,14 @@ import numpy.random  # numpy loads it on first use; load it with the package
 
 from . import estimators, network, protocols, sketch_core
 from .estimators import Dataset, ErrorBudget, exact_fk
-from .protocols import heard_mask, run_spreading
+from .protocols import run_spreading
 from .sketch_core import QuantConfig, harmonic_estimate, min_truncated_exp_levels
 
 NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
 
 DEFAULT_S1 = 5
 _GIANT_MIN_FRACTION = 0.5
-_MAX_CELLS = 1 << 23  # the desk-scale cap on a solved budget's r1 * r2
+_MAX_CELLS = 1 << 23  # the desk-scale cap on a budget's r1 * r2
 
 # Budget-solver calibration.  The worst-case theory constants (Chebyshev 2
 # for the map term, Chernoff 12 for the replica term) demand r1*r2 in the
@@ -142,9 +142,9 @@ def solve_budget(
       1/(delta eps^2) (ROADMAP items 3 and 10);
     - r2 = pow2(CAL_EXP_TERM ln(4/delta) / eps2^2).
     The quantizer follows QuantConfig.for_population at target eps2.  A given
-    r1 and r2, quant_bits or trunc_l is taken as it is; solved budgets beyond
-    _MAX_CELLS sketch cells raise CapacityError instead of returning
-    something unrunnable.
+    r1 and r2, quant_bits or trunc_l is taken as it is; a budget beyond
+    _MAX_CELLS sketch cells, solved or given, raises CapacityError instead
+    of returning something unrunnable.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -156,12 +156,12 @@ def solve_budget(
     if r1 is None:
         r1 = _next_pow2(CAL_MAP_TERM / (delta_half * eps1**2))
         r2 = _next_pow2(CAL_EXP_TERM * math.log(2.0 / delta_half) / eps2**2)
-        if r1 * r2 > _MAX_CELLS:
-            raise CapacityError(
-                f"budget needs r1*r2 = {r1 * r2} sketch cells "
-                f"(cap {_MAX_CELLS}); relax epsilon or delta"
-            )
     budget = ErrorBudget(r1=r1, r2=r2)
+    if r1 * r2 > _MAX_CELLS:
+        raise CapacityError(
+            f"budget needs r1*r2 = {r1 * r2} sketch cells "
+            f"(cap {_MAX_CELLS}); relax epsilon or delta, or give smaller r1 and r2"
+        )
     quant = QuantConfig.for_population(n_nodes, eps2)
     quant = QuantConfig(
         truncation_L=quant.truncation_L if trunc_l is None else trunc_l,
@@ -302,12 +302,12 @@ class TrialRejected(RuntimeError):
 
 
 def build_topology(spec: str, n: int, radius_c: float, rng: np.random.Generator):
-    """Returns (topology-to-run-on, original node ids of participants, alpha)
-    for a resolved network spec.  The complete graph is never built: it is
+    """Returns (topology-to-run-on, original node ids of participants) for a
+    resolved network spec.  The complete graph is never built: it is
     run on as its node count N.  A percolating network is run on its giant
     component, and a giant below half of the N nodes raises TrialRejected."""
     if spec == "complete":
-        return n, np.arange(n), 0.0
+        return n, np.arange(n)
     if spec.startswith("graph:"):
         topo = network.read_edge_list(spec[len("graph:"):])
         if topo.n_nodes != n:
@@ -316,18 +316,17 @@ def build_topology(spec: str, n: int, radius_c: float, rng: np.random.Generator)
             )
         if len(network.giant_component(topo)) != n:
             raise ValueError("graph file is not connected")
-        return topo, np.arange(n), 0.0
+        return topo, np.arange(n)
     if spec == "rgg-connected":
         radius = network.connectivity_radius(n, radius_c)
-        return network.build_connected_rgg(n, radius, rng), np.arange(n), 0.0
+        return network.build_connected_rgg(n, radius, rng), np.arange(n)
     # rgg-percolating
     radius = network.percolation_radius(n, radius_c)
     topo = network.build_rgg(n, radius, rng)
     giant = network.giant_component(topo)
     if len(giant) < _GIANT_MIN_FRACTION * n:
         raise TrialRejected(f"giant component holds {len(giant)}/{n} nodes")
-    sub, orig_ids = network.induced_subgraph(topo, giant)
-    return sub, orig_ids, 1.0 - len(giant) / n
+    return network.induced_subgraph(topo, giant)
 
 
 def check_inputs(cfg: ExperimentConfig) -> None:
@@ -395,13 +394,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
     m, r1, r2 = cfg.alphabet_size, cfg.budget.r1, cfg.budget.r2
     dataset = generate_data(cfg.data, cfg.n_nodes, m, np.random.default_rng(data_ss))
     try:
-        topo, part_ids, alpha = build_topology(
+        topo, part_ids = build_topology(
             cfg.network, cfg.n_nodes, cfg.radius_c, np.random.default_rng(topo_ss)
         )
     except TrialRejected:
         return None
     part_values = dataset.values[part_ids]
     n_part = part_values.size
+    alpha = 1.0 - n_part / cfg.n_nodes
 
     maps_seed = _seed_int(maps_ss)
     if cfg.k == 2:
@@ -421,17 +421,15 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
 
     reports, estimates = [], []
     for t, b, (phase_sched_ss, phase_draws_ss) in plan:
-        report, heard = run_spreading(topo, cfg.protocol, np.random.default_rng(phase_sched_ss),
-                                      cfg.p_n, cfg.exchange_mode, cfg.max_steps)
-        members = heard_mask(heard[0], n_part)
-        del heard  # neither the heard-sets nor the sketch outlive their phase
+        report, members = run_spreading(topo, cfg.protocol, np.random.default_rng(phase_sched_ss),
+                                        cfg.p_n, cfg.exchange_mode, cfg.max_steps)
         if cfg.k > 2:
             members &= buckets[t - 1, part_values - 1] == b
         draws = np.random.default_rng(phase_draws_ss)
         sketch = _heard_sketch(rates_by_value, part_values, r2, cfg.quant, draws, members)
         estimates.append(harmonic_estimate(sketch.reshape(cfg.channels, r1, r2), cfg.quant))
         reports.append(report)
-        del sketch
+        del sketch  # a sketch does not outlive its phase
     completed = all(report.completed for report in reports)
 
     if cfg.k == 2:

@@ -286,10 +286,9 @@ def aloha_spread(
     topo: Topology, p_n: float, max_steps: int, rng: np.random.Generator
 ) -> tuple[SpreadReport, list[int]]:
     """Slotted Aloha one slot at a time: one rng.random(n) mask and one packed
-    uint64 matvec per slot, every delivery applied.  The oracle for the
-    block-of-slots loop of run_spreading, which draws the masks of 64 slots
-    at a time, so the masks of the rest of the last 64-slot block are drawn
-    too and left unused."""
+    uint64 matvec per slot, every delivery applied; the report and all N
+    heard-sets.  The oracle for the block-of-slots loop of run_spreading,
+    which draws the masks of 64 slots at a time from the same stream."""
     n = topo.n_nodes
     adj = uint64_adjacency(topo)
     heard = [1 << u for u in range(n)]
@@ -303,7 +302,6 @@ def aloha_spread(
         for src, dst in deliveries:
             heard[dst] |= heard[src]
         completed = all(h == full for h in heard)
-    rng.random((-steps % 64, n))
     report = SpreadReport(steps, messages, completed)
     return report, heard
 
@@ -335,8 +333,8 @@ def gossip_spread(
 ) -> tuple[SpreadReport, list[int]]:
     """Gossip one tick at a time: one pick of gossip_picks per tick, its
     deliveries u -> v, then v -> u under exchange, each a message and each
-    applied.  The oracle for the contact blocks and the delivery loop of
-    run_spreading."""
+    applied; the report and all N heard-sets.  The oracle for the contact
+    blocks and the delivery loop of run_spreading."""
     n = topo if isinstance(topo, int) else topo.n_nodes
     picks = gossip_picks(topo, rng)
     heard = [1 << u for u in range(n)]

@@ -334,10 +334,15 @@ class TestOtherOutputs:
 
 
 # network -> sha256 of spreading_time.csv for --nodes 20,300 --trials 3 --seed 1,
-# recorded from the release that stored the complete graph as a CSR
+# first recorded from the release that stored the complete graph as a CSR.
+# Re-recorded, with the Aloha digest below, when each trial began to spread
+# on a generator of its own, spawned from its size's seed, in place of
+# every trial of a size sharing the generator that drew the graph; the
+# graphs did not change.  Each CSV equals the one the tick-by-tick oracles
+# of tests/oracles.py give on the same seeds.
 SPREADING_CSV = {
-    "complete": "442e047cf26fbfb16b46c48ea165de03f8fc9d6eb2c651f231d54ba42605766c",
-    "rgg-connected": "a0f5e44615f609237bf62a499a93bc31a5891fd820b6f940605e8cd438e61c44",
+    "complete": "768fe3dcfd28d71cd2cc3128c1ef99e1104ed3814291014c72ea90e70c92f095",
+    "rgg-connected": "551e8f7b2840a7e52646c85cc1132dbeb236381cc4b9bf86280ba29e9f753aac",
 }
 
 
@@ -352,18 +357,17 @@ class TestSpreadingTime:
         assert hashlib.sha256(body).hexdigest() == SPREADING_CSV[net]
 
     def test_aloha_csv_digest(self, tmp_path, capsys):
-        # the three trials share one generator, and a spread reads whole
-        # 64-slot blocks of masks, so each trial after the first starts where
-        # the last block of the one before it ends.  Re-recorded when spreads
-        # stopped giving back the unused masks of their last block; the CSV
-        # equals the one oracles.aloha_spread gives, which reads them too.
+        # each of the three trials spreads on a generator spawned from its
+        # size's seed.  Re-recorded with SPREADING_CSV when the trials
+        # stopped sharing one generator; the CSV equals the one
+        # oracles.aloha_spread gives on the same seeds.
         out = tmp_path / "aloha"
         code = cli.main(["spreading-time", "--nodes", "20,300", "--network", "rgg-connected",
                          "--protocol", "aloha", "--trials", "3", "--seed", "1",
                          "--out", str(out)])
         assert code == cli.EXIT_OK
         body = (out / "spreading_time.csv").read_bytes()
-        want = "a755e74966a4e5597cdd9c4e7760f4db3e66b8aca3e802cfd20da58210da4e22"
+        want = "9e364d242e517bce9cfdca7c23b241b31a36950ed3e66e46af9e0489cdf7abae"
         assert hashlib.sha256(body).hexdigest() == want
 
 
@@ -373,7 +377,8 @@ class TestSpreadingTime:
     )
     def test_runs_on_the_network_run_uses(self, tmp_path, monkeypatch, capsys, net, protocol):
         # a percolating graph spreads on its giant component at the regime's
-        # p_n, as `run` does; the generator of the size draws the graph first
+        # p_n, as `run` does; the size's seed draws the graph and spawns one
+        # seed per trial
         monkeypatch.chdir(tmp_path)
         _write_graph(tmp_path / "edges.txt")
         n = 150 if net == "graph" else 400
@@ -381,15 +386,17 @@ class TestSpreadingTime:
         code = cli.main(["spreading-time", "--nodes", str(n), "--network", spec,
                          "--protocol", protocol, "--trials", "3", "--seed", "4", "--out", "st"])
         assert code == cli.EXIT_OK
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(4, 0)))
+        size_ss = np.random.SeedSequence(entropy=(4, 0))
         if net == "graph":
             topo, p_n = read_edge_list("edges.txt"), default_p_n(n)
         else:
-            whole = build_rgg(n, percolation_radius(n, DEFAULT_PERCOLATION_C), rng)
+            radius = percolation_radius(n, DEFAULT_PERCOLATION_C)
+            whole = build_rgg(n, radius, np.random.default_rng(size_ss))
             topo, _ = induced_subgraph(whole, giant_component(whole))
             p_n = default_p_n(n, percolating=True)
             assert n / 2 <= topo.n_nodes < n
-        reports = [run_spreading(topo, protocol, rng, p_n)[0] for _ in range(3)]
+        reports = [run_spreading(topo, protocol, np.random.default_rng(ss), p_n)[0]
+                   for ss in size_ss.spawn(3)]
         steps = [report.steps_to_full for report in reports if report.completed]
         # the n_nodes column counts the nodes the spread ran on: the giant's;
         # the quantile is at 1 - beta for the default beta of 0.1
@@ -437,7 +444,8 @@ class TestSpreadingTime:
         assert cli.main(again) == cli.EXIT_OK
         first = (tmp_path / "first" / "spreading_time.csv").read_bytes()
         assert (tmp_path / "again" / "spreading_time.csv").read_bytes() == first
-        assert b",2\n" in first  # the cap cut one trial short
+        # the cap cut at least one trial short
+        assert any(not row.endswith(b",3") for row in first.splitlines()[1:])
 
     @pytest.mark.parametrize("net", ["complete", "rgg-connected", "rgg-percolating", "graph"])
     def test_resolves_the_regime_run_resolves(self, tmp_path, monkeypatch, capsys, net):
@@ -603,11 +611,12 @@ class TestReproducibility:
         assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
 
     def test_echo_and_report_agree_on_s1_at_k2(self, tmp_path, capsys):
-        # k = 2 runs one phase, so the s1 it runs with is 1 whatever was given
+        # k = 2 runs one phase, so the s1 it runs with is 1 whatever was given;
+        # at this radius both trials are rejected, so the run measures nothing
         argv = ["--nodes", "200", "--alphabet", "10", "--network", "rgg-percolating",
                 "--radius-c", "0.5", "--r1", "2", "--r2", "4", "--trials", "2", "--seed", "1"]
         code, out = _run(tmp_path, "s1", argv)
-        assert code == cli.EXIT_OK
+        assert code == cli.EXIT_NONCONVERGED
         echoed = re.findall(r"^s1 = (\d+)$", (out / "effective.cfg").read_text(), re.M)
         assert echoed == ["1"]
         assert json.loads((out / "report.json").read_text())["config"]["s1"] == 1
@@ -952,6 +961,33 @@ class TestExitCodes:
                                          "--epsilon", "0.001", "--delta", "0.001"])
         assert code == cli.EXIT_INFEASIBLE
 
+    def test_given_budget_over_the_cap_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 10^12 cells would need terabytes; should the check miss, the run
+        # stops before it draws anything
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        code, out = _run(tmp_path, "big", ["--nodes", "200", "--alphabet", "2", "--r1", "1000000",
+                                           "--r2", "1000000", "--seed", "1"])
+        assert code == cli.EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert "infeasible budget: budget needs r1*r2 = 1000000000000 sketch cells" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_run_that_measured_no_trial_is_nonconverged(self, tmp_path, capsys):
+        # a percolating radius this small leaves every node isolated, so
+        # every trial is rejected; the report is still written
+        argv = ["--nodes", "200", "--alphabet", "5", "--network", "rgg-percolating",
+                "--radius-c", "1e-9", "--r1", "2", "--r2", "4", "--trials", "3", "--seed", "1"]
+        code, out = _run(tmp_path, "none", argv)
+        assert code == cli.EXIT_NONCONVERGED
+        assert capsys.readouterr().err == "no trial measured: all 3 rejected\n"
+        assert json.loads((out / "report.json").read_text())["rejected_trials"] == [0, 1, 2]
+
     def test_run_without_connected_rgg_is_config_error(self, tmp_path, capsys):
         argv = ["--nodes", "200", "--alphabet", "10", "--network", "rgg-connected",
                 "--radius-c", "0.05", "--r1", "2", "--r2", "4", "--seed", "3"]
@@ -1046,6 +1082,23 @@ class TestExitCodes:
         assert "beta must lie in (0, 1)" in captured.err
         assert "# effective-config" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "-5", "0", "1e400"])
+    @pytest.mark.parametrize("command", ["run", "spreading-time"])
+    def test_graph_radius_not_finite_and_positive_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys, command, radius
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("g.txt").write_text(f"3 {radius}\n0 1\n1 2\n")
+        argv = [command, "--nodes", "3", "--network", "graph:g.txt", "--trials", "1",
+                "--seed", "1", "--out", "out"]
+        if command == "run":
+            argv += ["--alphabet", "2", "--r1", "2", "--r2", "4"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: g.txt:1: malformed header, want 'N radius'\n"
+        assert captured.out == ""
+        assert not Path("out").exists()
 
     def test_spreading_time_aloha_on_complete_is_config_error(self, capsys):
         argv = ["spreading-time", "--nodes", "120", "--network", "complete", "--protocol", "aloha",
@@ -1253,10 +1306,18 @@ class TestSolveBudget:
         assert given_quant == quant
 
     def test_given_sizes_skip_the_cell_cap(self):
+        # sizes given under the cap replace a solved budget over it
         with pytest.raises(CapacityError):
             solve_budget(0.001, 0.001, 300)
         budget, _ = solve_budget(0.001, 0.001, 300, r1=2, r2=4)
         assert (budget.r1, budget.r2) == (2, 4)
+
+    @pytest.mark.parametrize("r1, r2", [(1 << 12, 1 << 12), (1, (1 << 23) + 1), (10**6, 10**6)])
+    def test_given_sizes_over_the_cap_rejected(self, r1, r2):
+        with pytest.raises(CapacityError, match=f"r1\\*r2 = {r1 * r2} sketch cells"):
+            solve_budget(0.1, 0.1, 300, r1=r1, r2=r2)
+        budget, _ = solve_budget(0.1, 0.1, 300, r1=1, r2=1 << 23)  # at the cap
+        assert budget.r1 * budget.r2 == 1 << 23
 
     def test_given_quantizer_values_override_the_rule(self):
         _, quant = solve_budget(0.1, 0.1, 300)

@@ -16,12 +16,14 @@ from netmoments.protocols import (
     EXCHANGE,
     GOSSIP,
     PUSH,
+    SpreadReport,
     _aloha_block,
+    _aloha_blocks,
     _degree_classes,
+    _deliver,
     _gossip_blocks,
     default_max_steps,
     default_p_n,
-    heard_mask,
     run_spreading,
 )
 
@@ -283,17 +285,46 @@ class TestGossipPicker:
         assert _gossip_contacts(topo, exchange, 3, ticks, skip) == want
 
 
+def _spread(topo, protocol, seed, p_n=None, mode=None, max_steps=None):
+    """The report and all N heard-sets of the spread run_spreading makes on a
+    generator seeded with seed: the protocol's source driven by _deliver,
+    set up as run_spreading sets them up."""
+    n = topo if isinstance(topo, int) else topo.n_nodes
+    cap = default_max_steps(protocol, n) if max_steps is None else max_steps
+    heard = [1 << u for u in range(n)]
+    is_full = bytearray(n)
+    skip = np.frombuffer(is_full, dtype=bool)
+    rng = np.random.default_rng(seed)
+    exchange = protocol == GOSSIP and mode != PUSH
+    if protocol == GOSSIP:
+        blocks = _gossip_blocks(topo, exchange, rng, skip)
+    else:
+        blocks = _aloha_blocks(topo, p_n, rng, skip)
+    return SpreadReport(*_deliver(blocks, heard, is_full, cap, exchange)), heard
+
+
+def _assert_returns(got, want):
+    """run_spreading's return got is (report, mask) of the spread whose
+    report and N heard-sets are want: the report, and node 0's heard-set as
+    a boolean array, bit u of it at index u."""
+    want_report, heard = want
+    report, mask = got
+    assert report == want_report
+    assert mask.dtype == bool
+    assert mask.tolist() == [bool(heard[0] >> u & 1) for u in range(len(heard))]
+
+
 class TestRunSpreading:
     @pytest.mark.parametrize(
         "protocol, mode", [(GOSSIP, EXCHANGE), (GOSSIP, PUSH), (ALOHA, EXCHANGE)]
     )
     def test_completed_heard_sets_are_full(self, protocol, mode):
         topo = complete_topology(30) if protocol == GOSSIP else cycle_topology(12)
-        report, heard = run_spreading(
-            topo, protocol, np.random.default_rng(1), default_p_n(topo.n_nodes), mode
-        )
+        p_n = default_p_n(topo.n_nodes)
+        report, heard = spread = _spread(topo, protocol, 1, p_n, mode)
         assert report.completed
         assert heard == [(1 << topo.n_nodes) - 1] * topo.n_nodes
+        _assert_returns(run_spreading(topo, protocol, np.random.default_rng(1), p_n, mode), spread)
 
     def test_gossip_messages_per_tick(self):
         topo = complete_topology(20)
@@ -303,8 +334,8 @@ class TestRunSpreading:
 
     def test_cut_short_heard_sets_grow_monotonically(self):
         topo = build_rgg(60, 0.3, np.random.default_rng(3))
-        short, heard_short = run_spreading(topo, GOSSIP, np.random.default_rng(4), max_steps=40)
-        _, heard_long = run_spreading(topo, GOSSIP, np.random.default_rng(4), max_steps=80)
+        short, heard_short = _spread(topo, GOSSIP, 4, max_steps=40)
+        _, heard_long = _spread(topo, GOSSIP, 4, max_steps=80)
         assert not short.completed and short.steps_to_full == 40
         for a, b in zip(heard_short, heard_long):
             assert a & b == a
@@ -315,11 +346,13 @@ class TestRunSpreading:
     )
     def test_complete_node_count_matches_csr_oracle(self, mode, max_steps):
         # N = 1000 takes about 11 000 ticks: several picker refills
-        settings = dict(exchange_mode=mode, max_steps=max_steps)
-        got = run_spreading(1000, GOSSIP, np.random.default_rng(6), **settings)
-        want = run_spreading(complete_topology(1000), GOSSIP, np.random.default_rng(6), **settings)
+        settings = dict(mode=mode, max_steps=max_steps)
+        got = _spread(1000, GOSSIP, 6, **settings)
+        want = _spread(complete_topology(1000), GOSSIP, 6, **settings)
         assert got[0] == want[0] and got[0].completed == (max_steps is None)
         assert got[1] == want[1]
+        _assert_returns(run_spreading(1000, GOSSIP, np.random.default_rng(6), None, mode,
+                                      max_steps), want)
 
     @pytest.mark.parametrize("max_steps", [1, 31, 32, 33, _ALOHA_BLOCK - 1, _ALOHA_BLOCK,
                                            _ALOHA_BLOCK + 1, 100, None])
@@ -332,13 +365,12 @@ class TestRunSpreading:
         }[name]
         n = topo.n_nodes
         cap = default_max_steps(ALOHA, n) if max_steps is None else max_steps
-        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
-        # two spreads on one generator, as spreading-time runs its trials
-        for _ in range(2):
-            got = run_spreading(topo, ALOHA, got_rng, default_p_n(n), max_steps=max_steps)
-            want = aloha_spread(topo, default_p_n(n), cap, want_rng)
-            assert got == want
-        assert got_rng.random() == want_rng.random()
+        for seed in (8, 9):
+            want = aloha_spread(topo, default_p_n(n), cap, np.random.default_rng(seed))
+            assert _spread(topo, ALOHA, seed, default_p_n(n), max_steps=max_steps) == want
+            got = run_spreading(topo, ALOHA, np.random.default_rng(seed), default_p_n(n),
+                                max_steps=max_steps)
+            _assert_returns(got, want)
 
     def test_aloha_table_rebuilds_match_slot_by_slot_oracle(self, monkeypatch):
         # a 300-node connectivity-regime spread: the live set halves several
@@ -363,14 +395,15 @@ class TestRunSpreading:
             builds.clear()
             blocks[0] = 0
             cap = default_max_steps(ALOHA, n) if max_steps is None else max_steps
-            got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
-            got = run_spreading(topo, ALOHA, got_rng, p_n, max_steps=max_steps)
-            assert got == aloha_spread(topo, p_n, cap, want_rng)
-            assert got_rng.random() == want_rng.random()
-            assert got[0].completed == (max_steps is None)
-            assert builds[0] == (0, n)
-            assert all(2 * b <= a for (_, a), (_, b) in zip(builds, builds[1:]))
-            return list(builds)
+            want = aloha_spread(topo, p_n, cap, np.random.default_rng(9))
+            assert _spread(topo, ALOHA, 9, p_n, max_steps=max_steps) == want
+            counted = list(builds)
+            _assert_returns(run_spreading(topo, ALOHA, np.random.default_rng(9), p_n,
+                                          max_steps=max_steps), want)
+            assert want[0].completed == (max_steps is None)
+            assert counted[0] == (0, n)
+            assert all(2 * b <= a for (_, a), (_, b) in zip(counted, counted[1:]))
+            return counted
 
         monkeypatch.setattr(protocols, "_degree_classes", counted_build)
         monkeypatch.setattr(protocols, "_aloha_block", counted_block)
@@ -385,10 +418,9 @@ class TestRunSpreading:
         topo = from_edges(61, edges)
         p_n = default_p_n(61)
         cap = default_max_steps(ALOHA, 61)
-        got_rng, want_rng = np.random.default_rng(10), np.random.default_rng(10)
-        got = run_spreading(topo, ALOHA, got_rng, p_n)
-        assert got == aloha_spread(topo, p_n, cap, want_rng)
-        assert got_rng.random() == want_rng.random()
+        got = _spread(topo, ALOHA, 10, p_n)
+        assert got == aloha_spread(topo, p_n, cap, np.random.default_rng(10))
+        _assert_returns(run_spreading(topo, ALOHA, np.random.default_rng(10), p_n), got)
         report, heard = got
         assert not report.completed and report.steps_to_full == cap
         assert heard[60] == 1 << 60
@@ -406,7 +438,8 @@ class TestRunSpreading:
             "rgg300": build_connected_rgg(300, 0.12, np.random.default_rng(300)),
             "isolated40": from_edges(40, [(u, (u + 1) % 39) for u in range(39)]),
         }[name]
-        _assert_gossip_matches_oracle(topo, mode, max_steps, 9)
+        for seed in (9, 10):
+            _assert_gossip_matches_oracle(topo, mode, max_steps, seed)
 
     @pytest.mark.parametrize("max_steps", [1, 2, 3, None])
     @pytest.mark.parametrize("name", ["complete2", "csr2", "complete3", "star5"])
@@ -423,9 +456,23 @@ class TestRunSpreading:
         for seed in range(20):
             _assert_gossip_matches_oracle(topo, mode, max_steps, seed)
         if name in ("complete2", "csr2") and mode == EXCHANGE:
-            report, heard = run_spreading(topo, GOSSIP, np.random.default_rng(0))
+            report, heard = _spread(topo, GOSSIP, 0)
             assert (report.steps_to_full, report.messages_sent) == (1, 2)
             assert heard == [3, 3]
+            assert run_spreading(topo, GOSSIP, np.random.default_rng(0))[1].tolist() == [True] * 2
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 130])
+    def test_mask_at_byte_boundaries(self, n):
+        # N on either side of a byte edge, and node 0's heard-set cut short
+        # at caps from one tick to past completion, so masks of many sizes
+        partial = 0
+        for seed, max_steps in itertools.product(range(4), [1, n // 2 + 1, n, 2 * n, None]):
+            cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
+            want = gossip_spread(n, True, cap, np.random.default_rng(seed))
+            got = run_spreading(n, GOSSIP, np.random.default_rng(seed), max_steps=max_steps)
+            _assert_returns(got, want)
+            partial += 1 < np.count_nonzero(got[1]) < n
+        assert partial > 0 or n == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -443,24 +490,13 @@ class TestRunSpreading:
 
 
 def _assert_gossip_matches_oracle(topo, mode, max_steps, seed):
-    """Two gossip spreads on one generator, as spreading-time runs its
-    trials, equal gossip_spread's in report and heard-sets, and leave the
-    generator where the oracle leaves it."""
+    """The gossip spread on a generator seeded with seed equals
+    gossip_spread's in its report and all N heard-sets, and run_spreading
+    returns that report and node 0's heard-set."""
     n = topo if isinstance(topo, int) else topo.n_nodes
     cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(2):
-        got = run_spreading(topo, GOSSIP, got_rng, exchange_mode=mode, max_steps=max_steps)
-        want = gossip_spread(topo, mode == EXCHANGE, cap, want_rng)
-        assert got == want
-    assert got_rng.random() == want_rng.random()
-
-
-class TestHeardMask:
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 130])
-    def test_matches_bit_tests(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(20):
-            want = rng.integers(0, 2, size=n).astype(bool)
-            mask = heard_mask(sum(1 << int(u) for u in np.flatnonzero(want)), n)
-            assert mask.dtype == bool and mask.tolist() == want.tolist()
+    want = gossip_spread(topo, mode == EXCHANGE, cap, np.random.default_rng(seed))
+    assert _spread(topo, GOSSIP, seed, mode=mode, max_steps=max_steps) == want
+    got = run_spreading(topo, GOSSIP, np.random.default_rng(seed), exchange_mode=mode,
+                        max_steps=max_steps)
+    _assert_returns(got, want)

@@ -279,10 +279,10 @@ def _summarize(report: dict, cfg: ExperimentConfig) -> None:
 def cmd_run(settings: dict, keys) -> int:
     beta = _beta(settings)
     cfg = _experiment_config(settings)
-    simulator.check_inputs(cfg)
+    first = simulator.check_inputs(cfg)
     out_dir = Path(settings["out"]) if settings.get("out") else None
     _echo_config(settings, keys, [_resolved(cfg)], out_dir)
-    report = run_experiment(cfg, jobs=settings["jobs"])
+    report = run_experiment(cfg, jobs=settings["jobs"], first=first)
     if out_dir is not None:
         _write_report(report, out_dir, settings["format"])
     _summarize(report, cfg)
@@ -310,12 +310,11 @@ def cmd_sweep(settings: dict, keys) -> int:
         point = dict(settings)
         point[param] = _coerce(param, raw.strip())
         points.append((raw.strip(), _experiment_config(point)))
-    for _, cfg in points:
-        simulator.check_inputs(cfg)
+    firsts = [simulator.check_inputs(cfg) for _, cfg in points]
     _echo_config(settings, keys, [_resolved(cfg) for _, cfg in points], out_root)
     rows = []
-    for raw, cfg in points:
-        report = run_experiment(cfg, jobs=settings["jobs"])
+    for (raw, cfg), first in zip(points, firsts):
+        report = run_experiment(cfg, jobs=settings["jobs"], first=first)
         _write_report(report, out_root / f"{param}={raw}", settings["format"])
         agg, success = report["aggregates"], report["empirical_success_rate"]
         rows.append((raw, success, agg["mean_abs_error"], agg["median_steps"], agg["total_bits"]))

@@ -329,17 +329,29 @@ def build_topology(spec: str, n: int, radius_c: float, rng: np.random.Generator)
     return network.induced_subgraph(topo, giant)
 
 
-def check_inputs(cfg: ExperimentConfig) -> None:
-    """Builds trial 0's dataset and network from its own seeds, as run_trial
-    does, and discards them: an input no trial can use (a malformed or
-    mismatched file, a disconnected graph file, no connected RGG) raises its
-    ValueError here.  A small percolating giant rejects only its own trial."""
-    data_ss, _, topo_ss, _, _ = _trial_seeds(cfg, 0)
-    generate_data(cfg.data, cfg.n_nodes, cfg.alphabet_size, np.random.default_rng(data_ss))
+def trial_inputs(cfg: ExperimentConfig, trial_index: int, dataset: Dataset | None = None):
+    """A trial's (dataset, network), each built from the trial's own seeds:
+    network is (topology to run on, original node ids of participants), or
+    None for a percolation trial rejected for its small giant.  A dataset
+    given is taken as it is: a data file's is every trial's."""
+    data_ss, _, topo_ss, _, _ = _trial_seeds(cfg, trial_index)
+    if dataset is None:
+        dataset = generate_data(cfg.data, cfg.n_nodes, cfg.alphabet_size,
+                                np.random.default_rng(data_ss))
     try:
-        build_topology(cfg.network, cfg.n_nodes, cfg.radius_c, np.random.default_rng(topo_ss))
+        net = build_topology(cfg.network, cfg.n_nodes, cfg.radius_c, np.random.default_rng(topo_ss))
     except TrialRejected:
-        pass
+        net = None
+    return dataset, net
+
+
+def check_inputs(cfg: ExperimentConfig):
+    """Trial 0's inputs, trial_inputs(cfg, 0): an input no trial can use (a
+    malformed or mismatched file, a disconnected graph file, no connected
+    RGG) raises its ValueError here.  A small percolating giant rejects only
+    its own trial.  run_experiment takes what this returns, so trial 0
+    builds nothing twice."""
+    return trial_inputs(cfg, 0)
 
 
 def _heard_sketch(
@@ -374,13 +386,15 @@ def _heard_sketch(
     return acc
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
+def run_trial(cfg: ExperimentConfig, trial_index: int, inputs=None) -> dict | None:
     """One end-to-end trial of any k, as its record in report.json; None
     means a rejected percolation trial.
 
     The set-up runs once: data, maps and the network, which on a percolating
-    network is its giant component.  Then the phases run in sequence, each a
-    spread from scratch and a sketch read off node 0's heard-set:
+    network is its giant component; inputs, when given, are the trial's
+    dataset and network as trial_inputs builds them.  Then the phases run in
+    sequence, each a spread from scratch and a sketch read off node 0's
+    heard-set:
     - k = 2 is one phase over every participant, on the sign maps;
     - k >= 3 is s1 * num_buckets bucket phases, phase (t, b) over the
       participants that bucket map t sends to bucket b, on three channels of
@@ -390,15 +404,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
     The estimate is computed by, and scaled for, the participants; the exact
     oracle always uses all N nodes.
     """
-    data_ss, maps_ss, topo_ss, sched_ss, draws_ss = _trial_seeds(cfg, trial_index)
+    _, maps_ss, _, sched_ss, draws_ss = _trial_seeds(cfg, trial_index)
     m, r1, r2 = cfg.alphabet_size, cfg.budget.r1, cfg.budget.r2
-    dataset = generate_data(cfg.data, cfg.n_nodes, m, np.random.default_rng(data_ss))
-    try:
-        topo, part_ids = build_topology(
-            cfg.network, cfg.n_nodes, cfg.radius_c, np.random.default_rng(topo_ss)
-        )
-    except TrialRejected:
+    dataset, net = trial_inputs(cfg, trial_index) if inputs is None else inputs
+    if net is None:
         return None
+    topo, part_ids = net
     part_values = dataset.values[part_ids]
     n_part = part_values.size
     alpha = 1.0 - n_part / cfg.n_nodes
@@ -471,20 +482,27 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> dict | None:
     return trial
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> dict:
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1, first=None) -> dict:
     """Run all trials (optionally across processes; trials are independent and
     aggregation is order-free) and assemble the report that report.json holds:
     the trials in trial order, the rejected trial indices, and the success
-    rate and aggregates, which count only completed trials' errors."""
+    rate and aggregates, which count only completed trials' errors.
+
+    first is trial 0's inputs as check_inputs built them, or None to build
+    them here.  In one process trial 0 runs on them and a data file's
+    dataset serves every trial, so the file is parsed once; a worker process
+    builds its trials' inputs itself."""
     kind = "percolation" if cfg.network == "rgg-percolating" else ("f2" if cfg.k == 2 else "fk")
-    args = ([cfg] * cfg.trials, range(cfg.trials))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_trial, *args))  # in trial order
+            outcomes = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
     else:
-        outcomes = list(map(run_trial, *args))
+        first = check_inputs(cfg) if first is None else first
+        shared = first[0] if cfg.data.startswith("file:") else None
+        outcomes = [run_trial(cfg, t, first if t == 0 else trial_inputs(cfg, t, shared))
+                    for t in range(cfg.trials)]
     trials = [trial for trial in outcomes if trial is not None]
     rejected = [t for t, trial in enumerate(outcomes) if trial is None]
     completed = [trial for trial in trials if trial["completed"]]

@@ -641,6 +641,38 @@ class TestReproducibility:
         assert (first / "report.json").read_bytes() == (again / "report.json").read_bytes()
 
 
+class TestInputsBuiltOnce:
+    """run and each sweep point build trial 0's dataset and network before
+    the echo, and trial 0 runs on them; a data file is parsed once a run."""
+
+    @pytest.mark.parametrize("command, points", [("run", 1), ("sweep", 2)])
+    def test_file_parsed_once_and_each_graph_drawn_once(
+        self, tmp_path, monkeypatch, capsys, command, points
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_dataset_file(generate_data("zipf:1.2", 120, 10, np.random.default_rng(1)), "d.dat")
+        calls = dict.fromkeys(("read_dataset_file", "build_connected_rgg"), 0)
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(netmoments.simulator, "read_dataset_file")
+        count(netmoments.network, "build_connected_rgg")
+        argv = [command, *_SMALL, "--network", "rgg-connected", "--data", "file:d.dat",
+                "--out", "out"]
+        if command == "sweep":
+            argv += ["--param", "k", "--values", "2,3"]
+        assert cli.main(argv) == cli.EXIT_OK
+        # one parse and one draw of each of the 3 trials' graphs per run
+        assert calls == {"read_dataset_file": points, "build_connected_rgg": 3 * points}
+
+
 _CONFIG = "nodes = 60\nalphabet = 5\nr1 = 2\nr2 = 4\nseed = 1\n"
 
 

@@ -22,7 +22,8 @@ spreading-time, never by a run itself.
 run, sweep and spreading-time also write the echo as effective.cfg into
 their --out directory.
 Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
-4 non-convergence beyond tolerance, or a run that measured no trial.
+4 non-convergence beyond tolerance, or a run or sweep point that measured
+no trial (a sweep still runs every point and writes summary.csv).
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
     epsilon, delta = settings["epsilon"], settings["delta"]
     budget, quant = solve_budget(
         epsilon, delta, n, settings.get("r1"), settings.get("r2"),
-        settings.get("quant_bits"), settings.get("trunc_l"),
+        settings.get("quant_bits"), settings.get("trunc_l"), settings["k"],
     )
     buckets = settings["buckets"]
     return ExperimentConfig(
@@ -312,16 +313,21 @@ def cmd_sweep(settings: dict, keys) -> int:
         points.append((raw.strip(), _experiment_config(point)))
     firsts = [simulator.check_inputs(cfg) for _, cfg in points]
     _echo_config(settings, keys, [_resolved(cfg) for _, cfg in points], out_root)
-    rows = []
+    rows, unmeasured = [], []
     for (raw, cfg), first in zip(points, firsts):
         report = run_experiment(cfg, jobs=settings["jobs"], first=first)
         _write_report(report, out_root / f"{param}={raw}", settings["format"])
         agg, success = report["aggregates"], report["empirical_success_rate"]
         rows.append((raw, success, agg["mean_abs_error"], agg["median_steps"], agg["total_bits"]))
         print(f"{param}={raw}: success {success:.3f}")
+        if not report["trials"]:
+            unmeasured.append(f"{param}={raw}")
     _write_csv(out_root / "summary.csv",
                f"{param},success_rate,mean_abs_error,median_steps,total_bits", rows)
     print(f"wrote {out_root / 'summary.csv'}")
+    if unmeasured:
+        print(f"no trial measured at {', '.join(unmeasured)}: all rejected", file=sys.stderr)
+        return EXIT_NONCONVERGED
     return EXIT_OK
 
 
@@ -329,6 +335,8 @@ def cmd_spreading_time(settings: dict, keys) -> int:
     if settings.get("nodes") is None:
         raise ValueError("spreading-time needs --nodes (comma list allowed)")
     sizes = [int(x) for x in str(settings["nodes"]).split(",")]
+    if min(sizes) < 1:
+        raise ValueError(f"--nodes must be >= 1, got {min(sizes)}")
     trials, protocol = settings["trials"], settings["protocol"]
     spec, max_steps = settings["network"], settings.get("max_steps")
     networks = [

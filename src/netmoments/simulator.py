@@ -33,7 +33,7 @@ NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
 
 DEFAULT_S1 = 5
 _GIANT_MIN_FRACTION = 0.5
-_MAX_CELLS = 1 << 23  # the desk-scale cap on a budget's r1 * r2
+_MAX_CELLS = 1 << 23  # the desk-scale cap on a sketch's channels * r1 * r2 cells
 
 # Budget-solver calibration.  The worst-case theory constants (Chebyshev 2
 # for the map term, Chernoff 12 for the replica term) demand r1*r2 in the
@@ -124,6 +124,12 @@ def _next_pow2(x: float) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def sketch_channels(k: int) -> int:
+    """Level rows per map in a sketch: the signs' one at k = 2; at k >= 3 the
+    roots' real and imaginary channels and the population channel."""
+    return 1 if k == 2 else 3
+
+
 def solve_budget(
     eps: float,
     delta: float,
@@ -132,6 +138,7 @@ def solve_budget(
     r2: int | None = None,
     quant_bits: int | None = None,
     trunc_l: float | None = None,
+    k: int = 2,
 ) -> tuple[ErrorBudget, QuantConfig]:
     """Pick (r1, r2) powers of two meeting the calibrated failure split, plus
     the matching truncation/quantization config.
@@ -142,9 +149,10 @@ def solve_budget(
       1/(delta eps^2) (ROADMAP items 3 and 10);
     - r2 = pow2(CAL_EXP_TERM ln(4/delta) / eps2^2).
     The quantizer follows QuantConfig.for_population at target eps2.  A given
-    r1 and r2, quant_bits or trunc_l is taken as it is; a budget beyond
-    _MAX_CELLS sketch cells, solved or given, raises CapacityError instead
-    of returning something unrunnable.
+    r1 and r2, quant_bits or trunc_l is taken as it is.  A budget whose
+    sketch at moment order k holds more than _MAX_CELLS cells,
+    sketch_channels(k) * r1 * r2, raises CapacityError, solved or given,
+    instead of returning something unrunnable.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -157,9 +165,11 @@ def solve_budget(
         r1 = _next_pow2(CAL_MAP_TERM / (delta_half * eps1**2))
         r2 = _next_pow2(CAL_EXP_TERM * math.log(2.0 / delta_half) / eps2**2)
     budget = ErrorBudget(r1=r1, r2=r2)
-    if r1 * r2 > _MAX_CELLS:
+    channels = sketch_channels(k)
+    if channels * r1 * r2 > _MAX_CELLS:
+        factor = "" if channels == 1 else f"{channels}*"
         raise CapacityError(
-            f"budget needs r1*r2 = {r1 * r2} sketch cells "
+            f"budget needs {factor}r1*r2 = {channels * r1 * r2} sketch cells "
             f"(cap {_MAX_CELLS}); relax epsilon or delta, or give smaller r1 and r2"
         )
     quant = QuantConfig.for_population(n_nodes, eps2)
@@ -277,7 +287,7 @@ class ExperimentConfig:
 
     @property
     def channels(self) -> int:
-        return 1 if self.k == 2 else 3
+        return sketch_channels(self.k)
 
     @property
     def message_bits(self) -> int:

@@ -1010,6 +1010,49 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_k3_budget_just_over_the_cap_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 3 * r1 * r2 is one cell over the cap; r1 * r2 alone is under it
+        # (TestSolveBudget.test_cap_counts_channels)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        r2 = (1 << 23) // 3 + 1
+        code, out = _run(tmp_path, "k3", ["--nodes", "200", "--alphabet", "5", "--k", "3",
+                                          "--r1", "1", "--r2", str(r2), "--seed", "1"])
+        assert code == cli.EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert f"infeasible budget: budget needs 3*r1*r2 = {3 * r2} sketch cells" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nodes", ["-3", "0", "20,0"])
+    def test_spreading_time_without_nodes_fails_before_echo(self, tmp_path, capsys, nodes):
+        out = tmp_path / "st"
+        argv = ["spreading-time", "--nodes", nodes, "--trials", "2", "--seed", "1",
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --nodes must be >= 1, got {min(map(int, nodes.split(',')))}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_sweep_point_that_measured_no_trial_is_nonconverged(self, tmp_path, capsys):
+        # every trial of the k = 2 point is rejected, as in
+        # test_run_that_measured_no_trial_is_nonconverged; the sweep still
+        # runs every point and writes its summary
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--param", "k", "--values", "2", "--nodes", "200", "--alphabet", "5",
+                "--network", "rgg-percolating", "--radius-c", "1e-9", "--r1", "2", "--r2", "4",
+                "--trials", "2", "--seed", "1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_NONCONVERGED
+        captured = capsys.readouterr()
+        assert "k=2: success 0.000" in captured.out
+        assert captured.err == "no trial measured at k=2: all rejected\n"
+        assert (out / "summary.csv").read_text().splitlines()[1].startswith("2,0.0,")
+
     def test_run_that_measured_no_trial_is_nonconverged(self, tmp_path, capsys):
         # a percolating radius this small leaves every node isolated, so
         # every trial is rejected; the report is still written
@@ -1350,6 +1393,18 @@ class TestSolveBudget:
             solve_budget(0.1, 0.1, 300, r1=r1, r2=r2)
         budget, _ = solve_budget(0.1, 0.1, 300, r1=1, r2=1 << 23)  # at the cap
         assert budget.r1 * budget.r2 == 1 << 23
+
+    def test_cap_counts_channels(self):
+        # a k >= 3 sketch holds 3 * r1 * r2 cells: one over the cap at k = 3
+        # and k = 4; under it at k = 2, whose sketch has one channel
+        r2 = (1 << 23) // 3 + 1
+        for k in (3, 4):
+            with pytest.raises(CapacityError, match=f"3\\*r1\\*r2 = {3 * r2} sketch cells"):
+                solve_budget(0.1, 0.1, 300, r1=1, r2=r2, k=k)
+        budget, _ = solve_budget(0.1, 0.1, 300, r1=1, r2=r2, k=2)
+        assert budget.r2 == r2
+        budget, _ = solve_budget(0.1, 0.1, 300, r1=1, r2=r2 - 1, k=3)  # 3 (r2 - 1) is under
+        assert 3 * budget.r2 < 1 << 23
 
     def test_given_quantizer_values_override_the_rule(self):
         _, quant = solve_budget(0.1, 0.1, 300)

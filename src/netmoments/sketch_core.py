@@ -1,9 +1,26 @@
 """Shared-randomness maps and truncated, quantized exponential draws.
 
-Every node derives the same map values from a common seed by keyed
-hashing, so "shared global randomness" costs no per-node storage; a trial
-reads each map family as one (maps, alphabet) table.  Sketch
-entries are exponential variables truncated to [0, L] and uniformly
+Every node derives the same map values from a short common seed: map i of a
+family is a random polynomial of degree d over the prime field of
+p = 2^31 - 1, so its values on any d + 1 distinct alphabet values are
+independent and uniform on [0, p) (Wegman and Carter, JCSS 1981).  The
+seed fixes the coefficients, d + 1 values below p per map, so "shared global
+randomness" is (d + 1) * 31 bits a map and no per-node storage.  A trial
+reads each family as one (maps, alphabet) table, evaluated by Horner's rule
+in numpy.  The degrees follow the moments each estimator reads:
+- sign maps, degree 3: the AMS F_2 estimator's variance reads products of
+  four signs on distinct values (Alon, Matias and Szegedy, STOC 1996), so
+  4-wise independence suffices;
+- roots-of-unity maps of order k, degree 2k - 1: the k-th power of a root
+  sum has its mean in k-fold and its variance in 2k-fold products of roots.
+  At k = 2 that is degree 3, and the roots are the signs;
+- bucket maps, degree 1: a bucket's load reads only whether two values share
+  a bucket, which pairwise independence makes 1/B.
+A sign is +1 on an even value, a root is e^(2 pi i h / k) for h the value
+mod k, and a bucket is 1 + the value mod B.  Their laws are off uniform by
+at most 1/(2p) for the parity and k/p for a residue mod k.
+
+Sketch entries are exponential variables truncated to [0, L] and uniformly
 quantized to integer levels; the level 2^quant_bits, one above every finite
 level, is the infinity sentinel.  A sketch is a plain integer level array.
 The sketch a node holds after spreading is the elementwise min over the
@@ -18,33 +35,43 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from hashlib import blake2b
 
 import numpy as np
 
-_PHI_DOMAIN = b"phi"  # sign maps and roots-of-unity maps share one draw per (index, value)
-_CHI_DOMAIN = b"chi"  # bucket maps
+_PRIME = (1 << 31) - 1  # the maps' field; a product of two values below it is below 2^62
+_PHI, _CHI = 0, 1  # map families: sign and roots-of-unity maps; bucket maps
+_SIGN_DEGREE = 3
+_BUCKET_DEGREE = 1
 
 _SNAP_EPS = 1e-15
 
 
-def _map_draws(seed: int, domain: bytes, rows: int, alphabet_size: int) -> np.ndarray:
-    """(rows, M) uniform 64-bit draws of one map family: entry [i - 1, v - 1]
-    is the 8-byte blake2b digest, keyed by the 8-byte seed, of domain, then
-    i in 4 bytes, then v in 8 bytes (all big-endian).  Map i is thus a pure
-    function of (seed, domain, i, v).  The keyed state is built once and
-    copied per row and per value."""
-    keyed = blake2b(digest_size=8, key=seed.to_bytes(8, "big"))
-    values = [v.to_bytes(8, "big") for v in range(1, alphabet_size + 1)]
-    digests = bytearray()
-    for i in range(1, rows + 1):
-        row = keyed.copy()
-        row.update(domain + i.to_bytes(4, "big"))
-        for v in values:
-            h = row.copy()
-            h.update(v)
-            digests += h.digest()
-    return np.frombuffer(digests, dtype=">u8").reshape(rows, alphabet_size)
+def _poly_table(coef: np.ndarray, alphabet_size: int, prime: int = _PRIME) -> np.ndarray:
+    """(rows, M) uint64 table of the polynomials whose coefficients, lowest
+    degree first and each below prime, are coef's rows: entry [i, v - 1] is
+    sum_j coef[i, j] v^j mod prime, by Horner's rule with one reduction a
+    step.  prime is at most 2^31 - 1, so no step leaves uint64.  The values
+    1..M must be distinct mod prime, so M >= prime raises ValueError."""
+    if alphabet_size >= prime:
+        raise ValueError(f"alphabet size {alphabet_size} must be below the maps' prime {prime}")
+    values = np.arange(1, alphabet_size + 1, dtype=np.uint64)
+    table = np.empty((len(coef), alphabet_size), dtype=np.uint64)
+    table[:] = coef[:, -1:]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        table *= values
+        table += coef[:, j : j + 1]
+        table %= np.uint64(prime)
+    return table
+
+
+def _map_draws(seed: int, family: int, degree: int, rows: int, alphabet_size: int) -> np.ndarray:
+    """(rows, M) uint64 values, uniform on [0, _PRIME), of the first rows maps
+    of a family at a degree: map i's coefficients are row i of one
+    generator's draws, keyed by (seed, family, degree) and made row by row,
+    so map i on value v depends only on (seed, family, degree, i, v)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, family, degree)))
+    coef = rng.integers(0, _PRIME, size=(rows, degree + 1), dtype=np.uint64)
+    return _poly_table(coef, alphabet_size)
 
 
 def _roots_table(k: int) -> np.ndarray:
@@ -67,22 +94,24 @@ def _roots_table(k: int) -> np.ndarray:
 
 
 def sign_table(seed: int, r1: int, alphabet_size: int) -> np.ndarray:
-    """(r1, M) int8 table of the r1 sign maps: +1 where the draw is even."""
-    draws = _map_draws(seed, _PHI_DOMAIN, r1, alphabet_size)
-    return np.where(draws % 2 == 0, np.int8(1), np.int8(-1))
+    """(r1, M) int8 table of the r1 sign maps, 4-wise independent: +1 where
+    the map's degree-3 polynomial is even."""
+    parity = _map_draws(seed, _PHI, _SIGN_DEGREE, r1, alphabet_size) & 1
+    return 1 - 2 * parity.astype(np.int8)
 
 
 def root_table(seed: int, r1: int, k: int, alphabet_size: int) -> np.ndarray:
-    """(r1, M) complex table of the r1 roots-of-unity maps: a uniform k-th
-    root of unity.  It shares its draws with sign_table, so for k = 2 the
-    roots are the signs."""
-    return _roots_table(k)[_map_draws(seed, _PHI_DOMAIN, r1, alphabet_size) % k]
+    """(r1, M) complex table of the r1 roots-of-unity maps, 2k-wise
+    independent: a uniform k-th root of unity from a polynomial of degree
+    2k - 1.  For k = 2 that is sign_table's polynomial, so the roots are the
+    signs."""
+    return _roots_table(k)[_map_draws(seed, _PHI, 2 * k - 1, r1, alphabet_size) % k]
 
 
 def bucket_table(seed: int, s1: int, num_buckets: int, alphabet_size: int) -> np.ndarray:
-    """(s1, M) int32 table of the s1 bucket maps: a uniform bucket in
-    [1, num_buckets]."""
-    draws = _map_draws(seed, _CHI_DOMAIN, s1, alphabet_size)
+    """(s1, M) int32 table of the s1 bucket maps, pairwise independent: a
+    uniform bucket in [1, num_buckets]."""
+    draws = _map_draws(seed, _CHI, _BUCKET_DEGREE, s1, alphabet_size)
     return (1 + draws % num_buckets).astype(np.int32)
 
 

@@ -7,7 +7,6 @@ probabilistic implementations have something honest to be checked against.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from collections import Counter, deque
@@ -20,13 +19,18 @@ from netmoments.network import Topology, from_edges
 from netmoments.protocols import SpreadReport
 
 
-def map_draw(seed: int, domain: bytes, index: int, value: int) -> int:
-    """A shared-map draw by its definition, in one hash call: the 8-byte
-    blake2b digest, keyed by the seed in 8 bytes, of domain + index in 4
-    bytes + value in 8 bytes (all big-endian), read as an integer."""
-    msg = domain + index.to_bytes(4, "big") + value.to_bytes(8, "big")
-    digest = hashlib.blake2b(msg, digest_size=8, key=seed.to_bytes(8, "big")).digest()
-    return int.from_bytes(digest, "big")
+MAPS_PRIME = 2**31 - 1
+
+
+def map_draw(seed: int, family: int, degree: int, index: int, value: int) -> int:
+    """A shared-map value by its definition, in Python integers: map index
+    of a family at a degree is the polynomial sum_j a_j x^j mod 2^31 - 1
+    whose coefficients a_0..a_degree are row index of the (index,
+    degree + 1) integers on [0, 2^31 - 1) drawn from the generator keyed by
+    (seed, family, degree); the draw is its value at x = value."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, family, degree)))
+    row = rng.integers(0, MAPS_PRIME, size=(index, degree + 1), dtype=np.uint64)[index - 1]
+    return sum(int(a) * value**j for j, a in enumerate(row)) % MAPS_PRIME
 
 
 def exhaustive_sign_expectation(counts) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,11 @@ from scipy import stats
 from netmoments.estimators import ErrorBudget
 from netmoments.simulator import ExperimentConfig, _heard_sketch
 from netmoments.sketch_core import (
+    _CHI,
+    _PHI,
+    _PRIME,
     QuantConfig,
+    _poly_table,
     _roots_table,
     bucket_table,
     harmonic_estimate,
@@ -25,9 +30,11 @@ from oracles import map_draw, min_exponential_samples
 
 
 class TestMapsAgainstOracle:
-    """Every table entry is the one-call keyed-hash draw of its (map, value):
-    the sign is +1 on an even draw, the root is e^(2 pi i draw / k), the
-    bucket is 1 + draw mod B."""
+    """Every table entry is its map's polynomial, evaluated in Python
+    integers at its value: the sign is +1 on an even value of the degree-3
+    sign polynomial, the root is e^(2 pi i h / k) for h the value of the
+    degree-(2k - 1) polynomial mod k, the bucket is 1 + h mod B for h the
+    value of the degree-1 bucket polynomial."""
 
     @pytest.mark.parametrize("seed", [0, 1234, 2**64 - 1])
     @pytest.mark.parametrize("rows, m", [(1, 1), (3, 40)])
@@ -37,9 +44,10 @@ class TestMapsAgainstOracle:
         assert signs.shape == roots.shape == (rows, m)
         for i in range(1, rows + 1):
             for v in range(1, m + 1):
-                draw = map_draw(seed, b"phi", i, v)
-                assert signs[i - 1, v - 1] == (1 if draw % 2 == 0 else -1)
-                assert abs(roots[i - 1, v - 1] - cmath.exp(2j * math.pi * (draw % k) / k)) < 1e-12
+                sign = map_draw(seed, _PHI, 3, i, v)
+                assert signs[i - 1, v - 1] == (1 if sign % 2 == 0 else -1)
+                root = map_draw(seed, _PHI, 2 * k - 1, i, v)
+                assert abs(roots[i - 1, v - 1] - cmath.exp(2j * math.pi * (root % k) / k)) < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1234, 2**64 - 1])
     @pytest.mark.parametrize("rows, m", [(1, 1), (3, 40)])
@@ -49,8 +57,72 @@ class TestMapsAgainstOracle:
         assert buckets.shape == (rows, m)
         for t in range(1, rows + 1):
             for v in range(1, m + 1):
-                draw = map_draw(seed, b"chi", t, v)
+                draw = map_draw(seed, _CHI, 1, t, v)
                 assert buckets[t - 1, v - 1] == 1 + draw % num_buckets
+
+
+class TestPolynomialFamily:
+    """The maps are random polynomials over a prime field: on d + 1 distinct
+    values, a polynomial of degree d with uniform coefficients takes every
+    tuple of values equally often."""
+
+    @pytest.mark.parametrize("prime, degree", [(5, 1), (5, 3), (7, 1), (7, 3), (7, 5)])
+    def test_exactly_independent_over_a_small_prime(self, prime, degree):
+        # every coefficient tuple, lowest degree first, as one table's rows
+        coef = np.array(list(itertools.product(range(prime), repeat=degree + 1)), dtype=np.uint64)
+        table = _poly_table(coef, prime - 1, prime)
+        for row, got in zip(coef[::97], table[::97]):
+            want = [sum(int(a) * v**j for j, a in enumerate(row)) % prime for v in range(1, prime)]
+            assert got.tolist() == want
+        # on every set of degree + 1 distinct values, each tuple of table
+        # values comes from exactly one coefficient tuple
+        place = prime ** np.arange(degree + 1, dtype=np.uint64)
+        subsets = list(itertools.combinations(range(prime - 1), degree + 1))
+        assert subsets
+        for columns in subsets:
+            outcome = (table[:, list(columns)] @ place).astype(np.int64)
+            counts = np.bincount(outcome, minlength=prime ** (degree + 1))
+            assert np.all(counts == 1), columns
+
+    def test_largest_coefficients_at_the_real_prime(self):
+        # every coefficient at p - 1, degree 7: Horner in uint64 equals the
+        # polynomial in Python integers
+        top, m = _PRIME - 1, 1 << 20
+        table = _poly_table(np.full((1, 8), top, dtype=np.uint64), m)
+        for v in (1, 2, 12345, m - 1, m):
+            assert int(table[0, v - 1]) == sum(top * v**j for j in range(8)) % _PRIME
+
+    def test_alphabet_of_the_prime_or_more_rejected(self):
+        coef = np.zeros((1, 2), dtype=np.uint64)
+        with pytest.raises(ValueError, match="below the maps' prime"):
+            _poly_table(coef, 7, 7)
+        for m in (_PRIME, _PRIME + 1):
+            with pytest.raises(ValueError, match="below the maps' prime"):
+                sign_table(1, 1, m)
+
+    def test_signs_are_balanced_and_4_wise_uncorrelated(self):
+        # seeded: over 2^15 sign maps, the mean of each product of two, three
+        # or four signs on distinct values is 0 within 4.5 standard errors
+        maps = 1 << 15
+        signs = sign_table(2012, maps, 8).astype(np.float64)
+        bound = 4.5 / math.sqrt(maps)
+        assert np.all(np.abs(signs.mean(axis=0)) <= bound)
+        for order in (2, 3, 4):
+            for columns in itertools.combinations(range(8), order):
+                mean = signs[:, list(columns)].prod(axis=1).mean()
+                assert abs(mean) <= bound, (columns, mean)
+
+    def test_k3_roots_are_6_wise_uncorrelated(self):
+        # a product of roots on distinct values with exponents not all 0
+        # mod 3 has mean 0 when the roots are independent and uniform; the
+        # product is w^s for s the exponents' dot product with the residues
+        maps = 1 << 14
+        angles = np.angle(root_table(2013, maps, 3, 6)) * 3 / (2 * math.pi)
+        residues = (np.round(angles) % 3).astype(np.int8)
+        exponents = np.array(list(itertools.product((0, 1, 2), repeat=6))[1:], dtype=np.int8).T
+        s = (residues @ exponents) % 3
+        means = sum((s == c).mean(axis=0) * cmath.exp(2j * math.pi * c / 3) for c in range(3))
+        assert np.all(np.abs(means) <= 4.5 / math.sqrt(maps))
 
 
 class TestMaps:

@@ -11,7 +11,8 @@ its subcommand reads, named as the key or as its flag is spelled.
 Every subcommand echoes its configuration, the seed included, before any
 other output; re-running from that echo reproduces outputs byte for byte.
 Before the echo, run and each sweep point build trial 0's dataset and
-network, and gen-data its dataset, so an input they cannot use fails first.
+network, which trial 0 then runs on, and gen-data its dataset, so an input
+they cannot use fails first.
 A setting resolved per run (the budget, quantizer, radius_c, p_n,
 exchange_mode, buckets and s1) is echoed at its resolved value when all the
 command's runs share it, and as given otherwise; r1 and r2 count as one
@@ -280,7 +281,7 @@ def _summarize(report: dict, cfg: ExperimentConfig) -> None:
 def cmd_run(settings: dict, keys) -> int:
     beta = _beta(settings)
     cfg = _experiment_config(settings)
-    first = simulator.check_inputs(cfg)
+    first = simulator.trial_inputs(cfg, 0)
     out_dir = Path(settings["out"]) if settings.get("out") else None
     _echo_config(settings, keys, [_resolved(cfg)], out_dir)
     report = run_experiment(cfg, jobs=settings["jobs"], first=first)
@@ -311,7 +312,7 @@ def cmd_sweep(settings: dict, keys) -> int:
         point = dict(settings)
         point[param] = _coerce(param, raw.strip())
         points.append((raw.strip(), _experiment_config(point)))
-    firsts = [simulator.check_inputs(cfg) for _, cfg in points]
+    firsts = [simulator.trial_inputs(cfg, 0) for _, cfg in points]
     _echo_config(settings, keys, [_resolved(cfg) for _, cfg in points], out_root)
     rows, unmeasured = [], []
     for (raw, cfg), first in zip(points, firsts):

@@ -343,7 +343,12 @@ def trial_inputs(cfg: ExperimentConfig, trial_index: int, dataset: Dataset | Non
     """A trial's (dataset, network), each built from the trial's own seeds:
     network is (topology to run on, original node ids of participants), or
     None for a percolation trial rejected for its small giant.  A dataset
-    given is taken as it is: a data file's is every trial's."""
+    given is taken as it is: a data file's is every trial's.
+
+    An input no trial can use (a malformed or mismatched file, a
+    disconnected graph file, no connected RGG) raises its ValueError, so
+    the CLI builds trial 0's inputs before its first output and hands them
+    to run_experiment."""
     data_ss, _, topo_ss, _, _ = _trial_seeds(cfg, trial_index)
     if dataset is None:
         dataset = generate_data(cfg.data, cfg.n_nodes, cfg.alphabet_size,
@@ -353,15 +358,6 @@ def trial_inputs(cfg: ExperimentConfig, trial_index: int, dataset: Dataset | Non
     except TrialRejected:
         net = None
     return dataset, net
-
-
-def check_inputs(cfg: ExperimentConfig):
-    """Trial 0's inputs, trial_inputs(cfg, 0): an input no trial can use (a
-    malformed or mismatched file, a disconnected graph file, no connected
-    RGG) raises its ValueError here.  A small percolating giant rejects only
-    its own trial.  run_experiment takes what this returns, so trial 0
-    builds nothing twice."""
-    return trial_inputs(cfg, 0)
 
 
 def _heard_sketch(
@@ -498,18 +494,18 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, first=None) -> dict:
     the trials in trial order, the rejected trial indices, and the success
     rate and aggregates, which count only completed trials' errors.
 
-    first is trial 0's inputs as check_inputs built them, or None to build
-    them here.  In one process trial 0 runs on them and a data file's
-    dataset serves every trial, so the file is parsed once; a worker process
-    builds its trials' inputs itself."""
+    first is trial 0's inputs when trial_inputs(cfg, 0) already built them,
+    or None.  In one process trial 0 runs on them, and a data file's dataset
+    serves every trial, so the file is parsed once; a worker process builds
+    its trials' inputs itself."""
     kind = "percolation" if cfg.network == "rgg-percolating" else ("f2" if cfg.k == 2 else "fk")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
+            outcomes = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))  # in order
     else:
-        first = check_inputs(cfg) if first is None else first
+        first = trial_inputs(cfg, 0) if first is None else first
         shared = first[0] if cfg.data.startswith("file:") else None
         outcomes = [run_trial(cfg, t, first if t == 0 else trial_inputs(cfg, t, shared))
                     for t in range(cfg.trials)]

@@ -623,6 +623,16 @@ class TestReproducibility:
         _, two = _run(tmp_path, "jobs2", [*_SMALL, "--jobs", "2"])
         assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
 
+    def test_jobs_do_not_change_a_run_on_built_inputs(self, tmp_path, monkeypatch, capsys):
+        # in one process trial 0 runs on the inputs built before the echo and
+        # every trial on the one parsed dataset; a worker builds its own
+        monkeypatch.chdir(tmp_path)
+        write_dataset_file(generate_data("zipf:1.2", 120, 10, np.random.default_rng(2)), "d.dat")
+        argv = [*_SMALL, "--network", "rgg-connected", "--data", "file:d.dat"]
+        _, one = _run(tmp_path, "jobs1", [*argv, "--jobs", "1"])
+        _, two = _run(tmp_path, "jobs2", [*argv, "--jobs", "2"])
+        assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
+
     def test_echo_and_report_agree_on_s1_at_k2(self, tmp_path, capsys):
         # k = 2 runs one phase, so the s1 it runs with is 1 whatever was given;
         # at this radius both trials are rejected, so the run measures nothing

@@ -11,8 +11,8 @@ its subcommand reads, named as the key or as its flag is spelled.
 Every subcommand echoes its configuration, the seed included, before any
 other output; re-running from that echo reproduces outputs byte for byte.
 Before the echo, run and each sweep point build trial 0's dataset and
-network, which trial 0 then runs on, and gen-data its dataset, so an input
-they cannot use fails first.
+network (every trial's, when read from a file: each file is read once a
+run), and gen-data its dataset, so an input they cannot use fails first.
 A setting resolved per run (the budget, quantizer, radius_c, p_n,
 exchange_mode, buckets and s1) is echoed at its resolved value when all the
 command's runs share it, and as given otherwise; r1 and r2 count as one
@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import protocols, simulator
-from .estimators import exact_fk, oracle_record
+from .estimators import oracle_record
 from .protocols import default_max_steps, run_spreading
 from .simulator import (
     CapacityError,
@@ -395,21 +395,17 @@ def cmd_oracle(settings: dict, keys) -> int:
         raise ValueError("oracle needs --file DATASET")
     dataset = read_dataset_file(path)
     k = settings["k"]
+    record = oracle_record(dataset, k)  # a k it cannot scale by fails before the echo
     _echo_config(settings, keys)
-    exact = exact_fk(dataset, k)
-    n = dataset.n_nodes
-    scaled = exact / float(n) ** k if n else 0.0
-    print(f"N = {n}  M = {dataset.alphabet_size}")
-    print(f"F_{k} = {exact}")
-    print(f"F_{k} / N^{k} = {scaled:.9g}")
+    print(f"N = {dataset.n_nodes}  M = {dataset.alphabet_size}")
+    print(f"F_{k} = {record['exact']}")
+    print(f"F_{k} / N^{k} = {record['exact_scaled']:.9g}")
     counts = dataset.counts
     order = np.argsort(counts)[::-1][:5]
     tops = ", ".join(f"{int(v) + 1}:{int(counts[v])}" for v in order if counts[v] > 0)
     print(f"top frequencies: {tops}")
     if settings.get("json_out"):
-        Path(settings["json_out"]).write_text(
-            json.dumps(oracle_record(dataset, k), indent=2, sort_keys=True) + "\n"
-        )
+        Path(settings["json_out"]).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {settings['json_out']}")
     return EXIT_OK
 

@@ -122,12 +122,23 @@ class ErrorBudget:
             raise ValueError("r1 and r2 must be >= 1")
 
 
+def moment_scale(n_nodes: int, k: int) -> float:
+    """N^k in float64, the scale of F_k / N^k; a k for which it overflows
+    raises ValueError, as no scaled moment of that order can be formed."""
+    try:
+        return float(n_nodes) ** k
+    except OverflowError:
+        raise ValueError(f"N^k = {n_nodes}^{k} overflows float64; "
+                         f"F_k / N^k needs a smaller k") from None
+
+
 def oracle_record(d: Dataset, k: int) -> dict:
     """JSON-ready record of a dataset's exact k-th moment."""
+    scale = moment_scale(d.n_nodes, k) if d.n_nodes else 0.0  # first: c^k grows with k
     exact = exact_fk(d, k)
     return {
         "dataset_digest": d.digest(),
         "k": k,
         "exact": exact,
-        "exact_scaled": exact / float(d.n_nodes) ** k if d.n_nodes else 0.0,
+        "exact_scaled": exact / scale if scale else 0.0,
     }

@@ -25,7 +25,7 @@ import numpy as np
 import numpy.random  # numpy loads it on first use; load it with the package
 
 from . import estimators, network, protocols, sketch_core
-from .estimators import Dataset, ErrorBudget, exact_fk
+from .estimators import Dataset, ErrorBudget, exact_fk, moment_scale
 from .protocols import run_spreading
 from .sketch_core import QuantConfig, harmonic_estimate, min_truncated_exp_levels
 
@@ -149,7 +149,12 @@ def solve_budget(
       1/(delta eps^2) (ROADMAP items 3 and 10);
     - r2 = pow2(CAL_EXP_TERM ln(4/delta) / eps2^2).
     The quantizer follows QuantConfig.for_population at target eps2.  A given
-    r1 and r2, quant_bits or trunc_l is taken as it is.  A budget whose
+    r1 and r2, quant_bits or trunc_l is taken as it is, within range: a
+    given L must cut a rate-1 draw with probability e^(-L) <= eps, and the
+    cell width L/2^quant_bits must resolve the min over N nodes, of order
+    1/N, so it is at most 1/N.  The rule's cell width is at most eps2/N, and
+    its L = 2 ln N is not checked, as it falls short only at N < eps^-1/2.
+    A value out of range raises ValueError.  A budget whose
     sketch at moment order k holds more than _MAX_CELLS cells,
     sketch_channels(k) * r1 * r2, raises CapacityError, solved or given,
     instead of returning something unrunnable.
@@ -177,6 +182,12 @@ def solve_budget(
         truncation_L=quant.truncation_L if trunc_l is None else trunc_l,
         quant_bits=quant.quant_bits if quant_bits is None else quant_bits,
     )
+    if trunc_l is not None and math.exp(-trunc_l) > eps:
+        raise ValueError(f"truncation L = {trunc_l} must be at least ln(1/epsilon) = "
+                         f"{math.log(1.0 / eps):.6g}, so that e^(-L) <= epsilon")
+    if quant.cell_width > 1.0 / n_nodes:
+        raise ValueError(f"cell width L/2^quant_bits = {quant.cell_width:.6g} must be at most "
+                         f"1/N = {1.0 / n_nodes:.6g}")
     return budget, quant
 
 
@@ -268,6 +279,7 @@ class ExperimentConfig:
             raise ValueError("alphabet size must satisfy 1 <= M < N")
         if self.k < 2:
             raise ValueError("moment order k must be >= 2")
+        moment_scale(self.n_nodes, self.k)  # every trial scales by N^k
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         self.radius_c, self.p_n, self.exchange_mode = resolve_network(
@@ -339,20 +351,24 @@ def build_topology(spec: str, n: int, radius_c: float, rng: np.random.Generator)
     return network.induced_subgraph(topo, giant)
 
 
-def trial_inputs(cfg: ExperimentConfig, trial_index: int, dataset: Dataset | None = None):
-    """A trial's (dataset, network), each built from the trial's own seeds:
-    network is (topology to run on, original node ids of participants), or
-    None for a percolation trial rejected for its small giant.  A dataset
-    given is taken as it is: a data file's is every trial's.
+def trial_inputs(cfg: ExperimentConfig, trial_index: int, first=None):
+    """A trial's (dataset, network): network is (topology to run on, original
+    node ids of participants), or None for a percolation trial rejected for
+    its small giant.  first is trial_inputs(cfg, 0): trial 0 runs on it, and
+    every trial takes from it what no seed decides, a data file's dataset
+    and a graph file's network.  The rest comes from the trial's own seeds.
 
     An input no trial can use (a malformed or mismatched file, a
     disconnected graph file, no connected RGG) raises its ValueError, so
-    the CLI builds trial 0's inputs before its first output and hands them
-    to run_experiment."""
+    the CLI builds first before its first output."""
     data_ss, _, topo_ss, _, _ = _trial_seeds(cfg, trial_index)
-    if dataset is None:
+    if first is not None and (trial_index == 0 or cfg.data.startswith("file:")):
+        dataset = first[0]
+    else:
         dataset = generate_data(cfg.data, cfg.n_nodes, cfg.alphabet_size,
                                 np.random.default_rng(data_ss))
+    if first is not None and (trial_index == 0 or cfg.network.startswith("graph:")):
+        return dataset, first[1]
     try:
         net = build_topology(cfg.network, cfg.n_nodes, cfg.radius_c, np.random.default_rng(topo_ss))
     except TrialRejected:
@@ -392,15 +408,14 @@ def _heard_sketch(
     return acc
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int, inputs=None) -> dict | None:
+def run_trial(cfg: ExperimentConfig, trial_index: int, first) -> dict | None:
     """One end-to-end trial of any k, as its record in report.json; None
     means a rejected percolation trial.
 
-    The set-up runs once: data, maps and the network, which on a percolating
-    network is its giant component; inputs, when given, are the trial's
-    dataset and network as trial_inputs builds them.  Then the phases run in
-    sequence, each a spread from scratch and a sketch read off node 0's
-    heard-set:
+    The set-up runs once: data and the network, as trial_inputs(cfg,
+    trial_index, first) gives them (on a percolating network, its giant
+    component), and the maps.  Then the phases run in sequence, each a
+    spread from scratch and a sketch read off node 0's heard-set:
     - k = 2 is one phase over every participant, on the sign maps;
     - k >= 3 is s1 * num_buckets bucket phases, phase (t, b) over the
       participants that bucket map t sends to bucket b, on three channels of
@@ -412,7 +427,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, inputs=None) -> dict | No
     """
     _, maps_ss, _, sched_ss, draws_ss = _trial_seeds(cfg, trial_index)
     m, r1, r2 = cfg.alphabet_size, cfg.budget.r1, cfg.budget.r2
-    dataset, net = trial_inputs(cfg, trial_index) if inputs is None else inputs
+    dataset, net = trial_inputs(cfg, trial_index, first)
     if net is None:
         return None
     topo, part_ids = net
@@ -488,27 +503,24 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, inputs=None) -> dict | No
     return trial
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1, first=None) -> dict:
-    """Run all trials (optionally across processes; trials are independent and
-    aggregation is order-free) and assemble the report that report.json holds:
-    the trials in trial order, the rejected trial indices, and the success
-    rate and aggregates, which count only completed trials' errors.
+def run_experiment(cfg: ExperimentConfig, jobs: int, first) -> dict:
+    """Run all trials and assemble the report that report.json holds: the
+    trials in trial order, the rejected trial indices, and the success rate
+    and aggregates, which count only completed trials' errors.
 
-    first is trial 0's inputs when trial_inputs(cfg, 0) already built them,
-    or None.  In one process trial 0 runs on them, and a data file's dataset
-    serves every trial, so the file is parsed once; a worker process builds
-    its trials' inputs itself."""
+    first is trial 0's inputs, as trial_inputs(cfg, 0) builds them.  Each
+    trial runs as run_trial(cfg, t, first), in this process or, with
+    jobs > 1, across jobs worker processes; trials are independent, so the
+    report is the same either way."""
     kind = "percolation" if cfg.network == "rgg-percolating" else ("f2" if cfg.k == 2 else "fk")
+    tasks = ([cfg] * cfg.trials, range(cfg.trials), [first] * cfg.trials)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))  # in order
+            outcomes = list(pool.map(run_trial, *tasks))  # in order
     else:
-        first = trial_inputs(cfg, 0) if first is None else first
-        shared = first[0] if cfg.data.startswith("file:") else None
-        outcomes = [run_trial(cfg, t, first if t == 0 else trial_inputs(cfg, t, shared))
-                    for t in range(cfg.trials)]
+        outcomes = list(map(run_trial, *tasks))
     trials = [trial for trial in outcomes if trial is not None]
     rejected = [t for t, trial in enumerate(outcomes) if trial is None]
     completed = [trial for trial in trials if trial["completed"]]

@@ -99,7 +99,9 @@ from netmoments.simulator import (
     CapacityError,
     ExperimentConfig,
     generate_data,
+    run_experiment,
     solve_budget,
+    trial_inputs,
     write_dataset_file,
 )
 from netmoments.sketch_core import QuantConfig
@@ -624,8 +626,8 @@ class TestReproducibility:
         assert (one / "report.json").read_bytes() == (two / "report.json").read_bytes()
 
     def test_jobs_do_not_change_a_run_on_built_inputs(self, tmp_path, monkeypatch, capsys):
-        # in one process trial 0 runs on the inputs built before the echo and
-        # every trial on the one parsed dataset; a worker builds its own
+        # every trial, in this process or a worker, runs on the dataset
+        # parsed before the echo
         monkeypatch.chdir(tmp_path)
         write_dataset_file(generate_data("zipf:1.2", 120, 10, np.random.default_rng(2)), "d.dat")
         argv = [*_SMALL, "--network", "rgg-connected", "--data", "file:d.dat"]
@@ -694,6 +696,24 @@ class TestInputsBuiltOnce:
         assert cli.main(argv) == cli.EXIT_OK
         # one parse and one draw of each of the 3 trials' graphs per run
         assert calls == {"read_dataset_file": points, "build_connected_rgg": 3 * points}
+
+    def test_files_serve_every_trial_under_any_jobs(self, tmp_path):
+        # every trial takes a data file's dataset and a graph file's network
+        # from trial 0's inputs, in process and in worker processes alike,
+        # so neither file is read again once they are built
+        graph, data = tmp_path / "g.txt", tmp_path / "d.dat"
+        _write_graph(graph)
+        write_dataset_file(generate_data("zipf:1.2", 150, 12, np.random.default_rng(4)), data)
+        budget, quant = solve_budget(0.1, 0.1, 150, r1=4, r2=16)
+        cfg = ExperimentConfig(n_nodes=150, alphabet_size=12, k=2, data=f"file:{data}",
+                               budget=budget, quant=quant, network=f"graph:{graph}", trials=3,
+                               master_seed=9)
+        first = trial_inputs(cfg, 0)
+        graph.unlink()
+        data.unlink()
+        one, two = run_experiment(cfg, 1, first), run_experiment(cfg, 2, first)
+        assert len(one["trials"]) == 3
+        assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
 
 _CONFIG = "nodes = 60\nalphabet = 5\nr1 = 2\nr2 = 4\nseed = 1\n"
@@ -976,6 +996,57 @@ class TestExitCodes:
                                           *flags])
         assert code == cli.EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    def test_k_whose_n_to_the_k_overflows_fails_before_any_output(self, tmp_path, capsys):
+        # 200^140 is beyond float64, so F_k / N^k cannot be formed
+        code, out = _run(tmp_path, "k140", ["--nodes", "200", "--alphabet", "3", "--k", "140",
+                                            "--r1", "2", "--r2", "4", "--s1", "1", "--seed", "1"])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: N^k = 200^140 overflows float64; F_k / N^k needs a smaller k\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_oracle_k_whose_n_to_the_k_overflows_fails_before_echo(self, tmp_path, capsys):
+        data = tmp_path / "d.dat"
+        write_dataset_file(generate_data("uniform", 200, 5, np.random.default_rng(1)), data)
+        json_out = tmp_path / "o.json"
+        argv = ["oracle", "--file", str(data), "--k", "200", "--json-out", str(json_out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: N^k = 200^200 overflows float64; F_k / N^k needs a smaller k\n"
+        assert captured.out == ""
+        assert not json_out.exists()
+
+    @pytest.mark.parametrize("body", ["0 5\n", "3 5\n1\n2\n2\n"])
+    def test_oracle_negative_k_fails_before_echo(self, tmp_path, capsys, body):
+        # an empty dataset too, whose F_k / N^k is 0 for every k >= 0
+        data = tmp_path / "d.dat"
+        data.write_text(body)
+        assert cli.main(["oracle", "--file", str(data), "--k", "-1"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: moment order must be nonnegative\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        # e^(-L) is about 1 > epsilon: nearly every draw is cut to L, and the
+        # mean error was inf
+        (["--trunc-L", "1e-300"], "truncation L = 1e-300 must be at least ln(1/epsilon) = 2.30259"),
+        # 2^20 cells of width about 1e294: every min falls in the first cell,
+        # and the mean error was 0.65
+        (["--trunc-L", "1e300"], "cell width L/2^quant_bits = 9.53674e+293 must be at most "
+                                 "1/N = 0.005"),
+        # the rule's L = 2 ln 200 in 2^3 cells: the mean error was 0.62
+        (["--quant-bits", "3"], "cell width L/2^quant_bits = 1.32458 must be at most 1/N = 0.005"),
+    ])
+    def test_quantizer_out_of_range_fails_before_any_output(self, tmp_path, capsys, flags, message):
+        code, out = _run(tmp_path, "quant", ["--nodes", "200", "--alphabet", "5", "--r1", "8",
+                                             "--r2", "16", "--trials", "3", "--seed", "1", *flags])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_spreading_time_zero_radius_is_config_error(self, capsys):
         argv = ["spreading-time", "--nodes", "60", "--network", "rgg-connected",

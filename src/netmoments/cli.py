@@ -13,6 +13,9 @@ other output; re-running from that echo reproduces outputs byte for byte.
 Before the echo, run and each sweep point build trial 0's dataset and
 network (every trial's, when read from a file: each file is read once a
 run), and gen-data its dataset, so an input they cannot use fails first.
+An output path fails first too: each command makes its --out directory, or
+writes its output file (gen-data's --out, oracle's --json-out), before the
+echo.
 A setting resolved per run (the budget, quantizer, radius_c, p_n,
 exchange_mode, buckets and s1) is echoed at its resolved value when all the
 command's runs share it, and as given otherwise; r1 and r2 count as one
@@ -150,8 +153,9 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _echo_config(settings: dict, keys, points=(), out_dir: Path | None = None) -> None:
-    """Print the settings named by keys; with out_dir, make it and write them
-    to effective.cfg.  points are the resolved settings of the command's runs:
+    """Print the settings named by keys; with out_dir, first make it and write
+    them to effective.cfg, so an unusable directory fails before any output.
+    points are the resolved settings of the command's runs:
     a value they all share is echoed in place of the given one.  A tuple of
     keys is one entry, echoed as a unit: its values all, or none."""
     echoed = dict(settings)
@@ -161,13 +165,13 @@ def _echo_config(settings: dict, keys, points=(), out_dir: Path | None = None) -
             value = shared.pop()
             echoed.update(zip(key, value) if isinstance(key, tuple) else [(key, value)])
     lines = [f"{key} = {echoed[key]}" for key in keys if echoed.get(key) is not None]
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "effective.cfg").write_text("\n".join(lines) + "\n")
     print("# effective-config")
     for line in lines:
         print(line)
     print("# end-config")
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "effective.cfg").write_text("\n".join(lines) + "\n")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -252,8 +256,8 @@ def cmd_gen_data(settings: dict, keys) -> int:
     simulator.check_data(spec)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(settings["seed"], 0)))
     dataset = simulator.generate_data(spec, n, m, rng)
-    _echo_config(settings, keys)
     write_dataset_file(dataset, settings["out"])
+    _echo_config(settings, keys)
     print(f"wrote {settings['out']} (N={n}, M={m}, model={spec})")
     return EXIT_OK
 
@@ -396,6 +400,8 @@ def cmd_oracle(settings: dict, keys) -> int:
     dataset = read_dataset_file(path)
     k = settings["k"]
     record = oracle_record(dataset, k)  # a k it cannot scale by fails before the echo
+    if settings.get("json_out"):
+        Path(settings["json_out"]).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     _echo_config(settings, keys)
     print(f"N = {dataset.n_nodes}  M = {dataset.alphabet_size}")
     print(f"F_{k} = {record['exact']}")
@@ -405,7 +411,6 @@ def cmd_oracle(settings: dict, keys) -> int:
     tops = ", ".join(f"{int(v) + 1}:{int(counts[v])}" for v in order if counts[v] > 0)
     print(f"top frequencies: {tops}")
     if settings.get("json_out"):
-        Path(settings["json_out"]).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {settings['json_out']}")
     return EXIT_OK
 

@@ -1,8 +1,8 @@
-"""Topology construction and analysis: edge lists and random geometric graphs
-in the connectivity and percolation regimes.
+"""Topology construction and analysis: the complete graph, edge lists and
+random geometric graphs in the connectivity and percolation regimes.
 
-The complete graph has no Topology: the protocols take it as its node count
-N, since its N (N - 1) adjacency entries would need 40 GB at N = 10^5.
+The complete graph's rows are implicit, since its N (N - 1) adjacency
+entries would need 40 GB at N = 10^5.
 
 An RGG's pairs come from a cell grid over the unit square: cells of side at
 least the radius, so a pair within range lies in one cell or two adjacent
@@ -35,11 +35,14 @@ class Topology:
 
     The neighbours of node u are indices[indptr[u]:indptr[u + 1]], ascending,
     and every edge is stored in the rows of both endpoints.  Everything else
-    (degrees, the edge list) is derived from these arrays.
+    (degrees, the edge list) is derived from these arrays.  The complete
+    graph's indices are None: its row u, 0..u-1, u+1..N-1, is never stored.
+    What reads rows (_rows, edges, induced_subgraph, giant_component and the
+    Aloha kernel) takes explicit graphs only.
     """
 
     indptr: np.ndarray  # int64, n_nodes + 1 offsets
-    indices: np.ndarray  # int32, each row ascending
+    indices: np.ndarray | None  # int32, each row ascending; None for K_N
 
     @property
     def n_nodes(self) -> int:
@@ -47,7 +50,7 @@ class Topology:
 
     @property
     def num_edges(self) -> int:
-        return len(self.indices) // 2
+        return int(self.indptr[-1]) // 2
 
     def _rows(self) -> np.ndarray:
         """The owning node of each entry of indices."""
@@ -58,6 +61,11 @@ class Topology:
         rows = self._rows()
         upper = rows < self.indices
         return np.column_stack((rows[upper], self.indices[upper]))
+
+
+def complete_topology(n_nodes: int) -> Topology:
+    """K_N with implicit rows: every degree is N - 1."""
+    return Topology(np.arange(n_nodes + 1, dtype=np.int64) * (n_nodes - 1), None)
 
 
 def _from_sorted_rows(n_nodes: int, rows, cols) -> Topology:

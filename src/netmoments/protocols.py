@@ -2,11 +2,10 @@
 slotted Aloha with a single-transmitter collision rule, run over per-node
 heard-sets.
 
-A network is a Topology, or the complete graph K_N given as its node count N,
-an int.  K_N is never stored: row u of its adjacency is 0..u-1, u+1..N-1, so
-gossip finds a neighbour by arithmetic.  Aloha would need the whole
-adjacency, and cannot finish on K_N anyway; the experiment configuration
-rejects it there, so it only ever runs on a Topology.
+A network is a Topology.  K_N's rows are implicit, 0..u-1, u+1..N-1 for
+node u, so gossip finds a neighbour there by arithmetic.  Aloha reads whole
+rows, and cannot finish on K_N anyway; the experiment configuration rejects
+it there, so it only ever runs on explicit rows.
 
 Who contacts whom never depends on what anyone has heard, so each protocol
 is a source of contact blocks: a plain generator whose blocks are its
@@ -75,36 +74,26 @@ def default_p_n(n_nodes: int, percolating: bool = False) -> float:
     return 1.0 / math.log(max(n_nodes, 3))
 
 
-def _n_nodes(topo: Topology | int) -> int:
-    return topo if isinstance(topo, int) else topo.n_nodes
-
-
 _GOSSIP_BLOCK = 4096  # gossip ticks per draw
 
 
-def _gossip_blocks(
-    topo: Topology | int, exchange: bool, rng: np.random.Generator, skip: np.ndarray
-):
+def _gossip_blocks(topo: Topology, exchange: bool, rng: np.random.Generator, skip: np.ndarray):
     """Gossip contact blocks of _GOSSIP_BLOCK ticks, for _deliver.  Tick t
     picks a uniform node u and a uniform neighbour v of it: one contact
     u -> v, both ways under exchange, and row t of sent marks its one or two
     messages.  A node without neighbours makes no contact.  A contact whose
     receiving ends, v and under exchange u, were all marked in skip when its
     block was drawn is left out."""
-    n = _n_nodes(topo)
     while True:
-        nodes = rng.integers(n, size=_GOSSIP_BLOCK)
+        nodes = rng.integers(topo.n_nodes, size=_GOSSIP_BLOCK)
         fracs = rng.random(_GOSSIP_BLOCK)
-        if isinstance(topo, int):
-            deg = np.full(_GOSSIP_BLOCK, n - 1)
-        else:
-            start = topo.indptr[nodes]
-            deg = topo.indptr[nodes + 1] - start
+        start = topo.indptr[nodes]
+        deg = topo.indptr[nodes + 1] - start
         tick = np.flatnonzero(deg)
         u = nodes[tick]
         j = (fracs[tick] * deg[tick]).astype(np.int64)
-        # entry j of u's row; in K_N's row 0..u-1, u+1..N-1 it is j + (j >= u)
-        v = j + (j >= u) if isinstance(topo, int) else topo.indices[start[tick] + j]
+        # entry j of u's row; in K_N's implicit row 0..u-1, u+1..N-1 it is j + (j >= u)
+        v = j + (j >= u) if topo.indices is None else topo.indices[start[tick] + j]
         live = ~skip[v]
         if exchange:
             live |= ~skip[u]
@@ -270,7 +259,7 @@ def _deliver(blocks, heard: list[int], is_full: bytearray, max_steps: int, excha
 
 
 def run_spreading(
-    topo: Topology | int,
+    topo: Topology,
     protocol: str,
     rng: np.random.Generator,
     p_n: float | None = None,
@@ -281,18 +270,17 @@ def run_spreading(
     cap).  Heard-sets S_u are tracked as bitmasks: bit w of S_u is set once
     node u has heard, directly or by relay, from node w.
 
-    topo is a Topology, or the node count N of the complete graph, which
-    only gossip takes.  The settings come resolved and checked, as
-    simulator.resolve_network leaves them: p_n is Aloha's transmit
-    probability, required for Aloha; exchange_mode is gossip's, exchange
-    when None; max_steps is the step cap, default_max_steps when None.  Each
-    protocol ignores the other's setting.
+    Only gossip takes the complete graph.  The settings come resolved and
+    checked, as simulator.resolve_network leaves them: p_n is Aloha's
+    transmit probability, required for Aloha; exchange_mode is gossip's,
+    exchange when None; max_steps is the step cap, default_max_steps when
+    None.  Each protocol ignores the other's setting.
 
     Returns (SpreadReport, mask), mask node 0's heard-set as a boolean array
     over the N nodes: the members whose initial sketches node 0's min-sketch
     is the min of, complete or cut short by the cap.
     """
-    n = _n_nodes(topo)
+    n = topo.n_nodes
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     max_steps = default_max_steps(protocol, n) if max_steps is None else max_steps

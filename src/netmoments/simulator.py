@@ -153,8 +153,8 @@ def solve_budget(
     given L must cut a rate-1 draw with probability e^(-L) <= eps, and the
     cell width L/2^quant_bits must resolve the min over N nodes, of order
     1/N, so it is at most 1/N.  The rule's cell width is at most eps2/N, and
-    its L = 2 ln N is not checked, as it falls short only at N < eps^-1/2.
-    A value out of range raises ValueError.  A budget whose
+    its L = max(2 ln N, ln(1/eps2)) cuts a draw with probability at most
+    eps2.  A value out of range raises ValueError.  A budget whose
     sketch at moment order k holds more than _MAX_CELLS cells,
     sketch_channels(k) * r1 * r2, raises CapacityError, solved or given,
     instead of returning something unrunnable.
@@ -325,11 +325,10 @@ class TrialRejected(RuntimeError):
 
 def build_topology(spec: str, n: int, radius_c: float, rng: np.random.Generator):
     """Returns (topology-to-run-on, original node ids of participants) for a
-    resolved network spec.  The complete graph is never built: it is
-    run on as its node count N.  A percolating network is run on its giant
+    resolved network spec.  A percolating network is run on its giant
     component, and a giant below half of the N nodes raises TrialRejected."""
     if spec == "complete":
-        return n, np.arange(n)
+        return network.complete_topology(n), np.arange(n)
     if spec.startswith("graph:"):
         topo = network.read_edge_list(spec[len("graph:"):])
         if topo.n_nodes != n:

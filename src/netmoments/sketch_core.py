@@ -132,13 +132,15 @@ class QuantConfig:
 
     @classmethod
     def for_population(cls, n_nodes: int, target_mu: float = 0.05) -> "QuantConfig":
-        """Default rule: L = 2 ln n and a cell width of at most target_mu / n,
-        so minima of order 1/n carry relative quantization error <= target_mu."""
+        """Default rule: L = max(2 ln n, ln(1/target_mu)), so that a rate-1
+        draw is cut with probability e^(-L) <= target_mu, and a cell width of
+        at most target_mu / n, so minima of order 1/n carry relative
+        quantization error <= target_mu."""
         if n_nodes < 2:
             raise ValueError("need at least 2 nodes")
         if not (0.0 < target_mu < 1.0):
             raise ValueError("target_mu must lie in (0, 1)")
-        L = 2.0 * math.log(n_nodes)
+        L = max(2.0 * math.log(n_nodes), math.log(1.0 / target_mu))
         bits = math.ceil(math.log2(L * n_nodes / target_mu))
         return cls(truncation_L=L, quant_bits=bits)
 

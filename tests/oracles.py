@@ -123,9 +123,9 @@ def cycle_topology(n_nodes: int) -> Topology:
     return from_edges(n_nodes, [(u, (u + 1) % n_nodes) for u in range(n_nodes)])
 
 
-def complete_topology(n_nodes: int) -> Topology:
+def explicit_complete_topology(n_nodes: int) -> Topology:
     """K_N as an explicit CSR, row u holding 0..u-1, u+1..N-1: the oracle for
-    the protocols' arithmetic neighbour of the complete graph given as N."""
+    the implicit rows of network.complete_topology."""
     ids = np.arange(n_nodes, dtype=np.int32)
     indices = np.empty(n_nodes * (n_nodes - 1), dtype=np.int32)
     for u, row in enumerate(indices.reshape(n_nodes, n_nodes - 1)):

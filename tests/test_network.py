@@ -12,6 +12,7 @@ from netmoments.network import (
     DEFAULT_CONNECTIVITY_C,
     _grid_pairs,
     build_rgg,
+    complete_topology,
     connectivity_radius,
     from_edges,
     giant_component,
@@ -22,9 +23,9 @@ from netmoments.network import (
 
 from oracles import (
     bfs_giant,
-    complete_topology,
     cycle_topology,
     degree,
+    explicit_complete_topology,
     kdtree_pairs,
     neighbor_lists,
     neighbors,
@@ -183,9 +184,19 @@ class TestTopology:
             from_edges(3, [(0, 0)])
 
     def test_complete_graph(self):
-        topo = complete_topology(5)
+        topo = explicit_complete_topology(5)
         validate_topology(topo)
         assert topo.num_edges == 10
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 300])
+    def test_complete_graph_rows_are_implicit(self, n):
+        # the explicit CSR's offsets and edge count, with no stored rows
+        topo = complete_topology(n)
+        want = explicit_complete_topology(n)
+        assert topo.indices is None and topo.n_nodes == n
+        assert topo.indptr.dtype == np.int64
+        np.testing.assert_array_equal(topo.indptr, want.indptr)
+        assert topo.num_edges == want.num_edges == n * (n - 1) // 2
 
     def test_cycle(self):
         topo = cycle_topology(6)
@@ -242,7 +253,7 @@ class TestCsrAgainstOracle:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_complete_topology_matches_oracle(self, n):
-        topo = complete_topology(n)
+        topo = explicit_complete_topology(n)
         validate_topology(topo)
         want = neighbor_lists(n, itertools.combinations(range(n), 2))
         assert [neighbors(topo, u).tolist() for u in range(n)] == want
@@ -307,7 +318,7 @@ class TestSerialization:
         assert loaded.edges().tolist() == topo.edges().tolist()
 
     def test_edge_list_no_radius(self, tmp_path):
-        topo = complete_topology(4)
+        topo = explicit_complete_topology(4)
         path = tmp_path / "edges.txt"
         write_edge_list(topo, path)
         assert path.read_text().splitlines()[0] == "4 -"

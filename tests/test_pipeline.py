@@ -63,6 +63,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import pickle
 import re
 import signal
@@ -78,7 +79,7 @@ from hypothesis import strategies as st
 
 import netmoments
 from netmoments import cli, sketch_core
-from netmoments.estimators import Dataset, ErrorBudget
+from netmoments.estimators import Dataset, ErrorBudget, exact_fk
 from netmoments.network import (
     DEFAULT_PERCOLATION_C,
     build_rgg,
@@ -98,7 +99,9 @@ from netmoments.protocols import (
 from netmoments.simulator import (
     CapacityError,
     ExperimentConfig,
+    build_topology,
     generate_data,
+    read_dataset_file,
     run_experiment,
     solve_budget,
     trial_inputs,
@@ -314,6 +317,13 @@ success rate: 0.667 (target >= 0.900 at epsilon = 0.1)
 """
 
 
+# sha256 of the dataset file and the oracle record of the round trip below,
+# recorded before gen-data and oracle wrote their files ahead of the echo;
+# that move left both unchanged
+_ROUND_TRIP_DATA = "17b1d566a80d24db4d0e8171483616fa181c3fc772032a320c11eb9b6c81d6f1"
+_ROUND_TRIP_JSON = "cbfe3c8626a607db5bb82a11ff41bdda14b43ddc1d8d039cb8d069867acb55ee"
+
+
 class TestOtherOutputs:
     @pytest.mark.parametrize("name", sorted(TRIALS_CSV))
     def test_trials_csv_digest(self, tmp_path, capsys, name):
@@ -338,6 +348,28 @@ class TestOtherOutputs:
         body = (out / "summary.csv").read_bytes()
         want = "947e4872210162f1816a13d42e83c7e8bff3146d14bf35986b259ece866d0c35"
         assert hashlib.sha256(body).hexdigest() == want
+
+    def test_gen_data_oracle_and_run_round_trip(self, tmp_path, monkeypatch, capsys):
+        # gen-data writes a dataset file, oracle --json-out reads it, and a
+        # run on it as file: measures the moment the oracle wrote
+        monkeypatch.chdir(tmp_path)
+        argv = ["gen-data", "--nodes", "120", "--alphabet", "10", "--data", "zipf:1.2",
+                "--seed", "4", "--out", "d.dat"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith("wrote d.dat (N=120, M=10, model=zipf:1.2)\n")
+        assert hashlib.sha256(Path("d.dat").read_bytes()).hexdigest() == _ROUND_TRIP_DATA
+        assert cli.main(["oracle", "--file", "d.dat", "--json-out", "o.json"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith("wrote o.json\n")
+        assert hashlib.sha256(Path("o.json").read_bytes()).hexdigest() == _ROUND_TRIP_JSON
+        record = json.loads(Path("o.json").read_text())
+        values = read_dataset_file("d.dat").values
+        assert record["exact"] == exact_fk(Dataset(values, 10), 2)
+        assert record["exact"] == sum(c * c for c in np.bincount(values).tolist())
+        code, out = _run(tmp_path, "run", ["--nodes", "120", "--alphabet", "10",
+                                           "--data", "file:d.dat", *_BUDGET, "--seed", "4"])
+        assert code == cli.EXIT_OK
+        (trial,) = json.loads((out / "report.json").read_text())["trials"]
+        assert trial["exact_scaled"] == record["exact_scaled"]
 
     def test_csv_format_writes_no_json(self, tmp_path, capsys):
         out = tmp_path / "csv"
@@ -553,6 +585,14 @@ class TestMemory:
             tracemalloc.stop()
         assert code == cli.EXIT_OK
         assert peak < 4 * 2**20
+
+    def test_complete_network_is_a_topology_without_stored_rows(self):
+        # its edge count is a Python int, which json.dumps takes
+        topo, ids = build_topology("complete", 2000, None, np.random.default_rng(0))
+        assert topo.indices is None and topo.n_nodes == 2000
+        assert ids.tolist() == list(range(2000))
+        assert type(topo.num_edges) is int
+        assert json.dumps(topo.num_edges) == str(2000 * 1999 // 2)
 
 
 class TestInvariance:
@@ -1269,6 +1309,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert not Path("out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["gen-data", "--nodes", "60", "--alphabet", "5", "--seed", "1", "--out"],
+                     id="gen-data"),
+        pytest.param(["run", *_TINY, "--out"], id="run"),
+        pytest.param(["sweep", *_TINY, "--param", "k", "--values", "2", "--out"], id="sweep"),
+        pytest.param(["spreading-time", "--nodes", "20", "--seed", "1", "--out"],
+                     id="spreading-time"),
+        pytest.param(["oracle", "--file", "d.dat", "--json-out"], id="oracle"),
+    ])
+    def test_output_path_under_a_file_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # each command makes or writes its output path before its first line
+        monkeypatch.chdir(tmp_path)
+        write_dataset_file(Dataset(np.arange(10) % 2 + 1, 2), "d.dat")
+        Path("plain").write_text("a regular file\n")
+        assert cli.main([*argv, "plain/out"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_spreading_time_aloha_on_complete_is_config_error(self, capsys):
         argv = ["spreading-time", "--nodes", "120", "--network", "complete", "--protocol", "aloha",
                 "--seed", "16"]
@@ -1520,6 +1581,27 @@ class TestSolveBudget:
         _, length = solve_budget(0.1, 0.1, 300, trunc_l=5.0)
         assert (bits.truncation_L, bits.quant_bits) == (quant.truncation_L, 12)
         assert (length.truncation_L, length.quant_bits) == (5.0, quant.quant_bits)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 1000])
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    def test_solved_truncation_cuts_a_draw_at_most_eps2(self, n, eps):
+        # L = 2 ln N alone cut a rate-1 draw with probability 1/N^2, far
+        # above eps2 = eps/32 at small N; at large N the rule is 2 ln N
+        _, quant = solve_budget(eps, 0.1, n)
+        assert math.exp(-quant.truncation_L) <= eps / 32 * (1 + 1e-12)
+        assert quant.truncation_L == max(2.0 * math.log(n), math.log(1 / (eps / 32)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_solved_budget_meets_delta_at_small_n(self, tmp_path, capsys, n):
+        # with L = 2 ln N every trial missed epsilon: the mean |error| was
+        # 1.77, 0.44 and 0.20 at N = 2, 3 and 4
+        code, out = _run(tmp_path, "small", ["--nodes", str(n), "--alphabet", "1",
+                                             "--data", "pointmass", "--trials", "30",
+                                             "--seed", "3"])
+        assert code == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["empirical_success_rate"] >= 0.9
+        assert report["aggregates"]["mean_abs_error"] <= 0.05
 
     @pytest.mark.parametrize("sizes", [dict(r1=8), dict(r2=8)])
     def test_one_size_alone_rejected(self, sizes):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from netmoments import protocols
-from netmoments.network import build_connected_rgg, build_rgg, connectivity_radius, from_edges
+from netmoments.network import (
+    build_connected_rgg,
+    build_rgg,
+    complete_topology,
+    connectivity_radius,
+    from_edges,
+)
 from netmoments.protocols import (
     _ALOHA_BLOCK,
     _GOSSIP_BLOCK,
@@ -31,9 +37,9 @@ from oracles import (
     aloha_deliveries,
     aloha_slot_events,
     aloha_spread,
-    complete_topology,
     cycle_topology,
     degree,
+    explicit_complete_topology,
     gossip_spread,
     neighbors,
     uint64_adjacency,
@@ -44,7 +50,7 @@ def _graphs():
     rng = np.random.default_rng(5)
     random8 = [(u, v) for u, v in itertools.combinations(range(8), 2) if rng.random() < 0.4]
     return {
-        "complete5": complete_topology(5),
+        "complete5": explicit_complete_topology(5),
         "cycle6": cycle_topology(6),
         "star7": from_edges(7, [(0, v) for v in range(1, 7)]),
         "path8": from_edges(8, [(u, u + 1) for u in range(7)]),
@@ -218,8 +224,7 @@ def _gossip_contacts(topo, exchange, seed, n_ticks, skip=None):
     """(tick, sender, receiver) of the first n_ticks ticks of _gossip_blocks,
     ticks counted across blocks, after checking one contact per tick and
     1 + exchange messages per tick with a neighbour to contact."""
-    n = topo if isinstance(topo, int) else topo.n_nodes
-    skip = np.zeros(n, dtype=bool) if skip is None else skip
+    skip = np.zeros(topo.n_nodes, dtype=bool) if skip is None else skip
     blocks = _gossip_blocks(topo, exchange, np.random.default_rng(seed), skip)
     contacts = []
     for at in range(0, n_ticks, _GOSSIP_BLOCK):
@@ -256,17 +261,17 @@ class TestGossipPicker:
         pairs = [(u, int(v)) for u in range(7) for v in neighbors(topo, u)] + [(6, -1)]
         expected = [1.0 / (7 * max(degree(topo, u), 1)) for u, _ in pairs]
         assert _pick_pvalue(topo, pairs, expected) > 1e-3
-        # K_7 given as its node count: every ordered pair u != v has 1 / (N (N - 1))
+        # K_7 with implicit rows: every ordered pair u != v has 1 / (N (N - 1))
         pairs = list(itertools.permutations(range(7), 2))
-        assert _pick_pvalue(7, pairs, [1.0 / 42] * 42) > 1e-3
+        assert _pick_pvalue(complete_topology(7), pairs, [1.0 / 42] * 42) > 1e-3
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
-    def test_complete_node_count_matches_csr_oracle(self, n):
+    def test_implicit_rows_match_explicit_csr(self, n):
         # contact for contact, across three blocks and part of a fourth: one
         # contact per tick, which stands for both deliveries of an exchange
         ticks = 3 * _GOSSIP_BLOCK + 100
-        implicit = _gossip_contacts(n, True, n, ticks)
-        assert implicit == _gossip_contacts(complete_topology(n), True, n, ticks)
+        implicit = _gossip_contacts(complete_topology(n), True, n, ticks)
+        assert implicit == _gossip_contacts(explicit_complete_topology(n), True, n, ticks)
         assert len(implicit) == (ticks if n > 1 else 0)
 
     @pytest.mark.parametrize("exchange", [True, False])
@@ -274,10 +279,9 @@ class TestGossipPicker:
     def test_no_contact_into_nodes_marked_full(self, name, exchange):
         # the contacts are the unmasked ones with those whose receiving ends,
         # v and under exchange u too, are all marked in skip left out
-        topo = 7 if name == "complete7" else _graphs()[name]
-        n = topo if isinstance(topo, int) else topo.n_nodes
+        topo = complete_topology(7) if name == "complete7" else _graphs()[name]
         ticks = 2 * _GOSSIP_BLOCK + 50
-        skip = np.random.default_rng(len(name)).random(n) < 0.5
+        skip = np.random.default_rng(len(name)).random(topo.n_nodes) < 0.5
         want = [
             (t, u, v) for t, u, v in _gossip_contacts(topo, exchange, 3, ticks)
             if not (skip[v] and (skip[u] or not exchange))
@@ -289,7 +293,7 @@ def _spread(topo, protocol, seed, p_n=None, mode=None, max_steps=None):
     """The report and all N heard-sets of the spread run_spreading makes on a
     generator seeded with seed: the protocol's source driven by _deliver,
     set up as run_spreading sets them up."""
-    n = topo if isinstance(topo, int) else topo.n_nodes
+    n = topo.n_nodes
     cap = default_max_steps(protocol, n) if max_steps is None else max_steps
     heard = [1 << u for u in range(n)]
     is_full = bytearray(n)
@@ -319,7 +323,7 @@ class TestRunSpreading:
         "protocol, mode", [(GOSSIP, EXCHANGE), (GOSSIP, PUSH), (ALOHA, EXCHANGE)]
     )
     def test_completed_heard_sets_are_full(self, protocol, mode):
-        topo = complete_topology(30) if protocol == GOSSIP else cycle_topology(12)
+        topo = explicit_complete_topology(30) if protocol == GOSSIP else cycle_topology(12)
         p_n = default_p_n(topo.n_nodes)
         report, heard = spread = _spread(topo, protocol, 1, p_n, mode)
         assert report.completed
@@ -327,7 +331,7 @@ class TestRunSpreading:
         _assert_returns(run_spreading(topo, protocol, np.random.default_rng(1), p_n, mode), spread)
 
     def test_gossip_messages_per_tick(self):
-        topo = complete_topology(20)
+        topo = explicit_complete_topology(20)
         for mode, per_tick in ((EXCHANGE, 2), (PUSH, 1)):
             report, _ = run_spreading(topo, GOSSIP, np.random.default_rng(2), exchange_mode=mode)
             assert report.messages_sent == per_tick * report.steps_to_full
@@ -344,15 +348,15 @@ class TestRunSpreading:
     @pytest.mark.parametrize(
         "mode, max_steps", [(EXCHANGE, None), (PUSH, None), (EXCHANGE, 5000)]
     )
-    def test_complete_node_count_matches_csr_oracle(self, mode, max_steps):
+    def test_implicit_rows_match_explicit_csr(self, mode, max_steps):
         # N = 1000 takes about 11 000 ticks: several picker refills
         settings = dict(mode=mode, max_steps=max_steps)
-        got = _spread(1000, GOSSIP, 6, **settings)
-        want = _spread(complete_topology(1000), GOSSIP, 6, **settings)
+        got = _spread(complete_topology(1000), GOSSIP, 6, **settings)
+        want = _spread(explicit_complete_topology(1000), GOSSIP, 6, **settings)
         assert got[0] == want[0] and got[0].completed == (max_steps is None)
         assert got[1] == want[1]
-        _assert_returns(run_spreading(1000, GOSSIP, np.random.default_rng(6), None, mode,
-                                      max_steps), want)
+        _assert_returns(run_spreading(complete_topology(1000), GOSSIP, np.random.default_rng(6),
+                                      None, mode, max_steps), want)
 
     @pytest.mark.parametrize("max_steps", [1, 31, 32, 33, _ALOHA_BLOCK - 1, _ALOHA_BLOCK,
                                            _ALOHA_BLOCK + 1, 100, None])
@@ -434,7 +438,7 @@ class TestRunSpreading:
         # each spread runs past a block edge: K_1000 and the RGG take 5 000
         # to 25 000 ticks, and a 39-cycle plus an isolated node never completes
         topo = {
-            "complete1000": 1000,
+            "complete1000": complete_topology(1000),
             "rgg300": build_connected_rgg(300, 0.12, np.random.default_rng(300)),
             "isolated40": from_edges(40, [(u, (u + 1) % 39) for u in range(39)]),
         }[name]
@@ -448,9 +452,9 @@ class TestRunSpreading:
         # on K_2 the first exchange fills both ends at once; on K_3 and a star
         # the last contact often fills one end and finds the other full
         topo = {
-            "complete2": 2,
-            "csr2": complete_topology(2),
-            "complete3": 3,
+            "complete2": complete_topology(2),
+            "csr2": explicit_complete_topology(2),
+            "complete3": complete_topology(3),
             "star5": from_edges(5, [(0, v) for v in range(1, 5)]),
         }[name]
         for seed in range(20):
@@ -469,7 +473,8 @@ class TestRunSpreading:
         for seed, max_steps in itertools.product(range(4), [1, n // 2 + 1, n, 2 * n, None]):
             cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
             want = gossip_spread(n, True, cap, np.random.default_rng(seed))
-            got = run_spreading(n, GOSSIP, np.random.default_rng(seed), max_steps=max_steps)
+            got = run_spreading(complete_topology(n), GOSSIP, np.random.default_rng(seed),
+                                max_steps=max_steps)
             _assert_returns(got, want)
             partial += 1 < np.count_nonzero(got[1]) < n
         assert partial > 0 or n == 1
@@ -485,17 +490,19 @@ class TestRunSpreading:
     def test_small_graphs_match_tick_by_tick_oracle(self, n, data, max_steps, mode, seed):
         pairs = list(itertools.combinations(range(n), 2))
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-        topo = n if data.draw(st.booleans()) else from_edges(n, edges)
+        topo = complete_topology(n) if data.draw(st.booleans()) else from_edges(n, edges)
         _assert_gossip_matches_oracle(topo, mode, max_steps, seed)
 
 
 def _assert_gossip_matches_oracle(topo, mode, max_steps, seed):
     """The gossip spread on a generator seeded with seed equals
     gossip_spread's in its report and all N heard-sets, and run_spreading
-    returns that report and node 0's heard-set."""
-    n = topo if isinstance(topo, int) else topo.n_nodes
+    returns that report and node 0's heard-set.  The oracle takes K_N's
+    implicit rows as its node count N."""
+    n = topo.n_nodes
     cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
-    want = gossip_spread(topo, mode == EXCHANGE, cap, np.random.default_rng(seed))
+    net = n if topo.indices is None else topo
+    want = gossip_spread(net, mode == EXCHANGE, cap, np.random.default_rng(seed))
     assert _spread(topo, GOSSIP, seed, mode=mode, max_steps=max_steps) == want
     got = run_spreading(topo, GOSSIP, np.random.default_rng(seed), exchange_mode=mode,
                         max_steps=max_steps)

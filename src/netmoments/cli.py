@@ -308,7 +308,7 @@ def cmd_sweep(settings: dict, keys) -> int:
     if not param or not values:
         raise ValueError("sweep needs --param and --values")
     param = settings["param"] = _KEYS.get(param, param)
-    if param not in _EXPERIMENT_KEYS:
+    if param not in _EXPERIMENT_KEYS or param in ("jobs", "format"):
         raise ValueError(f"unknown sweep parameter {param!r}: not an experiment setting")
     out_root = Path(settings.get("out") or "sweep-out")
     points = []
@@ -422,7 +422,8 @@ class _Command(NamedTuple):
     unechoed: tuple = ("out",)  # settings read but not echoed
 
 
-# the settings of an ExperimentConfig, which sweep may vary
+# the settings of an ExperimentConfig, which sweep may vary, and jobs and
+# format, which say how a run runs and writes, in echo order
 _EXPERIMENT_KEYS = (
     "nodes alphabet k epsilon delta r1 r2 quant_bits trunc_l network radius_c "
     "protocol p_n data buckets s1 trials seed jobs format max_steps exchange_mode"

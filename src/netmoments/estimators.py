@@ -61,13 +61,6 @@ def exact_nplus(d: Dataset, seed: int, r1: int) -> np.ndarray:
     return (sign_table(seed, r1, d.alphabet_size) > 0) @ d.counts
 
 
-def f2_from_nplus(nplus: np.ndarray, n_nodes: int) -> float:
-    """The shared second-moment combination: mean of (2 N_+ - N)^2 over the
-    outer maps, scaled by N^2."""
-    arr = np.asarray(nplus, dtype=float)
-    return float(np.mean((2.0 * arr - n_nodes) ** 2)) / float(n_nodes) ** 2
-
-
 def ams_reference_f2(d: Dataset, seed: int, r1: int) -> float:
     """Streaming-style estimate from exact sign sums over the r1 sign maps of
     the seed: the no-network baseline."""
@@ -90,20 +83,22 @@ def median(values) -> float:
 
 
 def estimate_fk(phases: np.ndarray, n_nodes: int, k: int) -> float:
-    """Scaled k-th moment estimate (k >= 3) from completed bucket phases.
+    """Scaled k-th moment estimate (k >= 2) from completed bucket phases.
 
-    phases[t, b] holds the (3, r1) harmonic estimates of bucket phase
-    (t + 1, b + 1): the real and imaginary channels estimate the shifted
-    component sums, and the population channel estimates the bucket
-    population that must be subtracted back out.  Per (map p, bucket map t):
-    sum over buckets of Re{S^k}, where S is the complex component sum.
-    Aggregation is the mean over the outer maps and the median over the
-    bucket maps.
+    phases[t, b] holds the (channels, r1) harmonic estimates of bucket phase
+    (t + 1, b + 1), and S is each outer map's component sum over the bucket.
+    At k = 2 there is one bucket and one channel, N_+ under the sign maps,
+    and S = 2 N_+ - N is real.  At k >= 3 the real and imaginary channels
+    estimate the shifted component sums, and the population channel
+    estimates the bucket population that must be subtracted back out.
+    Per (map p, bucket map t): sum over buckets of Re{S^k}.  Aggregation is
+    the mean over the outer maps and the median over the bucket maps.
     """
-    if k < 3:
-        raise ValueError("estimate_fk handles k >= 3; use f2_from_nplus for k = 2")
-    real, imag, pop = np.moveaxis(phases, 2, 0)
-    s_hat = (real - pop) + 1j * (imag - pop)
+    if k == 2:
+        s_hat = 2.0 * phases[:, :, 0] - n_nodes
+    else:
+        real, imag, pop = np.moveaxis(phases, 2, 0)
+        s_hat = (real - pop) + 1j * (imag - pop)
     per_t_p = np.real(s_hat**k).sum(axis=1)  # (s1, r1)
     per_t = per_t_p.mean(axis=1)
     return median(per_t) / float(n_nodes) ** k

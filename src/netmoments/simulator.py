@@ -3,12 +3,13 @@ network, and (epsilon, delta) accounting across trials.
 
 A trial assigns data, derives the shared maps and builds the network once;
 on a percolating network the trial runs on the giant component, or is
-rejected when the giant holds under half the nodes.  Then it runs its phases
-in sequence: one for k = 2, one per (bucket map, bucket) for k >= 3.  Each
-phase spreads from scratch and reads node 0's sketch off its heard-set with
-one closed-form draw per distinct rate its members hold, all from the
-phase's one draw generator.  The per-phase harmonic estimates give F_2 / N^2
-from the sign sums, or F_k / N^k from the bucket phases, scaled by the
+rejected when the giant holds under half the nodes.  Then it runs its
+s1 * B bucket phases in sequence, one per (bucket map, bucket); k = 2 has
+one bucket map and one bucket, B = M^(1 - 1/(k - 1)) = 1, so one phase.
+Each phase spreads from scratch and reads node 0's sketch off the heard-set
+members in its bucket with one closed-form draw per distinct rate they
+hold, all from the phase's one draw generator.  estimators.estimate_fk
+turns the per-phase harmonic estimates into F_k / N^k, scaled by the
 participant count.
 
 Reports are plain dicts: a trial's record and the experiment's report are
@@ -111,7 +112,10 @@ def read_dataset_file(path) -> Dataset:
     (n, m), rows = network.read_int_rows(path, (int, int), "'N M'", 1, "not an integer value")
     if len(rows) != n:
         raise ValueError(f"{path}: header says N={n} but found {len(rows)} values")
-    return Dataset(rows.ravel(), m)
+    try:
+        return Dataset(rows.ravel(), m)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def default_num_buckets(alphabet_size: int, k: int) -> int:
@@ -220,8 +224,8 @@ def resolve_network(
         raise ValueError(f"unknown protocol {protocol!r}")
     if kind == "complete" and protocol == protocols.ALOHA:
         raise ValueError("aloha needs a spatial network; the complete graph supports gossip only")
-    if radius_c is not None and radius_c <= 0:
-        raise ValueError("need radius_c > 0")
+    if radius_c is not None and not 0.0 < radius_c < math.inf:
+        raise ValueError(f"need radius_c > 0 and finite, got {radius_c}")
     if p_n is not None and not (0.0 < p_n < 1.0):
         raise ValueError(f"p_n must lie in (0, 1), got {p_n}")
     if exchange_mode not in (protocols.EXCHANGE, protocols.PUSH, None):
@@ -245,13 +249,13 @@ class ExperimentConfig:
     """Everything a reproducible experiment needs; master_seed plus a trial
     index determines every random choice in that trial.
 
-    Every k >= 2 runs on every network kind.  k = 2 is one phase on the sign
-    maps, so num_buckets and s1 resolve to 1 there; k >= 3 runs
-    num_buckets * s1 bucket phases, with num_buckets None meaning
-    default_num_buckets.  On rgg-percolating the trials run on the giant
-    component.  radius_c, p_n and exchange_mode resolve by resolve_network,
-    to None where they decide nothing, so report.json's config block holds
-    only what decides a run; max_steps None means default_max_steps.
+    Every k >= 2 runs on every network kind, in num_buckets * s1 bucket
+    phases, with num_buckets None meaning default_num_buckets.  k = 2 is
+    the one-bucket case, so num_buckets and s1 resolve to 1 there.  On
+    rgg-percolating the trials run on the giant component.  radius_c, p_n
+    and exchange_mode resolve by resolve_network, to None where they decide
+    nothing, so report.json's config block holds only what decides a run;
+    max_steps None means default_max_steps.
     """
 
     n_nodes: int
@@ -295,7 +299,7 @@ class ExperimentConfig:
 
     @property
     def phases(self) -> int:
-        return 1 if self.k == 2 else self.num_buckets * self.s1
+        return self.num_buckets * self.s1
 
     @property
     def channels(self) -> int:
@@ -413,13 +417,15 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, first) -> dict | None:
 
     The set-up runs once: data and the network, as trial_inputs(cfg,
     trial_index, first) gives them (on a percolating network, its giant
-    component), and the maps.  Then the phases run in sequence, each a
-    spread from scratch and a sketch read off node 0's heard-set:
-    - k = 2 is one phase over every participant, on the sign maps;
-    - k >= 3 is s1 * num_buckets bucket phases, phase (t, b) over the
-      participants that bucket map t sends to bucket b, on three channels of
-      the roots-of-unity maps: real at rate Re(root) + 1, imaginary at
-      Im(root) + 1 and population at rate 1.
+    component), and the maps.  Then the s1 * num_buckets bucket phases run
+    in sequence, phase (t, b) a spread from scratch and a sketch read off
+    node 0's heard-set, over the participants that bucket map t sends to
+    bucket b.  The maps and rates are k's:
+    - k = 2 has one bucket map and one bucket, so its one phase holds every
+      participant, on one channel of the sign maps, at rate 1 where the sign
+      is +1 and 0 elsewhere;
+    - k >= 3 reads three channels of the roots-of-unity maps: real at rate
+      Re(root) + 1, imaginary at Im(root) + 1 and population at rate 1.
 
     The estimate is computed by, and scaled for, the participants; the exact
     oracle always uses all N nodes.
@@ -437,37 +443,30 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, first) -> dict | None:
     maps_seed = _seed_int(maps_ss)
     if cfg.k == 2:
         rates_by_value = (sketch_core.sign_table(maps_seed, r1, m).T > 0).astype(float)
-        plan = [(1, 1, (sched_ss, draws_ss))]
+        phase_seeds = [(sched_ss, draws_ss)]
     else:
         roots = sketch_core.root_table(maps_seed, r1, cfg.k, m).T
         rates_by_value = np.concatenate(
             [np.real(roots) + 1.0, np.imag(roots) + 1.0, np.ones(roots.shape)], axis=1
         )
-        buckets = sketch_core.bucket_table(maps_seed, cfg.s1, cfg.num_buckets, m)
-        phase_ids = itertools.product(range(1, cfg.s1 + 1), range(1, cfg.num_buckets + 1))
-        plan = (  # each phase: a scheduling seed, then a draws seed
-            (t, b, phase_ss.spawn(2))
-            for (t, b), phase_ss in zip(phase_ids, draws_ss.spawn(cfg.phases))
-        )
+        phase_seeds = (phase_ss.spawn(2) for phase_ss in draws_ss.spawn(cfg.phases))
+    buckets = sketch_core.bucket_table(maps_seed, cfg.s1, cfg.num_buckets, m)
+    phase_ids = itertools.product(range(1, cfg.s1 + 1), range(1, cfg.num_buckets + 1))
 
     reports, estimates = [], []
-    for t, b, (phase_sched_ss, phase_draws_ss) in plan:
-        report, members = run_spreading(topo, cfg.protocol, np.random.default_rng(phase_sched_ss),
+    for (t, b), (sched, draws) in zip(phase_ids, phase_seeds):
+        report, members = run_spreading(topo, cfg.protocol, np.random.default_rng(sched),
                                         cfg.p_n, cfg.exchange_mode, cfg.max_steps)
-        if cfg.k > 2:
-            members &= buckets[t - 1, part_values - 1] == b
-        draws = np.random.default_rng(phase_draws_ss)
-        sketch = _heard_sketch(rates_by_value, part_values, r2, cfg.quant, draws, members)
+        members &= buckets[t - 1, part_values - 1] == b
+        sketch = _heard_sketch(rates_by_value, part_values, r2, cfg.quant,
+                               np.random.default_rng(draws), members)
         estimates.append(harmonic_estimate(sketch.reshape(cfg.channels, r1, r2), cfg.quant))
         reports.append(report)
         del sketch  # a sketch does not outlive its phase
     completed = all(report.completed for report in reports)
 
-    if cfg.k == 2:
-        estimate = estimators.f2_from_nplus(estimates[0][0], n_part)
-    else:
-        phases = np.array(estimates).reshape(cfg.s1, cfg.num_buckets, 3, r1)
-        estimate = estimators.estimate_fk(phases, n_part, cfg.k)
+    phases = np.array(estimates).reshape(cfg.s1, cfg.num_buckets, cfg.channels, r1)
+    estimate = estimators.estimate_fk(phases, n_part, cfg.k)
     exact = exact_fk(dataset, cfg.k)
     exact_scaled = exact / float(cfg.n_nodes) ** cfg.k
     abs_error = abs(estimate - exact_scaled)

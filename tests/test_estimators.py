@@ -10,7 +10,6 @@ from netmoments.estimators import (
     estimate_fk,
     exact_fk,
     exact_nplus,
-    f2_from_nplus,
     median,
     oracle_record,
 )
@@ -117,6 +116,11 @@ class TestRootExpectationIdentity:
                 assert abs(mean - exact_fk(d, k)) <= 1e-9
 
 
+def _f2(nplus, n_nodes):
+    """estimate_fk at k = 2 on the N_+ estimates of one phase's r1 sign maps."""
+    return estimate_fk(np.asarray(nplus, dtype=float).reshape(1, 1, 1, -1), n_nodes, 2)
+
+
 def _phases_from_exact_channels(counts, roots):
     """(s1, B, 3, r1) phase estimates for one bucket holding everything, with
     the harmonic channels replaced by their exact targets."""
@@ -161,9 +165,30 @@ class TestEstimateFk:
         phases[0, 0] = np.array([13.0, 10.0, 10.0])[:, None]
         assert estimate_fk(phases, 10, 3) == pytest.approx(27.0 / 1000.0)
 
-    def test_k2_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_fk(np.zeros((1, 1, 3, 1)), 4, 2)
+    def test_k2_exact_nplus_enumeration(self):
+        # k = 2 is one bucket and one channel, N_+: averaging over every sign
+        # assignment with exact N_+ reproduces F2 (M <= 6, N <= 20)
+        import itertools
+
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            d = random_dataset(rng, n_max=20, m_max=6)
+            n = d.n_nodes
+            total = 0.0
+            assignments = 0
+            for signs in itertools.product((0, 1), repeat=d.alphabet_size):
+                total += _f2([np.dot(signs, d.counts)], n) * n**2
+                assignments += 1
+            assert abs(total / assignments - exact_fk(d, 2)) <= 1e-9
+
+    def test_k2_bit_identical_to_sign_sum_formula(self):
+        # mean of (2 N_+ - N)^2 over the outer maps, scaled by N^2, with ==
+        rng = np.random.default_rng(5)
+        for r1 in (1, 2, 7, 64, 1000):
+            n = int(rng.integers(2, 10**5))
+            nplus = rng.uniform(0.0, 1.2 * n, size=r1)
+            expected = float(np.mean((2 * nplus - n) ** 2)) / n**2
+            assert estimate_fk(nplus.reshape(1, 1, 1, -1), n, 2) == expected
 
 
 class TestEstimateF2:
@@ -172,7 +197,7 @@ class TestEstimateF2:
         d = random_dataset(rng, n_max=20, m_max=6)
         nplus = exact_nplus(d, 21, 8)
         assert ams_reference_f2(d, 21, 8) == pytest.approx(
-            f2_from_nplus(nplus, d.n_nodes) * d.n_nodes**2
+            _f2(nplus, d.n_nodes) * d.n_nodes**2
         )
 
     def test_estimate_is_harmonic_rows_through_step5(self):
@@ -182,12 +207,12 @@ class TestEstimateF2:
         n = 40
         rows = np.array([harmonic_estimate(q.dequantize(row)) for row in levels])
         nplus = sketch_harmonic_estimate(levels, q)
-        assert f2_from_nplus(nplus, n) == pytest.approx(f2_from_nplus(rows, n))
+        assert _f2(nplus, n) == pytest.approx(_f2(rows, n))
 
     def test_all_infinite_gives_one(self):
         q = QuantConfig(truncation_L=4.0, quant_bits=4)
         levels = np.full((4, 8), q.infinity_level, dtype=q.level_dtype)
-        assert f2_from_nplus(sketch_harmonic_estimate(levels, q), 25) == pytest.approx(1.0)
+        assert _f2(sketch_harmonic_estimate(levels, q), 25) == pytest.approx(1.0)
 
 
 class TestConcentration:

@@ -887,10 +887,22 @@ class TestSweep:
 
     def test_value_outside_choices_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "sweep"
-        argv = ["sweep", "--param", "format", "--values", "json,xml", "--nodes", "60",
-                "--alphabet", "5", "--r1", "2", "--r2", "4", "--seed", "1", "--out", str(out)]
+        argv = ["sweep", "--param", "exchange-mode", "--values", "exchange,pull", "--nodes",
+                "60", "--alphabet", "5", "--r1", "2", "--r2", "4", "--seed", "1", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert "format must be one of json, csv, both, got 'xml'" in capsys.readouterr().err
+        assert "exchange_mode must be one of exchange, push, got 'pull'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, values", [("jobs", "1,2"), ("format", "json,csv")])
+    def test_how_a_run_runs_is_not_sweepable(self, tmp_path, capsys, param, values):
+        # every point runs at the base jobs and format, so sweeping either would do nothing
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--param", param, "--values", values, "--nodes", "60", "--alphabet",
+                "5", "--r1", "2", "--r2", "4", "--seed", "3", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown sweep parameter {param!r}: not an experiment setting\n"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -957,7 +969,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--alphabet", "0"], "1 <= M < N"), (["--alphabet", "-1", "--k", "3"], "1 <= M < N"),
-         (["--radius-c", "0"], "need radius_c > 0"),
+         (["--radius-c", "0"], "need radius_c > 0"), (["--radius-c", "nan"], "need radius_c > 0"),
+         (["--radius-c", "inf"], "need radius_c > 0"),
          (["--network", "rgg-connected", "--protocol", "aloha", "--p-n", "1.5"],
           "p_n must lie in (0, 1)"),
          (["--max-steps", "0"], "max_steps must be >= 1")],
@@ -972,6 +985,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--p-n", "0"], "p_n must lie in (0, 1)"), (["--radius-c", "0"], "need radius_c > 0"),
+         (["--radius-c", "nan"], "need radius_c > 0"), (["--radius-c", "inf"], "need radius_c > 0"),
          (["--trials", "0"], "trials must be >= 1"),
          (["--max-steps", "0"], "max_steps must be >= 1")],
     )
@@ -1338,6 +1352,46 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "aloha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["run", *_TINY, "--epsilon", "1.5"], "eps and delta must lie in (0, 1)",
+                     id="run-epsilon"),
+        pytest.param(["run", *_TINY, "--k", "1"], "moment order k must be >= 2", id="run-k"),
+        pytest.param(["run", *_TINY, "--trials", "0"], "trials must be >= 1", id="run-trials"),
+        pytest.param(["run", *_TINY, "--network", "graph:"], "graph network needs a path",
+                     id="run-graph-without-path"),
+        pytest.param(["run", "--nodes", "1", "--alphabet", "1", *_PINS],
+                     "need at least 2 nodes", id="run-one-node"),
+        # a comment and a blank line are skipped; line 4 has no '='
+        pytest.param(["run", "--config", "noeq.cfg"], "noeq.cfg:4: expected 'key = value'",
+                     id="config-line-without-equals"),
+        pytest.param(["sweep", *_TINY], "sweep needs --param and --values",
+                     id="sweep-without-param"),
+        pytest.param(["spreading-time", "--seed", "1"],
+                     "spreading-time needs --nodes (comma list allowed)",
+                     id="spreading-time-without-nodes"),
+        pytest.param(["oracle"], "oracle needs --file DATASET", id="oracle-without-file"),
+        *(pytest.param(["run", "--nodes", "3", "--alphabet", "2", "--data", f"file:{path}",
+                        *_PINS], message, id=f"run-{path}")
+          for path, message in (("wide.dat", "wide.dat: values must lie in [1, alphabet_size]"),
+                                ("m0.dat", "m0.dat: alphabet size must be >= 1"))),
+        *(pytest.param(["oracle", "--file", path], message, id=f"oracle-{path}")
+          for path, message in (("wide.dat", "wide.dat: values must lie in [1, alphabet_size]"),
+                                ("m0.dat", "m0.dat: alphabet size must be >= 1"))),
+    ])
+    def test_unusable_setting_or_input_fails_before_any_output(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("noeq.cfg").write_text("# a comment\n\nnodes = 60\nalphabet 5\n")
+        Path("wide.dat").write_text("3 2\n1\n3\n2\n")
+        Path("m0.dat").write_text("3 0\n1\n1\n1\n")
+        out_flag = "--json-out" if argv[0] == "oracle" else "--out"
+        assert cli.main([*argv, out_flag, "out"]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not Path("out").exists()
+
 
 # dataset file -> the error `oracle --file` reports for it, PATH for its path
 _BAD_DATASETS = {
@@ -1491,7 +1545,7 @@ class TestImports:
             "k3-gossip": ["run", *common, "--k", "3", "--s1", "1", "--buckets", "2",
                           "--protocol", "gossip", "--out", str(tmp_path / "gossip")],
             "k2-aloha": ["run", *common, "--protocol", "aloha", "--out", str(tmp_path / "aloha")],
-            # the f2-complete-gossip path: the complete graph as its node count
+            # the f2-complete-gossip path: the complete graph, a Topology with implicit rows
             "k2-complete-gossip": ["run", *common[:4], *common[6:], "--network", "complete",
                                    "--protocol", "gossip", "--out", str(tmp_path / "complete")],
         }

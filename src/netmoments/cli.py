@@ -16,13 +16,13 @@ run), and gen-data its dataset, so an input they cannot use fails first.
 An output path fails first too: each command makes its --out directory, or
 writes its output file (gen-data's --out, oracle's --json-out), before the
 echo.
-A setting resolved per run (the budget, quantizer, radius_c, p_n,
-exchange_mode, buckets and s1) is echoed at its resolved value when all the
-command's runs share it, and as given otherwise; r1 and r2 count as one
-setting, the budget.  Where it decides nothing (radius_c off the RGG kinds,
-p_n under gossip, exchange_mode under Aloha) a setting resolves to None and
-is neither echoed nor in report.json.  beta is read only by run and
-spreading-time, never by a run itself.
+A setting resolved per run (the budget, quantizer, radius_c, p_n, buckets
+and s1) is echoed at its resolved value when all the command's runs share
+it, and as given otherwise; r1 and r2 count as one setting, the budget.
+Where it decides nothing (radius_c off the RGG kinds, p_n under gossip) a
+setting resolves to None and is neither echoed nor in report.json.  Gossip
+has no setting of its own: it is always the exchange.  beta is read only
+by run and spreading-time, never by a run itself.
 run, sweep and spreading-time also write the echo as effective.cfg into
 their --out directory.
 Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
@@ -90,7 +90,6 @@ _SETTINGS = {
     "format": _Setting(str, "both", None, ("json", "csv", "both")),
     "beta": _Setting(float, 0.1, "spreading failure target"),
     "max_steps": _Setting(int, None, "spreading step cap"),
-    "exchange_mode": _Setting(str, protocols.EXCHANGE, None, (protocols.EXCHANGE, protocols.PUSH)),
     "out": _Setting(str, None, "output directory (file for gen-data)"),
     "param": _Setting(str, None, "setting to sweep, e.g. nodes"),
     "values": _Setting(str, None, "comma-separated values"),
@@ -149,6 +148,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             settings[key] = val
     if settings.get("seed") is None:
         settings["seed"] = secrets.randbits(32)
+    if settings["seed"] < 0:
+        raise ValueError(f"--seed must be >= 0, got {settings['seed']}")
     return settings
 
 
@@ -216,7 +217,6 @@ def _experiment_config(settings: dict) -> ExperimentConfig:
         delta=delta,
         radius_c=settings.get("radius_c"),
         p_n=settings.get("p_n"),
-        exchange_mode=settings["exchange_mode"],
         max_steps=settings.get("max_steps"),
     )
 
@@ -227,7 +227,7 @@ def _resolved(cfg: ExperimentConfig) -> dict:
     budget, quant = cfg.budget, cfg.quant
     return {("r1", "r2"): (budget.r1, budget.r2), "quant_bits": quant.quant_bits,
             "trunc_l": quant.truncation_L, "radius_c": cfg.radius_c, "p_n": cfg.p_n,
-            "exchange_mode": cfg.exchange_mode, "buckets": cfg.num_buckets, "s1": cfg.s1}
+            "buckets": cfg.num_buckets, "s1": cfg.s1}
 
 
 _TRIAL_COLUMNS = ("seed", "exact_scaled", "estimate_scaled", "abs_error", "steps", "bits",
@@ -346,7 +346,7 @@ def cmd_spreading_time(settings: dict, keys) -> int:
     spec, max_steps = settings["network"], settings.get("max_steps")
     networks = [
         simulator.resolve_network(spec, protocol, n, settings.get("radius_c"), settings.get("p_n"),
-                                  settings["exchange_mode"], max_steps)
+                                  max_steps)
         for n in sizes
     ]
     if trials < 1:
@@ -355,7 +355,7 @@ def cmd_spreading_time(settings: dict, keys) -> int:
     # each size's seed draws its graph and spawns one seed per trial; every
     # graph is drawn before the echo, so one that cannot be drawn fails first
     graphs = []
-    for idx, (n, (radius_c, _, _)) in enumerate(zip(sizes, networks)):
+    for idx, (n, (radius_c, _)) in enumerate(zip(sizes, networks)):
         size_ss = np.random.SeedSequence(entropy=(settings["seed"], idx))
         try:
             topo, ids = simulator.build_topology(spec, n, radius_c, np.random.default_rng(size_ss))
@@ -363,14 +363,14 @@ def cmd_spreading_time(settings: dict, keys) -> int:
             raise ValueError(f"N={n}: {exc}, under half") from None
         graphs.append((topo, ids, size_ss.spawn(trials)))
     out_dir = Path(settings["out"]) if settings.get("out") else None
-    points = [dict(zip(("radius_c", "p_n", "exchange_mode"), network)) for network in networks]
+    points = [dict(zip(("radius_c", "p_n"), network)) for network in networks]
     _echo_config(settings, keys, points, out_dir)
     rows = []
-    for n, (_, p_n, exchange_mode), (topo, ids, trial_seeds) in zip(sizes, networks, graphs):
+    for n, (_, p_n), (topo, ids, trial_seeds) in zip(sizes, networks, graphs):
         steps = []  # of the spreads that completed; one cut by the cap is left out
         for trial_ss in trial_seeds:
             rng = np.random.default_rng(trial_ss)
-            report, _ = run_spreading(topo, protocol, rng, p_n, exchange_mode, max_steps)
+            report, _ = run_spreading(topo, protocol, rng, p_n, max_steps)
             if report.completed:
                 steps.append(report.steps_to_full)
         if not steps:
@@ -426,7 +426,7 @@ class _Command(NamedTuple):
 # format, which say how a run runs and writes, in echo order
 _EXPERIMENT_KEYS = (
     "nodes alphabet k epsilon delta r1 r2 quant_bits trunc_l network radius_c "
-    "protocol p_n data buckets s1 trials seed jobs format max_steps exchange_mode"
+    "protocol p_n data buckets s1 trials seed jobs format max_steps"
 ).split()
 
 _COMMANDS = {
@@ -441,7 +441,7 @@ _COMMANDS = {
     "spreading-time": _Command(
         cmd_spreading_time,
         "measure empirical spreading time vs N",
-        "nodes network protocol p_n radius_c trials beta max_steps exchange_mode seed".split(),
+        "nodes network protocol p_n radius_c trials beta max_steps seed".split(),
     ),
     "oracle": _Command(cmd_oracle, "exact moments of a dataset file", ("file", "k", "json_out"), ()),
 }

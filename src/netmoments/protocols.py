@@ -10,8 +10,9 @@ it there, so it only ever runs on explicit rows.
 Who contacts whom never depends on what anyone has heard, so each protocol
 is a source of contact blocks: a plain generator whose blocks are its
 contacts in order as arrays (tick, sender, receiver), and a boolean array
-whose row t marks the messages of tick t.  A gossip tick is one contact,
-both ways under exchange; an Aloha slot is one contact per receiver.
+whose row t marks the messages of tick t.  A gossip tick is one exchange,
+one contact that goes both ways, as in the bidirectional gossip model of
+Mosk-Aoyama and Shah; an Aloha slot is one contact per receiver.
 Gossip draws 4096 ticks a block, Aloha the transmit masks of 64 slots,
 packed into one uint64 word per node with bit s for slot s: bitwise ORs and
 ANDs over the neighbour words of each receiver not yet full give the slots
@@ -19,7 +20,7 @@ in which exactly one neighbour transmits, and one scan of a hit receiver's
 row names its senders.  One loop, _deliver, applies either source's blocks
 until every heard-set is full or the step cap binds.  It forms one union
 per contact, heard[sender] | heard[receiver], and stores it into the
-receiver, and into the sender too under exchange.
+receiver, and under gossip into the sender too.
 Full heard-sets are marked in a mask that both sources read when they draw
 a block: they leave out every contact whose receiving ends are all full,
 since it changes nothing.
@@ -42,9 +43,6 @@ from .network import Topology
 GOSSIP = "gossip"
 ALOHA = "aloha"
 PROTOCOLS = (GOSSIP, ALOHA)
-
-EXCHANGE = "exchange"  # both endpoints hear each other, per the bidirectional gossip model
-PUSH = "push"  # sensitivity variant: only the contacted neighbor hears
 
 
 def default_max_steps(protocol: str, n_nodes: int) -> int:
@@ -77,13 +75,12 @@ def default_p_n(n_nodes: int, percolating: bool = False) -> float:
 _GOSSIP_BLOCK = 4096  # gossip ticks per draw
 
 
-def _gossip_blocks(topo: Topology, exchange: bool, rng: np.random.Generator, skip: np.ndarray):
+def _gossip_blocks(topo: Topology, rng: np.random.Generator, skip: np.ndarray):
     """Gossip contact blocks of _GOSSIP_BLOCK ticks, for _deliver.  Tick t
     picks a uniform node u and a uniform neighbour v of it: one contact
-    u -> v, both ways under exchange, and row t of sent marks its one or two
-    messages.  A node without neighbours makes no contact.  A contact whose
-    receiving ends, v and under exchange u, were all marked in skip when its
-    block was drawn is left out."""
+    u -> v that goes both ways, and row t of sent marks its two messages.
+    A node without neighbours makes no contact.  A contact whose ends were
+    both marked in skip when its block was drawn is left out."""
     while True:
         nodes = rng.integers(topo.n_nodes, size=_GOSSIP_BLOCK)
         fracs = rng.random(_GOSSIP_BLOCK)
@@ -94,10 +91,8 @@ def _gossip_blocks(topo: Topology, exchange: bool, rng: np.random.Generator, ski
         j = (fracs[tick] * deg[tick]).astype(np.int64)
         # entry j of u's row; in K_N's implicit row 0..u-1, u+1..N-1 it is j + (j >= u)
         v = j + (j >= u) if topo.indices is None else topo.indices[start[tick] + j]
-        live = ~skip[v]
-        if exchange:
-            live |= ~skip[u]
-        sent = np.repeat(deg[:, None] > 0, 1 + exchange, axis=1)
+        live = ~skip[u] | ~skip[v]
+        sent = np.repeat(deg[:, None] > 0, 2, axis=1)
         yield tick[live], u[live], v[live], sent
 
 
@@ -263,18 +258,17 @@ def run_spreading(
     protocol: str,
     rng: np.random.Generator,
     p_n: float | None = None,
-    exchange_mode: str | None = None,
     max_steps: int | None = None,
 ) -> tuple[SpreadReport, np.ndarray]:
     """Run a protocol until every node has heard every other node (or the step
     cap).  Heard-sets S_u are tracked as bitmasks: bit w of S_u is set once
     node u has heard, directly or by relay, from node w.
 
-    Only gossip takes the complete graph.  The settings come resolved and
-    checked, as simulator.resolve_network leaves them: p_n is Aloha's
-    transmit probability, required for Aloha; exchange_mode is gossip's,
-    exchange when None; max_steps is the step cap, default_max_steps when
-    None.  Each protocol ignores the other's setting.
+    Gossip exchanges: both ends of a contact hear each other.  Only gossip
+    takes the complete graph.  The settings come resolved and checked, as
+    simulator.resolve_network leaves them: p_n is Aloha's transmit
+    probability, required for Aloha and ignored by gossip; max_steps is the
+    step cap, default_max_steps when None.
 
     Returns (SpreadReport, mask), mask node 0's heard-set as a boolean array
     over the N nodes: the members whose initial sketches node 0's min-sketch
@@ -288,12 +282,11 @@ def run_spreading(
     is_full = bytearray(n)
     # the sources read is_full through this view as their skip mask
     skip = np.frombuffer(is_full, dtype=bool)
-    exchange = protocol == GOSSIP and exchange_mode != PUSH
     if protocol == GOSSIP:
-        blocks = _gossip_blocks(topo, exchange, rng, skip)
+        blocks = _gossip_blocks(topo, rng, skip)
     else:
         blocks = _aloha_blocks(topo, p_n, rng, skip)
-    steps, messages, completed = _deliver(blocks, heard, is_full, max_steps, exchange)
+    steps, messages, completed = _deliver(blocks, heard, is_full, max_steps, protocol == GOSSIP)
     node0 = (heard[0] if n else 0).to_bytes((n + 7) // 8, "little")
     mask = np.unpackbits(np.frombuffer(node0, dtype=np.uint8), count=n, bitorder="little")
     return SpreadReport(steps, messages, completed), mask.view(bool)

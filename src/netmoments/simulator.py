@@ -6,11 +6,11 @@ on a percolating network the trial runs on the giant component, or is
 rejected when the giant holds under half the nodes.  Then it runs its
 s1 * B bucket phases in sequence, one per (bucket map, bucket); k = 2 has
 one bucket map and one bucket, B = M^(1 - 1/(k - 1)) = 1, so one phase.
-Each phase spreads from scratch and reads node 0's sketch off the heard-set
-members in its bucket with one closed-form draw per distinct rate they
-hold, all from the phase's one draw generator.  estimators.estimate_fk
-turns the per-phase harmonic estimates into F_k / N^k, scaled by the
-participant count.
+Each phase spreads from scratch, by gossip's exchange or by slotted Aloha,
+and reads node 0's sketch off the heard-set members in its bucket with one
+closed-form draw per distinct rate they hold, all from the phase's one draw
+generator.  estimators.estimate_fk turns the per-phase harmonic estimates
+into F_k / N^k, scaled by the participant count.
 
 Reports are plain dicts: a trial's record and the experiment's report are
 the dicts report.json serialises, so each key is written in one place."""
@@ -161,7 +161,8 @@ def solve_budget(
     eps2.  A value out of range raises ValueError.  A budget whose
     sketch at moment order k holds more than _MAX_CELLS cells,
     sketch_channels(k) * r1 * r2, raises CapacityError, solved or given,
-    instead of returning something unrunnable.
+    instead of returning something unrunnable; so does an eps or delta so
+    small that a solved term leaves float range.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -171,8 +172,14 @@ def solve_budget(
     eps2 = eps / 32.0
     delta_half = delta / 2.0
     if r1 is None:
-        r1 = _next_pow2(CAL_MAP_TERM / (delta_half * eps1**2))
-        r2 = _next_pow2(CAL_EXP_TERM * math.log(2.0 / delta_half) / eps2**2)
+        try:
+            r1 = _next_pow2(CAL_MAP_TERM / (delta_half * eps1**2))
+            r2 = _next_pow2(CAL_EXP_TERM * math.log(2.0 / delta_half) / eps2**2)
+        except (ZeroDivisionError, OverflowError):  # a divisor underflowed to 0, or a term to inf
+            raise CapacityError(
+                f"epsilon = {eps} and delta = {delta} need a budget past float range "
+                f"(cap {_MAX_CELLS} sketch cells); relax epsilon or delta"
+            ) from None
     budget = ErrorBudget(r1=r1, r2=r2)
     channels = sketch_channels(k)
     if channels * r1 * r2 > _MAX_CELLS:
@@ -197,15 +204,14 @@ def solve_budget(
 
 def resolve_network(
     spec: str, protocol: str, n_nodes: int, radius_c: float | None = None,
-    p_n: float | None = None, exchange_mode: str | None = None, max_steps: int | None = None,
-) -> tuple[float | None, float | None, str | None]:
-    """(radius_c, p_n, exchange_mode) of a network spec (complete |
-    rgg-connected | rgg-percolating | graph:PATH with PATH a file) run by
-    protocol on n_nodes nodes.  Each is None where it decides nothing, and
-    elsewhere as given or else its regime's value: radius_c on the RGG kinds,
-    p_n under Aloha, exchange_mode under gossip.  A radius_c, p_n,
-    exchange_mode or max_steps (the step cap, which every run reads) given is
-    checked wherever it is given.
+    p_n: float | None = None, max_steps: int | None = None,
+) -> tuple[float | None, float | None]:
+    """(radius_c, p_n) of a network spec (complete | rgg-connected |
+    rgg-percolating | graph:PATH with PATH a file) run by protocol on
+    n_nodes nodes.  Each is None where it decides nothing, and elsewhere as
+    given or else its regime's value: radius_c on the RGG kinds, p_n under
+    Aloha.  A radius_c, p_n or max_steps (the step cap, which every run
+    reads) given is checked wherever it is given.
 
     Aloha is rejected on the complete graph: a slot delivers only when exactly
     one of all N nodes transmits, about (N/ln N) e^(-N/ln N) of the slots at
@@ -228,8 +234,6 @@ def resolve_network(
         raise ValueError(f"need radius_c > 0 and finite, got {radius_c}")
     if p_n is not None and not (0.0 < p_n < 1.0):
         raise ValueError(f"p_n must lie in (0, 1), got {p_n}")
-    if exchange_mode not in (protocols.EXCHANGE, protocols.PUSH, None):
-        raise ValueError(f"exchange_mode must be one of {protocols.EXCHANGE!r}, {protocols.PUSH!r}")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     percolating = kind == "rgg-percolating"
@@ -238,10 +242,10 @@ def resolve_network(
     elif radius_c is None:
         radius_c = network.DEFAULT_PERCOLATION_C if percolating else network.DEFAULT_CONNECTIVITY_C
     if protocol == protocols.GOSSIP:
-        return radius_c, None, exchange_mode or protocols.EXCHANGE
+        return radius_c, None
     if p_n is None:
         p_n = protocols.default_p_n(n_nodes, percolating=percolating)
-    return radius_c, p_n, None
+    return radius_c, p_n
 
 
 @dataclass
@@ -252,10 +256,10 @@ class ExperimentConfig:
     Every k >= 2 runs on every network kind, in num_buckets * s1 bucket
     phases, with num_buckets None meaning default_num_buckets.  k = 2 is
     the one-bucket case, so num_buckets and s1 resolve to 1 there.  On
-    rgg-percolating the trials run on the giant component.  radius_c, p_n
-    and exchange_mode resolve by resolve_network, to None where they decide
-    nothing, so report.json's config block holds only what decides a run;
-    max_steps None means default_max_steps.
+    rgg-percolating the trials run on the giant component.  radius_c and
+    p_n resolve by resolve_network, to None where they decide nothing, so
+    report.json's config block holds only what decides a run; max_steps
+    None means default_max_steps.
     """
 
     n_nodes: int
@@ -274,7 +278,6 @@ class ExperimentConfig:
     delta: float = 0.1
     radius_c: float | None = None
     p_n: float | None = None
-    exchange_mode: str | None = None
     max_steps: int | None = None
 
     def __post_init__(self):
@@ -286,9 +289,8 @@ class ExperimentConfig:
         moment_scale(self.n_nodes, self.k)  # every trial scales by N^k
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        self.radius_c, self.p_n, self.exchange_mode = resolve_network(
-            self.network, self.protocol, self.n_nodes, self.radius_c, self.p_n,
-            self.exchange_mode, self.max_steps,
+        self.radius_c, self.p_n = resolve_network(
+            self.network, self.protocol, self.n_nodes, self.radius_c, self.p_n, self.max_steps
         )
         if self.num_buckets is None:
             self.num_buckets = default_num_buckets(self.alphabet_size, self.k)
@@ -456,7 +458,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, first) -> dict | None:
     reports, estimates = [], []
     for (t, b), (sched, draws) in zip(phase_ids, phase_seeds):
         report, members = run_spreading(topo, cfg.protocol, np.random.default_rng(sched),
-                                        cfg.p_n, cfg.exchange_mode, cfg.max_steps)
+                                        cfg.p_n, cfg.max_steps)
         members &= buckets[t - 1, part_values - 1] == b
         sketch = _heard_sketch(rates_by_value, part_values, r2, cfg.quant,
                                np.random.default_rng(draws), members)

@@ -331,12 +331,11 @@ def gossip_picks(topo: Topology | int, rng: np.random.Generator):
 
 def gossip_spread(
     topo: Topology | int,
-    exchange: bool,
     max_steps: int,
     rng: np.random.Generator,
 ) -> tuple[SpreadReport, list[int]]:
     """Gossip one tick at a time: one pick of gossip_picks per tick, its
-    deliveries u -> v, then v -> u under exchange, each a message and each
+    exchange's deliveries u -> v, then v -> u, each a message and each
     applied; the report and all N heard-sets.  The oracle for the contact
     blocks and the delivery loop of run_spreading."""
     n = topo if isinstance(topo, int) else topo.n_nodes
@@ -349,12 +348,7 @@ def gossip_spread(
     while not completed and steps < max_steps:
         steps += 1
         u, v = next(picks)
-        if v < 0:
-            deliveries = ()
-        elif exchange:
-            deliveries = ((u, v), (v, u))
-        else:
-            deliveries = ((u, v),)
+        deliveries = ((u, v), (v, u)) if v >= 0 else ()
         messages += len(deliveries)
         for src, dst in deliveries:
             merged = heard[dst] | heard[src]

@@ -54,6 +54,18 @@ reason.  This re-record is not shared with the budget re-split of ROADMAP
 item 3, which moves the same digests: that change needs exact slow tests of
 its own for the map and replica terms, and a re-record of its own keeps
 each move traceable to one cause.
+
+Both digests of every config were re-recorded once more when gossip's push
+variant and the exchange_mode setting were removed: gossip always
+exchanges, as it did by default.  On all 14 configs, the earlier
+report.json with config.exchange_mode deleted and re-serialised as
+report.json is written equalled the new one byte for byte.  The push config
+gave way to complete-gossip-uniform-k2, the same argv without
+--exchange-mode push, which keeps a golden on --data uniform; both its
+digests are the earlier release's report on that argv with the key
+deleted, and the new report equals it byte for byte.  trials.csv did not
+change, so its digests, the sweep summary.csv digest, the summary lines and
+the spreading-time CSV digests all pass as they were recorded.
 """
 
 import argparse
@@ -88,14 +100,7 @@ from netmoments.network import (
     percolation_radius,
     read_edge_list,
 )
-from netmoments.protocols import (
-    ALOHA,
-    EXCHANGE,
-    PUSH,
-    default_max_steps,
-    default_p_n,
-    run_spreading,
-)
+from netmoments.protocols import ALOHA, default_max_steps, default_p_n, run_spreading
 from netmoments.simulator import (
     CapacityError,
     ExperimentConfig,
@@ -168,85 +173,84 @@ GOLDEN = {
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "11"],
         0,
-        "b506510e947698fda88234e5ddc8f94360506086dd19e6fa9ab84e8f04e51ece",
-        "b26e66422942703ea320517a93222759ee8bd570757a3b7f2aa0dbb5774b15ef",
+        "a897ca27adcfe2ef3ef1e344226f792f0fd87194a37397c2c1ec73debea38947",
+        "0530075e39607b9464ca88f5b6c4e9387be4a8dbd5a33e08ae80b81a743cb623",
     ),
-    "complete-gossip-push-k2": (
+    "complete-gossip-uniform-k2": (
         ["--nodes", "200", "--alphabet", "12", "--network", "complete", "--protocol", "gossip",
-         "--exchange-mode", "push", "--data", "uniform", "--r1", "8", "--r2", "32",
-         "--trials", "2", "--seed", "12"],
+         "--data", "uniform", "--r1", "8", "--r2", "32", "--trials", "2", "--seed", "12"],
         0,
-        "c5c67d5c1369649d17b04029b85e12b03e97391915691a74139a504281a25a16",
-        "f45847f9352e72c213532562ab95b312f295cfcd08370aeef00052fe7cd254a1",
+        "a54af2a580476eeb983554b2d0105a3e54b95c1e758034e30a3a18ac99760a9b",
+        "aa9f919c0b27285638f1747a44cc052c8a4c429be72f019f38db2b98f4326acc",
     ),
     "rgg-connected-aloha-k2": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "13"],
         0,
-        "52f7d42c4ff2943d4a2c0b26834c017594262dc9f830186f16de9817cec6928f",
-        "1496b6f6b8d25fd9ec454a84b3adc01ae579756df73fda257bf45766d085f63e",
+        "a5047447d0fcac5272c495be2fe10a51cacad340045a6856251be3db054a16e5",
+        "8b3ad46436c16a0c5753cb4aaf50b6679e140ff59e62e5bf7305880cb4fc3a96",
     ),
     "rgg-percolating-gossip-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "gossip",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "14"],
         0,
-        "aee96d3d6c18f32b5738826908c99a392df5b11f70f4a891b41b8b7df85f806f",
-        "e6b39be3bcfbbe1efbd61fc1a04613aaad30675aa8b1861277e30a7ae4554018",
+        "30a8c1f3d01318545a9555ae08767ebbd0a71c967bef61344dca76b7c7af0d42",
+        "0e3020b9345e1e7736bb2a9a3a547446a4d4cad44029ca03f99ddb4b89e03af0",
     ),
     "rgg-percolating-aloha-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "aloha",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "22"],
         0,
-        "8f036e8024466d5e5d344d90b81df25a7e7d924972fc3d13df95fd5608a73e0f",
-        "df0ebe342e2c24af4a2763b88ee13344c50483831545e6a1d3600bdf08d567ef",
+        "d9f053840ff633c99e8a061c9d9b51a21a49eb14aae3fa5c50ce9dd0df89f46c",
+        "f34bf4b494271773b9735b57fb1bb9838dde1e8d3adbbb5b220d0b8aec40bfc1",
     ),
     "rgg-percolating-gossip-k3": (
         [*_K3_PERCOLATING, "--protocol", "gossip"],
         0,
-        "f6a54b754eeed983277e4d2361086e848b33d86b4e9bcd2882a5130f440b66c7",
-        "c46524480f9958076a1cfe5c0c53d90f464ba120540e6c5cfed70cd9a43b8324",
+        "6d2476577f1c00b1698ac43c2ef678b3b6055f713e3ae2a073d998aca906a1b6",
+        "18c5403ea4a406c19c6c587cd78816c4fb4859357d6e7e4a1b284b2d5f2fd75a",
     ),
     "rgg-percolating-aloha-k3": (
         [*_K3_PERCOLATING, "--protocol", "aloha"],
         0,
-        "f67499c6725494ca649162ffca179852f3080fde13ef0a9580c313f2db054f0a",
-        "9a99601b7d6ba9ef51a54f794908c7c48c4918945e7135595cf9556054c63909",
+        "9fcfebb147975e596f18306862e4b279bab4f6b24f7a61d037abb8ff00cfbda1",
+        "84c9a25a3176840fb6e6463b299ba0866fc6554f2ca2f808fb15cd318b5d5860",
     ),
     "rgg-connected-gossip-k3": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--seed", "15"],
         0,
-        "5932b450457997ed85039867ace4918050cffa2d5338b5365aeb6fd0dc2970b0",
-        "070e59b007f7133d321c419a68363640bed2240624781d69745f16a2bd03c377",
+        "e4ffd1271c78c22aecb6c837d1bc6efa003f125086c9f17d3e683cb49d239844",
+        "023b815f973b8f33275f3728491b25e13492c790f08ed2cbd4a185574c833cec",
     ),
     "rgg-connected-aloha-k4": (
         ["--nodes", "100", "--alphabet", "8", "--k", "4", "--s1", "1", "--buckets", "2",
          "--network", "rgg-connected", "--protocol", "aloha", "--data", "pointmass",
          "--r1", "4", "--r2", "16", "--seed", "16"],
         0,
-        "70ab9b747f3e888a3ce456fc1bbc1111da2947e53e76e8b6cd10d0e846892201",
-        "87a105f3ee4c23af8b201368ef5dd351e11a5ca536783961705cd895579440a6",
+        "419b8c02deacf9ff3cabbd2661decc77ab458dae2bbac4b15c35255359f1eb0d",
+        "f424bec7b6b3fc65c1910eda53803dcbe04298874da4ddb965a1fd6d6ba9d5c8",
     ),
     "rgg-connected-gossip-k3-cut": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--max-steps", "300", "--seed", "19"],
         4,
-        "e4e1e5ded7d26a77f97d33a87b8549ac61a52e888e13561cba0aa463f54cfcb8",
-        "5f8aa68d25fd53e963dfbfc30beb3f6887f396c82094daeb5329cb2a3a7b201a",
+        "f05bca8bea37dcf817f6569d3429556152c9f9606bd44e11ba11432e1c83f2b1",
+        "403c3e730056a01d224339f1cbfa249385b681f7441634861cfbf055f011d4bf",
     ),
     "complete-gossip-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "600", "--seed", "17"],
         4,
-        "baec2dbdf7866a0a96e8d8937082fb7533d31630a5cf6e1e9e95c2fcb50d50da",
-        "234b836944af9cb2e0de27f03a49b99d69f0c509b8166b62ae44e400a07778bc",
+        "e1af6b8a20d210be8dd4107576f9aa9311e2e8109b283ca5bb57391eb1dceb81",
+        "a1a25364c5d89ae2558c61e1911bfb31317bf5491056ecc93247adaa3ea52ec3",
     ),
     "rgg-connected-aloha-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "20", "--seed", "18"],
         4,
-        "d27c321fccea931efc7efc3f72de4ab54a61c9288171c64cff1cca0112ade041",
-        "95a20914b5140649890c230c8ab35900dbc68a87de842ef992574bf5c230964b",
+        "29adf7f4d0cad11b4ba8f7a849afb6c4881c97bdc1c50e9030d60c80868821a3",
+        "2b686b0b5bac3c9329b2f9a1fcf6c531c683f90c4d8dd964a9b96ba5d93f074c",
     ),
 }
 
@@ -258,13 +262,13 @@ GRAPH_GOLDEN = {
     "graph-gossip-k2": (
         ["--nodes", "150", "--alphabet", "12", "--protocol", "gossip", "--data", "zipf:1.2",
          *_BUDGET, "--trials", "2", "--seed", "20"],
-        "7e9b57b48a69b2ef61e9500367bdbcf2aca96fd43d6105563d252261e09e4df7",
-        "db69bd4d4fc3cb879408e8fb4ce0b8cfbd5776c321523a5c355ce48bafe23231",
+        "fb2779d28d36f0bec2abf1f4815c3c7e239c257c6ece6764494e7f2dc4916588",
+        "14e32c9ef571b74540c35faeb5cc4c47c343f01e9cd57fbf628e5dac9645e034",
     ),
     "graph-aloha-k3": (
         [*_K3, "--protocol", "aloha", "--data", "zipf:1.2", "--seed", "21"],
-        "a943ca25e31da1a70d18e122764f6160821c82d847186eb95014ebe062a07bc7",
-        "873cb386035188e316091a3fc0762585801ccef1b63efdceb7d341d3ca0f201f",
+        "eb599c9575befe0837e79d6f644d12d3c5a41913fd553f3bdfbcd39a84ccdd72",
+        "4cd468e066107d8aaf0bdf1559d0a8277025b627843ac5fc01904aacf61a6184",
     ),
 }
 
@@ -476,14 +480,14 @@ class TestSpreadingTime:
         assert not (tmp_path / "st").exists()
 
     def test_rerun_from_effective_cfg(self, tmp_path, capsys):
-        # push with a cap that binds: the echo must carry both, or the
-        # re-run spreads by exchange without the cap
-        argv = ["spreading-time", "--nodes", "20,60", "--exchange-mode", "push",
-                "--max-steps", "800", "--trials", "3", "--seed", "8"]
+        # a cap that binds: the echo must carry it, or the re-run spreads
+        # without the cap.  Exchange fills K_60 in about 400 ticks, so the
+        # cap binds at N = 110, where it cuts two of the three spreads
+        argv = ["spreading-time", "--nodes", "20,110", "--max-steps", "800", "--trials", "3",
+                "--seed", "8"]
         assert cli.main([*argv, "--out", str(tmp_path / "first")]) == cli.EXIT_OK
         cfg = (tmp_path / "first" / "effective.cfg").read_text()
-        for line in ("exchange_mode = push", "max_steps = 800"):
-            assert line in cfg.splitlines()
+        assert "max_steps = 800" in cfg.splitlines()
         # gossip on the complete graph reads neither a radius nor p_n
         assert "radius_c = " not in cfg and "p_n = " not in cfg
         again = ["spreading-time", "--config", str(tmp_path / "first" / "effective.cfg"),
@@ -496,8 +500,8 @@ class TestSpreadingTime:
 
     @pytest.mark.parametrize("net", ["complete", "rgg-connected", "rgg-percolating", "graph"])
     def test_resolves_the_regime_run_resolves(self, tmp_path, monkeypatch, capsys, net):
-        # one N, so spreading-time's echo pins the radius_c, p_n and
-        # exchange_mode it ran with, and leaves out those that run leaves null
+        # one N, so spreading-time's echo pins the radius_c and p_n it ran
+        # with, and leaves out those that run leaves null
         monkeypatch.chdir(tmp_path)
         _write_graph(tmp_path / "edges.txt")
         spec = "graph:edges.txt" if net == "graph" else net
@@ -523,22 +527,21 @@ class TestSpreadingTime:
 def _resolved_keys(config: dict) -> dict:
     """The settings of report.json's config block that resolve only where
     they decide a run, None elsewhere."""
-    return {"radius_c": config["radius_c"], "p_n": config["p_n"],
-            "exchange_mode": config["exchange_mode"]}
+    return {"radius_c": config["radius_c"], "p_n": config["p_n"]}
 
 
 # every supported (network, protocol) pair -> the keys of _resolved_keys that
 # decide its runs; Aloha on the complete graph is a config error
 _DECIDING = {
-    ("complete", "gossip"): {"exchange_mode"},
-    ("rgg-connected", "gossip"): {"radius_c", "exchange_mode"},
+    ("complete", "gossip"): set(),
+    ("rgg-connected", "gossip"): {"radius_c"},
     ("rgg-connected", "aloha"): {"radius_c", "p_n"},
-    ("rgg-percolating", "gossip"): {"radius_c", "exchange_mode"},
+    ("rgg-percolating", "gossip"): {"radius_c"},
     ("rgg-percolating", "aloha"): {"radius_c", "p_n"},
-    ("graph", "gossip"): {"exchange_mode"},
+    ("graph", "gossip"): set(),
     ("graph", "aloha"): {"p_n"},
 }
-_GIVEN = {"radius_c": 2.5, "p_n": 0.05, "exchange_mode": "push"}
+_GIVEN = {"radius_c": 2.5, "p_n": 0.05}
 
 
 class TestResolvedSettings:
@@ -778,11 +781,19 @@ class TestConfigFile:
         assert config["quant"]["truncation_L"] == 5.0
         assert config["max_steps"] == 900
 
-    def test_unknown_key_is_config_error(self, tmp_path, capsys):
-        (tmp_path / "bad.cfg").write_text(_CONFIG + "trunc_L = 5\n")
-        code, _ = _run(tmp_path, "bad", ["--config", str(tmp_path / "bad.cfg")])
+    @pytest.mark.parametrize("line, key", [
+        pytest.param("trunc_L = 5", "trunc_L", id="trunc_L"),
+        # gossip's effective.cfg held this line while push was a setting
+        pytest.param("exchange_mode = exchange", "exchange_mode", id="exchange_mode"),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, line, key):
+        (tmp_path / "bad.cfg").write_text(_CONFIG + line + "\n")
+        code, out = _run(tmp_path, "bad", ["--config", str(tmp_path / "bad.cfg")])
         assert code == cli.EXIT_CONFIG
-        assert "unknown config key 'trunc_L'" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"unknown config key {key!r}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, body, line, key", [
         pytest.param("sweep", "beta = 0\nfile = nowhere\n", 1, "beta", id="sweep-beta"),
@@ -887,15 +898,17 @@ class TestSweep:
 
     def test_value_outside_choices_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "sweep"
-        argv = ["sweep", "--param", "exchange-mode", "--values", "exchange,pull", "--nodes",
+        argv = ["sweep", "--param", "protocol", "--values", "gossip,flood", "--nodes",
                 "60", "--alphabet", "5", "--r1", "2", "--r2", "4", "--seed", "1", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert "exchange_mode must be one of exchange, push, got 'pull'" in capsys.readouterr().err
+        assert "protocol must be one of gossip, aloha, got 'flood'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("param, values", [("jobs", "1,2"), ("format", "json,csv")])
+    @pytest.mark.parametrize("param, values", [("jobs", "1,2"), ("format", "json,csv"),
+                                               ("exchange-mode", "exchange,push")])
     def test_how_a_run_runs_is_not_sweepable(self, tmp_path, capsys, param, values):
-        # every point runs at the base jobs and format, so sweeping either would do nothing
+        # every point runs at the base jobs and format, so sweeping either
+        # would do nothing; gossip always exchanges, so it has no mode
         out = tmp_path / "sweep"
         argv = ["sweep", "--param", param, "--values", values, "--nodes", "60", "--alphabet",
                 "5", "--r1", "2", "--r2", "4", "--seed", "3", "--out", str(out)]
@@ -1140,6 +1153,39 @@ class TestExitCodes:
         code, _ = _run(tmp_path, "big", ["--nodes", "100", "--alphabet", "5",
                                          "--epsilon", "0.001", "--delta", "0.001"])
         assert code == cli.EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--epsilon", "1e-300"], id="map-divisor-underflows"),
+        pytest.param(["--epsilon", "1e-160"], id="map-term-overflows"),
+        pytest.param(["--delta", "5e-324"], id="delta-half-underflows"),
+    ])
+    def test_budget_past_float_range_is_infeasible(self, tmp_path, capsys, flags):
+        # the solver's terms divide by (delta/2)(eps/2)^2 and (eps/32)^2,
+        # which reach 0, or leave a quotient past float range, at tiny eps
+        # or delta; test_infeasible_budget covers a term that is finite
+        code, out = _run(tmp_path, "tiny", ["--nodes", "50", "--alphabet", "5", "--seed", "1",
+                                            *flags])
+        assert code == cli.EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("infeasible budget: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["gen-data", "--nodes", "40", "--alphabet", "5"], id="gen-data"),
+        pytest.param(["run", "--nodes", "40", "--alphabet", "5", "--r1", "2", "--r2", "4"],
+                     id="run"),
+        pytest.param(["sweep", "--nodes", "40", "--alphabet", "5", "--r1", "2", "--r2", "4",
+                      "--param", "k", "--values", "2"], id="sweep"),
+        pytest.param(["spreading-time", "--nodes", "20"], id="spreading-time"),
+    ])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--seed", "-3", "--out", str(out)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -3\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_given_budget_over_the_cap_fails_before_any_output(
         self, tmp_path, monkeypatch, capsys
@@ -1473,7 +1519,6 @@ _FLAGS = {
     "--format": ("format", str, ("json", "csv", "both")),
     "--beta": ("beta", float, None),
     "--max-steps": ("max_steps", int, None),
-    "--exchange-mode": ("exchange_mode", str, ("exchange", "push")),
     "--param": ("param", str, None),
     "--values": ("values", str, None),
     "--file": ("file", str, None),
@@ -1481,13 +1526,13 @@ _FLAGS = {
 }
 _EXPERIMENT_FLAGS = ("--config --nodes --alphabet --seed --out --k --epsilon --delta --r1 --r2 "
                      "--quant-bits --trunc-L --network --radius-c --protocol --p-n --data "
-                     "--buckets --s1 --trials --jobs --format --max-steps --exchange-mode").split()
+                     "--buckets --s1 --trials --jobs --format --max-steps").split()
 _SUBCOMMAND_FLAGS = {
     "gen-data": "--config --nodes --alphabet --seed --out --data".split(),
     "run": [*_EXPERIMENT_FLAGS, "--beta"],
     "sweep": [*_EXPERIMENT_FLAGS, "--param", "--values"],
     "spreading-time": ("--config --nodes --seed --out --network --protocol --p-n --radius-c "
-                       "--trials --beta --max-steps --exchange-mode").split(),
+                       "--trials --beta --max-steps").split(),
     "oracle": "--config --file --k --json-out".split(),
 }
 
@@ -1507,7 +1552,10 @@ class TestParserSurface:
 
     @pytest.mark.parametrize("argv", [["oracle", "--nodes", "3"],
                                       ["spreading-time", "--alphabet", "5"],
-                                      ["sweep", "--beta", "0.2"]])
+                                      ["sweep", "--beta", "0.2"],
+                                      ["run", "--exchange-mode", "push"],
+                                      ["sweep", "--exchange-mode", "exchange"],
+                                      ["spreading-time", "--exchange-mode", "push"]])
     def test_flag_the_subcommand_never_reads_is_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -1700,15 +1748,14 @@ def experiment_configs(draw, graph_path, data_path):
         delta=draw(unit),
         radius_c=draw(st.none() | st.floats(0.1, 10.0, **_finite)),
         p_n=draw(st.none() | unit),
-        exchange_mode=draw(st.sampled_from([None, EXCHANGE, PUSH])),
         max_steps=draw(st.none() | st.integers(1, 10**9)),
     )
 
 
 # the top-level keys of report.json's config block
 _CONFIG_BLOCK_KEYS = sorted(
-    "alphabet_size budget data delta epsilon exchange_mode k master_seed max_steps n_nodes "
-    "network num_buckets p_n protocol quant radius_c s1 trials".split()
+    "alphabet_size budget data delta epsilon k master_seed max_steps n_nodes network "
+    "num_buckets p_n protocol quant radius_c s1 trials".split()
 )
 
 
@@ -1743,7 +1790,6 @@ class TestConfigRoundTrip:
         net = "graph" if cfg.network.startswith("graph:") else cfg.network
         resolved = {key for key, value in _resolved_keys(d).items() if value is not None}
         assert resolved == _DECIDING[net, cfg.protocol]
-        # a mode or step cap out of range is rejected on every network and protocol
-        for key, bad in (("exchange_mode", "pull"), ("max_steps", 0)):
-            with pytest.raises(ValueError, match=key):
-                dataclasses.replace(cfg, **{key: bad})
+        # a step cap out of range is rejected on every network and protocol
+        with pytest.raises(ValueError, match="max_steps"):
+            dataclasses.replace(cfg, max_steps=0)

@@ -19,9 +19,7 @@ from netmoments.protocols import (
     _GOSSIP_BLOCK,
     _PIECE,
     ALOHA,
-    EXCHANGE,
     GOSSIP,
-    PUSH,
     SpreadReport,
     _aloha_block,
     _aloha_blocks,
@@ -220,17 +218,17 @@ class TestLiveTables:
         ]
 
 
-def _gossip_contacts(topo, exchange, seed, n_ticks, skip=None):
+def _gossip_contacts(topo, seed, n_ticks, skip=None):
     """(tick, sender, receiver) of the first n_ticks ticks of _gossip_blocks,
     ticks counted across blocks, after checking one contact per tick and
-    1 + exchange messages per tick with a neighbour to contact."""
+    two messages per tick with a neighbour to contact."""
     skip = np.zeros(topo.n_nodes, dtype=bool) if skip is None else skip
-    blocks = _gossip_blocks(topo, exchange, np.random.default_rng(seed), skip)
+    blocks = _gossip_blocks(topo, np.random.default_rng(seed), skip)
     contacts = []
     for at in range(0, n_ticks, _GOSSIP_BLOCK):
         tick, sender, receiver, sent = next(blocks)
         assert np.all(np.diff(tick) > 0)
-        assert set(sent.sum(axis=1).tolist()) <= {0, 1 + exchange}
+        assert set(sent.sum(axis=1).tolist()) <= {0, 2}
         assert sent[tick].all()
         keep = tick < n_ticks - at
         contacts += zip((tick[keep] + at).tolist(), sender[keep].tolist(), receiver[keep].tolist())
@@ -238,10 +236,10 @@ def _gossip_contacts(topo, exchange, seed, n_ticks, skip=None):
 
 
 def _pick_pvalue(topo, pairs, expected, draws=40_000):
-    """Chi-square p-value of the (node, neighbor) counts of push contacts,
+    """Chi-square p-value of the (node, neighbor) counts of gossip contacts,
     a tick without one counting as (node, -1) for the graph's one isolated
     node, 6."""
-    contacts = _gossip_contacts(topo, False, 2012, draws)
+    contacts = _gossip_contacts(topo, 2012, draws)
     tally = dict.fromkeys(pairs, 0)
     for _, u, v in contacts:
         tally[u, v] += 1
@@ -270,26 +268,27 @@ class TestGossipPicker:
         # contact for contact, across three blocks and part of a fourth: one
         # contact per tick, which stands for both deliveries of an exchange
         ticks = 3 * _GOSSIP_BLOCK + 100
-        implicit = _gossip_contacts(complete_topology(n), True, n, ticks)
-        assert implicit == _gossip_contacts(explicit_complete_topology(n), True, n, ticks)
+        implicit = _gossip_contacts(complete_topology(n), n, ticks)
+        assert implicit == _gossip_contacts(explicit_complete_topology(n), n, ticks)
         assert len(implicit) == (ticks if n > 1 else 0)
 
-    @pytest.mark.parametrize("exchange", [True, False])
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("name", sorted(_graphs()) + ["complete7"])
-    def test_no_contact_into_nodes_marked_full(self, name, exchange):
-        # the contacts are the unmasked ones with those whose receiving ends,
-        # v and under exchange u too, are all marked in skip left out
+    def test_no_contact_into_nodes_marked_full(self, name, share):
+        # the contacts are the unmasked ones with those whose ends, which
+        # both receive, are both marked in skip left out: with no node
+        # marked every contact is kept, and with every node marked none is
         topo = complete_topology(7) if name == "complete7" else _graphs()[name]
         ticks = 2 * _GOSSIP_BLOCK + 50
-        skip = np.random.default_rng(len(name)).random(topo.n_nodes) < 0.5
+        skip = np.random.default_rng(len(name)).random(topo.n_nodes) < share
         want = [
-            (t, u, v) for t, u, v in _gossip_contacts(topo, exchange, 3, ticks)
-            if not (skip[v] and (skip[u] or not exchange))
+            (t, u, v) for t, u, v in _gossip_contacts(topo, 3, ticks)
+            if not (skip[v] and skip[u])
         ]
-        assert _gossip_contacts(topo, exchange, 3, ticks, skip) == want
+        assert _gossip_contacts(topo, 3, ticks, skip) == want
 
 
-def _spread(topo, protocol, seed, p_n=None, mode=None, max_steps=None):
+def _spread(topo, protocol, seed, p_n=None, max_steps=None):
     """The report and all N heard-sets of the spread run_spreading makes on a
     generator seeded with seed: the protocol's source driven by _deliver,
     set up as run_spreading sets them up."""
@@ -299,12 +298,11 @@ def _spread(topo, protocol, seed, p_n=None, mode=None, max_steps=None):
     is_full = bytearray(n)
     skip = np.frombuffer(is_full, dtype=bool)
     rng = np.random.default_rng(seed)
-    exchange = protocol == GOSSIP and mode != PUSH
     if protocol == GOSSIP:
-        blocks = _gossip_blocks(topo, exchange, rng, skip)
+        blocks = _gossip_blocks(topo, rng, skip)
     else:
         blocks = _aloha_blocks(topo, p_n, rng, skip)
-    return SpreadReport(*_deliver(blocks, heard, is_full, cap, exchange)), heard
+    return SpreadReport(*_deliver(blocks, heard, is_full, cap, protocol == GOSSIP)), heard
 
 
 def _assert_returns(got, want):
@@ -319,22 +317,19 @@ def _assert_returns(got, want):
 
 
 class TestRunSpreading:
-    @pytest.mark.parametrize(
-        "protocol, mode", [(GOSSIP, EXCHANGE), (GOSSIP, PUSH), (ALOHA, EXCHANGE)]
-    )
-    def test_completed_heard_sets_are_full(self, protocol, mode):
+    @pytest.mark.parametrize("protocol", [GOSSIP, ALOHA])
+    def test_completed_heard_sets_are_full(self, protocol):
         topo = explicit_complete_topology(30) if protocol == GOSSIP else cycle_topology(12)
         p_n = default_p_n(topo.n_nodes)
-        report, heard = spread = _spread(topo, protocol, 1, p_n, mode)
+        report, heard = spread = _spread(topo, protocol, 1, p_n)
         assert report.completed
         assert heard == [(1 << topo.n_nodes) - 1] * topo.n_nodes
-        _assert_returns(run_spreading(topo, protocol, np.random.default_rng(1), p_n, mode), spread)
+        _assert_returns(run_spreading(topo, protocol, np.random.default_rng(1), p_n), spread)
 
     def test_gossip_messages_per_tick(self):
         topo = explicit_complete_topology(20)
-        for mode, per_tick in ((EXCHANGE, 2), (PUSH, 1)):
-            report, _ = run_spreading(topo, GOSSIP, np.random.default_rng(2), exchange_mode=mode)
-            assert report.messages_sent == per_tick * report.steps_to_full
+        report, _ = run_spreading(topo, GOSSIP, np.random.default_rng(2))
+        assert report.messages_sent == 2 * report.steps_to_full
 
     def test_cut_short_heard_sets_grow_monotonically(self):
         topo = build_rgg(60, 0.3, np.random.default_rng(3))
@@ -345,18 +340,16 @@ class TestRunSpreading:
             assert a & b == a
         assert all((h >> u) & 1 for u, h in enumerate(heard_short))
 
-    @pytest.mark.parametrize(
-        "mode, max_steps", [(EXCHANGE, None), (PUSH, None), (EXCHANGE, 5000)]
-    )
-    def test_implicit_rows_match_explicit_csr(self, mode, max_steps):
-        # N = 1000 takes about 11 000 ticks: several picker refills
-        settings = dict(mode=mode, max_steps=max_steps)
-        got = _spread(complete_topology(1000), GOSSIP, 6, **settings)
-        want = _spread(explicit_complete_topology(1000), GOSSIP, 6, **settings)
+    @pytest.mark.parametrize("max_steps", [None, 1, _GOSSIP_BLOCK, 5000])
+    def test_implicit_rows_match_explicit_csr(self, max_steps):
+        # N = 1000 takes about 11 000 ticks: several picker refills, and the
+        # caps cut it at its first tick, at a block edge and between edges
+        got = _spread(complete_topology(1000), GOSSIP, 6, max_steps=max_steps)
+        want = _spread(explicit_complete_topology(1000), GOSSIP, 6, max_steps=max_steps)
         assert got[0] == want[0] and got[0].completed == (max_steps is None)
         assert got[1] == want[1]
         _assert_returns(run_spreading(complete_topology(1000), GOSSIP, np.random.default_rng(6),
-                                      None, mode, max_steps), want)
+                                      None, max_steps), want)
 
     @pytest.mark.parametrize("max_steps", [1, 31, 32, 33, _ALOHA_BLOCK - 1, _ALOHA_BLOCK,
                                            _ALOHA_BLOCK + 1, 100, None])
@@ -432,34 +425,39 @@ class TestRunSpreading:
 
     @pytest.mark.parametrize("max_steps", [1, _GOSSIP_BLOCK - 1, _GOSSIP_BLOCK,
                                            _GOSSIP_BLOCK + 1, None])
-    @pytest.mark.parametrize("name", ["complete1000", "rgg300", "isolated40"])
-    @pytest.mark.parametrize("mode", [EXCHANGE, PUSH])
-    def test_gossip_matches_tick_by_tick_oracle(self, mode, name, max_steps):
-        # each spread runs past a block edge: K_1000 and the RGG take 5 000
-        # to 25 000 ticks, and a 39-cycle plus an isolated node never completes
+    @pytest.mark.parametrize(
+        "name", ["complete1000", "rgg300", "isolated40", "star400", "path80"]
+    )
+    def test_gossip_matches_tick_by_tick_oracle(self, name, max_steps):
+        # each spread runs past a block edge: K_1000, the RGG, the star and
+        # the path take 5 000 to 25 000 ticks, and a 39-cycle plus an
+        # isolated node never completes
         topo = {
             "complete1000": complete_topology(1000),
             "rgg300": build_connected_rgg(300, 0.12, np.random.default_rng(300)),
             "isolated40": from_edges(40, [(u, (u + 1) % 39) for u in range(39)]),
+            "star400": from_edges(400, [(0, v) for v in range(1, 400)]),
+            "path80": from_edges(80, [(u, u + 1) for u in range(79)]),
         }[name]
         for seed in (9, 10):
-            _assert_gossip_matches_oracle(topo, mode, max_steps, seed)
+            _assert_gossip_matches_oracle(topo, max_steps, seed)
 
     @pytest.mark.parametrize("max_steps", [1, 2, 3, None])
-    @pytest.mark.parametrize("name", ["complete2", "csr2", "complete3", "star5"])
-    @pytest.mark.parametrize("mode", [EXCHANGE, PUSH])
-    def test_contact_that_fills_both_ends(self, mode, name, max_steps):
+    @pytest.mark.parametrize("name", ["complete2", "csr2", "complete3", "star5", "cycle4"])
+    def test_contact_that_fills_both_ends(self, name, max_steps):
         # on K_2 the first exchange fills both ends at once; on K_3 and a star
-        # the last contact often fills one end and finds the other full
+        # the last contact often fills one end and finds the other full; on a
+        # 4-cycle two neighbours that each miss one node can fill each other
         topo = {
             "complete2": complete_topology(2),
             "csr2": explicit_complete_topology(2),
             "complete3": complete_topology(3),
             "star5": from_edges(5, [(0, v) for v in range(1, 5)]),
+            "cycle4": cycle_topology(4),
         }[name]
         for seed in range(20):
-            _assert_gossip_matches_oracle(topo, mode, max_steps, seed)
-        if name in ("complete2", "csr2") and mode == EXCHANGE:
+            _assert_gossip_matches_oracle(topo, max_steps, seed)
+        if name in ("complete2", "csr2"):
             report, heard = _spread(topo, GOSSIP, 0)
             assert (report.steps_to_full, report.messages_sent) == (1, 2)
             assert heard == [3, 3]
@@ -472,7 +470,7 @@ class TestRunSpreading:
         partial = 0
         for seed, max_steps in itertools.product(range(4), [1, n // 2 + 1, n, 2 * n, None]):
             cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
-            want = gossip_spread(n, True, cap, np.random.default_rng(seed))
+            want = gossip_spread(n, cap, np.random.default_rng(seed))
             got = run_spreading(complete_topology(n), GOSSIP, np.random.default_rng(seed),
                                 max_steps=max_steps)
             _assert_returns(got, want)
@@ -484,17 +482,16 @@ class TestRunSpreading:
         n=st.integers(1, 9),
         data=st.data(),
         max_steps=st.one_of(st.none(), st.integers(1, 300)),
-        mode=st.sampled_from([EXCHANGE, PUSH]),
         seed=st.integers(0, 10**6),
     )
-    def test_small_graphs_match_tick_by_tick_oracle(self, n, data, max_steps, mode, seed):
+    def test_small_graphs_match_tick_by_tick_oracle(self, n, data, max_steps, seed):
         pairs = list(itertools.combinations(range(n), 2))
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
         topo = complete_topology(n) if data.draw(st.booleans()) else from_edges(n, edges)
-        _assert_gossip_matches_oracle(topo, mode, max_steps, seed)
+        _assert_gossip_matches_oracle(topo, max_steps, seed)
 
 
-def _assert_gossip_matches_oracle(topo, mode, max_steps, seed):
+def _assert_gossip_matches_oracle(topo, max_steps, seed):
     """The gossip spread on a generator seeded with seed equals
     gossip_spread's in its report and all N heard-sets, and run_spreading
     returns that report and node 0's heard-set.  The oracle takes K_N's
@@ -502,8 +499,7 @@ def _assert_gossip_matches_oracle(topo, mode, max_steps, seed):
     n = topo.n_nodes
     cap = default_max_steps(GOSSIP, n) if max_steps is None else max_steps
     net = n if topo.indices is None else topo
-    want = gossip_spread(net, mode == EXCHANGE, cap, np.random.default_rng(seed))
-    assert _spread(topo, GOSSIP, seed, mode=mode, max_steps=max_steps) == want
-    got = run_spreading(topo, GOSSIP, np.random.default_rng(seed), exchange_mode=mode,
-                        max_steps=max_steps)
+    want = gossip_spread(net, cap, np.random.default_rng(seed))
+    assert _spread(topo, GOSSIP, seed, max_steps=max_steps) == want
+    got = run_spreading(topo, GOSSIP, np.random.default_rng(seed), max_steps=max_steps)
     _assert_returns(got, want)

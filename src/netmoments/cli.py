@@ -106,13 +106,20 @@ def _flag(key: str) -> str:
 _KEYS = {**{_flag(key)[2:]: key for key in _SETTINGS}, **{key: key for key in _SETTINGS}}
 
 
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def _coerce(key: str, raw: str):
-    """raw as a value of setting key, checked against its choices as the flag is."""
+    """raw as a value of setting key, checked against its choices as the flag
+    is, and a seed checked as _resolve checks the flag's."""
     setting = _SETTINGS[key]
     value = setting.type(raw)
     if setting.choices is not None and value not in setting.choices:
         raise ValueError(f"{key} must be one of {', '.join(setting.choices)}, got {raw!r}")
-    return value
+    return _check_seed(value) if key == "seed" else value
 
 
 def _parse_config_file(path: str, command: str) -> dict:
@@ -148,8 +155,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             settings[key] = val
     if settings.get("seed") is None:
         settings["seed"] = secrets.randbits(32)
-    if settings["seed"] < 0:
-        raise ValueError(f"--seed must be >= 0, got {settings['seed']}")
+    _check_seed(settings["seed"])
     return settings
 
 

@@ -7,10 +7,11 @@ rejected when the giant holds under half the nodes.  Then it runs its
 s1 * B bucket phases in sequence, one per (bucket map, bucket); k = 2 has
 one bucket map and one bucket, B = M^(1 - 1/(k - 1)) = 1, so one phase.
 Each phase spreads from scratch, by gossip's exchange or by slotted Aloha,
-and reads node 0's sketch off the heard-set members in its bucket with one
-closed-form draw per distinct rate they hold, all from the phase's one draw
-generator.  estimators.estimate_fk turns the per-phase harmonic estimates
-into F_k / N^k, scaled by the participant count.
+and reads node 0's sketch off the heard-set members in its bucket: one
+matvec gives each cell's total rate over them, and one call to the phase's
+draw generator gives every cell's clamped exponential at that rate.
+estimators.estimate_fk turns the per-phase harmonic estimates into
+F_k / N^k, scaled by the participant count.
 
 Reports are plain dicts: a trial's record and the experiment's report are
 the dicts report.json serialises, so each key is written in one place."""
@@ -152,17 +153,18 @@ def solve_budget(
     - r1 = pow2(CAL_MAP_TERM / ((delta/2) eps1^2)), which grows as
       1/(delta eps^2) (ROADMAP items 3 and 10);
     - r2 = pow2(CAL_EXP_TERM ln(4/delta) / eps2^2).
-    The quantizer follows QuantConfig.for_population at target eps2.  A given
-    r1 and r2, quant_bits or trunc_l is taken as it is, within range: a
-    given L must cut a rate-1 draw with probability e^(-L) <= eps, and the
-    cell width L/2^quant_bits must resolve the min over N nodes, of order
-    1/N, so it is at most 1/N.  The rule's cell width is at most eps2/N, and
-    its L = max(2 ln N, ln(1/eps2)) cuts a draw with probability at most
-    eps2.  A value out of range raises ValueError.  A budget whose
-    sketch at moment order k holds more than _MAX_CELLS cells,
-    sketch_channels(k) * r1 * r2, raises CapacityError, solved or given,
-    instead of returning something unrunnable; so does an eps or delta so
-    small that a solved term leaves float range.
+    The quantizer follows QuantConfig.for_population at target eps2 in the
+    parts not given.  A given r1 and r2, quant_bits or trunc_l is taken as
+    it is, within range: a given L must clamp a rate-1 draw with probability
+    e^(-L) <= eps, and the cell width L/2^quant_bits must resolve the min
+    over N nodes, of order 1/N, so it is at most 1/N.  The rule's cell
+    width is at most eps2/N, and its L = max(2 ln N, ln(1/eps2)) clamps a
+    draw with probability at most eps2.  A value out of range raises
+    ValueError.  A budget whose sketch at moment order k holds more than
+    _MAX_CELLS cells, sketch_channels(k) * r1 * r2, raises CapacityError,
+    solved or given, instead of returning something unrunnable; so does an
+    eps or delta so small that a solved term, or a part of the quantizer
+    the rule gives, leaves range.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -188,11 +190,13 @@ def solve_budget(
             f"budget needs {factor}r1*r2 = {channels * r1 * r2} sketch cells "
             f"(cap {_MAX_CELLS}); relax epsilon or delta, or give smaller r1 and r2"
         )
-    quant = QuantConfig.for_population(n_nodes, eps2)
-    quant = QuantConfig(
-        truncation_L=quant.truncation_L if trunc_l is None else trunc_l,
-        quant_bits=quant.quant_bits if quant_bits is None else quant_bits,
-    )
+    try:
+        quant = QuantConfig.for_population(n_nodes, eps2, trunc_l, quant_bits)
+    except OverflowError as exc:
+        raise CapacityError(
+            f"epsilon = {eps} needs a quantizer past range ({exc}); relax epsilon, "
+            f"or give both the truncation L and the quantizer bits"
+        ) from None
     if trunc_l is not None and math.exp(-trunc_l) > eps:
         raise ValueError(f"truncation L = {trunc_l} must be at least ln(1/epsilon) = "
                          f"{math.log(1.0 / eps):.6g}, so that e^(-L) <= epsilon")
@@ -392,24 +396,15 @@ def _heard_sketch(
     """The sketch a node holds once it has heard from the nodes the boolean
     mask `heard` marks: the min over their initial grids, where a node
     holding value v draws one row of r2 levels per entry of
-    rates_by_value[v - 1].  A cell's min depends only on how many members
-    draw it at each rate, so each distinct positive rate, in the row-major
-    order of its first entry among the members' rows, takes one draw from
-    rng: the closed-form min of that many draws in every cell where some
-    member has that rate."""
+    rates_by_value[v - 1].  A cell's min depends only on its total rate,
+    the members' counts per value times their rates, so each cell of
+    positive total rate takes one clamped draw per replica from rng, in
+    cell order, and a cell of rate 0, which no member draws, keeps the
+    sentinel."""
     acc = np.full((rates_by_value.shape[1], r2), quant.infinity_level, dtype=quant.level_dtype)
-    counts = np.bincount(values[heard] - 1, minlength=len(rates_by_value))
-    present = np.flatnonzero(counts)
-    table, counts = rates_by_value[present], counts[present]
-    todo = table > 0  # the entries whose rate has not been drawn yet
-    while todo.any():
-        rate = table.flat[np.argmax(todo)]
-        in_group = table == rate
-        todo &= ~in_group
-        group = counts @ in_group
-        cells = np.flatnonzero(group)
-        levels = min_truncated_exp_levels(np.full(cells.size, rate), group[cells], r2, quant, rng)
-        acc[cells] = np.minimum(acc[cells], levels, out=levels)
+    total = np.bincount(values[heard] - 1, minlength=len(rates_by_value)) @ rates_by_value
+    cells = np.flatnonzero(total)
+    acc[cells] = min_truncated_exp_levels(total[cells], r2, quant, rng)
     return acc
 
 

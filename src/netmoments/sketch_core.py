@@ -1,4 +1,4 @@
-"""Shared-randomness maps and truncated, quantized exponential draws.
+"""Shared-randomness maps and clamped, quantized exponential draws.
 
 Every node derives the same map values from a short common seed: map i of a
 family is a random polynomial of degree d over the prime field of
@@ -20,14 +20,15 @@ A sign is +1 on an even value, a root is e^(2 pi i h / k) for h the value
 mod k, and a bucket is 1 + the value mod B.  Their laws are off uniform by
 at most 1/(2p) for the parity and k/p for a residue mod k.
 
-Sketch entries are exponential variables truncated to [0, L] and uniformly
-quantized to integer levels; the level 2^quant_bits, one above every finite
-level, is the infinity sentinel.  A sketch is a plain integer level array.
-The sketch a node holds after spreading is the elementwise min over the
-initial sketches of its heard-set.  A member's rate in a cell depends only on
-its value, and the min of c iid truncated Exp(rate) draws has a closed-form
-inverse CDF, so min_truncated_exp_levels draws each cell's min directly from
-the count of members at each rate, with one count per row.
+Sketch entries are exponential variables clamped to [0, L], min(Exp(rate),
+L), and uniformly quantized to integer levels; the level 2^quant_bits, one
+above every finite level, is the infinity sentinel.  A sketch is a plain
+integer level array.  The sketch a node holds after spreading is the
+elementwise min over the initial sketches of its heard-set.  The min of
+independent clamped draws at rates rate_i is a clamped draw at their sum, and
+the floor of the quantizer is monotone, so it commutes with that min:
+min_truncated_exp_levels draws each cell's min directly, one exponential per
+cell at the cell's total rate.
 harmonic_estimate reads population estimates off the last axis of a sketch.
 """
 
@@ -131,18 +132,32 @@ class QuantConfig:
             raise ValueError("quant_bits must lie in [1, 62] (the sentinel must fit int64)")
 
     @classmethod
-    def for_population(cls, n_nodes: int, target_mu: float = 0.05) -> "QuantConfig":
-        """Default rule: L = max(2 ln n, ln(1/target_mu)), so that a rate-1
-        draw is cut with probability e^(-L) <= target_mu, and a cell width of
-        at most target_mu / n, so minima of order 1/n carry relative
-        quantization error <= target_mu."""
+    def for_population(
+        cls, n_nodes: int, target_mu: float = 0.05,
+        truncation_L: float | None = None, quant_bits: int | None = None,
+    ) -> "QuantConfig":
+        """Default rule for the parts not given: L = max(2 ln n,
+        ln(1/target_mu)), so that a rate-1 draw is clamped with probability
+        e^(-L) <= target_mu, and a cell width of at most target_mu / n at
+        that L, so minima of order 1/n carry relative quantization error <=
+        target_mu.  A target_mu so small that a part the rule gives leaves
+        range (an infinite L, or more than 62 bits) raises OverflowError; a
+        given part is checked as the constructor checks it."""
         if n_nodes < 2:
             raise ValueError("need at least 2 nodes")
         if not (0.0 < target_mu < 1.0):
             raise ValueError("target_mu must lie in (0, 1)")
         L = max(2.0 * math.log(n_nodes), math.log(1.0 / target_mu))
-        bits = math.ceil(math.log2(L * n_nodes / target_mu))
-        return cls(truncation_L=L, quant_bits=bits)
+        if truncation_L is None:
+            if math.isinf(L):
+                raise OverflowError(f"the rule's L = ln(1/{target_mu}) is past float range")
+            truncation_L = L
+        if quant_bits is None:
+            # ceil raises OverflowError itself where the quotient is infinite
+            quant_bits = math.ceil(math.log2(L * n_nodes / target_mu))
+            if quant_bits > 62:
+                raise OverflowError(f"the rule's {quant_bits} quantizer bits are past 62")
+        return cls(truncation_L=truncation_L, quant_bits=quant_bits)
 
     @property
     def cell_width(self) -> float:
@@ -183,36 +198,19 @@ class QuantConfig:
 
 
 def min_truncated_exp_levels(
-    rates: np.ndarray, counts: np.ndarray, r2: int, quant: QuantConfig, rng: np.random.Generator
+    rates: np.ndarray, r2: int, quant: QuantConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """One row of r2 levels per rate entry: the min of counts[i] iid
-    Exp(rates[i]) draws truncated to [0, L], drawn in one step and quantized
-    once.  rates are positive, and counts holds one count, at least 1, per
-    rate entry.
-
-    The min of c such draws has the inverse CDF
-    x = -ln(e^(-rate L) + (1 - e^(-rate L)) u^(1/c)) / rate, for u uniform on
-    (0, 1]; it is evaluated in one float buffer, one uniform per entry and
-    replica, in the cancellation-free form
-    -log1p(expm1(-rate L) * -expm1(ln(u) / c)) / rate.
-    """
+    """One row of r2 levels per rate entry, each min(Exp(rate), L) quantized:
+    one standard exponential per entry and replica, drawn in one call,
+    divided by its rate and clamped to L before the cast, so no level
+    overflows.  rates are positive; a cell at the total rate of its members
+    gets the min of their clamped draws."""
     rates = np.asarray(rates, dtype=float)
-    counts = np.asarray(counts)
-    if counts.shape != rates.shape:
-        raise ValueError(f"counts of shape {counts.shape} do not match rates of {rates.shape}")
     if not np.all(rates > 0):
         raise ValueError("rates must be positive")
-    if np.any(counts < 1):
-        raise ValueError("counts must be >= 1")
-    lam = rates[:, None]
-    x = rng.random((lam.size, r2))
-    np.subtract(1.0, x, out=x)  # u in (0, 1], so ln(u) is finite
-    np.log(x, out=x)
-    x /= counts[:, None]
-    np.expm1(x, out=x)
-    x *= -np.expm1(-lam * quant.truncation_L)
-    np.log1p(x, out=x)
-    x /= -lam
+    x = rng.standard_exponential((rates.size, r2))
+    x /= rates[:, None]
+    np.minimum(x, quant.truncation_L, out=x)
     return quant.quantize(x)
 
 

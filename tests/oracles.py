@@ -176,46 +176,35 @@ def min_exponential_samples(rates, n_samples: int, rng: np.random.Generator) -> 
     return draws.min(axis=1)
 
 
-def resampled_min_levels(rates, r2: int, quant, rngs) -> np.ndarray:
-    """Elementwise min over the generators in rngs of r2 quantized Exp(rate)
-    draws per positive rate, each generator drawing its block and then
-    redrawing, in row-major order, only the entries still above L (the
-    truncation by resampling, done literally).  Zero-rate rows, and every
-    row when rngs is empty, hold the infinity sentinel.  The oracle for the
-    closed-form min of sketch_core.min_truncated_exp_levels."""
+def clamped_min_levels(rates, r2: int, quant, rngs) -> np.ndarray:
+    """Elementwise min over the generators in rngs of r2 quantized draws
+    min(Exp(rate), L) per positive rate: each generator draws its block of
+    standard exponentials, divides each by its rate and clamps it at L, one
+    member's draws.  Zero-rate rows, and every row when rngs is empty, hold
+    the infinity sentinel.  The oracle for the one-draw min of
+    sketch_core.min_truncated_exp_levels at the members' total rate."""
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be nonnegative")
     pos = rates > 0
-    scales = 1.0 / rates[pos]
-    acc = None
-    for rng in rngs:
-        z = rng.standard_exponential(size=(scales.size, r2))
-        z *= scales[:, None]
-        over = np.flatnonzero(z > quant.truncation_L)
-        while over.size:
-            redraw = rng.standard_exponential(size=over.size)
-            redraw *= scales[over // r2]
-            np.put(z, over, redraw)
-            over = over[redraw > quant.truncation_L]
-        acc = z if acc is None else np.minimum(acc, z)
     out = np.full((rates.size, r2), quant.infinity_level, dtype=quant.level_dtype)
-    if acc is not None:
-        out[pos] = quant.quantize(acc)
+    for rng in rngs:
+        z = rng.standard_exponential(size=(int(pos.sum()), r2)) / rates[pos][:, None]
+        out[pos] = np.minimum(out[pos], quant.quantize(np.minimum(z, quant.truncation_L)))
     return out
 
 
 def heard_sketch(rates_by_value, values, r2: int, quant, node_seeds, members) -> np.ndarray:
     """The sketch over `members` drawn node by node: member u draws its own
-    resampled grid for rates_by_value[values[u] - 1] from node_seeds[u], one
-    truncated exponential per cell, and the sketch is the min over the
+    clamped grid for rates_by_value[values[u] - 1] from node_seeds[u], one
+    clamped exponential per cell, and the sketch is the min over the
     members' grids.  The oracle, in law, for simulator._heard_sketch, which
-    draws one closed-form min per distinct rate."""
+    draws one exponential per cell at the cell's total rate."""
     rows = np.shape(rates_by_value)[1]
     acc = np.full((rows, r2), quant.infinity_level, dtype=quant.level_dtype)
     for u in members:
         rng = np.random.default_rng(node_seeds[u])
-        grid = resampled_min_levels(rates_by_value[values[u] - 1], r2, quant, [rng])
+        grid = clamped_min_levels(rates_by_value[values[u] - 1], r2, quant, [rng])
         acc = np.minimum(acc, grid)
     return acc
 

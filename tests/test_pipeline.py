@@ -66,6 +66,16 @@ digests are the earlier release's report on that argv with the key
 deleted, and the new report equals it byte for byte.  trials.csv did not
 change, so its digests, the sweep summary.csv digest, the summary lines and
 the spreading-time CSV digests all pass as they were recorded.
+
+The whole-report digests were re-recorded once more when a node's draw
+became an exponential clamped to L, min(Exp(rate), L), in place of one
+conditioned on [0, L], so that a sketch cell is one draw at its members'
+total rate.  Every stripped digest and the spreading-time CSV digests still
+match: only the estimates moved.  The trials.csv and sweep summary.csv
+digests and the summary lines were re-recorded with them; against the
+earlier files only estimate_scaled and abs_error changed in trials.csv,
+success_rate and mean_abs_error in summary.csv, and the mean estimate and
+error lines in the summary.
 """
 
 import argparse
@@ -173,54 +183,54 @@ GOLDEN = {
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "11"],
         0,
-        "a897ca27adcfe2ef3ef1e344226f792f0fd87194a37397c2c1ec73debea38947",
+        "3d25ced927664f691fb81b6901f59d49503ad18fdd683e7e12eb67537621a692",
         "0530075e39607b9464ca88f5b6c4e9387be4a8dbd5a33e08ae80b81a743cb623",
     ),
     "complete-gossip-uniform-k2": (
         ["--nodes", "200", "--alphabet", "12", "--network", "complete", "--protocol", "gossip",
          "--data", "uniform", "--r1", "8", "--r2", "32", "--trials", "2", "--seed", "12"],
         0,
-        "a54af2a580476eeb983554b2d0105a3e54b95c1e758034e30a3a18ac99760a9b",
+        "83146023926061ef713ccf7fe0abcee70df833ff1bb688ad3baa9430da442fe1",
         "aa9f919c0b27285638f1747a44cc052c8a4c429be72f019f38db2b98f4326acc",
     ),
     "rgg-connected-aloha-k2": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--trials", "2", "--seed", "13"],
         0,
-        "a5047447d0fcac5272c495be2fe10a51cacad340045a6856251be3db054a16e5",
+        "83c94857cd1b42068242be2ec245c440dd5928f309a83c439bcb968af5f5c9be",
         "8b3ad46436c16a0c5753cb4aaf50b6679e140ff59e62e5bf7305880cb4fc3a96",
     ),
     "rgg-percolating-gossip-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "gossip",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "14"],
         0,
-        "30a8c1f3d01318545a9555ae08767ebbd0a71c967bef61344dca76b7c7af0d42",
+        "5b93e0ce557605dc2a0ea459ad0b23c6549fb4dbf7013e8735a030a1fde2547d",
         "0e3020b9345e1e7736bb2a9a3a547446a4d4cad44029ca03f99ddb4b89e03af0",
     ),
     "rgg-percolating-aloha-k2": (
         ["--nodes", "600", "--alphabet", "30", "--network", "rgg-percolating", "--protocol", "aloha",
          "--data", "zipf:1.5", *_BUDGET, "--trials", "3", "--seed", "22"],
         0,
-        "d9f053840ff633c99e8a061c9d9b51a21a49eb14aae3fa5c50ce9dd0df89f46c",
+        "d244c867914d17d1451cd45d7a5c4ef790345ed37d1d05a9eec0807bd03eeed9",
         "f34bf4b494271773b9735b57fb1bb9838dde1e8d3adbbb5b220d0b8aec40bfc1",
     ),
     "rgg-percolating-gossip-k3": (
         [*_K3_PERCOLATING, "--protocol", "gossip"],
         0,
-        "6d2476577f1c00b1698ac43c2ef678b3b6055f713e3ae2a073d998aca906a1b6",
+        "4b51b07e8443e50877bf3a83b9264d3d66eb6ceb7ebd52e013bd441cd2c0b88d",
         "18c5403ea4a406c19c6c587cd78816c4fb4859357d6e7e4a1b284b2d5f2fd75a",
     ),
     "rgg-percolating-aloha-k3": (
         [*_K3_PERCOLATING, "--protocol", "aloha"],
         0,
-        "9fcfebb147975e596f18306862e4b279bab4f6b24f7a61d037abb8ff00cfbda1",
+        "d684b40822c07f8de0d138757d7bdc7106a06d412f0bf5d82f438c3eb49638fe",
         "84c9a25a3176840fb6e6463b299ba0866fc6554f2ca2f808fb15cd318b5d5860",
     ),
     "rgg-connected-gossip-k3": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--seed", "15"],
         0,
-        "e4ffd1271c78c22aecb6c837d1bc6efa003f125086c9f17d3e683cb49d239844",
+        "91bcdd0643fe57690de5fd9442699a01a2b229726a9b6e47ad12f1bc777f3ed4",
         "023b815f973b8f33275f3728491b25e13492c790f08ed2cbd4a185574c833cec",
     ),
     "rgg-connected-aloha-k4": (
@@ -228,28 +238,28 @@ GOLDEN = {
          "--network", "rgg-connected", "--protocol", "aloha", "--data", "pointmass",
          "--r1", "4", "--r2", "16", "--seed", "16"],
         0,
-        "419b8c02deacf9ff3cabbd2661decc77ab458dae2bbac4b15c35255359f1eb0d",
+        "bf945245639d776fe688e925f4227bbb58a179a475e943b1b94ab644c11cf80a",
         "f424bec7b6b3fc65c1910eda53803dcbe04298874da4ddb965a1fd6d6ba9d5c8",
     ),
     "rgg-connected-gossip-k3-cut": (
         [*_K3, "--network", "rgg-connected", "--protocol", "gossip", "--data", "zipf:1.2",
          "--max-steps", "300", "--seed", "19"],
         4,
-        "f05bca8bea37dcf817f6569d3429556152c9f9606bd44e11ba11432e1c83f2b1",
+        "75bdc9f63c49a99d9eeaacf4f08477bc30134055652ccdd45b3b8aaf71f08271",
         "403c3e730056a01d224339f1cbfa249385b681f7441634861cfbf055f011d4bf",
     ),
     "complete-gossip-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "complete", "--protocol", "gossip",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "600", "--seed", "17"],
         4,
-        "e1af6b8a20d210be8dd4107576f9aa9311e2e8109b283ca5bb57391eb1dceb81",
+        "9f4e6c40fa1ff1fe42f3133447fab62a4d0d6832e1d23e23adf18c6bc9592e87",
         "a1a25364c5d89ae2558c61e1911bfb31317bf5491056ecc93247adaa3ea52ec3",
     ),
     "rgg-connected-aloha-cut": (
         ["--nodes", "300", "--alphabet", "20", "--network", "rgg-connected", "--protocol", "aloha",
          "--data", "zipf:1.2", *_BUDGET, "--max-steps", "20", "--seed", "18"],
         4,
-        "29adf7f4d0cad11b4ba8f7a849afb6c4881c97bdc1c50e9030d60c80868821a3",
+        "9eed8db7c5b8321e3fd6031a0ef989fd396d7b9dea538e645f8978240fcedce2",
         "2b686b0b5bac3c9329b2f9a1fcf6c531c683f90c4d8dd964a9b96ba5d93f074c",
     ),
 }
@@ -262,12 +272,12 @@ GRAPH_GOLDEN = {
     "graph-gossip-k2": (
         ["--nodes", "150", "--alphabet", "12", "--protocol", "gossip", "--data", "zipf:1.2",
          *_BUDGET, "--trials", "2", "--seed", "20"],
-        "fb2779d28d36f0bec2abf1f4815c3c7e239c257c6ece6764494e7f2dc4916588",
+        "d34b709363f3200384b797afa9e7bc0d1dd772a298ec35b75c1844aee96893ff",
         "14e32c9ef571b74540c35faeb5cc4c47c343f01e9cd57fbf628e5dac9645e034",
     ),
     "graph-aloha-k3": (
         [*_K3, "--protocol", "aloha", "--data", "zipf:1.2", "--seed", "21"],
-        "eb599c9575befe0837e79d6f644d12d3c5a41913fd553f3bdfbcd39a84ccdd72",
+        "18fe18574fc74f3ca38a104f2ea16c23f7cc19837573212f7d883a7fff04d278",
         "4cd468e066107d8aaf0bdf1559d0a8277025b627843ac5fc01904aacf61a6184",
     ),
 }
@@ -307,16 +317,16 @@ class TestGoldenReports:
 # summary lines were recorded on the release that held trials and reports in
 # classes of their own, and re-recorded with the whole-report digests
 TRIALS_CSV = {
-    "rgg-percolating-gossip-k2": "cfce22a24c81cf6fc43d2101dde7b52789783c29ec79d8af83db0b08a2b8bd56",
-    "rgg-connected-gossip-k3-cut": "1cb27cfd9d2483873d7dfa40aa7a0b3e5c5b03669a1d05d476510b9df9a0c770",
+    "rgg-percolating-gossip-k2": "e6fe23b0e0c915abd1c890ef80d715b40e23ee7448b7f5473dca3a469b974626",
+    "rgg-connected-gossip-k3-cut": "9b0202f5fccbdb94a81b3dade9e080c38fb8fb055acd8dce63e2cef86f55ba3d",
 }
 _SUMMARY = """\
 trials: 3 measured, 0 rejected, 0 non-converged
 phases: 1
 message bits per transmission: 11776
 median steps: 38629  total bits: 2595006464
-mean estimate_scaled: 0.248266  mean exact_scaled: 0.229239
-mean |error|: 0.067986  max |error|: 0.122945
+mean estimate_scaled: 0.274275  mean exact_scaled: 0.229239
+mean |error|: 0.0913434  max |error|: 0.114325
 success rate: 0.667 (target >= 0.900 at epsilon = 0.1)
 """
 
@@ -350,7 +360,7 @@ class TestOtherOutputs:
                 "--trials", "2", "--seed", "5", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
         body = (out / "summary.csv").read_bytes()
-        want = "947e4872210162f1816a13d42e83c7e8bff3146d14bf35986b259ece866d0c35"
+        want = "cee9d6a75f82ca5ca583b491aaa80287ec7fee2da24064521c97ea7d667202c2"
         assert hashlib.sha256(body).hexdigest() == want
 
     def test_gen_data_oracle_and_run_round_trip(self, tmp_path, monkeypatch, capsys):
@@ -1171,6 +1181,38 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps, given", [
+        pytest.param("1e-320", [], id="rule-L-past-float-range"),
+        pytest.param("1e-300", [], id="rule-bits-past-62"),
+        pytest.param("1e-200", [], id="rule-bits-past-62-at-1e-200"),
+        pytest.param("1e-300", ["--trunc-L", "700"], id="given-L-rule-bits-past-62"),
+    ])
+    def test_quantizer_rule_past_range_is_infeasible(self, tmp_path, capsys, eps, given):
+        # with r1 and r2 given, only the quantizer rule reads epsilon: its
+        # L = max(2 ln N, ln(32/eps)) and its bits ceil(log2(L N 32/eps))
+        # leave range at a tiny eps, which once crashed or named no setting
+        code, out = _run(tmp_path, "tiny", ["--nodes", "50", "--alphabet", "5", "--seed", "1",
+                                            "--r1", "2", "--r2", "4", "--epsilon", eps, *given])
+        assert code == cli.EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        want = f"infeasible budget: epsilon = {float(eps)} needs a quantizer past range"
+        assert captured.err.startswith(want)
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", [
+        pytest.param(["--trunc-L", "700", "--quant-bits", "40"], id="both-given"),
+        pytest.param(["--quant-bits", "40"], id="bits-given"),
+    ])
+    def test_given_quantizer_serves_a_tiny_epsilon(self, tmp_path, capsys, given):
+        # the rule runs only for the parts not given: its L at eps = 1e-300
+        # is about 695, in range, and e^(-700) <= 1e-300
+        code, out = _run(tmp_path, "tiny", ["--nodes", "50", "--alphabet", "5", "--seed", "1",
+                                            "--r1", "2", "--r2", "4", "--epsilon", "1e-300",
+                                            *given])
+        assert code == cli.EXIT_OK
+        assert json.loads((out / "report.json").read_text())["config"]["quant"]["quant_bits"] == 40
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["gen-data", "--nodes", "40", "--alphabet", "5"], id="gen-data"),
         pytest.param(["run", "--nodes", "40", "--alphabet", "5", "--r1", "2", "--r2", "4"],
@@ -1184,6 +1226,25 @@ class TestExitCodes:
         assert cli.main([*argv, "--seed", "-3", "--out", str(out)]) == cli.EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err == "error: --seed must be >= 0, got -3\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        pytest.param(["sweep", "--param", "seed", "--values", "1,-2", "--seed", "1"], "",
+                     id="swept-value"),
+        pytest.param(["run"], "seed = -2\n", id="config-file"),
+    ])
+    def test_negative_seed_off_the_flag_names_the_flag(self, tmp_path, capsys, argv, config):
+        out = tmp_path / "out"
+        extra = []
+        if config:
+            (tmp_path / "c.cfg").write_text(config)
+            extra = ["--config", str(tmp_path / "c.cfg")]
+        code = cli.main([*argv, "--nodes", "40", "--alphabet", "5", "--r1", "2", "--r2", "4",
+                         *extra, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -2\n"
         assert captured.out == ""
         assert not out.exists()
 

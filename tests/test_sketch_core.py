@@ -1,5 +1,4 @@
 import cmath
-import hashlib
 import itertools
 import math
 
@@ -175,113 +174,80 @@ class TestMaps:
 
 
 class StubRng:
-    """A generator whose random() returns one fixed value everywhere."""
+    """A generator whose standard_exponential() returns one fixed value
+    everywhere."""
 
     def __init__(self, value):
         self.value = value
 
-    def random(self, size):
+    def standard_exponential(self, size):
         return np.full(size, self.value)
 
 
 class TestQuantizedDraws:
     def test_zero_rate_rejected(self):
-        # whatever its count, and beside a positive rate: a cell no member
-        # draws is the caller's sentinel, not a draw
+        # beside a positive rate: a cell no member draws is the caller's
+        # sentinel, not a draw
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        rates = np.array([0.0, 1.0, 0.0])
-        for count in (1, 7, 10**6):
-            counts = np.array([count, 2, 1])
-            with pytest.raises(ValueError, match="rates must be positive"):
-                min_truncated_exp_levels(rates, counts, 4, q, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rates must be positive"):
+            min_truncated_exp_levels(np.array([0.0, 1.0, 0.0]), 4, q, np.random.default_rng(0))
 
     def test_negative_rate_rejected(self):
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
         with pytest.raises(ValueError, match="rates must be positive"):
-            min_truncated_exp_levels(np.array([-1.0]), np.ones(1), 4, q, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_count_below_one_rejected(self, count):
-        # in any row
-        q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        for row in range(3):
-            counts = np.array([3, 1, 5])
-            counts[row] = count
-            with pytest.raises(ValueError, match="counts must be >= 1"):
-                min_truncated_exp_levels(
-                    np.array([0.5, 1.0, 2.0]), counts, 4, q, np.random.default_rng(0)
-                )
-
-    @pytest.mark.parametrize("counts", [1, [1, 1], [[1], [1], [1]], [1, 1, 1, 1]])
-    def test_counts_must_match_rates_in_shape(self, counts):
-        # one calling form: a scalar count is a shape mismatch, not a broadcast
-        q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        with pytest.raises(ValueError, match="do not match"):
-            min_truncated_exp_levels(
-                np.array([0.5, 1.0, 2.0]), np.array(counts), 4, q, np.random.default_rng(0)
-            )
-
-    def test_each_row_draws_at_its_own_count(self):
-        # the same uniform in every entry: a row's level falls as its count
-        # grows, and rows of equal rate and count agree
-        q = QuantConfig(truncation_L=8.0, quant_bits=20)
-        rates, counts = np.ones(4), np.array([1, 9, 1, 9])
-        levels = min_truncated_exp_levels(rates, counts, 3, q, StubRng(0.5))
-        assert levels[0, 0] > levels[1, 0]
-        np.testing.assert_array_equal(levels[:2], levels[2:])
-        for count, row in zip(counts, levels):
-            alone = min_truncated_exp_levels(np.ones(1), np.array([count]), 3, q, StubRng(0.5))
-            np.testing.assert_array_equal(alone[0], row)
+            min_truncated_exp_levels(np.array([-1.0]), 4, q, np.random.default_rng(0))
 
     def test_midpoint_rule(self):
         # L = 8 with 3 bits gives unit cells; a raw sample of 2.3 lands in
-        # cell 2 and dequantizes to the midpoint 2.5.  For one draw at rate 1
-        # the inverse CDF gives 2.3 at u = (e^-2.3 - e^-8) / (1 - e^-8)
+        # cell 2 and dequantizes to the midpoint 2.5.  At rate 1 the sample
+        # is the standard exponential itself; at rate 2 it is half of it
         q = QuantConfig(truncation_L=8.0, quant_bits=3)
-        u = (math.exp(-2.3) - math.exp(-8.0)) / (1.0 - math.exp(-8.0))
-        levels = min_truncated_exp_levels(np.array([1.0]), np.ones(1), 1, q, StubRng(1.0 - u))
+        levels = min_truncated_exp_levels(np.array([1.0]), 1, q, StubRng(2.3))
         assert levels.tolist() == [[2]]
         assert q.dequantize(levels).tolist() == [[2.5]]
+        levels = min_truncated_exp_levels(np.array([1.0, 2.0]), 1, q, StubRng(4.6))
+        assert levels.tolist() == [[4], [2]]
 
-    @pytest.mark.parametrize("draw", [0.0, np.nextafter(1.0, 0.0)])
-    @pytest.mark.parametrize("count", [1, 9, 4000])
-    @pytest.mark.parametrize("bits", [8, 31])
-    def test_extreme_uniforms_give_finite_levels(self, draw, count, bits):
-        # u = 1 - draw is 1 or 2^-53; rate * L spans a tiny product up to one
-        # where e^(-rate L) rounds to 0, and no step may warn
+    @pytest.mark.parametrize("draw", [0.0, 1e10, 1e300])
+    @pytest.mark.parametrize("bits", [8, 19, 31, 33])
+    def test_extreme_exponentials_give_finite_levels(self, draw, bits):
+        # E = 0 gives level 0; a huge E, divided by a small rate, is clamped
+        # to L before the cast and gives the top finite level, never the
+        # sentinel, and no step may warn
         for L in (1e-3, 3.0, 60.0):
             q = QuantConfig(truncation_L=L, quant_bits=bits)
             rates = np.array([0.05, 1.0, 2.0, 40.0])
-            levels = min_truncated_exp_levels(rates, np.full(4, count), 5, q, StubRng(draw))
+            levels = min_truncated_exp_levels(rates, 5, q, StubRng(draw))
             assert levels.dtype == q.level_dtype
-            assert (levels >= 0).all() and (levels < q.infinity_level).all()
-            if draw == 0.0:
-                assert (levels == 0).all()
+            assert (levels == (0 if draw == 0.0 else q.infinity_level - 1)).all()
 
-    def test_truncation_is_resampling(self):
+    def test_clamped_fraction_is_e_to_the_minus_rate_L(self):
         # analytic identity behind the default rule: P(Exp(1) > 2 ln N) = N^-2
         n = 1024
-        L = 2.0 * math.log(n)
-        assert math.isclose(math.exp(-L), n**-2, rel_tol=1e-12)
-        # empirical rejection fraction stays at that order
-        rng = np.random.default_rng(42)
-        draws = rng.exponential(1.0, size=2_000_000)
-        assert np.mean(draws > L) <= 2.0 * n**-2
+        assert math.isclose(math.exp(-2.0 * math.log(n)), n**-2, rel_tol=1e-12)
+        # the kernel clamps a draw, to the top level, with probability
+        # e^(-rate L): at N = 16, rate 1 and L = 2 ln 16, 1/256 of the draws
+        q = QuantConfig.for_population(16)
+        levels = min_truncated_exp_levels(np.ones(64), 1 << 14, q, np.random.default_rng(42))
+        p, draws = 16.0**-2, levels.size
+        clamped = np.mean(levels == q.infinity_level - 1)
+        assert abs(clamped - p) <= 4.5 * math.sqrt(p * (1 - p) / draws)
 
-    def test_conditional_mean_matches_truncated_law(self):
-        n = 1024
-        q = QuantConfig.for_population(n)
-        rng = np.random.default_rng(9)
-        levels = min_truncated_exp_levels(np.ones(100), np.ones(100), 10_000, q, rng)
-        mean = float(q.dequantize(levels).mean())
-        L = q.truncation_L
-        target = (1.0 - (L + 1.0) * math.exp(-L)) / (1.0 - math.exp(-L))
-        assert abs(mean - target) / target <= 0.02
+    @pytest.mark.parametrize("rate", [0.2, 0.5, 1.0, 3.0])
+    def test_mean_matches_clamped_law(self, rate):
+        # E[min(Exp(rate), L)] = (1 - e^(-rate L)) / rate, within 4.5
+        # standard errors; the cells are 2^-20 wide, far below that error
+        q = QuantConfig(truncation_L=3.0, quant_bits=22)
+        levels = min_truncated_exp_levels(np.full(100, rate), 10_000, q,
+                                          np.random.default_rng(9))
+        values = q.dequantize(levels)
+        target = -math.expm1(-rate * q.truncation_L) / rate
+        assert abs(values.mean() - target) <= 4.5 * values.std() / math.sqrt(values.size)
 
     def test_level_never_reaches_sentinel_for_positive_rate(self):
         q = QuantConfig(truncation_L=1.0, quant_bits=2)
         rng = np.random.default_rng(3)
-        levels = min_truncated_exp_levels(np.full(4, 0.05), np.ones(4), 500, q, rng)
+        levels = min_truncated_exp_levels(np.full(4, 0.05), 500, q, rng)
         assert levels.max() < q.infinity_level
 
     def test_default_rule_cell_width(self):
@@ -302,7 +268,7 @@ class TestLevelDtype:
         assert q.level_dtype is dtype
         assert int(np.array(q.infinity_level, dtype=dtype)) == q.infinity_level == 1 << bits
         rates = np.array([1.0, 2.0])
-        levels = min_truncated_exp_levels(rates, np.full(2, 3), 64, q, np.random.default_rng(bits))
+        levels = min_truncated_exp_levels(rates, 64, q, np.random.default_rng(bits))
         assert levels.dtype == dtype
         assert levels.max() < q.infinity_level
         z = q.dequantize(levels)
@@ -314,7 +280,7 @@ class TestLevelDtype:
         _, q = solve_budget(0.1, 0.1, 150000)
         assert q.quant_bits == 31
         assert int(np.array(q.infinity_level, dtype=q.level_dtype)) == 1 << 31
-        levels = min_truncated_exp_levels(np.ones(1), np.ones(1), 8, q, np.random.default_rng(0))
+        levels = min_truncated_exp_levels(np.ones(1), 8, q, np.random.default_rng(0))
         assert levels.dtype == q.level_dtype and levels.max() < 1 << 31
 
     def test_sentinel_beyond_int64_rejected(self):
@@ -322,28 +288,23 @@ class TestLevelDtype:
             QuantConfig(truncation_L=1.0, quant_bits=63)
 
 
-# truncation lengths per member count: at L = 3 the rate 0.05 redraws most
-# oracle entries many times, which 4000 oracle generators cannot afford
-_KS_LENGTHS = {1: (3.0, 13.8), 2: (3.0, 13.8), 9: (3.0, 13.8), 4000: (40.0,)}
-
-
 class TestClosedFormKernel:
-    """The closed-form min of `count` truncated draws has the law of the
-    min over `count` generators that each truncate by resampling."""
+    """The one-draw kernel at rate count * rate has the law of the min over
+    `count` generators that each draw a clamped exponential at rate."""
 
     RATES = (0.05, 0.134, 0.7, 1.0, 2.0)
 
     @pytest.mark.parametrize("bits", [8, 19, 31, 33])
-    @pytest.mark.parametrize("count", sorted(_KS_LENGTHS))
-    def test_ks_against_resampling_oracle(self, bits, count):
+    @pytest.mark.parametrize("count", [1, 2, 9, 4000])
+    def test_ks_against_member_oracle(self, bits, count):
         rows, r2 = 8, 50  # 400 oracle samples per rate
         rates = np.repeat(self.RATES, rows)
-        for L in _KS_LENGTHS[count]:
+        for L in (3.0, 13.8):
             quant = QuantConfig(truncation_L=L, quant_bits=bits)
             seeds = np.random.SeedSequence((bits, count)).spawn(count + 1)
             rng = np.random.default_rng(seeds[0])
-            got = min_truncated_exp_levels(rates, np.full(rates.size, count), 5 * r2, quant, rng)
-            want = oracles.resampled_min_levels(
+            got = min_truncated_exp_levels(count * rates, 5 * r2, quant, rng)
+            want = oracles.clamped_min_levels(
                 rates, r2, quant, (np.random.default_rng(s) for s in seeds[1:])
             )
             assert got.dtype == want.dtype == quant.level_dtype
@@ -354,26 +315,10 @@ class TestClosedFormKernel:
                 assert p > 1e-3, (L, rate, p)
 
 
-class TestGroupedKernel:
-    """The resampling oracle: one generator's draws are pinned, and a group
-    of generators gives the elementwise min of their single draws."""
-
-    # sha256 of the levels recorded from the kernel that resampled by
-    # rescanning the whole array; at L = 3 the rates 0.05 and 0.134 redraw
-    # most entries several times
-    PINNED = {
-        19: "83b9e5bdf221d2dcc59c3ad0e9f6180c13e471fc0cdcee497c1c8f36f3d156d4",
-        31: "650a861e574675f97884cf347c15c93158160237a12a505362031a055e965fad",
-    }
-
-    @pytest.mark.parametrize("bits, dtype", [(19, np.int32), (31, np.int64)])
-    def test_heavy_resampling_digest(self, bits, dtype):
-        quant = QuantConfig(truncation_L=3.0, quant_bits=bits)
-        levels = oracles.resampled_min_levels(
-            [0.0, 0.05, 0.134, 1.0], 64, quant, [np.random.default_rng(2012)]
-        )
-        assert levels.dtype == dtype and levels.shape == (4, 64)
-        assert hashlib.sha256(levels.tobytes()).hexdigest() == self.PINNED[bits]
+class TestMemberOracle:
+    """The clamped-member oracle: a group of generators gives the
+    elementwise min of their single draws, and no generator gives the
+    all-infinite grid."""
 
     @pytest.mark.parametrize("bits", [8, 19, 25, 31, 33])
     @pytest.mark.parametrize("n_rngs", [1, 2, 3, 4, 5])
@@ -385,11 +330,11 @@ class TestGroupedKernel:
             quant = QuantConfig(truncation_L=float(rng.uniform(1.0, 12.0)), quant_bits=bits)
             r2 = int(rng.integers(1, 40))
             seeds = rng.integers(2**63, size=n_rngs)
-            got = oracles.resampled_min_levels(
+            got = oracles.clamped_min_levels(
                 rates, r2, quant, (np.random.default_rng(s) for s in seeds)
             )
             singles = [
-                oracles.resampled_min_levels(rates, r2, quant, [np.random.default_rng(s)])
+                oracles.clamped_min_levels(rates, r2, quant, [np.random.default_rng(s)])
                 for s in seeds
             ]
             assert got.dtype == quant.level_dtype
@@ -398,7 +343,7 @@ class TestGroupedKernel:
 
     def test_no_generators_is_all_infinite(self):
         quant = QuantConfig(truncation_L=4.0, quant_bits=12)
-        levels = oracles.resampled_min_levels([0.5, 1.0], 8, quant, iter(()))
+        levels = oracles.clamped_min_levels([0.5, 1.0], 8, quant, iter(()))
         assert (levels == quant.infinity_level).all() and levels.shape == (2, 8)
 
 
@@ -413,9 +358,9 @@ def _ks_rows(a, b, infinity_level) -> list[float]:
 
 class TestMergeMin:
     """The sketch a node holds is the elementwise min over the initial
-    sketches of its heard-set, drawn from the count of members at each rate
-    with one generator.  For a given generator it is idempotent in its
-    members (the heard-set is a set), free of member order, depends only on
+    sketches of its heard-set, drawn at each cell's total rate over its
+    members with one generator.  For a given generator it is idempotent in
+    its members (the heard-set is a set), free of member order, depends only on
     how many members hold each value, and has the empty heard-set (the
     all-infinite sketch, which draws nothing) as identity.  Merging by
     elementwise min over member sets that share no value draws the parts
@@ -459,6 +404,28 @@ class TestMergeMin:
         _heard_sketch(np.ones((self.M, 3)), np.ones(self.N, dtype=np.int64), self.R2, self.Q,
                       draws, np.zeros(self.N, dtype=bool))
         assert draws.bit_generator.state == state
+
+    def test_one_draw_per_replica_of_each_positive_cell(self):
+        # a cell of positive total rate takes r2 draws, one per replica, and
+        # a cell of rate 0 none: the generator ends where one that drew
+        # standard_exponential((cells, r2)) ends, and each level is that
+        # draw over the cell's rate summed member by member, clamped to L
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            values = rng.integers(1, self.M + 1, size=self.N)
+            rates = rng.uniform(0.2, 2.0, size=(self.M, 5))
+            rates[rng.random(rates.shape) < 0.3] = 0.0
+            rates[:, 0] = 0.0
+            heard = rng.random(self.N) < 0.6
+            total = sum((rates[v - 1] for v in values[heard]), np.zeros(5))
+            cells = total > 0
+            draws, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _heard_sketch(rates, values, self.R2, self.Q, draws, heard)
+            raw = twin.standard_exponential((cells.sum(), self.R2)) / total[cells, None]
+            assert draws.bit_generator.state == twin.bit_generator.state
+            want = np.full((5, self.R2), self.Q.infinity_level, dtype=self.Q.level_dtype)
+            want[cells] = self.Q.quantize(np.minimum(raw, self.Q.truncation_L))
+            np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), order=st.permutations(range(12)))
@@ -505,9 +472,9 @@ def _channel_rates(k: int, root_ids) -> np.ndarray:
 
 
 class TestGroupedDrawAgainstMemberOracle:
-    """_heard_sketch, one closed-form draw per distinct rate from one
-    generator, against oracles.heard_sketch, one truncated exponential per
-    member drawn by resampling.  The r2 levels of a cell row are iid, so
+    """_heard_sketch, one draw per cell at its total rate from one
+    generator, against oracles.heard_sketch, one clamped exponential per
+    member and cell, min-merged.  The r2 levels of a cell row are iid, so
     each row that holds finite levels is a two-sample Kolmogorov-Smirnov
     test at ALPHA / rows (Bonferroni: family-wise ALPHA per case), and a
     row infinite on one side must be infinite on the other.  The seeds are
@@ -518,7 +485,7 @@ class TestGroupedDrawAgainstMemberOracle:
     - k = 2: a map positive on every value, one on none (a zero-rate row),
       mixed maps, and one positive on the count-1 value alone;
     - k = 3: a map whose members hold only roots 1 and 2, whose Re + 1
-      rates differ in the last bit and so are two groups, and mixed maps;
+      rates differ in the last bit, and mixed maps;
     - k = 4: zero rates from the roots -1 (real) and -i (imaginary), a map
       zero on every member in the real channel, and mixed maps."""
 
@@ -567,7 +534,8 @@ class TestGroupedDrawAgainstMemberOracle:
 @pytest.mark.slow
 class TestHeardSketchAgainstOracle:
     """Harmonic estimates read off _heard_sketch, one draw generator per
-    sketch, against the node-by-node resampling oracle, over 300 seeds."""
+    sketch, against the node-by-node clamped-member oracle, over 300
+    seeds."""
 
     N, M, SEEDS = 60, 6, 300
 

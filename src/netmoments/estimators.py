@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch_core import sign_table
+from .sketch_core import root_table
 
 
 @dataclass
@@ -58,7 +58,7 @@ def exact_fk(d: Dataset, k: int) -> int:
 def exact_nplus(d: Dataset, seed: int, r1: int) -> np.ndarray:
     """N_+ under each of the r1 sign maps of the seed: the number of nodes
     whose value the map sends to +1."""
-    return (sign_table(seed, r1, d.alphabet_size) > 0) @ d.counts
+    return (root_table(seed, r1, 2, d.alphabet_size).real > 0) @ d.counts
 
 
 def ams_reference_f2(d: Dataset, seed: int, r1: int) -> float:

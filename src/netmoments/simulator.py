@@ -7,11 +7,12 @@ rejected when the giant holds under half the nodes.  Then it runs its
 s1 * B bucket phases in sequence, one per (bucket map, bucket); k = 2 has
 one bucket map and one bucket, B = M^(1 - 1/(k - 1)) = 1, so one phase.
 Each phase spreads from scratch, by gossip's exchange or by slotted Aloha,
-and reads node 0's sketch off the heard-set members in its bucket: one
+and reads node 0's estimates off the heard-set members in its bucket: one
 matvec gives each cell's total rate over them, and one call to the phase's
-draw generator gives every cell's clamped exponential at that rate.
-estimators.estimate_fk turns the per-phase harmonic estimates into
-F_k / N^k, scaled by the participant count.
+draw generator gives every cell of positive rate its quantized, clamped
+exponentials at that rate, read at once as the cell's harmonic estimate; a
+cell of rate 0 estimates 0.  estimators.estimate_fk turns the per-phase
+estimates into F_k / N^k, scaled by the participant count.
 
 Reports are plain dicts: a trial's record and the experiment's report are
 the dicts report.json serialises, so each key is written in one place."""
@@ -29,7 +30,7 @@ import numpy.random  # numpy loads it on first use; load it with the package
 from . import estimators, network, protocols, sketch_core
 from .estimators import Dataset, ErrorBudget, exact_fk, moment_scale
 from .protocols import run_spreading
-from .sketch_core import QuantConfig, harmonic_estimate, min_truncated_exp_levels
+from .sketch_core import QuantConfig, harmonic_estimate, min_truncated_exp
 
 NETWORK_KINDS = ("complete", "rgg-connected", "rgg-percolating")
 
@@ -130,7 +131,7 @@ def _next_pow2(x: float) -> int:
 
 
 def sketch_channels(k: int) -> int:
-    """Level rows per map in a sketch: the signs' one at k = 2; at k >= 3 the
+    """Cell rows per map in a sketch: the signs' one at k = 2; at k >= 3 the
     roots' real and imaginary channels and the population channel."""
     return 1 if k == 2 else 3
 
@@ -153,18 +154,20 @@ def solve_budget(
     - r1 = pow2(CAL_MAP_TERM / ((delta/2) eps1^2)), which grows as
       1/(delta eps^2) (ROADMAP items 3 and 10);
     - r2 = pow2(CAL_EXP_TERM ln(4/delta) / eps2^2).
-    The quantizer follows QuantConfig.for_population at target eps2 in the
-    parts not given.  A given r1 and r2, quant_bits or trunc_l is taken as
-    it is, within range: a given L must clamp a rate-1 draw with probability
-    e^(-L) <= eps, and the cell width L/2^quant_bits must resolve the min
-    over N nodes, of order 1/N, so it is at most 1/N.  The rule's cell
-    width is at most eps2/N, and its L = max(2 ln N, ln(1/eps2)) clamps a
-    draw with probability at most eps2.  A value out of range raises
-    ValueError.  A budget whose sketch at moment order k holds more than
-    _MAX_CELLS cells, sketch_channels(k) * r1 * r2, raises CapacityError,
-    solved or given, instead of returning something unrunnable; so does an
-    eps or delta so small that a solved term, or a part of the quantizer
-    the rule gives, leaves range.
+    The quantizer rule sizes the parts not given, for N >= 2 nodes:
+    L = max(2 ln N, ln(1/eps2)) clamps a rate-1 draw with probability
+    e^(-L) <= eps2, and quant_bits = ceil(log2(L N / eps2)), for the L in
+    use, makes the cell width at most eps2/N, so minima of order 1/N carry
+    relative quantization error at most eps2.  A given r1 and r2,
+    quant_bits or trunc_l is taken as it is, within range: a given L must
+    clamp a rate-1 draw with probability e^(-L) <= eps, and the cell width
+    L/2^quant_bits must resolve the min over N nodes, of order 1/N, so it is
+    at most 1/N.  A value out of range raises ValueError.  A budget whose
+    sketch at moment order k holds more than _MAX_CELLS cells,
+    sketch_channels(k) * r1 * r2, raises CapacityError, solved or given,
+    instead of returning something unrunnable; so does an eps or delta so
+    small that a solved term, or a part of the quantizer the rule gives,
+    leaves range.
     """
     if not (0.0 < eps < 1.0 and 0.0 < delta < 1.0):
         raise ValueError("eps and delta must lie in (0, 1)")
@@ -190,14 +193,22 @@ def solve_budget(
             f"budget needs {factor}r1*r2 = {channels * r1 * r2} sketch cells "
             f"(cap {_MAX_CELLS}); relax epsilon or delta, or give smaller r1 and r2"
         )
-    try:
-        quant = QuantConfig.for_population(n_nodes, eps2, trunc_l, quant_bits)
-    except OverflowError as exc:
-        raise CapacityError(
-            f"epsilon = {eps} needs a quantizer past range ({exc}); relax epsilon, "
-            f"or give both the truncation L and the quantizer bits"
-        ) from None
-    if trunc_l is not None and math.exp(-trunc_l) > eps:
+    if n_nodes < 2:
+        raise ValueError("need at least 2 nodes")
+    past_range = (f"epsilon = {eps} needs a quantizer past range ({{}}); relax epsilon, "
+                  "or give both the truncation L and the quantizer bits")
+    if trunc_l is None:
+        trunc_l = max(2.0 * math.log(n_nodes), math.log(1.0 / eps2))
+        if math.isinf(trunc_l):
+            raise CapacityError(
+                past_range.format(f"the rule's L = ln(1/{eps2}) is past float range"))
+    if quant_bits is None and trunc_l > 0:  # QuantConfig rejects a given L <= 0 or nan
+        bits = math.log2(trunc_l * n_nodes / eps2)  # inf where the quotient is
+        if bits > 62:
+            raise CapacityError(past_range.format("the rule's quantizer bits are past 62"))
+        quant_bits = max(1, math.ceil(bits))  # a tiny given L fits one bit
+    quant = QuantConfig(truncation_L=trunc_l, quant_bits=quant_bits)
+    if math.exp(-trunc_l) > eps:
         raise ValueError(f"truncation L = {trunc_l} must be at least ln(1/epsilon) = "
                          f"{math.log(1.0 / eps):.6g}, so that e^(-L) <= epsilon")
     if quant.cell_width > 1.0 / n_nodes:
@@ -385,7 +396,7 @@ def trial_inputs(cfg: ExperimentConfig, trial_index: int, first=None):
     return dataset, net
 
 
-def _heard_sketch(
+def _heard_estimates(
     rates_by_value: np.ndarray,
     values: np.ndarray,
     r2: int,
@@ -393,19 +404,19 @@ def _heard_sketch(
     rng: np.random.Generator,
     heard: np.ndarray,
 ) -> np.ndarray:
-    """The sketch a node holds once it has heard from the nodes the boolean
-    mask `heard` marks: the min over their initial grids, where a node
-    holding value v draws one row of r2 levels per entry of
-    rates_by_value[v - 1].  A cell's min depends only on its total rate,
-    the members' counts per value times their rates, so each cell of
-    positive total rate takes one clamped draw per replica from rng, in
-    cell order, and a cell of rate 0, which no member draws, keeps the
-    sentinel."""
-    acc = np.full((rates_by_value.shape[1], r2), quant.infinity_level, dtype=quant.level_dtype)
+    """The harmonic estimates, one per cell, of the sketch a node holds once
+    it has heard from the nodes the boolean mask `heard` marks: the min over
+    their initial grids, where a node holding value v draws one row of r2
+    quantized values per entry of rates_by_value[v - 1].  A cell's min
+    depends only on its total rate, the members' counts per value times
+    their rates, so each cell of positive total rate takes one clamped draw
+    per replica from rng, in cell order, and a cell of rate 0, which no
+    member draws, estimates 0."""
     total = np.bincount(values[heard] - 1, minlength=len(rates_by_value)) @ rates_by_value
+    estimates = np.zeros(total.shape)
     cells = np.flatnonzero(total)
-    acc[cells] = min_truncated_exp_levels(total[cells], r2, quant, rng)
-    return acc
+    estimates[cells] = harmonic_estimate(min_truncated_exp(total[cells], r2, quant, rng))
+    return estimates
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, first) -> dict | None:
@@ -439,7 +450,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, first) -> dict | None:
 
     maps_seed = _seed_int(maps_ss)
     if cfg.k == 2:
-        rates_by_value = (sketch_core.sign_table(maps_seed, r1, m).T > 0).astype(float)
+        rates_by_value = (sketch_core.root_table(maps_seed, r1, 2, m).real.T > 0).astype(float)
         phase_seeds = [(sched_ss, draws_ss)]
     else:
         roots = sketch_core.root_table(maps_seed, r1, cfg.k, m).T
@@ -455,11 +466,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, first) -> dict | None:
         report, members = run_spreading(topo, cfg.protocol, np.random.default_rng(sched),
                                         cfg.p_n, cfg.max_steps)
         members &= buckets[t - 1, part_values - 1] == b
-        sketch = _heard_sketch(rates_by_value, part_values, r2, cfg.quant,
-                               np.random.default_rng(draws), members)
-        estimates.append(harmonic_estimate(sketch.reshape(cfg.channels, r1, r2), cfg.quant))
+        estimates.append(_heard_estimates(rates_by_value, part_values, r2, cfg.quant,
+                                          np.random.default_rng(draws), members))
         reports.append(report)
-        del sketch  # a sketch does not outlive its phase
     completed = all(report.completed for report in reports)
 
     phases = np.array(estimates).reshape(cfg.s1, cfg.num_buckets, cfg.channels, r1)

@@ -176,21 +176,35 @@ def min_exponential_samples(rates, n_samples: int, rng: np.random.Generator) -> 
     return draws.min(axis=1)
 
 
-def clamped_min_levels(rates, r2: int, quant, rngs) -> np.ndarray:
+def quantize_reference(x, quant) -> np.ndarray:
+    """Cell midpoints of values in [0, L] through integer levels: the int64
+    level of x over the cell width L / 2^quant_bits (the cast truncates, a
+    floor on values >= 0), clamped to the top level 2^quant_bits - 1, then
+    (level + 0.5) * cell width.  The oracle for QuantConfig.quantize, which
+    snaps in float64 with no integer level."""
+    width = quant.truncation_L / 2.0**quant.quant_bits
+    levels = (np.asarray(x, dtype=float) / width).astype(np.int64)
+    levels = np.minimum(levels, (1 << quant.quant_bits) - 1)
+    return (levels + 0.5) * width
+
+
+def clamped_min_values(rates, r2: int, quant, rngs) -> np.ndarray:
     """Elementwise min over the generators in rngs of r2 quantized draws
     min(Exp(rate), L) per positive rate: each generator draws its block of
-    standard exponentials, divides each by its rate and clamps it at L, one
-    member's draws.  Zero-rate rows, and every row when rngs is empty, hold
-    the infinity sentinel.  The oracle for the one-draw min of
-    sketch_core.min_truncated_exp_levels at the members' total rate."""
+    standard exponentials, divides each by its rate, clamps it at L and
+    quantizes it by quantize_reference, one member's draws.  Zero-rate
+    rows, and every row when rngs is empty, hold np.inf: no member's value.
+    The oracle for the one-draw min of sketch_core.min_truncated_exp at the
+    members' total rate."""
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be nonnegative")
     pos = rates > 0
-    out = np.full((rates.size, r2), quant.infinity_level, dtype=quant.level_dtype)
+    out = np.full((rates.size, r2), np.inf)
     for rng in rngs:
         z = rng.standard_exponential(size=(int(pos.sum()), r2)) / rates[pos][:, None]
-        out[pos] = np.minimum(out[pos], quant.quantize(np.minimum(z, quant.truncation_L)))
+        z = quantize_reference(np.minimum(z, quant.truncation_L), quant)
+        out[pos] = np.minimum(out[pos], z)
     return out
 
 
@@ -198,21 +212,22 @@ def heard_sketch(rates_by_value, values, r2: int, quant, node_seeds, members) ->
     """The sketch over `members` drawn node by node: member u draws its own
     clamped grid for rates_by_value[values[u] - 1] from node_seeds[u], one
     clamped exponential per cell, and the sketch is the min over the
-    members' grids.  The oracle, in law, for simulator._heard_sketch, which
+    members' grids, np.inf in a cell no member draws.  The oracle, in law,
+    for the sketch whose estimates simulator._heard_estimates reads, which
     draws one exponential per cell at the cell's total rate."""
     rows = np.shape(rates_by_value)[1]
-    acc = np.full((rows, r2), quant.infinity_level, dtype=quant.level_dtype)
+    acc = np.full((rows, r2), np.inf)
     for u in members:
         rng = np.random.default_rng(node_seeds[u])
-        grid = clamped_min_levels(rates_by_value[values[u] - 1], r2, quant, [rng])
+        grid = clamped_min_values(rates_by_value[values[u] - 1], r2, quant, [rng])
         acc = np.minimum(acc, grid)
     return acc
 
 
 def harmonic_estimate(row) -> float:
-    """Population estimate r2 / sum(row) from one replica row of dequantized
-    values, one Python float at a time: 0 when the row holds an infinity,
-    infinity when it sums to 0."""
+    """Population estimate r2 / sum(row) from one replica row of quantized
+    values, one Python float at a time: 0 when the row holds an infinity (no
+    member's value), infinity when it sums to 0."""
     arr = np.asarray(row, dtype=float)
     total = float(arr.sum())
     if not math.isfinite(total):

@@ -13,7 +13,8 @@ from netmoments.estimators import (
     median,
     oracle_record,
 )
-from netmoments.sketch_core import QuantConfig, sign_table
+from netmoments.simulator import _heard_estimates
+from netmoments.sketch_core import QuantConfig, root_table
 from netmoments.sketch_core import harmonic_estimate as sketch_harmonic_estimate
 
 from oracles import (
@@ -65,7 +66,7 @@ class TestExactOracles:
     def test_nplus_two_of_three(self):
         # find a seed whose first sign map sends value 1 to +1 and 2 to -1
         for seed in range(200):
-            if sign_table(seed, 1, 2).tolist() == [[1, -1]]:
+            if root_table(seed, 1, 2, 2).real.tolist() == [[1.0, -1.0]]:
                 d = Dataset([1, 1, 2], 2)
                 (nplus,) = exact_nplus(d, seed, 1)
                 assert nplus == 2
@@ -80,7 +81,7 @@ class TestExactOracles:
         rng = np.random.default_rng(1)
         for _ in range(100):
             d = random_dataset(rng)
-            signs = sign_table(5, 4, d.alphabet_size)
+            signs = root_table(5, 4, 2, d.alphabet_size).real
             for i, nplus in enumerate(exact_nplus(d, 5, 4)):
                 nminus = sum(
                     int(c)
@@ -203,16 +204,18 @@ class TestEstimateF2:
     def test_estimate_is_harmonic_rows_through_step5(self):
         q = QuantConfig(truncation_L=4.0, quant_bits=6)
         rng = np.random.default_rng(12)
-        levels = rng.integers(0, q.infinity_level, size=(3, 5)).astype(np.int32)
+        values = (rng.integers(0, 1 << q.quant_bits, size=(3, 5)) + 0.5) * q.cell_width
         n = 40
-        rows = np.array([harmonic_estimate(q.dequantize(row)) for row in levels])
-        nplus = sketch_harmonic_estimate(levels, q)
+        rows = np.array([harmonic_estimate(row) for row in values])
+        nplus = sketch_harmonic_estimate(values)
         assert _f2(nplus, n) == pytest.approx(_f2(rows, n))
 
     def test_all_infinite_gives_one(self):
+        # a sketch no member drew estimates N_+ = 0 in every map
         q = QuantConfig(truncation_L=4.0, quant_bits=4)
-        levels = np.full((4, 8), q.infinity_level, dtype=q.level_dtype)
-        assert _f2(sketch_harmonic_estimate(levels, q), 25) == pytest.approx(1.0)
+        nplus = _heard_estimates(np.ones((3, 4)), np.ones(25, dtype=np.int64), 8, q,
+                                 np.random.default_rng(0), np.zeros(25, dtype=bool))
+        assert _f2(nplus, 25) == pytest.approx(1.0)
 
 
 class TestConcentration:

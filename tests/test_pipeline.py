@@ -1111,10 +1111,12 @@ class TestExitCodes:
         (["--trunc-L", "1e-300"], "truncation L = 1e-300 must be at least ln(1/epsilon) = 2.30259"),
         # 2^20 cells of width about 1e294: every min falls in the first cell,
         # and the mean error was 0.65
-        (["--trunc-L", "1e300"], "cell width L/2^quant_bits = 9.53674e+293 must be at most "
-                                 "1/N = 0.005"),
+        (["--trunc-L", "1e300", "--quant-bits", "20"],
+         "cell width L/2^quant_bits = 9.53674e+293 must be at most 1/N = 0.005"),
         # the rule's L = 2 ln 200 in 2^3 cells: the mean error was 0.62
         (["--quant-bits", "3"], "cell width L/2^quant_bits = 1.32458 must be at most 1/N = 0.005"),
+        # a given width past the wire's int64 entries
+        (["--quant-bits", "63"], "quant_bits must lie in [1, 62]"),
     ])
     def test_quantizer_out_of_range_fails_before_any_output(self, tmp_path, capsys, flags, message):
         code, out = _run(tmp_path, "quant", ["--nodes", "200", "--alphabet", "5", "--r1", "8",
@@ -1186,11 +1188,14 @@ class TestExitCodes:
         pytest.param("1e-300", [], id="rule-bits-past-62"),
         pytest.param("1e-200", [], id="rule-bits-past-62-at-1e-200"),
         pytest.param("1e-300", ["--trunc-L", "700"], id="given-L-rule-bits-past-62"),
+        # the rule sizes the bits for the given L: 1011 of them
+        pytest.param("0.1", ["--trunc-L", "1e300"], id="huge-given-L-rule-bits-past-62"),
     ])
     def test_quantizer_rule_past_range_is_infeasible(self, tmp_path, capsys, eps, given):
         # with r1 and r2 given, only the quantizer rule reads epsilon: its
         # L = max(2 ln N, ln(32/eps)) and its bits ceil(log2(L N 32/eps))
-        # leave range at a tiny eps, which once crashed or named no setting
+        # leave range at a tiny eps or a huge given L, which once crashed or
+        # named no setting
         code, out = _run(tmp_path, "tiny", ["--nodes", "50", "--alphabet", "5", "--seed", "1",
                                             "--r1", "2", "--r2", "4", "--epsilon", eps, *given])
         assert code == cli.EXIT_INFEASIBLE
@@ -1669,14 +1674,13 @@ class TestImports:
 
     def test_maps_import_no_hashlib_and_keep_the_traced_names(self):
         # the map tables are polynomials evaluated in numpy, with no hash;
-        # perfbench/tracer.py wraps the three table functions by name
+        # perfbench/tracer.py wraps the two table functions by name
         tree = ast.parse(Path(sketch_core.__file__).read_text())
         modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                    for alias in node.names}
         modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert not {name for name in modules if name.split(".")[0] == "hashlib"}
-        signatures = {"sign_table": ["seed", "r1", "alphabet_size"],
-                      "root_table": ["seed", "r1", "k", "alphabet_size"],
+        signatures = {"root_table": ["seed", "r1", "k", "alphabet_size"],
                       "bucket_table": ["seed", "s1", "num_buckets", "alphabet_size"]}
         for name, params in signatures.items():
             assert list(inspect.signature(getattr(sketch_core, name)).parameters) == params
@@ -1703,6 +1707,42 @@ class TestImports:
                        if name not in read]
         assert len(files) >= 12
         assert unused == []
+
+    # public names no code in src/ or perfbench/ reads, each with its reason
+    _UNCALLED = {
+        "ams_reference_f2": "the streaming F_2 reference the tests check the sketch path "
+                            "against (ROADMAP item 3)",
+    }
+
+    def test_every_public_name_has_a_caller(self):
+        # a public function, class or method of the package is read, as an
+        # ast Name or Attribute, somewhere outside its own definition, in the
+        # package or in perfbench (which reads num_edges and cfg.channels)
+        root = Path(netmoments.__file__).resolve().parent
+        package = sorted(root.glob("*.py"))
+        files = package + sorted((root.parents[1] / "perfbench").glob("*.py"))
+        defined, reads = [], []  # (name, def node); (name, ids of enclosing defs)
+
+        def visit(node, enclosing, in_package, scope_is_class):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                top = not enclosing or scope_is_class
+                if in_package and top and not node.name.startswith("_"):
+                    defined.append((node.name, id(node)))
+                enclosing = enclosing | {id(node)}
+            elif isinstance(node, ast.Name):
+                reads.append((node.id, enclosing))
+            elif isinstance(node, ast.Attribute):
+                reads.append((node.attr, enclosing))
+            for child in ast.iter_child_nodes(node):
+                visit(child, enclosing, in_package, isinstance(node, ast.ClassDef))
+
+        for path in files:
+            visit(ast.parse(path.read_text()), frozenset(), path in package, False)
+        uncalled = sorted({name for name, def_id in defined
+                           if not any(read == name and def_id not in enclosing
+                                      for read, enclosing in reads)})
+        assert len(package) >= 7 and len(files) >= 10
+        assert uncalled == sorted(self._UNCALLED)
 
 
 class TestSolveBudget:
@@ -1739,11 +1779,24 @@ class TestSolveBudget:
         assert 3 * budget.r2 < 1 << 23
 
     def test_given_quantizer_values_override_the_rule(self):
+        # the rule sizes the bits for the L in use: ceil(log2(L N 32/eps)) is
+        # 21 at the rule's L = 2 ln 300 and 19 at a given L = 5
         _, quant = solve_budget(0.1, 0.1, 300)
         _, bits = solve_budget(0.1, 0.1, 300, quant_bits=12)
         _, length = solve_budget(0.1, 0.1, 300, trunc_l=5.0)
+        assert quant.quant_bits == 21
         assert (bits.truncation_L, bits.quant_bits) == (quant.truncation_L, 12)
-        assert (length.truncation_L, length.quant_bits) == (5.0, quant.quant_bits)
+        assert (length.truncation_L, length.quant_bits) == (5.0, 19)
+
+    @pytest.mark.parametrize("trunc_l, bits", [("100", 23), (None, 20)])
+    def test_rule_bits_follow_the_given_truncation(self, tmp_path, capsys, trunc_l, bits):
+        # at N = 200 and eps = 0.1: 23 bits for L = 100, 20 for the rule's
+        # L = 2 ln 200; a given L once got the rule's L's 20
+        given = [] if trunc_l is None else ["--trunc-L", trunc_l]
+        code, _ = _run(tmp_path, "bits", ["--nodes", "200", "--alphabet", "5", "--r1", "8",
+                                          "--r2", "16", "--seed", "1", *given])
+        assert code == cli.EXIT_OK
+        assert f"quant_bits = {bits}" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 1000])
     @pytest.mark.parametrize("eps", [0.1, 0.05])
